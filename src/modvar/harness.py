@@ -60,15 +60,19 @@ def _parse_float(text):
         raise ConfigError("expected a number, got %r" % (text,))
 
 
-def _parse_floats(text):
+def _parse_list(text, parse):
     parts = [p for p in str(text).replace(",", " ").split() if p]
     if not parts:
         raise ConfigError("expected a comma-separated number list")
-    return tuple(_parse_float(p) for p in parts)
+    return tuple(parse(p) for p in parts)
+
+
+def _parse_floats(text):
+    return _parse_list(text, _parse_float)
 
 
 def _parse_ints(text):
-    return tuple(int(round(x)) for x in _parse_floats(text))
+    return _parse_list(text, _parse_int)
 
 
 def _parse_str(text):
@@ -969,11 +973,15 @@ def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
     if config.kind not in _RUNNERS:
         raise ConfigError("unknown experiment kind %r" % (config.kind,))
     os.makedirs(out_dir, exist_ok=True)
-    jobs = int(os.environ.get("MODVAR_JOBS", jobs))
+    try:
+        jobs = _parse_int(os.environ.get("MODVAR_JOBS", jobs))
+    except ConfigError as ex:
+        raise ConfigError("MODVAR_JOBS: %s" % ex)
     if jobs < 1:
         raise ConfigError("jobs must be a positive integer")
     ok, summary = _RUNNERS[config.kind](config, out_dir, int(seed), jobs)
     flat = {k: v for k, v in summary.items() if not isinstance(v, dict)}
     print("[%s] %s %s" % (config.kind, "ok" if ok else "FAIL",
-                          json.dumps(flat, sort_keys=True, default=str)))
+                          json.dumps(flat, sort_keys=True,
+                                     default=_json_default)))
     return 0 if ok else 2

@@ -10,7 +10,9 @@ exactly, hence P(n) mod 1 is an integer computation: with E = max_j e_j,
 Both the scalar evaluator and the range evaluator use this reduction, so the
 only rounding anywhere is the final division by 2^E.  This is stronger than
 compensated floating-point summation: there is no catastrophic cancellation
-to control because nothing is ever cancelled inexactly.
+to control because nothing is ever cancelled inexactly.  The range kernel
+_mod1_range evaluates any integer polynomial mod 2^E over a run of n; the
+fixed-point orbits in systems use it too, with E = PREC_BITS.
 
 Polynomial classes: "linear" (degree <= 1), "vanish2" (lam_0 = lam_1 = 0,
 the class whose coefficient vector mu = (lam_2, ..., lam_d) drives the scale
@@ -127,38 +129,50 @@ def eval_phase(p: Poly, n: int) -> float:
 def phase_range(p: Poly, n0: int, N: int) -> np.ndarray:
     """P(n) mod 1 for n = n0, ..., n0 + N - 1 as a float array.
 
-    Runs the exact integer finite-difference recurrence: registers hold
-    Delta^k P(n) mod 1 scaled by 2^E, and each step adds the next register.
-    Exact mod 1; each output rounds once to float.
+    Exact mod 1: the numerators of _dyadic_parts go through _mod1_range, and
+    each output rounds once to float.
     """
     N = int(N)
     if N < 0:
         raise DomainError("range length must be nonnegative")
-    if N == 0:
-        return np.zeros(0)
-    n0 = int(n0)
     nums, E = _dyadic_parts(p)
+    return _mod1_range(nums, E, n0, N)
+
+
+# points per block of the big-integer branch of _mod1_range; whole ranges of
+# object ints would hold megabytes of temporaries at once
+_BLOCK = 8192
+
+
+def _mod1_range(nums, E, n0, N):
+    """(sum_j nums[j] n^j mod 2^E) / 2^E for n = n0, ..., n0 + N - 1.
+
+    Horner's rule over the whole range.  For E <= 64 it runs in uint64
+    wraparound arithmetic, exact because 2^E divides 2^64 (n0 is reduced
+    mod 2^64 first, so any integer n0 works).  Beyond 64 bits it runs on
+    Python integers, _BLOCK points at a time.  Each output is the correctly
+    rounded float of its exact value.
+    """
+    n0, N = int(n0), int(N)
     mod = 1 << E
     mask = mod - 1
-    d = p.degree
-    # Delta^k applied to the scaled numerator at n0, via binomial combination
-    base = [_eval_num(nums, mod, n0 + i) for i in range(d + 1)]
-    regs = []
-    for k in range(d + 1):
-        acc = 0
-        for i in range(k + 1):
-            term = math.comb(k, i) * base[i]
-            acc += term if (k - i) % 2 == 0 else -term
-        regs.append(acc & mask)
-    out = [0] * N
-    for idx in range(N):
-        out[idx] = regs[0]
-        for k in range(d):
-            regs[k] = (regs[k] + regs[k + 1]) & mask
-    inv = 1.0 / mod if E <= 1023 else None
-    if inv is not None and E <= 52:
-        return np.array(out, dtype=float) * inv
-    return np.array([v / mod for v in out], dtype=float)
+    if E <= 64:
+        wrap = 1 << 64
+        n = np.arange(N, dtype=np.uint64) + np.uint64(n0 % wrap)
+        acc = np.zeros(N, dtype=np.uint64)
+        for c in reversed(nums):
+            acc *= n
+            acc += np.uint64(c % wrap)
+        return (acc & np.uint64(mask)).astype(float) / float(mod)
+    out = np.empty(N)
+    for lo in range(0, N, _BLOCK):
+        hi = min(lo + _BLOCK, N)
+        n = np.arange(n0 + lo, n0 + hi, dtype=object)
+        acc = np.zeros(hi - lo, dtype=object)
+        for c in reversed(nums):
+            acc = (acc * n + c) & mask
+        out[lo:hi] = acc / mod
+    return out
 
 
 def coeff_norm(p: Poly) -> float:

@@ -6,9 +6,10 @@ Conventions fixed here and used everywhere else:
 * forward DFT  fhat(b) = sum_n f(n) e(-n b / M),
 * inverse      f(n) = (1/M) sum_b fhat(b) e(+n b / M),
 
-so Parseval reads ||f||^2 = (1/M) sum_b |fhat(b)|^2.  Modulation phases
-n * theta are reduced mod 1 in integer arithmetic (the float theta is a
-dyadic rational), so modulate() is exact for every representable frequency.
+so Parseval reads ||f||^2 = (1/M) sum_b |fhat(b)|^2.  modulate() takes its
+phases n * theta mod 1 from polykit.phase_range of the linear polynomial
+theta n, which reduces them exactly in integer arithmetic (the float theta
+is a dyadic rational), so it is exact for every representable frequency.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import signal as _sps
 
+from . import polykit
 from .bumpkit import Kernel
 from .util import DomainError, e, write_csv
 
@@ -90,30 +92,10 @@ def idft(fhat: CyclicSignal) -> CyclicSignal:
     return CyclicSignal(np.fft.ifft(fhat.values))
 
 
-def linear_phase(theta, n0, count):
-    """n * theta mod 1 for n = n0 .. n0+count-1, exact integer reduction.
-
-    theta = p / 2^k exactly as a float; p*n mod 2^k is computed in wraparound
-    64-bit arithmetic when k <= 64 (exact, since the modulus is a power of
-    two), and in big integers otherwise.
-    """
-    count = int(count)
-    p, q = float(theta).as_integer_ratio()
-    k = q.bit_length() - 1
-    n = int(n0) + np.arange(count, dtype=np.int64)
-    if k == 0:
-        return np.zeros(count)
-    if k <= 64:
-        mask = np.uint64((1 << k) - 1)
-        pn = np.uint64(p & 0xFFFFFFFFFFFFFFFF) * n.astype(np.uint64)
-        return (pn & mask).astype(float) / float(1 << k)
-    pm = p % q
-    return np.array([(pm * int(m)) % q for m in n], dtype=float) / float(q)
-
-
 def modulate(f: Signal, theta) -> Signal:
     """Pointwise multiplication by e(n * theta)."""
-    ph = linear_phase(theta, f.support_start, len(f))
+    ph = polykit.phase_range(polykit.Poly.linear(theta), f.support_start,
+                             len(f))
     return Signal(f.support_start, f.values * e(ph))
 
 

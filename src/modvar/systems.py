@@ -6,11 +6,14 @@ product T(x, y) = (x + a, y + 2x + a) on the 2-torus, whose n-th iterate has
 the closed form (x + n a, y + 2 n x + n^2 a).
 
 Rotation and skew angles are stored as 120-bit fixed-point integers
-(value = scaled / 2^120) and orbits are computed in integer arithmetic
-modulo 2^120, so points never accumulate rounding error: the only rounding
-is the final conversion of each coordinate to a float.  Defaults are
-sqrt(2) - 1 and sqrt(3) - 1, badly approximable numbers that keep desk-scale
-experiments away from accidental near-resonances.
+(value = scaled / 2^120).  Each orbit coordinate is an integer polynomial in
+n (w + n a for the rotation, y + 2 n x + n^2 a for the skew product), which
+orbit_array evaluates modulo 2^120 with the phase kernel
+polykit._mod1_range, so points never accumulate rounding error: the only
+rounding is the final conversion of each coordinate to a float.
+orbit_point is the scalar reference.  Defaults are sqrt(2) - 1 and
+sqrt(3) - 1, badly approximable numbers that keep desk-scale experiments
+away from accidental near-resonances.
 
 Observables are plain callables on coordinate arrays; builders for the
 indicator / character combinations used in experiments live at the bottom.
@@ -89,13 +92,8 @@ class CircleRotation:
         return ((w + int(n) * self.alpha_scaled) % SCALE) / SCALE
 
     def orbit_array(self, omega, n0, N):
-        w = (_to_scaled(omega) + int(n0) * self.alpha_scaled) % SCALE
-        a = self.alpha_scaled
-        out = [0.0] * int(N)
-        for i in range(int(N)):
-            out[i] = w / SCALE
-            w = (w + a) % SCALE
-        return np.array(out)
+        return polykit._mod1_range([_to_scaled(omega), self.alpha_scaled],
+                                   PREC_BITS, n0, N)
 
 
 class SkewProduct:
@@ -130,21 +128,10 @@ class SkewProduct:
     def orbit_array(self, omega, n0, N):
         x, y = omega
         xs, ys = _to_scaled(x), _to_scaled(y)
-        n0 = int(n0)
-        N = int(N)
         a = self.alpha_scaled
-        xn = (xs + n0 * a) % SCALE
-        yn = (ys + 2 * n0 * xs + n0 * n0 * a) % SCALE
-        # y_{n+1} - y_n = 2x + (2n+1) alpha: maintained incrementally
-        yinc = (2 * xs + (2 * n0 + 1) * a) % SCALE
-        out = np.empty((N, 2))
-        for i in range(N):
-            out[i, 0] = xn / SCALE
-            out[i, 1] = yn / SCALE
-            xn = (xn + a) % SCALE
-            yn = (yn + yinc) % SCALE
-            yinc = (yinc + 2 * a) % SCALE
-        return out
+        return np.column_stack((
+            polykit._mod1_range([xs, a], PREC_BITS, n0, N),
+            polykit._mod1_range([ys, 2 * xs, a], PREC_BITS, n0, N)))
 
 
 def sample_transfer(sys, f, omega, L: int) -> Signal:

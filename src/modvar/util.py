@@ -1,8 +1,8 @@
 """Shared numerical helpers: unit-circle phases, torus distance, seeded streams.
 
 Phases are handled in revolutions (fractions of a full turn) rather than
-radians, so that reduction mod 1 can be done exactly in integer arithmetic
-before any trig function sees the value.
+radians, so that polykit can reduce them mod 1 exactly in integer arithmetic
+before e() sees the value.
 """
 
 from __future__ import annotations
@@ -35,19 +35,6 @@ def torus_signed(x):
     """Representative of x mod 1 in [-1/2, 1/2). Vectorized."""
     d = np.mod(np.asarray(x, dtype=float), 1.0)
     return np.where(d >= 0.5, d - 1.0, d)
-
-
-def frac_mod1_exact(coeff: float, n_pow: int) -> float:
-    """coeff * n_pow mod 1, exactly, for float coeff and integer n_pow.
-
-    Uses the dyadic-rational representation of the float: coeff = p / 2^k
-    exactly, so coeff * n_pow mod 1 = (p * n_pow mod 2^k) / 2^k with integer
-    arithmetic throughout.  The only rounding is the final division.
-    """
-    if n_pow == 0:
-        return 0.0
-    p, q = float(coeff).as_integer_ratio()
-    return ((p * n_pow) % q) / q
 
 
 def stream(seed: int, draw: int) -> np.random.Generator:

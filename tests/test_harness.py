@@ -125,3 +125,28 @@ def test_config_file_plus_override(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "variation.json").read_text())
     assert summary["oracle"]["n"] == 10
+
+
+def test_cli_exit_one_on_non_integer_jobs_env(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MODVAR_JOBS", "abc")
+    rc = cli.main(["chaining", "--set", "n_inst=2", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MODVAR_JOBS" in err
+
+
+def test_int_lists_reject_fractions(tmp_path):
+    assert parse_config("kind = carleson\nsizes = 1024, 2048\n").params[
+        "sizes"] == (1024, 2048)
+    with pytest.raises(ConfigError, match="sizes"):
+        parse_config("kind = carleson\nsizes = 1024.7\n")
+    rc = cli.main(["carleson", "--set", "sizes=1024.7", "--out",
+                   str(tmp_path)])
+    assert rc == 1
+
+
+def test_summary_line_prints_json_booleans(tmp_path, capsys):
+    rc = cli.main(["converge", "--set", "n_top=2000", "--out", str(tmp_path)])
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    flat = json.loads(line.split(" ", 2)[2])
+    assert flat["ok"] is (rc == 0)

@@ -9,12 +9,12 @@ from modvar.signalkit import (
     convolve,
     dft,
     idft,
-    linear_phase,
     maximal_hl,
     maximal_hl_profile,
     modulate,
     modulate_cyclic,
 )
+from modvar import polykit
 from modvar.util import e
 
 import oracles
@@ -82,18 +82,18 @@ def test_modulate_cyclic_is_exact_grid_phase(rng):
 
 
 def test_linear_phase_dyadic_exact():
+    # modulate takes its phases from the linear polynomial theta n
     theta = 3 / 16
-    got = linear_phase(theta, 0, 20)
+    got = polykit.phase_range(polykit.Poly.linear(theta), 0, 20)
     want = [(3 * n) % 16 / 16 for n in range(20)]
     assert np.array_equal(got, np.array(want))
 
 
 def test_linear_phase_matches_fraction_oracle():
     theta = float(np.sqrt(2)) / 8
-    got = linear_phase(theta, 100, 50)
-    for i, n in enumerate(range(100, 150)):
-        assert got[i] == pytest.approx(
-            float(oracles.phase_fraction([0.0, theta], n)), abs=1e-15)
+    got = polykit.phase_range(polykit.Poly.linear(theta), 100, 50)
+    want = [oracles.phase_fraction([0.0, theta], n) for n in range(100, 150)]
+    assert got.tolist() == want
 
 
 def test_convolve_matches_loop_oracle(rng):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modvar import polykit
 from modvar.bumpkit import make_bump
@@ -79,6 +81,21 @@ def test_skew_orbit_point_matches_array():
         x, y = sk.orbit_point((0.5, 0.25), n)
         assert arr[i, 0] == pytest.approx(x, abs=1e-15)
         assert arr[i, 1] == pytest.approx(y, abs=1e-15)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, SCALE - 1), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+       st.one_of(st.integers(-1000, 1000), st.integers(-2 ** 80, 2 ** 80)),
+       st.integers(1, 40))
+def test_orbit_arrays_equal_orbit_points_across_a_block(a, x, y, n0, extra):
+    N = polykit._BLOCK + extra
+    ns = range(n0, n0 + N)
+    rot = CircleRotation(scaled=a)
+    assert rot.orbit_array(x, n0, N).tolist() == [rot.orbit_point(x, n)
+                                                  for n in ns]
+    sk = SkewProduct(scaled=a)
+    assert sk.orbit_array((x, y), n0, N).tolist() == [
+        list(sk.orbit_point((x, y), n)) for n in ns]
 
 
 def test_skew_second_coordinate_formula():

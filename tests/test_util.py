@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from modvar.util import (e, frac_mod1_exact, stream, torus_dist,
-                         torus_signed, write_csv)
-
-import oracles
+from modvar.util import e, stream, torus_dist, torus_signed, write_csv
 
 
 def test_stream_is_deterministic_and_split_by_draw():
@@ -27,17 +24,6 @@ def test_torus_distance_and_signed_representative():
     assert torus_signed(0.75) == pytest.approx(-0.25)
     assert torus_signed(0.25) == pytest.approx(0.25)
     assert torus_dist(1.0) == 0.0
-
-
-@pytest.mark.parametrize("coeff,n", [
-    (0.3333333333333333, 10 ** 6),
-    (1.4142135623730951, 12345),
-    (-0.7071067811865476, 999983),
-])
-def test_exact_monomial_phase_matches_fraction_arithmetic(coeff, n):
-    got = frac_mod1_exact(coeff, n)
-    want = oracles.phase_fraction((0.0, coeff), n)
-    assert torus_dist(got, want) < 1e-12
 
 
 def test_csv_bytes_are_reproducible(tmp_path):
