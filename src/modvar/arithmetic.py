@@ -26,6 +26,7 @@ from .util import DomainError, e, write_csv
 
 S_CAP_DEFAULT = 4
 DECAY_QMAX = {2: 200, 3: 64}
+ROW_BLOCK = 4096               # most Weyl-row entries per decay-fit batch
 
 
 @dataclass(frozen=True)
@@ -76,26 +77,37 @@ def weyl_sum(fp: FreqPoint, d: int) -> complex:
     return complex(np.mean(e(-num.astype(float) / Q)))
 
 
-def weyl_row(Q: int, A, B_all=None) -> np.ndarray:
-    """S(A/Q, B/Q) for B = 1..Q in one FFT.
+def weyl_row(Q: int, A) -> np.ndarray:
+    """S(A/Q, B/Q) for B = 1..Q: the one-row case of weyl_rows."""
+    return weyl_rows(Q, [A])[0]
+
+
+def weyl_rows(Q: int, As) -> np.ndarray:
+    """S(A/Q, B/Q) for B = 1..Q and every A in As, in one 2-D FFT.
 
     With v_r = e(-(sum_j A_j r^j)/Q) accumulated per residue class of r,
-    S(., B/Q) is (1/Q) times the DFT of v at frequency B.
+    S(., B/Q) is (1/Q) times the DFT of v at frequency B.  Row k of the
+    result belongs to As[k]; column i holds B = i + 1.
     """
     Q = int(Q)
+    As = [tuple(int(a) for a in A) for A in As]
+    m = len(As[0]) if As else 0
+    if any(len(A) != m for A in As):
+        raise DomainError("all coefficient vectors need the same length")
     r = np.arange(1, Q + 1, dtype=np.int64)
-    num = np.zeros(Q, dtype=np.int64)
+    num = np.zeros((len(As), Q), dtype=np.int64)
     rpow = r % Q
-    for a in A:
+    for j in range(m):
         rpow = (rpow * r) % Q
-        num = (num + (int(a) % Q) * rpow) % Q
-    v = np.zeros(Q, dtype=complex)
-    np.add.at(v, (r % Q).astype(int), e(-num.astype(float) / Q))
-    row = np.fft.fft(v) / Q          # index b = S at frequency b (b = 0 is B = Q)
-    out = np.empty(Q, dtype=complex)
-    out[: Q - 1] = row[1:]
-    out[Q - 1] = row[0]
-    return out                        # index i holds B = i + 1
+        coeff = np.array([A[j] % Q for A in As], dtype=np.int64)[:, None]
+        num = (num + coeff * rpow) % Q
+    v = np.zeros((len(As), Q), dtype=complex)
+    v[:, r % Q] += e(-num.astype(float) / Q)    # r % Q is a permutation
+    rows = np.fft.fft(v, axis=1) / Q   # column b: frequency b (b = 0 is B = Q)
+    out = np.empty_like(rows)
+    out[:, : Q - 1] = rows[:, 1:]
+    out[:, Q - 1] = rows[:, 0]
+    return out
 
 
 def enumerate_freq_points(s: int, d: int, s_cap=S_CAP_DEFAULT):
@@ -191,20 +203,23 @@ def weyl_decay_fit(d: int, Qmax: int) -> DecayFit:
             "Qmax %d exceeds the degree-%d cap %d" % (Qmax, d, DECAY_QMAX[d])
         )
     Qs, maxima, argmaxima = [], [], []
-    B_range = None
     for Q in range(1, Qmax + 1):
-        best, best_arg = -1.0, None
         Bs = np.arange(1, Q + 1)
-        for A in _all_vectors(Q, d - 1):
-            gA = math.gcd(*A, Q) if A else Q
-            mask = np.gcd(np.gcd(Bs, gA), Q) == 1
-            if not np.any(mask):
-                continue
-            row = np.abs(weyl_row(Q, A))
-            row[~mask] = -1.0
-            i = int(np.argmax(row))
-            if row[i] > best:
-                best, best_arg = float(row[i]), A + (int(Bs[i]),)
+        best, best_arg = -1.0, None
+        vectors = list(_all_vectors(Q, d - 1))
+        # blocks of at most ROW_BLOCK entries run as fast as one batch per Q;
+        # a multi-MB batch leaves the process about 1 MB more resident
+        step = max(1, ROW_BLOCK // Q)
+        for k in range(0, len(vectors), step):
+            As = vectors[k:k + step]
+            gA = np.array([math.gcd(*A, Q) for A in As])[:, None]
+            rows = np.abs(weyl_rows(Q, As))
+            rows[np.gcd(np.gcd(Bs, gA), Q) != 1] = -1.0
+            # row-major argmax and a strict > across blocks keep the
+            # tie-break: the first A in lexicographic order, then first B
+            a, b = divmod(int(np.argmax(rows)), Q)
+            if rows[a, b] > best:
+                best, best_arg = float(rows[a, b]), As[a] + (int(Bs[b]),)
         Qs.append(Q)
         maxima.append(best)
         argmaxima.append(best_arg)

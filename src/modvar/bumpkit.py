@@ -362,6 +362,23 @@ class ChiCutoff:
         self.s = s
         self.a0 = float(a0)
         self.radius = 2.0 ** (-(2.0 ** (s / (10.0 * self.a0))))
+        self._tables = {}
+
+    def window(self, M, b0):
+        """chi((arange(M) - b0) / M) bit for bit, for grid index 0 <= b0 < M.
+
+        Slices one read-only table of chi at k/M, k = -(M-1)..M-1, built on
+        first use for each M and kept on this instance.
+        """
+        M, b0 = int(M), int(b0)
+        if not (0 <= b0 < M):
+            raise DomainError("grid index %d outside 0..%d" % (b0, M - 1))
+        table = self._tables.get(M)
+        if table is None:
+            table = self(np.arange(-(M - 1), M) / M)
+            table.flags.writeable = False
+            self._tables[M] = table
+        return table[M - 1 - b0: 2 * M - 1 - b0]
 
     def __call__(self, beta):
         t = torus_dist(beta)

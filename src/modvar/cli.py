@@ -1,8 +1,10 @@
 """argparse front end: one subcommand per named experiment.
 
-Exit codes: 0 clean run, 1 configuration problem (bad key, bad value, bad
-parameter range), 2 a checked property failed.  MODVAR_JOBS overrides
---jobs.
+Exit codes: 0 clean run, 1 a one-line refusal, 2 a checked property failed.
+The refusal names its cause: "config error" (bad key, bad value, bad
+parameter range), "domain error" (a numerical precondition such as grid
+snapping fails) or "I/O error" (a file cannot be read or written).
+MODVAR_JOBS overrides --jobs.
 """
 
 import argparse
@@ -53,8 +55,11 @@ def main(argv=None):
     except harness.ConfigError as ex:
         print("config error: %s" % ex, file=sys.stderr)
         return 1
-    except (DomainError, OSError) as ex:
-        print("config error: %s" % ex, file=sys.stderr)
+    except DomainError as ex:
+        print("domain error: %s" % ex, file=sys.stderr)
+        return 1
+    except OSError as ex:
+        print("I/O error: %s" % ex, file=sys.stderr)
         return 1
 
 

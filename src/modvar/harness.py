@@ -383,23 +383,20 @@ def _run_weyl(cfg, out, seed, jobs):
     gauss_worst = 0.0
     for Q in range(1, cfg.get("gauss_qmax") + 1, 2):
         target = Q ** -0.5
-        for A in arithmetic._coprime_vectors(Q, 1):
-            row = np.abs(arithmetic.weyl_row(Q, A))
-            gauss_worst = max(gauss_worst, float(np.max(np.abs(row - target))))
+        rows = np.abs(arithmetic.weyl_rows(
+            Q, arithmetic._coprime_vectors(Q, 1)))
+        gauss_worst = max(gauss_worst, float(np.max(np.abs(rows - target))))
     gauss_ok = gauss_worst <= 1e-10
 
     bound_worst = 0.0
     for Q in range(1, cfg.get("bound_qmax") + 1):
         Bs = np.arange(1, Q + 1)
         cap = math.sqrt(2.0) * Q ** -0.5
-        for A in arithmetic._all_vectors(Q, 1):
-            gA = math.gcd(A[0], Q)
-            mask = np.gcd(np.gcd(Bs, gA), Q) == 1
-            if not np.any(mask):
-                continue
-            row = np.abs(arithmetic.weyl_row(Q, A))
-            bound_worst = max(bound_worst,
-                              float(np.max(row[mask])) - cap)
+        As = list(arithmetic._all_vectors(Q, 1))
+        gA = np.array([math.gcd(A[0], Q) for A in As])[:, None]
+        mask = np.gcd(np.gcd(Bs, gA), Q) == 1
+        rows = np.abs(arithmetic.weyl_rows(Q, As))
+        bound_worst = max(bound_worst, float(np.max(rows[mask])) - cap)
     bound_ok = bound_worst <= 1e-12
 
     fit = arithmetic.weyl_decay_fit(cfg.get("fit_d"), cfg.get("fit_qmax"))
@@ -810,12 +807,14 @@ def _nonincreasing_within_se(points):
     return True
 
 
-def sweep_norm_ratio(kind, config):
+def sweep_norm_ratio(kind, config, seed, jobs):
     """Batched l2 norm-ratio sweep for one named operator.
 
     Returns a record {operator, rows, points, checks, ok}; rows are the CSV
     layout of ratio_table_csv.  Draws are paired across parameter points
     (same signals per draw index) so the decay comparisons are low-variance.
+    seed fixes the draws and jobs the worker threads; the record does not
+    depend on jobs.  The level range is checked before the first draw.
     """
     if kind not in SWEEP_OPERATORS:
         raise ConfigError("unknown operator %r (known: %s)"
@@ -824,10 +823,13 @@ def sweep_norm_ratio(kind, config):
     batch = cfg.get("batch")
     if batch < 30:
         raise ConfigError("batch must be at least 30")
-    seed = cfg.params.get("_seed", 2026)
-    jobs = cfg.params.get("_jobs", 1)
     r = cfg.get("r")
-    s_range = range(cfg.get("s_min"), cfg.get("s_max") + 1)
+    s_min, s_max = cfg.get("s_min"), cfg.get("s_max")
+    if (kind != "vr-linear-sup-theta"
+            and not 1 <= s_min <= s_max <= multipliers.S_CAP):
+        raise ConfigError("need 1 <= s_min <= s_max <= %d, got %d and %d"
+                          % (multipliers.S_CAP, s_min, s_max))
+    s_range = range(s_min, s_max + 1)
     bump = make_bump(cfg.get("eps0"))
     lam = cfg.get("lam")
     rows, points, checks = [], [], {}
@@ -939,10 +941,7 @@ def sweep_norm_ratio(kind, config):
 
 
 def _run_sweep(cfg, out, seed, jobs):
-    cfg.params["_seed"] = seed
-    cfg.params["_jobs"] = jobs
-    record = sweep_norm_ratio(cfg.get("operator"), cfg)
-    del cfg.params["_seed"], cfg.params["_jobs"]
+    record = sweep_norm_ratio(cfg.get("operator"), cfg, seed, jobs)
     name = "sweep_%s" % cfg.get("operator").replace("-", "_")
     multipliers.ratio_table_csv(os.path.join(out, name + ".csv"),
                                 record["rows"])

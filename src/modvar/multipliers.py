@@ -151,7 +151,6 @@ def build_arc_multiplier(s: int, J: int, lambda_vec, bump: Profile,
     ball = arc_indicator_radius(s)
     total = np.zeros(M, dtype=complex)
     contributors = []
-    grid = np.arange(M)
     kernel_cache = {}
     kernel_l1 = 0.0
     for A, Q in arithmetic.arc_pairs(s, d):
@@ -167,8 +166,7 @@ def build_arc_multiplier(s: int, J: int, lambda_vec, bump: Profile,
         srow = arithmetic.weyl_row(Q, A)
         for B in range(1, Q + 1):
             b0, off = snap_to_grid(M, B, Q, chi.radius)
-            window = chi((grid - b0) / M)
-            total += srow[B - 1] * np.roll(khat, b0) * window
+            total += srow[B - 1] * np.roll(khat, b0) * chi.window(M, b0)
             contributors.append((arithmetic.FreqPoint(Q=Q, A=A, B=B), b0, off))
     if contributors:
         ker = make_Psi(bump, lam, J, s_floor=s, a0=a0)
@@ -208,14 +206,13 @@ def _arc_projections(s, fhat, M, chi, weight_rows, d):
     (label, frequency-domain weight array centered like the kernel hats).
     Yields (A, Q, g) with g the inverse DFT, for each weight in turn.
     """
-    grid = np.arange(M)
     for A, Q in arithmetic.arc_pairs(s, d):
         srow = arithmetic.weyl_row(Q, A)
         acc_base = np.zeros(M, dtype=complex)
         if weight_rows is None:
             for B in range(1, Q + 1):
                 b0, _off = snap_to_grid(M, B, Q, chi.radius)
-                acc_base += srow[B - 1] * chi((grid - b0) / M) * fhat
+                acc_base += srow[B - 1] * chi.window(M, b0) * fhat
             yield A, Q, np.fft.ifft(acc_base)
         else:
             for wlab, what in weight_rows:
@@ -223,7 +220,7 @@ def _arc_projections(s, fhat, M, chi, weight_rows, d):
                 for B in range(1, Q + 1):
                     b0, _off = snap_to_grid(M, B, Q, chi.radius)
                     acc += (srow[B - 1] * np.roll(what, b0)
-                            * chi((grid - b0) / M) * fhat)
+                            * chi.window(M, b0) * fhat)
                 yield A, Q, np.fft.ifft(acc)
 
 
@@ -353,7 +350,6 @@ def vr_s_operator(s: int, f: CyclicSignal, J_list, r, bump: Profile,
     M = f.modulus
     chi = make_chi(s, a0=a0 if chi_a0 is None else chi_a0)
     fhat = np.fft.fft(f.values)
-    grid = np.arange(M)
     khats = {}
     for J in J_list:
         khats[J] = _kernel_hat(bump, lam, J, s, (0.0,) * (d - 1), M, a0)
@@ -367,7 +363,7 @@ def vr_s_operator(s: int, f: CyclicSignal, J_list, r, bump: Profile,
             acc = np.zeros(M, dtype=complex)
             for B in range(1, Q + 1):
                 b0, _off = snap_to_grid(M, B, Q, chi.radius)
-                acc += srow[B - 1] * np.roll(khats[J], b0) * chi((grid - b0) / M)
+                acc += srow[B - 1] * np.roll(khats[J], b0) * chi.window(M, b0)
             rows[i] = np.fft.ifft(acc * fhat)
         if len(J_list) >= 2:
             np.maximum(best, variation.vr_batch(rows, r), out=best)

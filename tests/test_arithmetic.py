@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modvar import arithmetic
 from modvar.arithmetic import (
     DECAY_QMAX,
     FreqPoint,
@@ -13,6 +16,7 @@ from modvar.arithmetic import (
     enumerate_freq_points,
     weyl_decay_fit,
     weyl_row,
+    weyl_rows,
     weyl_sum,
 )
 from modvar.util import DomainError
@@ -57,6 +61,39 @@ def test_weyl_row_matches_columnwise_sums():
     row = weyl_row(Q, A)
     for i, B in enumerate(range(1, Q + 1)):
         assert row[i] == pytest.approx(weyl_sum(FreqPoint(Q, A, B), 3), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 3), st.data())
+def test_weyl_rows_match_single_rows_and_direct_sums(Q, m, data):
+    coeff = st.integers(-3 * Q, 3 * Q)
+    As = data.draw(st.lists(st.tuples(*[coeff] * m), min_size=1, max_size=6))
+    rows = weyl_rows(Q, As)
+    assert rows.shape == (len(As), Q)
+    for A, row in zip(As, rows):
+        assert row.tobytes() == weyl_row(Q, A).tobytes()
+        B = data.draw(st.integers(1, Q))
+        assert abs(row[B - 1] - oracles.weyl_direct(Q, A, B, m + 1)) <= 1e-12
+
+
+def test_weyl_rows_refuses_mixed_degrees():
+    with pytest.raises(DomainError):
+        weyl_rows(5, [(1,), (1, 2)])
+
+
+@pytest.mark.parametrize("block", [arithmetic.ROW_BLOCK, 7])
+@pytest.mark.parametrize("d,Qmax", [(2, 12), (3, 8)])
+def test_decay_fit_matches_per_row_loop(d, Qmax, block, monkeypatch):
+    monkeypatch.setattr(arithmetic, "ROW_BLOCK", block)   # 7: many blocks
+    fit = weyl_decay_fit(d, Qmax)
+    for Q, got_max, got_arg in zip(fit.Q, fit.max_abs, fit.argmax):
+        best, best_arg = -1.0, None
+        for A in arithmetic._all_vectors(Q, d - 1):
+            row = np.abs(weyl_row(Q, A))
+            for B in range(1, Q + 1):
+                if math.gcd(*A, B, Q) == 1 and row[B - 1] > best:
+                    best, best_arg = float(row[B - 1]), A + (B,)
+        assert (got_max, got_arg) == (best, best_arg)
 
 
 def test_freq_point_reduces_components():

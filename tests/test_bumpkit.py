@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modvar import bumpkit
 from modvar.bumpkit import (Profile, a_bracket, c_phi_functional, even_part,
                             littlewood_paley_split, make_Psi, make_bump,
                             make_chi, make_psi_kernel, psi_floor_index,
                             scaled_weight)
+from modvar.util import DomainError
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +125,25 @@ def test_chi_window_shape():
     assert narrow(1.0) == 1.0  # periodic in the frequency variable
     mid = narrow(1.5 * narrow.radius)
     assert 0.0 < mid < 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([10.0, 2.5, 0.37, 0.125]),
+       st.integers(1, 5000), st.data())
+def test_chi_window_is_bitwise_the_shifted_evaluation(s, a0, M, data):
+    chi = make_chi(s, a0=a0)
+    for b0 in (0, M - 1, data.draw(st.integers(0, M - 1))):
+        want = chi((np.arange(M) - b0) / M)
+        got = chi.window(M, b0)
+        assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+def test_chi_window_refuses_index_off_the_grid():
+    chi = make_chi(2)
+    for b0 in (-1, 97):
+        with pytest.raises(DomainError):
+            chi.window(97, b0)
 
 
 def test_c_phi_functional_range_and_dilation_invariance(bump):

@@ -7,6 +7,7 @@ import pytest
 
 from modvar import cli, harness
 from modvar.harness import ConfigError, default_config, parse_config
+from modvar.util import GridTooCoarseError
 
 
 def test_parse_config_round_trip():
@@ -150,3 +151,56 @@ def test_summary_line_prints_json_booleans(tmp_path, capsys):
     line = capsys.readouterr().out.strip().splitlines()[-1]
     flat = json.loads(line.split(" ", 2)[2])
     assert flat["ok"] is (rc == 0)
+
+
+@pytest.mark.parametrize("operator", ["maximal-arc", "seqspace", "vr-s",
+                                      "vr-sd"])
+def test_sweep_level_range_checked_before_any_draw(operator, monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a draw ran before the level check")
+
+    monkeypatch.setattr(harness, "_gauss", draw)
+    for s_min, s_max in ((1, 9), (0, 2), (3, 2)):
+        cfg = parse_config("kind = sweep\noperator = %s\ns_min = %d\n"
+                           "s_max = %d\n" % (operator, s_min, s_max))
+        with pytest.raises(ConfigError, match="s_min <= s_max"):
+            harness.sweep_norm_ratio(operator, cfg, 1, 1)
+
+
+def test_cli_empty_level_range_exits_one_and_writes_nothing(tmp_path,
+                                                             capsys):
+    rc = cli.main(["sweep", "--set", "operator=maximal-arc", "--set",
+                   "s_min=3", "--set", "s_max=2", "--out", str(tmp_path)])
+    assert rc == 1
+    assert os.listdir(tmp_path) == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+
+
+def test_cli_names_domain_and_io_errors(tmp_path, monkeypatch, capsys):
+    def coarse(cfg, out, seed, jobs):
+        raise GridTooCoarseError("frequency 1/7 snaps off the grid")
+
+    monkeypatch.setitem(harness._RUNNERS, "weyl", coarse)
+    assert cli.main(["weyl", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "domain error: frequency 1/7 snaps off the grid\n"
+    rc = cli.main(["variation", "--config", str(tmp_path / "absent.cfg")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("I/O error:")
+
+
+@pytest.mark.parametrize("operator", ["maximal-arc", "vr-sd"])
+def test_threaded_sweep_bytes_do_not_depend_on_jobs(operator, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.delenv("MODVAR_JOBS", raising=False)   # it overrides --jobs
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert cli.main(["sweep", "--set", "operator=" + operator, "--set",
+                         "s_max=2", "--jobs", jobs, "--seed", "5",
+                         "--out", str(out)]) == 0
+        outs.append({n: (out / n).read_bytes()
+                     for n in sorted(os.listdir(out))})
+    assert len(outs[0]) == 2 and outs[0] == outs[1]
