@@ -1,4 +1,4 @@
-"""Complete Weyl sums, coprime frequency enumeration, and decay fitting.
+"""Complete Weyl sums, the coprime arcs of each level, and decay fitting.
 
 The normalized Weyl sum at a rational frequency tuple is
 
@@ -110,28 +110,6 @@ def weyl_rows(Q: int, As) -> np.ndarray:
     return out
 
 
-def enumerate_freq_points(s: int, d: int, s_cap=S_CAP_DEFAULT):
-    """All (A, B, Q) with 2^(s-1) <= Q < 2^s, gcd(A, Q) = 1, B in [1, Q]."""
-    s = int(s)
-    d = int(d)
-    if s < 1:
-        raise DomainError("s must be at least 1")
-    if d < 2:
-        raise DomainError("degree must be at least 2")
-    if s > s_cap:
-        est = sum(Q ** d for Q in range(2 ** (s - 1), 2 ** s))
-        raise DomainError(
-            "refusing s=%d > cap %d: enumeration would visit about %d tuples"
-            % (s, s_cap, est)
-        )
-    points = []
-    for Q in range(2 ** (s - 1), 2 ** s):
-        for A in _coprime_vectors(Q, d - 1):
-            for B in range(1, Q + 1):
-                points.append(FreqPoint(Q=Q, A=A, B=B))
-    return points
-
-
 def _coprime_vectors(Q, m):
     """All A in [1, Q]^m with gcd(A_1, ..., A_m, Q) = 1, lexicographic."""
     def rec(prefix, g):
@@ -160,14 +138,6 @@ def arc_pairs(s: int, d: int, s_cap=S_CAP_DEFAULT):
         for A in _coprime_vectors(Q, d - 1):
             pairs.append((A, Q))
     return pairs
-
-
-def count_arc_points(s: int, d: int) -> int:
-    """Direct count of enumerate_freq_points output: sum over Q of Q * #A."""
-    total = 0
-    for Q in range(2 ** (s - 1), 2 ** s):
-        total += Q * sum(1 for _ in _coprime_vectors(Q, d - 1))
-    return total
 
 
 @dataclass(frozen=True)

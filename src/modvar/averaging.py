@@ -1,4 +1,4 @@
-"""Polynomially modulated averaging operators and lacunary time grids.
+"""Polynomially modulated averaging operators.
 
 The smoothed average of a signal f at scale M with polynomial phase P is
 
@@ -8,54 +8,15 @@ a discrete convolution against the modulated bump weights.  The dynamical
 variant replaces f(x - n) by an observable sampled along an orbit, and the
 rough variant drops the smooth weight in favour of the plain Birkhoff
 normalization (1/N) sum_{n=1..N}.
-
-Lacunary grids floor(lam^k) are computed in exact rational arithmetic so
-the floor never rounds the wrong way.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import polykit, signalkit
 from .bumpkit import Profile, scaled_weight
 from .util import DomainError, e
-
-
-@dataclass(frozen=True)
-class LacunaryGrid:
-    """Deduplicated increasing times floor(lam^k), k = 1..kmax."""
-
-    lam: float
-    kmax: int
-    times: tuple
-
-    def __iter__(self):
-        return iter(self.times)
-
-    def __len__(self):
-        return len(self.times)
-
-
-def lacunary_times(lam, kmax) -> LacunaryGrid:
-    lam = float(lam)
-    if not (1.0 < lam <= 2.0):
-        raise DomainError("lacunarity must lie in (1, 2], got %r" % (lam,))
-    kmax = int(kmax)
-    if kmax < 1:
-        raise DomainError("kmax must be at least 1")
-    frac = Fraction(lam)
-    times = []
-    power = Fraction(1)
-    for _k in range(1, kmax + 1):
-        power *= frac
-        t = int(power)  # exact floor of an exact rational power
-        if not times or t > times[-1]:
-            times.append(t)
-    return LacunaryGrid(lam=lam, kmax=kmax, times=tuple(times))
 
 
 def modulated_weights(bump: Profile, M: int, p: polykit.Poly) -> signalkit.Signal:

@@ -13,8 +13,7 @@ From one bump we build:
 * difference kernels psi_k(t) = lam^-k psi(lam^-k t) with
   psi(t) = phi(t) - phi(t/lam)/lam, which integrate to zero and telescope,
 * partial sums Psi_k of the psi_j, optionally with a lower cutoff floor,
-* even frequency cutoffs chi_s with doubly exponential radius in s,
-* a Littlewood-Paley decomposition of phi into frequency-localized pieces.
+* even frequency cutoffs chi_s with doubly exponential radius in s.
 
 The transition profile is the degree-9 smoothstep (first four derivatives
 vanish at both ends), so the bump is C^4 with explicit derivative bounds
@@ -196,44 +195,12 @@ def make_bump(eps0, h=None, max_order=4) -> SmoothBump:
     return SmoothBump(eps0, h=h, max_order=max_order)
 
 
-def indicator_profile(a=0.0, b=1.0) -> Profile:
-    """The raw indicator of [a, b] as a non-differentiable Profile.
-
-    Useful as a contrast object in tests; operations requiring a derivative
-    refuse it (max_order = 0).
-    """
-
-    def fn(t, order):
-        if order > 0:
-            raise DomainError("indicator profile has no derivatives")
-        t = np.asarray(t, dtype=float)
-        return ((t >= a) & (t <= b)).astype(float)
-
-    return Profile(fn, (a, b), max_order=0, breakpoints=(a, b))
-
-
 def scaled_weight(bump: Profile, N: int, n):
     """phi_N(n) = phi(n/N) / N, vectorized in n."""
     N = int(N)
     if N < 1:
         raise DomainError("scale N must be a positive integer")
     return bump(np.asarray(n, dtype=float) / N) / N
-
-
-def even_part(profile: Profile) -> Profile:
-    """The even reflection average t -> (f(t) + f(-t)) / 2."""
-    base = profile.fn
-    lo, hi = profile.support
-    r = max(abs(lo), abs(hi))
-
-    def fn(t, order):
-        return 0.5 * (base(t, order) + base(-t, order) * (-1.0) ** order)
-
-    bps = set()
-    for b in profile.breakpoints:
-        bps.update((b, -b))
-    return Profile(fn, (-r, r), max_order=profile.max_order,
-                   breakpoints=bps, h=profile.h)
 
 
 class Kernel:
@@ -392,170 +359,6 @@ class ChiCutoff:
 
 def make_chi(s, a0=DEFAULT_A0) -> ChiCutoff:
     return ChiCutoff(s, a0=a0)
-
-
-def c_phi_functional(profile: Profile, rel_tol=1e-6) -> float:
-    """The weighted derivative mass integral |t * f'(t)| dt over the support.
-
-    Invariant under plain dilation f -> f(./R).  Requires a C^1 profile.
-    """
-    if profile.max_order < 1:
-        raise DomainError(
-            "profile is not differentiable; the functional needs a C^1 profile"
-        )
-    lo, hi = profile.support
-    pts = [p for p in profile.breakpoints if lo < p < hi]
-    if lo < 0.0 < hi:
-        pts.append(0.0)
-
-    def g(t):
-        return abs(t) * abs(float(profile.deriv(np.asarray([t]))[0]))
-
-    val, err = integrate.quad(g, lo, hi, points=sorted(set(pts)) or None,
-                              limit=400, epsrel=rel_tol)
-    return float(val)
-
-
-def _zero_profile() -> Profile:
-    def fn(t, order):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    return Profile(fn, (0.0, 1.0), max_order=4, h=1.0)
-
-
-def _cumulative_symmetric(profile: Profile, x, order=0):
-    """Table over the grid x of the integral of f^(order) over [-x_i, x_i]."""
-    vals = profile.fn(x, order) + profile.fn(-x, order)
-    return np.concatenate(([0.0], np.cumsum((vals[1:] + vals[:-1]) * 0.5 * np.diff(x))))
-
-
-def a_bracket(phi: Profile, chi, K: int, t_ratio=1.05) -> float:
-    """Three-term comparison functional between two profiles.
-
-    Over the dyadic family R in {2^0, ..., 2^K} and geometric grids of
-    truncation radii and sample points, computes
-
-      T1 = sup over subfamilies and radii s < S of
-             | sum_R integral_{s <= |t| <= S} (phi - chi)(t/R) dt / R |,
-      T2 = sup_t sum_R (|t|/R)   |(phi - chi)(t/R)|,
-      T3 = sup_t sum_R (|t|/R)^2 |(phi - chi)'(t/R)|,
-
-    and returns max(T1, T2, T3).  chi may be a Profile or 0 for the zero
-    profile.  Identical profiles give exactly 0; the functional is symmetric
-    and nondecreasing in K.
-    """
-    if chi is None or (np.isscalar(chi) and chi == 0):
-        chi = _zero_profile()
-    K = int(K)
-    if K < 0:
-        raise DomainError("K must be nonnegative")
-    Rs = 2.0 ** np.arange(K + 1)
-    sup_edge = max(abs(v) for p in (phi, chi) for v in p.support)
-    sup_edge = max(sup_edge, 1.0)
-    t_hi = 2.0 * sup_edge * Rs[-1]
-    t_lo = 1e-3
-    nt = int(math.ceil(math.log(t_hi / t_lo) / math.log(t_ratio))) + 1
-    tg = t_lo * t_ratio ** np.arange(nt)
-
-    # cumulative integrals of the difference over symmetric windows
-    xmax = sup_edge * 1.01
-    step = max(min(phi.h, chi.h) / 4.0, xmax / 2.0 ** 21)
-    xs = np.linspace(0.0, xmax, int(math.ceil(xmax / step)) + 1)
-    cdiff = _cumulative_symmetric(phi, xs) - _cumulative_symmetric(chi, xs)
-
-    def cum(x):
-        return np.interp(np.minimum(x, xmax), xs, cdiff)
-
-    # T1: G[R_i, t_j] = integral over |u| <= t_j of (phi-chi)(u/R_i) du / R_i
-    G = np.stack([cum(tg / R) for R in Rs])
-    X = G[:, None, :] - G[:, :, None]          # increments G(S) - G(s)
-    pos = np.sum(np.maximum(X, 0.0), axis=0)
-    neg = np.sum(np.maximum(-X, 0.0), axis=0)
-    upper = np.triu(np.ones((nt, nt), dtype=bool), k=1)
-    t1 = float(np.max(np.maximum(pos, neg)[upper])) if nt > 1 else 0.0
-
-    t_signed = np.concatenate((-tg[::-1], tg))
-    t2 = 0.0
-    t3 = 0.0
-    acc2 = np.zeros_like(t_signed)
-    acc3 = np.zeros_like(t_signed)
-    for R in Rs:
-        u = t_signed / R
-        d0 = np.abs(phi.fn(u, 0) - chi.fn(u, 0))
-        d1 = np.abs(phi.fn(u, 1) - chi.fn(u, 1))
-        w = np.abs(t_signed) / R
-        acc2 += w * d0
-        acc3 += w * w * d1
-    t2 = float(np.max(acc2))
-    t3 = float(np.max(acc3))
-    return max(t1, t2, t3)
-
-
-class LPSplit:
-    """Result of a Littlewood-Paley split: pieces, the residual tail, grids."""
-
-    def __init__(self, pieces, tail, grid_start, spacing, eps, jmax):
-        self.pieces = pieces
-        self.tail = tail
-        self.grid_start = grid_start
-        self.spacing = spacing
-        self.eps = eps
-        self.jmax = jmax
-
-    @property
-    def tail_l1(self):
-        return float(np.sum(np.abs(self.tail.values)) * self.spacing)
-
-    def piece_l1(self, j):
-        return float(np.sum(np.abs(self.pieces[j].values)) * self.spacing)
-
-
-def _rho_window(z):
-    """Even C^4 cutoff: 1 on |z| <= 1, 0 on |z| >= 2, smoothstep between."""
-    z = np.abs(np.asarray(z, dtype=float))
-    out = np.ones_like(z)
-    out[z >= 2.0] = 0.0
-    mid = (z > 1.0) & (z < 2.0)
-    out[mid] = _S4[0](2.0 - z[mid])
-    return out
-
-
-def littlewood_paley_split(bump: Profile, eps: float, jmax: int) -> LPSplit:
-    """Split the bump into frequency-localized pieces phi_0, ..., phi_jmax.
-
-    Piece j >= 1 lives at frequencies |xi| in (2^(j-1), 2^(j+1)) / eps^2;
-    phi_0 is the complementary low-pass part.  The pieces plus the reported
-    tail (content beyond 2^jmax / eps^2) reproduce the bump exactly on the
-    sampling grid, up to FFT roundoff.
-    """
-    eps = float(eps)
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    jmax = int(jmax)
-    if jmax < 1:
-        raise DomainError("jmax must be at least 1")
-    # resolve frequencies out to twice the top band edge
-    f_top = 2.0 ** (jmax + 1) / eps ** 2
-    hs = min(bump.h, 1.0 / (4.0 * f_top))
-    n = int(math.ceil((GRID_HI - GRID_LO) / hs))
-    n = 1 << (n - 1).bit_length()          # power of two for the FFT
-    t = GRID_LO + np.arange(n) * hs
-    vals = bump(t)
-    spec = np.fft.fft(vals)
-    xi = np.fft.fftfreq(n, d=hs)
-
-    z0 = xi * eps ** 2
-    windows = [_rho_window(z0)]
-    for j in range(1, jmax + 1):
-        windows.append(_rho_window(z0 / 2.0 ** j) - _rho_window(z0 / 2.0 ** (j - 1)))
-    tail_w = 1.0 - _rho_window(z0 / 2.0 ** jmax)
-
-    pieces = []
-    for j, w in enumerate(windows):
-        piece = np.fft.ifft(spec * w).real
-        pieces.append(Kernel(piece, GRID_LO, hs, scale=2.0 ** j))
-    tail = Kernel(np.fft.ifft(spec * tail_w).real, GRID_LO, hs, scale=2.0 ** jmax)
-    return LPSplit(pieces, tail, GRID_LO, hs, eps, jmax)
 
 
 def export_profile_csv(profile, path):

@@ -21,9 +21,9 @@ import numpy as np
 from . import arithmetic, averaging, polykit, systems, variation
 from . import multipliers
 from .bumpkit import DEFAULT_A0, make_bump, make_chi, scaled_weight, \
-    make_psi_kernel, make_Psi, psi_floor_index
+    make_psi_kernel, make_Psi
 from .signalkit import CyclicSignal, Signal, modulate, modulate_cyclic
-from .util import DomainError, e, stream, write_csv
+from .util import DomainError, e, stream
 
 # chi_s width constant for the decay probes: the default window at s <= 4 is
 # nearly the whole circle (radius ~ 0.49), which cannot separate levels at
@@ -322,6 +322,40 @@ def _truncation_list(L):
     return out
 
 
+def _size_sweep(cfg, bump, seed, jobs):
+    """l2 ratio ||sup_theta V^r|| / ||f|| across sizes, plus the r envelope.
+
+    The linear case of carleson and of the vr-linear-sup-theta sweep: batch
+    draws per size at r, then paired draws at r_low and r_high on the
+    smallest size.  Returns a dict: "rows" for ratio_table_csv, "points"
+    (mean, max, stderr) per size, "mean_low" and "mean_high" at r_low and
+    r_high, the envelope "cap" on their ratio, and the checks "size_stable"
+    and "r_envelope".
+    """
+    sizes, batch, r = cfg.get("sizes"), cfg.get("batch"), cfg.get("r")
+    lo, hi = cfg.get("r_low"), cfg.get("r_high")
+
+    def stats_at(L, r_val):
+        def one(d):
+            f = _gauss(seed, d, L)
+            best = theta_sup_variation(f, bump, _truncation_list(L),
+                                       cfg.get("theta_count"), r_val)
+            return float(np.linalg.norm(best) / np.linalg.norm(f))
+        return _stats(_map_jobs(one, range(batch), jobs))
+
+    points = [stats_at(L, r) for L in sizes]
+    at_lo, at_hi = stats_at(sizes[0], lo), stats_at(sizes[0], hi)
+    rows = [(0, r, L, batch) + p for L, p in zip(sizes, points)]
+    rows += [(0, lo, sizes[0], batch) + at_lo, (0, hi, sizes[0], batch) + at_hi]
+    envelope = (lo / (lo - 2.0)) / (hi / (hi - 2.0))
+    cap = cfg.get("envelope_slack") * envelope
+    return {"rows": rows, "points": points,
+            "mean_low": at_lo[0], "mean_high": at_hi[0], "cap": cap,
+            "size_stable": (points[-1][0]
+                            <= cfg.get("size_slack") * points[0][0]),
+            "r_envelope": at_lo[0] / at_hi[0] <= cap}
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -379,7 +413,20 @@ def _run_bump_check(cfg, out, seed, jobs):
     return ok, summary
 
 
+def _check_decay_range(cfg, d_key, q_key):
+    """Refuse a decay-fit degree or Qmax outside arithmetic.DECAY_QMAX."""
+    d, Qmax = cfg.get(d_key), cfg.get(q_key)
+    caps = arithmetic.DECAY_QMAX
+    if d not in caps:
+        raise ConfigError("%s must be one of %s, got %d"
+                          % (d_key, sorted(caps), d))
+    if not 2 <= Qmax <= caps[d]:
+        raise ConfigError("need 2 <= %s <= %d for %s = %d, got %d"
+                          % (q_key, caps[d], d_key, d, Qmax))
+
+
 def _run_weyl(cfg, out, seed, jobs):
+    _check_decay_range(cfg, "fit_d", "fit_qmax")
     gauss_worst = 0.0
     for Q in range(1, cfg.get("gauss_qmax") + 1, 2):
         target = Q ** -0.5
@@ -418,6 +465,7 @@ def _run_weyl(cfg, out, seed, jobs):
 
 
 def _run_weyl_decay(cfg, out, seed, jobs):
+    _check_decay_range(cfg, "d", "Qmax")
     fit = arithmetic.weyl_decay_fit(cfg.get("d"), cfg.get("Qmax"))
     fit.to_csv(os.path.join(out, "weyl_decay.csv"))
     summary = {"d": fit.d, "Qmax": cfg.get("Qmax"),
@@ -556,8 +604,9 @@ def _run_converge(cfg, out, seed, jobs):
 
 
 def _run_carleson(cfg, out, seed, jobs):
-    eps0 = cfg.get("eps0")
-    bump = make_bump(eps0)
+    if cfg.get("batch") < 30:
+        raise ConfigError("batch must be at least 30")
+    bump = make_bump(cfg.get("eps0"))
 
     # part 1: modulation covariance on finite signals
     worst_cov = 0.0
@@ -594,56 +643,26 @@ def _run_carleson(cfg, out, seed, jobs):
     grid_dev = float(np.max(np.abs(a1 - a2)))
     grid_ok = grid_dev <= cfg.get("grid_exact_tol")
 
-    # part 3: l2 ratio stability across signal sizes
-    sizes = cfg.get("sizes")
-    batch = cfg.get("batch")
-    if batch < 30:
-        raise ConfigError("batch must be at least 30")
-    per_size = []
+    # parts 3-4: l2 ratio stability across sizes, r-growth envelope
+    sweep = _size_sweep(cfg, bump, seed, jobs)
+    multipliers.ratio_table_csv(os.path.join(out, "carleson.csv"),
+                                sweep["rows"])
+    per_size = sweep["points"]
+    m_lo, m_hi = sweep["mean_low"], sweep["mean_high"]
 
-    def ratio_for(L, r_val, draw):
-        f = _gauss(seed, draw, L)
-        best = theta_sup_variation(f, bump, _truncation_list(L),
-                                   cfg.get("theta_count"), r_val)
-        return float(np.linalg.norm(best) / np.linalg.norm(f))
-
-    for L in sizes:
-        vals = _map_jobs(lambda d, _L=L: ratio_for(_L, r, d),
-                         range(batch), jobs)
-        per_size.append(_stats(vals))
-    size_ok = per_size[-1][0] <= cfg.get("size_slack") * per_size[0][0]
-
-    # part 4: r-growth envelope at the smallest size, paired draws
-    lo, hi = cfg.get("r_low"), cfg.get("r_high")
-    vals_lo = _map_jobs(lambda d: ratio_for(sizes[0], lo, d),
-                        range(batch), jobs)
-    vals_hi = _map_jobs(lambda d: ratio_for(sizes[0], hi, d),
-                        range(batch), jobs)
-    m_lo, _, _ = _stats(vals_lo)
-    m_hi, _, _ = _stats(vals_hi)
-    envelope = (lo / (lo - 2.0)) / (hi / (hi - 2.0))
-    env_cap = cfg.get("envelope_slack") * envelope
-    env_ok = m_lo / m_hi <= env_cap
-
-    rows = [(0, r, L, batch, mean, mx, se)
-            for L, (mean, mx, se) in zip(sizes, per_size)]
-    rows.append((0, lo, sizes[0], batch, m_lo, max(vals_lo),
-                 _stats(vals_lo)[2]))
-    rows.append((0, hi, sizes[0], batch, m_hi, max(vals_hi),
-                 _stats(vals_hi)[2]))
-    multipliers.ratio_table_csv(os.path.join(out, "carleson.csv"), rows)
-
-    ok = cov_ok and grid_ok and size_ok and env_ok
+    ok = cov_ok and grid_ok and sweep["size_stable"] and sweep["r_envelope"]
     summary = {
         "covariance": {"worst": worst_cov, "tol": cfg.get("cov_tol"),
                        "ok": cov_ok},
         "grid_invariance": {"deviation": grid_dev, "ok": grid_ok},
         "sizes": {str(L): {"mean": m, "max": x, "stderr": s}
-                  for L, (m, x, s) in zip(sizes, per_size)},
+                  for L, (m, x, s) in zip(cfg.get("sizes"), per_size)},
         "size_stability": {"ratio": per_size[-1][0] / per_size[0][0],
-                           "slack": cfg.get("size_slack"), "ok": size_ok},
+                           "slack": cfg.get("size_slack"),
+                           "ok": sweep["size_stable"]},
         "r_envelope": {"mean_low": m_lo, "mean_high": m_hi,
-                       "growth": m_lo / m_hi, "cap": env_cap, "ok": env_ok},
+                       "growth": m_lo / m_hi, "cap": sweep["cap"],
+                       "ok": sweep["r_envelope"]},
         "ok": ok,
     }
     _write_json(os.path.join(out, "carleson.json"), summary)
@@ -704,6 +723,10 @@ def _dense_apply(symbol, fvals):
 
 
 def _run_multiplier(cfg, out, seed, jobs):
+    bad = [s for s in cfg.get("s_list") if not 1 <= s <= multipliers.S_CAP]
+    if bad:
+        raise ConfigError("every s in s_list must lie in 1..%d, got %d"
+                          % (multipliers.S_CAP, bad[0]))
     M = cfg.get("M")
     lam = cfg.get("lam")
     r = cfg.get("r")
@@ -905,33 +928,9 @@ def sweep_norm_ratio(kind, config, seed, jobs):
         # vr-s levels are telescoping pieces with no per-level decay claim:
         # stats are reported, nothing asserted
     else:  # vr-linear-sup-theta
-        sizes = cfg.get("sizes")
-        theta_count = cfg.get("theta_count")
-
-        def ratio_for(L, r_val, d):
-            f = _gauss(seed, d, L)
-            best = theta_sup_variation(f, bump, _truncation_list(L),
-                                       theta_count, r_val)
-            return float(np.linalg.norm(best) / np.linalg.norm(f))
-
-        for L in sizes:
-            vals = _map_jobs(lambda d, _L=L: ratio_for(_L, r, d),
-                             range(batch), jobs)
-            stats = _stats(vals)
-            points.append(stats)
-            rows.append((0, r, L, batch) + stats)
-        checks["size_stable"] = (points[-1][0]
-                                 <= cfg.get("size_slack") * points[0][0])
-        lo, hi = cfg.get("r_low"), cfg.get("r_high")
-        m_lo, x_lo, s_lo = _stats(_map_jobs(
-            lambda d: ratio_for(sizes[0], lo, d), range(batch), jobs))
-        m_hi, x_hi, s_hi = _stats(_map_jobs(
-            lambda d: ratio_for(sizes[0], hi, d), range(batch), jobs))
-        rows.append((0, lo, sizes[0], batch, m_lo, x_lo, s_lo))
-        rows.append((0, hi, sizes[0], batch, m_hi, x_hi, s_hi))
-        envelope = (lo / (lo - 2.0)) / (hi / (hi - 2.0))
-        checks["r_envelope"] = (m_lo / m_hi
-                                <= cfg.get("envelope_slack") * envelope)
+        sweep = _size_sweep(cfg, bump, seed, jobs)
+        rows, points = sweep["rows"], sweep["points"]
+        checks = {k: sweep[k] for k in ("size_stable", "r_envelope")}
 
     ok = all(checks.values())
     return {"operator": kind, "rows": rows,

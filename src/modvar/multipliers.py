@@ -17,7 +17,7 @@ sixteenth of the chi_s radius (choose M divisible by the lcm of the Q
 range to keep offsets zero, e.g. 6720 for everything up to Q = 16).
 
 Everything here works on the cyclic group Z/M, so "Fourier transform"
-means the dft() convention of signalkit.
+means the forward DFT convention stated in signalkit (numpy's fft).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arithmetic, polykit, variation
-from .bumpkit import DEFAULT_A0, ChiCutoff, Profile, make_Psi, make_chi, psi_floor_index
+from .bumpkit import DEFAULT_A0, Profile, make_Psi, make_chi, psi_floor_index
 from .signalkit import CyclicSignal, Signal
 from .util import DomainError, GridTooCoarseError, e, torus_signed, write_csv
 

@@ -1,5 +1,4 @@
-"""Polynomial phases with exact mod-1 arithmetic, coefficient norms, and the
-scale partition driven by those norms.
+"""Polynomial phases with exact mod-1 arithmetic.
 
 Phases are P(n) = sum_j lam_j n^j measured in revolutions, so only P(n) mod 1
 matters.  Every float coefficient is a dyadic rational lam_j = p_j / 2^(e_j)
@@ -15,15 +14,15 @@ _mod1_range evaluates any integer polynomial mod 2^E over a run of n; the
 fixed-point orbits in systems use it too, with E = PREC_BITS.
 
 Polynomial classes: "linear" (degree <= 1), "vanish2" (lam_0 = lam_1 = 0,
-the class whose coefficient vector mu = (lam_2, ..., lam_d) drives the scale
-partition), and unrestricted "general".
+the drift-free class with coefficient vector mu = (lam_2, ..., lam_d)), and
+unrestricted "general".
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,104 +172,3 @@ def _mod1_range(nums, E, n0, N):
             acc = (acc * n + c) & mask
         out[lo:hi] = acc / mod
     return out
-
-
-def coeff_norm(p: Poly) -> float:
-    """Sum of |lam_j| over j >= 1."""
-    return float(sum(abs(c) for c in p.coeffs[1:]))
-
-
-def scaled_norm(p: Poly, j: int) -> float:
-    """Coefficient norm of n -> P(2^j n): sum_k |lam_k| 2^(jk), k >= 2.
-
-    Defined for the drift-free class; at j = 0 it agrees with coeff_norm.
-    """
-    if p.class_tag != "vanish2":
-        raise DomainError("scaled_norm requires a vanish2 polynomial")
-    j = int(j)
-    if j < 0:
-        raise DomainError("scale index j must be nonnegative")
-    return float(
-        sum(abs(c) * 2.0 ** (j * k) for k, c in enumerate(p.coeffs) if k >= 2)
-    )
-
-
-@dataclass(frozen=True)
-class ScalePartition:
-    """Disjoint classification of scale indices by the scaled coefficient norm.
-
-    j0: two monomials compete at comparable size (within a factor 2^A1).
-    j_low / j_mid / j_high: remaining indices with scaled norm below,
-    inside, or above the window [2^(-A1 s), 2^(A1 s)].
-    j_levels[l] lists indices outside j0 whose norm falls in [2^l, 2^(l+1)).
-    """
-
-    j0: tuple
-    j_low: tuple
-    j_mid: tuple
-    j_high: tuple
-    j_levels: dict = field(compare=False)
-    s: int = 1
-    A1: int = 4
-    j_range: tuple = (0, 0)
-
-    @property
-    def j_approx(self):
-        """Indices where the norm is uncontrolled or mid-window: j0 + j_mid."""
-        return tuple(sorted(set(self.j0) | set(self.j_mid)))
-
-    def all_indices(self):
-        return tuple(sorted(set(self.j0) | set(self.j_low)
-                            | set(self.j_mid) | set(self.j_high)))
-
-
-def partition_scales(mu: Poly, s: int, A1: int, j_range) -> ScalePartition:
-    """Classify each j in j_range = (j_min, j_max) inclusive.
-
-    An index lands in j0 when two distinct monomial sizes |mu_k| 2^(jk) are
-    within a factor 2^A1 of each other (both nonzero).  Outside j0 a unique
-    monomial dominates and the norm window test is meaningful.
-    """
-    if mu.class_tag != "vanish2":
-        raise DomainError("partition_scales requires a vanish2 polynomial")
-    s = int(s)
-    A1 = int(A1)
-    if s < 1 or A1 < 1:
-        raise DomainError("s and A1 must be positive integers")
-    j_min, j_max = int(j_range[0]), int(j_range[1])
-    if j_min > j_max:
-        raise DomainError("empty scale range")
-    ks = [k for k in range(2, len(mu.coeffs)) if mu.coeffs[k] != 0.0]
-    lo_thresh = 2.0 ** (-A1 * s)
-    hi_thresh = 2.0 ** (A1 * s)
-    ratio_cap = 2.0 ** A1
-
-    j0, j_low, j_mid, j_high = [], [], [], []
-    j_levels = {}
-    for j in range(j_min, j_max + 1):
-        sizes = [abs(mu.coeffs[k]) * 2.0 ** (j * k) for k in ks]
-        competing = False
-        for a in range(len(sizes)):
-            for b in range(a + 1, len(sizes)):
-                r = sizes[a] / sizes[b]
-                if 1.0 / ratio_cap <= r <= ratio_cap:
-                    competing = True
-        if competing:
-            j0.append(j)
-            continue
-        norm = sum(sizes)
-        if norm > 0.0:
-            l = int(math.floor(math.log2(norm)))
-            j_levels.setdefault(l, []).append(j)
-        if norm < lo_thresh:
-            j_low.append(j)
-        elif norm > hi_thresh:
-            j_high.append(j)
-        else:
-            j_mid.append(j)
-    return ScalePartition(
-        j0=tuple(j0), j_low=tuple(j_low), j_mid=tuple(j_mid),
-        j_high=tuple(j_high),
-        j_levels={l: tuple(v) for l, v in sorted(j_levels.items())},
-        s=s, A1=A1, j_range=(j_min, j_max),
-    )

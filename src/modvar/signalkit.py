@@ -3,8 +3,8 @@ convolution, and the centered discrete maximal function.
 
 Conventions fixed here and used everywhere else:
 
-* forward DFT  fhat(b) = sum_n f(n) e(-n b / M),
-* inverse      f(n) = (1/M) sum_b fhat(b) e(+n b / M),
+* forward DFT  fhat(b) = sum_n f(n) e(-n b / M)       (numpy.fft.fft),
+* inverse      f(n) = (1/M) sum_b fhat(b) e(+n b / M)  (numpy.fft.ifft),
 
 so Parseval reads ||f||^2 = (1/M) sum_b |fhat(b)|^2.  modulate() takes its
 phases n * theta mod 1 from polykit.phase_range of the linear polynomial
@@ -19,7 +19,7 @@ from scipy import signal as _sps
 
 from . import polykit
 from .bumpkit import Kernel
-from .util import DomainError, e, write_csv
+from .util import DomainError, e
 
 
 class Signal:
@@ -80,16 +80,6 @@ class CyclicSignal:
 
     def l2(self):
         return float(np.linalg.norm(self.values))
-
-
-def dft(f: CyclicSignal) -> CyclicSignal:
-    """Frequency side: fhat(b) = sum_n f(n) e(-nb/M)."""
-    return CyclicSignal(np.fft.fft(f.values))
-
-
-def idft(fhat: CyclicSignal) -> CyclicSignal:
-    """Inverse of dft: f(n) = (1/M) sum_b fhat(b) e(nb/M)."""
-    return CyclicSignal(np.fft.ifft(fhat.values))
 
 
 def modulate(f: Signal, theta) -> Signal:
@@ -156,8 +146,3 @@ def maximal_hl(f: Signal, x: int) -> float:
 def maximal_hl_profile(f: Signal, xs) -> np.ndarray:
     """maximal_hl at each x in xs."""
     return np.array([maximal_hl(f, x) for x in np.asarray(xs, dtype=int)])
-
-
-def signal_to_csv(f: Signal, path):
-    rows = [(int(n), v.real, v.imag) for n, v in zip(f.indices(), f.values)]
-    write_csv(path, ("index", "re", "im"), rows)

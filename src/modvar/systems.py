@@ -217,15 +217,6 @@ def obs_indicator(lo, hi):
     return f
 
 
-def obs_torus_indicator(a, b):
-    """1_[a, b) on the circle."""
-    def f(pts):
-        pts = np.mod(np.asarray(pts, dtype=float), 1.0)
-        return ((pts >= a) & (pts < b)).astype(complex)
-
-    return f
-
-
 def obs_char(m=1):
     """x -> e(m x) on the circle."""
     def f(pts):

@@ -183,14 +183,6 @@ def jump_count(seq, tau, allowed_indices=None) -> int:
     return _chain_dp(_as_value_matrix(seq), tau, allowed_indices)
 
 
-def vector_jump_count(vseq: VecSequence, lam) -> int:
-    """jump_count for vector values with l2 gaps >= lam."""
-    lam = float(lam)
-    if lam <= 0:
-        raise DomainError("jump threshold must be positive")
-    return _chain_dp(_as_value_matrix(vseq), lam, None)
-
-
 def jump_variation_check(seq, tau, r, allowed_indices=None):
     """Verify tau * K^(1/r) <= V^r on the allowed index set.
 

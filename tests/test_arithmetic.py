@@ -12,8 +12,6 @@ from modvar.arithmetic import (
     DECAY_QMAX,
     FreqPoint,
     arc_pairs,
-    count_arc_points,
-    enumerate_freq_points,
     weyl_decay_fit,
     weyl_row,
     weyl_rows,
@@ -120,24 +118,32 @@ def test_weyl_sum_rejects_degree_mismatch():
         weyl_sum(FreqPoint(5, (1,), 2), 3)
 
 
+def _freq_points(s, d):
+    # the arc sums visit every B = 1..Q of every arc (A, Q)
+    return [FreqPoint(Q, A, B) for A, Q in arc_pairs(s, d)
+            for B in range(1, Q + 1)]
+
+
 def test_enumerate_level_one_single_point():
-    pts = list(enumerate_freq_points(1, 2))
-    assert pts == [FreqPoint(1, (1,), 1)]
+    assert arc_pairs(1, 2) == [((1,), 1)]
+    assert _freq_points(1, 2) == [FreqPoint(1, (1,), 1)]
 
 
 def test_enumerate_level_two_degree_two():
-    pts = list(enumerate_freq_points(2, 2))
+    pts = _freq_points(2, 2)
     assert len(pts) == 8
     # Q=2 admits only A=(1,); Q=3 admits A=(1,) and A=(2,)
     assert {(p.Q, p.A) for p in pts} == {(2, (1,)), (3, (1,)), (3, (2,))}
     for p in pts:
         assert math.gcd(*p.A, p.Q) == 1
-        assert 1 <= p.B <= p.Q
+        assert p.arc_coprime()
 
 
 def test_enumerate_respects_level_cap():
     with pytest.raises(DomainError):
-        list(enumerate_freq_points(5, 2, s_cap=4))
+        arc_pairs(5, 2, s_cap=4)
+    with pytest.raises(DomainError):
+        arc_pairs(5, 2)
 
 
 def test_arc_pairs_level_two():
@@ -148,7 +154,10 @@ def test_arc_pairs_level_two():
 
 @pytest.mark.parametrize("s,d", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3)])
 def test_count_matches_enumeration(s, d):
-    assert count_arc_points(s, d) == sum(1 for _ in enumerate_freq_points(s, d))
+    # inclusion-exclusion count of the frequency points of level s
+    want = sum(Q * oracles.coprime_vector_count(Q, d - 1)
+               for Q in range(2 ** (s - 1), 2 ** s))
+    assert len(_freq_points(s, d)) == want
 
 
 @pytest.mark.parametrize("Q,m", [(2, 1), (6, 1), (6, 2), (12, 2), (30, 3)])

@@ -1,4 +1,4 @@
-"""Lacunary grids and smoothed modulated averages."""
+"""Smoothed and rough modulated averages and the orbits they run along."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from modvar import polykit
 from modvar.averaging import (
     conv_average,
-    lacunary_times,
     modulated_weights,
     orbit_average,
     rough_average,
@@ -17,43 +16,6 @@ from modvar.systems import CircleRotation, SkewProduct, ZShift, obs_char, obs_co
 from modvar.util import DomainError, e
 
 import oracles
-
-
-def test_lacunary_powers_of_two():
-    grid = lacunary_times(2.0, 5)
-    assert grid.times == (2, 4, 8, 16, 32)
-    assert len(grid) == 5
-    assert list(grid) == [2, 4, 8, 16, 32]
-
-
-def test_lacunary_deduplicates_small_ratio():
-    # floor(1.5^k): 1, 2, 3, 5, 7, 11 with the duplicate-free increasing walk
-    grid = lacunary_times(1.5, 6)
-    assert grid.times == (1, 2, 3, 5, 7, 11)
-
-
-def test_lacunary_floor_is_exact_for_rationals():
-    # 1.25^12 = 14.55..., double rounding must not bump the floor
-    grid = lacunary_times(1.25, 12)
-    from fractions import Fraction
-    want = []
-    p = Fraction(1)
-    f = Fraction(1.25)
-    for _ in range(12):
-        p *= f
-        t = int(p)
-        if not want or t > want[-1]:
-            want.append(t)
-    assert grid.times == tuple(want)
-
-
-def test_lacunary_rejects_bad_params():
-    with pytest.raises(DomainError):
-        lacunary_times(1.0, 5)
-    with pytest.raises(DomainError):
-        lacunary_times(2.5, 5)
-    with pytest.raises(DomainError):
-        lacunary_times(1.5, 0)
 
 
 def test_modulated_weights_zero_phase():

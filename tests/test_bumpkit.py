@@ -6,21 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modvar import bumpkit
-from modvar.bumpkit import (Profile, a_bracket, c_phi_functional, even_part,
-                            littlewood_paley_split, make_Psi, make_bump,
-                            make_chi, make_psi_kernel, psi_floor_index,
-                            scaled_weight)
+from modvar.bumpkit import (make_Psi, make_bump, make_chi, make_psi_kernel,
+                            psi_floor_index, scaled_weight)
 from modvar.util import DomainError
 
 
 @pytest.fixture(scope="module")
 def bump():
     return make_bump(0.25)
-
-
-def _zero_profile():
-    return Profile(lambda t, order=0: np.zeros_like(np.asarray(t, float)),
-                   (0.0, 1.0))
 
 
 def test_bump_plateau_and_support(bump):
@@ -57,15 +50,6 @@ def test_scaled_weight_values(bump):
     assert scaled_weight(bump, 100, 50) == pytest.approx(0.01)
     total = sum(scaled_weight(bump, 1000, n) for n in range(0, 2001))
     assert abs(total - 1.0) <= 0.25 + 10.0 / 1000
-
-
-def test_even_part_halves_and_preserves_mass(bump):
-    ev = even_part(bump)
-    for t in (0.2, 0.5, 0.9):
-        assert ev(t) == pytest.approx(bump(t) / 2.0)
-        assert ev(-t) == pytest.approx(ev(t))
-    t = np.linspace(-1.5, 1.5, 20001)
-    np.testing.assert_allclose(np.trapezoid(ev(t), t), bump.mass, rtol=1e-6)
 
 
 @pytest.mark.parametrize("lam,k", [(1.5, 1), (1.5, 7), (2.0, 3), (2.0, 20)])
@@ -144,59 +128,3 @@ def test_chi_window_refuses_index_off_the_grid():
     for b0 in (-1, 97):
         with pytest.raises(DomainError):
             chi.window(97, b0)
-
-
-def test_c_phi_functional_range_and_dilation_invariance(bump):
-    val = c_phi_functional(bump)
-    assert 0.5 <= val <= 1.5
-    assert c_phi_functional(_zero_profile()) == 0.0
-    # invariant under the mass-preserving dilation phi(t/R)/R
-    scaled = bump.dilated(2.0, preserve_mass=True)
-    assert c_phi_functional(scaled) == pytest.approx(val, rel=1e-6)
-
-
-def test_a_bracket_identical_profiles_cancel(bump):
-    assert a_bracket(bump, bump, 3) == 0.0
-
-
-def test_a_bracket_against_zero_meets_first_term_floor(bump):
-    # without cancellation every scale contributes about one bump mass
-    for K in (2, 4):
-        assert a_bracket(bump, _zero_profile(), K) >= (K + 1) * bump.mass * 0.9
-
-
-def test_a_bracket_monotone_in_K(bump):
-    assert a_bracket(bump, _zero_profile(), 3) <= \
-        a_bracket(bump, _zero_profile(), 4)
-
-
-def test_littlewood_paley_pieces_sum_to_profile(bump):
-    lp = littlewood_paley_split(bump, 0.25, 8)
-    t = lp.grid_start + lp.spacing * np.arange(len(lp.tail.values))
-    total = lp.tail.values.copy()
-    for piece in lp.pieces:
-        assert piece.start == lp.tail.start
-        assert piece.spacing == lp.tail.spacing
-        total = total + piece.values
-    assert np.max(np.abs(total - bump(t))) <= 1e-6
-
-
-def test_littlewood_paley_l1_decay(bump):
-    # smooth profile: piece mass must fall at least like 8^-j
-    lp = littlewood_paley_split(bump, 0.25, 8)
-    l1 = [lp.piece_l1(j) for j in range(7)]
-    for j in range(1, 6):
-        assert l1[j + 1] <= 0.125 * l1[j] + 1e-13
-
-
-def test_littlewood_paley_frequency_concentration(bump):
-    lp = littlewood_paley_split(bump, 0.25, 6)
-    centers = []
-    for j in (2, 3, 4):
-        piece = lp.pieces[j]
-        spec = np.abs(np.fft.fft(piece.values))
-        freqs = np.fft.fftfreq(len(piece.values), d=piece.spacing)
-        centers.append(abs(freqs[np.argmax(spec)]))
-    # each successive piece lives at roughly double the frequency
-    assert centers[1] / centers[0] == pytest.approx(2.0, rel=0.35)
-    assert centers[2] / centers[1] == pytest.approx(2.0, rel=0.35)

@@ -4,9 +4,11 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modvar import cli, harness
-from modvar.harness import ConfigError, default_config, parse_config
+from modvar.harness import SCHEMAS, ConfigError, default_config, parse_config
 from modvar.util import GridTooCoarseError
 
 
@@ -191,16 +193,94 @@ def test_cli_names_domain_and_io_errors(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and err.startswith("I/O error:")
 
 
-@pytest.mark.parametrize("operator", ["maximal-arc", "vr-sd"])
-def test_threaded_sweep_bytes_do_not_depend_on_jobs(operator, tmp_path,
-                                                     monkeypatch):
+def _outputs_at_jobs(argv, tmp_path, monkeypatch):
+    """Every --out file of one run at --jobs 1 and at --jobs 2."""
     monkeypatch.delenv("MODVAR_JOBS", raising=False)   # it overrides --jobs
     outs = []
     for jobs in ("1", "2"):
         out = tmp_path / jobs
-        assert cli.main(["sweep", "--set", "operator=" + operator, "--set",
-                         "s_max=2", "--jobs", jobs, "--seed", "5",
-                         "--out", str(out)]) == 0
+        assert cli.main(argv + ["--jobs", jobs, "--seed", "5",
+                                "--out", str(out)]) == 0
         outs.append({n: (out / n).read_bytes()
                      for n in sorted(os.listdir(out))})
+    return outs
+
+
+_SWEEP_SETS = {
+    "maximal-arc": ("s_max=2",),
+    "vr-s": ("s_max=2",),
+    "vr-sd": ("s_max=2",),
+    "vr-linear-sup-theta": ("theta_count=8", "sizes=1024,2048"),
+}
+
+
+@pytest.mark.parametrize("operator", sorted(_SWEEP_SETS))
+def test_threaded_sweep_bytes_do_not_depend_on_jobs(operator, tmp_path,
+                                                     monkeypatch):
+    argv = ["sweep", "--set", "operator=" + operator]
+    for item in _SWEEP_SETS[operator]:
+        argv += ["--set", item]
+    outs = _outputs_at_jobs(argv, tmp_path, monkeypatch)
     assert len(outs[0]) == 2 and outs[0] == outs[1]
+
+
+def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
+    argv = ["carleson", "--set", "n_cov=10", "--set", "theta_count=8",
+            "--set", "sizes=1024,2048"]
+    outs = _outputs_at_jobs(argv, tmp_path, monkeypatch)
+    assert sorted(outs[0]) == ["carleson.csv", "carleson.json"]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("kind,setting,first_work", [
+    ("weyl", "fit_qmax=65", "modvar.arithmetic.weyl_rows"),
+    ("weyl", "fit_d=4", "modvar.arithmetic.weyl_rows"),
+    ("weyl-decay", "Qmax=201", "modvar.arithmetic.weyl_decay_fit"),
+    ("weyl-decay", "Qmax=1", "modvar.arithmetic.weyl_decay_fit"),
+    ("multiplier", "s_list=1,5", "modvar.harness.stream"),
+    ("multiplier", "s_list=0,1", "modvar.harness.stream"),
+    ("carleson", "batch=29", "modvar.harness.stream"),
+])
+def test_config_ranges_refused_before_any_work(kind, setting, first_work,
+                                               tmp_path, monkeypatch, capsys):
+    def work(*args, **kwargs):
+        raise AssertionError("work ran before the range check")
+
+    monkeypatch.setattr(first_work, work)
+    rc = cli.main([kind, "--set", setting, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+
+
+_KEYS = sorted({key for schema in SCHEMAS.values() for key in schema}
+               | {"kind"})
+_VALUE = st.one_of(
+    st.text(),
+    st.sampled_from(sorted(SCHEMAS)),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=4).map(
+        lambda xs: ", ".join(map(str, xs))),
+)
+_LINE = st.one_of(
+    st.text(),
+    st.tuples(st.sampled_from(_KEYS), _VALUE).map(
+        lambda kv: "%s = %s" % kv),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINE, max_size=8),
+       overrides=st.dictionaries(st.one_of(st.sampled_from(_KEYS),
+                                           st.text()),
+                                 _VALUE, max_size=4),
+       kind=st.one_of(st.none(), st.sampled_from(sorted(SCHEMAS)),
+                      st.text()))
+def test_parse_config_raises_only_config_error(lines, overrides, kind):
+    try:
+        cfg = parse_config("\n".join(lines), kind=kind, overrides=overrides)
+    except ConfigError:
+        return
+    assert cfg.kind in SCHEMAS
+    assert set(cfg.params) == set(SCHEMAS[cfg.kind])

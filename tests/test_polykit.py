@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from modvar import polykit
 from modvar.polykit import Poly
-from modvar.util import DomainError, torus_dist
+from modvar.util import torus_dist
 
 import oracles
 
@@ -86,64 +86,6 @@ def test_phase_range_blocks_equal_exact_fractions(coeffs, e_big, n0, extra):
     got = polykit.phase_range(Poly(coeffs), n0, N)
     assert got.tolist() == [oracles.phase_fraction(coeffs, n)
                             for n in range(n0, n0 + N)]
-
-
-def test_coeff_norm_values():
-    assert polykit.coeff_norm(Poly.zero()) == 0.0
-    assert polykit.coeff_norm(Poly((0.0, 0.0, 1e-6, 2e-9))) == \
-        pytest.approx(1.002e-6, rel=1e-12)
-
-
-def test_scaled_norm_at_j0_equals_coeff_norm(rng):
-    p = Poly.vanish2(tuple(rng.uniform(-1, 1, size=3)))
-    assert polykit.scaled_norm(p, 0) == pytest.approx(polykit.coeff_norm(p))
-
-
-def test_scaled_norm_dyadic_growth():
-    p = Poly.vanish2((1e-6, 2e-9))
-    assert polykit.scaled_norm(p, 10) == pytest.approx(
-        1e-6 * 2 ** 20 + 2e-9 * 2 ** 30, rel=1e-14)
-    assert polykit.scaled_norm(Poly.vanish2(()), 5) == 0.0
-
-
-def test_scaled_norm_quadruples_per_level(rng):
-    # every term carries 2^(jk) with k >= 2, so one level up is at least x4
-    for _ in range(20):
-        p = Poly.vanish2(tuple(rng.uniform(-1, 1, size=rng.integers(1, 4))))
-        for j in range(0, 8):
-            assert polykit.scaled_norm(p, j + 1) >= 4.0 * polykit.scaled_norm(p, j)
-
-
-def test_partition_zero_poly_is_all_low():
-    part = polykit.partition_scales(Poly.vanish2(()), 2, 4, (0, 12))
-    assert part.j_low == tuple(range(0, 13))
-    assert part.j_mid == () and part.j_high == () and part.j0 == ()
-
-
-def test_partition_single_monomial_has_no_balance_set():
-    # the balance set needs two competing monomials
-    part = polykit.partition_scales(Poly.vanish2((1e-4,)), 2, 4, (0, 12))
-    assert part.j0 == ()
-    assert set(part.all_indices()) == set(range(0, 13))
-
-
-def test_partition_rejects_general_polynomials():
-    with pytest.raises(DomainError):
-        polykit.partition_scales(Poly.linear(0.5), 2, 4, (0, 10))
-
-
-def test_partition_size_bounds_on_random_coefficients(rng):
-    d, s, A1 = 4, 3, 4
-    for _ in range(100):
-        mu = tuple(rng.uniform(-1, 1) * 10.0 ** rng.integers(-9, 0)
-                   for _ in range(d - 1))
-        part = polykit.partition_scales(Poly.vanish2(mu), s, A1, (0, 40))
-        assert len(part.j_approx) <= d * d * A1 * s
-        for members in part.j_levels.values():
-            assert len(members) <= d
-        # the four classes are disjoint and cover the whole range
-        combined = sorted(part.j0 + part.j_low + part.j_mid + part.j_high)
-        assert combined == list(range(0, 41))
 
 
 def test_poly_json_roundtrip():

@@ -21,7 +21,6 @@ from modvar.systems import (
     obs_const,
     obs_indicator,
     obs_skew_char,
-    obs_torus_indicator,
     sample_transfer,
     ww_scan,
 )
@@ -129,8 +128,6 @@ def test_sample_transfer_rejects_nonfinite():
 
 
 def test_observable_builders():
-    assert np.array_equal(obs_torus_indicator(0.2, 0.7)(np.array([0.1, 0.2, 0.69, 0.7])),
-                          [0, 1, 1, 0])
     vals = obs_char(2)(np.array([0.0, 0.25]))
     assert vals[0] == pytest.approx(1.0)
     assert vals[1] == pytest.approx(-1.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modvar.util import DomainError
 from modvar.variation import (
@@ -10,7 +12,6 @@ from modvar.variation import (
     chaining_telescope_check,
     jump_count,
     jump_variation_check,
-    vector_jump_count,
     verify_cover,
     vr_batch,
     vr_brute,
@@ -53,6 +54,33 @@ def test_dp_matches_brute_and_dfs(rng, r):
         v_dp = vr_exact(seq, r)
         assert v_dp == pytest.approx(vr_brute(seq, r), abs=1e-10)
         assert v_dp == pytest.approx(oracles.vr_dfs(seq, r), abs=1e-10)
+
+
+# parts are 0 or at least 1e-6 in size: below about 1e-154 the squares in
+# np.linalg.norm underflow, which vr_exact and vr_brute use and vr_batch
+# (np.abs) does not
+_part = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+
+
+@st.composite
+def _columns(draw):
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 4))
+    parts = draw(st.lists(_part, min_size=2 * n * k, max_size=2 * n * k))
+    a = np.asarray(parts).reshape(2, n, k)
+    return a[0] + 1j * a[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_columns(), st.floats(1.0, 8.0, exclude_min=True))
+def test_batch_exact_and_brute_variation_agree(cols, r):
+    got = vr_batch(cols, r)
+    assert got.shape == (cols.shape[1],)
+    for j in range(cols.shape[1]):
+        want = vr_exact(cols[:, j], r)
+        assert got[j] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert want == pytest.approx(vr_brute(cols[:, j], r), rel=1e-12,
+                                     abs=0.0)
 
 
 def test_vector_variation_matches_dfs(rng):
@@ -105,7 +133,7 @@ def test_vector_jump_count_matches_dfs(rng):
         vals = rng.normal(size=(n, 2))
         lam = float(rng.uniform(0.3, 2.5))
         vseq = VecSequence(times=tuple(range(n)), values=vals)
-        assert vector_jump_count(vseq, lam) == oracles.vec_jumps_dfs(vals, lam)
+        assert jump_count(vseq, lam) == oracles.vec_jumps_dfs(vals, lam)
 
 
 @pytest.mark.parametrize("r", [2.2, 3.0, 8.0])
