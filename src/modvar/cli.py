@@ -4,7 +4,7 @@ Exit codes: 0 clean run, 1 a one-line refusal, 2 a checked property failed.
 The refusal names its cause: "config error" (bad key, bad value, bad
 parameter range), "domain error" (a numerical precondition such as grid
 snapping fails) or "I/O error" (a file cannot be read or written).
-MODVAR_JOBS overrides --jobs.
+MODVAR_JOBS overrides --jobs; either above the host's CPU count is refused.
 """
 
 import argparse

@@ -55,9 +55,12 @@ def _parse_int(text):
 
 def _parse_float(text):
     try:
-        return float(str(text).strip())
+        val = float(str(text).strip())
     except ValueError:
         raise ConfigError("expected a number, got %r" % (text,))
+    if not math.isfinite(val):
+        raise ConfigError("expected a finite number, got %r" % (text,))
+    return val
 
 
 def _parse_list(text, parse):
@@ -965,18 +968,23 @@ _RUNNERS = {
 def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
     """Execute one experiment; returns the exit code (0 ok, 2 check failed).
 
-    Configuration problems raise ConfigError (the CLI maps them to code 1).
-    Result files land in out_dir.
+    Configuration problems raise ConfigError (the CLI maps them to code 1),
+    among them jobs (or MODVAR_JOBS) outside 1..os.cpu_count().  Result
+    files land in out_dir.
     """
     if config.kind not in _RUNNERS:
         raise ConfigError("unknown experiment kind %r" % (config.kind,))
-    os.makedirs(out_dir, exist_ok=True)
     try:
         jobs = _parse_int(os.environ.get("MODVAR_JOBS", jobs))
     except ConfigError as ex:
         raise ConfigError("MODVAR_JOBS: %s" % ex)
     if jobs < 1:
         raise ConfigError("jobs must be a positive integer")
+    cpus = os.cpu_count() or 1
+    if jobs > cpus:
+        raise ConfigError("jobs %d exceeds the %d CPUs of this host"
+                          % (jobs, cpus))
+    os.makedirs(out_dir, exist_ok=True)
     ok, summary = _RUNNERS[config.kind](config, out_dir, int(seed), jobs)
     flat = {k: v for k, v in summary.items() if not isinstance(v, dict)}
     print("[%s] %s %s" % (config.kind, "ok" if ok else "FAIL",

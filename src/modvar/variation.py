@@ -15,6 +15,14 @@ O(n^2) dynamic program as the variation norm.
 The chaining cover organizes the sequence values into greedy 2^-v nets at
 dyadic resolutions, each center pointing at a parent in the next coarser
 net; telescoping the parent chain reconstructs every value exactly.
+
+Every l2 gap comes from one n x n gap matrix per sequence (``_gaps``), built
+with the axis path of np.linalg.norm; the DPs, the nets, the parent links
+and the cover checks index it.  It holds 8 n^2 bytes, so every function
+that builds one refuses sequences longer than MAX_DP_LENGTH.  The squares
+inside norm underflow for gaps below about 1e-154 (vr_batch, on np.abs,
+does not); this is left as is because switching to np.abs would move
+output bytes.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .util import DomainError
 MAX_DP_LENGTH = 4096
 MAX_BRUTE_LENGTH = 18
 COVER_RESOLUTION = 1e-6
+GAP_BLOCK = 1 << 16    # difference entries per block of rows in _gaps
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,35 @@ def _check_r(r):
     return r
 
 
+def _gaps(vals):
+    """The n x n matrix of l2 gaps |vals[i] - vals[j]| of a value matrix.
+
+    Row i equals np.linalg.norm(vals[i] - vals, axis=1) bit for bit.  Rows
+    are built in blocks of at most GAP_BLOCK difference entries, so the
+    transient stays small next to the matrix itself.
+    """
+    n, dim = vals.shape
+    if n > MAX_DP_LENGTH:
+        raise DomainError("sequence longer than %d; split the call" % MAX_DP_LENGTH)
+    G = np.empty((n, n))
+    step = max(1, GAP_BLOCK // max(1, n * dim))
+    for a in range(0, n, step):
+        G[a:a + step] = np.linalg.norm(
+            vals[a:a + step, None, :] - vals[None, :, :], axis=2)
+    return G
+
+
+def _vr_dp(G, r):
+    """r-variation from a gap matrix; D[i] is the best chain ending at i."""
+    n = len(G)
+    if n == 0:
+        raise DomainError("empty sequence has no variation")
+    D = np.zeros(n)
+    for i in range(1, n):
+        D[i] = np.max(D[:i] + G[i, :i] ** r)
+    return float(np.max(D) ** (1.0 / r))
+
+
 def vr_exact(seq, r) -> float:
     """Exact r-variation by dynamic programming, O(n^2).
 
@@ -89,19 +127,7 @@ def vr_exact(seq, r) -> float:
     is exhaustive.
     """
     r = _check_r(r)
-    vals = _as_value_matrix(seq)
-    n = len(vals)
-    if n == 0:
-        raise DomainError("empty sequence has no variation")
-    if n > MAX_DP_LENGTH:
-        raise DomainError("sequence longer than %d; split the call" % MAX_DP_LENGTH)
-    if n == 1:
-        return 0.0
-    D = np.zeros(n)
-    for i in range(1, n):
-        inc = np.linalg.norm(vals[i] - vals[:i], axis=1)
-        D[i] = np.max(D[:i] + inc ** r)
-    return float(np.max(D) ** (1.0 / r))
+    return _vr_dp(_gaps(_as_value_matrix(seq)), r)
 
 
 def vr_batch(values, r) -> np.ndarray:
@@ -152,23 +178,36 @@ def vr_brute(seq, r) -> float:
     return float(best ** (1.0 / r))
 
 
-def _chain_dp(vals, threshold, allowed):
-    """Longest chain (edge count) with consecutive l2 gaps >= threshold."""
-    idx = list(range(len(vals))) if allowed is None else sorted(set(int(i) for i in allowed))
-    for i in idx:
-        if not (0 <= i < len(vals)):
-            raise DomainError("allowed index %d outside the sequence" % i)
-    sub = vals[idx]
-    m = len(sub)
+def _chain_dp(G, threshold):
+    """Longest chain (edge count) with consecutive gaps >= threshold."""
+    m = len(G)
     if m <= 1:
         return 0
+    far = G >= threshold
     best = np.zeros(m, dtype=int)
     for i in range(1, m):
-        gaps = np.linalg.norm(sub[i] - sub[:i], axis=1)
-        ok = gaps >= threshold
+        ok = far[i, :i]
         if np.any(ok):
             best[i] = int(np.max(best[:i][ok])) + 1
     return int(np.max(best))
+
+
+def _allowed_values(vals, allowed):
+    """The rows of vals at the sorted distinct allowed indices (all if None)."""
+    if allowed is None:
+        return vals
+    idx = sorted(set(int(i) for i in allowed))
+    for i in idx:
+        if not (0 <= i < len(vals)):
+            raise DomainError("allowed index %d outside the sequence" % i)
+    return vals[idx]
+
+
+def _check_tau(tau):
+    tau = float(tau)
+    if tau <= 0:
+        raise DomainError("jump threshold tau must be positive")
+    return tau
 
 
 def jump_count(seq, tau, allowed_indices=None) -> int:
@@ -177,10 +216,9 @@ def jump_count(seq, tau, allowed_indices=None) -> int:
     Chosen times must lie in allowed_indices (all indices when omitted);
     intermediate times are unconstrained.
     """
-    tau = float(tau)
-    if tau <= 0:
-        raise DomainError("jump threshold tau must be positive")
-    return _chain_dp(_as_value_matrix(seq), tau, allowed_indices)
+    tau = _check_tau(tau)
+    sub = _allowed_values(_as_value_matrix(seq), allowed_indices)
+    return _chain_dp(_gaps(sub), tau)
 
 
 def jump_variation_check(seq, tau, r, allowed_indices=None):
@@ -191,12 +229,11 @@ def jump_variation_check(seq, tau, r, allowed_indices=None):
     with increment-power sum >= K * tau^r.
     """
     r = _check_r(r)
-    vals = _as_value_matrix(seq)
-    idx = list(range(len(vals))) if allowed_indices is None else sorted(
-        set(int(i) for i in allowed_indices))
-    K = jump_count(seq, tau, idx)
-    vr = vr_exact(vals[idx], r)
-    lhs = float(tau) * K ** (1.0 / r)
+    tau = _check_tau(tau)
+    G = _gaps(_allowed_values(_as_value_matrix(seq), allowed_indices))
+    K = _chain_dp(G, tau)
+    vr = _vr_dp(G, r)
+    lhs = tau * K ** (1.0 / r)
     slack = vr - lhs
     return slack >= -1e-12, slack
 
@@ -239,11 +276,10 @@ def build_chaining_cover(vseq: VecSequence, resolution=COVER_RESOLUTION) -> Chai
     n = len(vals)
     if n == 0:
         raise DomainError("cannot cover an empty sequence")
-    diam = 0.0
-    for i in range(n):
-        d = np.linalg.norm(vals[i] - vals[i + 1:], axis=1)
-        if len(d):
-            diam = max(diam, float(np.max(d)))
+    if not np.isfinite(vals).all():
+        raise DomainError("cannot cover non-finite values")
+    G = _gaps(vals)
+    diam = float(G.max())
     if diam == 0.0:
         return ChainingCover({0: (0,)}, {}, 0, 0, 0.0)
     v_min = int(math.floor(-math.log2(diam)))
@@ -253,26 +289,24 @@ def build_chaining_cover(vseq: VecSequence, resolution=COVER_RESOLUTION) -> Chai
     levels = {}
     for v in range(v_min, v_max + 1):
         rad = 2.0 ** (-v)
+        covered = np.zeros(n, dtype=bool)   # within rad of an earlier center
         centers = []
         for i in range(n):
-            if not centers:
+            if not covered[i]:
                 centers.append(i)
-                continue
-            d = np.linalg.norm(vals[i] - vals[centers], axis=1)
-            if np.min(d) > rad:
-                centers.append(i)
+                covered |= G[i] <= rad
         levels[v] = tuple(centers)
 
     parent = {}
     for v in range(v_min + 1, v_max + 1):
         rad = 2.0 ** (-v)
-        for i in levels[v]:
-            for c in levels[v - 1]:  # time order; first hit is minimal
-                if np.linalg.norm(vals[i] - vals[c]) <= 3.0 * rad:
-                    parent[(v, i)] = c
-                    break
-            else:
-                raise AssertionError("cover invariant broken: no parent")
+        coarse = list(levels[v - 1])
+        near = G[list(levels[v])][:, coarse] <= 3.0 * rad
+        if not near.any(axis=1).all():
+            raise AssertionError("cover invariant broken: no parent")
+        # argmax finds the first hit, the minimal-time center
+        for i, k in zip(levels[v], near.argmax(axis=1)):
+            parent[(v, i)] = coarse[k]
     return ChainingCover(levels, parent, v_min, v_max, diam)
 
 
@@ -282,21 +316,21 @@ def verify_cover(cover: ChainingCover, vseq: VecSequence):
     Checks: every element within 2^-v of a center at each level; parents
     exist, live one level up, and sit within 3 * 2^-v.
     """
-    vals = _as_value_matrix(vseq)
+    G = _gaps(_as_value_matrix(vseq))
     worst = 0.0
     for v, centers in cover.levels.items():
         rad = cover.radius(v)
-        for i in range(len(vals)):
-            d = np.linalg.norm(vals[i] - vals[list(centers)], axis=1)
-            if np.min(d) > rad + 1e-12:
-                raise AssertionError("point %d uncovered at level %d" % (i, v))
+        uncovered = np.flatnonzero(G[:, list(centers)].min(axis=1) > rad + 1e-12)
+        if len(uncovered):
+            raise AssertionError("point %d uncovered at level %d"
+                                 % (uncovered[0], v))
         if v == cover.v_min:
             continue
         for i in centers:
             p = cover.parent[(v, i)]
             if p not in cover.levels[v - 1]:
                 raise AssertionError("parent not a center one level up")
-            nu = np.linalg.norm(vals[i] - vals[p])
+            nu = G[i, p]
             if nu > 3.0 * rad + 1e-12:
                 raise AssertionError("increment bound broken at level %d" % v)
             worst = max(worst, nu / rad)

@@ -3,8 +3,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# one profile for every property test: example times vary with the host load
+settings.register_profile("modvar", deadline=None)
+settings.load_profile("modvar")
 
 _ACCEPTANCE = []
 

@@ -69,6 +69,43 @@ def vec_jumps_dfs(vecs, lam):
     return best
 
 
+def chaining_cover_loops(values, resolution):
+    """Greedy time-order 2^-v nets with first-fit parents, by plain loops.
+
+    values: rows of complex coordinates.  Returns (levels, parent, v_min,
+    v_max, diameter): levels maps v to the tuple of center indices, each
+    index joining when it lies farther than 2^-v from every earlier center;
+    parent maps (v, i) to the first center of level v-1 within 3 * 2^-v.
+    """
+    pts = [[complex(x) for x in row] for row in values]
+    n = len(pts)
+
+    def dist(i, j):
+        return math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(pts[i], pts[j])))
+
+    diam = max((dist(i, j) for i in range(n) for j in range(i + 1, n)),
+               default=0.0)
+    if diam == 0.0:
+        return {0: (0,)}, {}, 0, 0, 0.0
+    v_min = math.floor(-math.log2(diam))
+    v_max = max(v_min, math.floor(-math.log2(resolution * diam)))
+    levels = {}
+    for v in range(v_min, v_max + 1):
+        centers = []
+        for i in range(n):
+            if all(dist(i, c) > 2.0 ** -v for c in centers):
+                centers.append(i)
+        levels[v] = tuple(centers)
+    parent = {}
+    for v in range(v_min + 1, v_max + 1):
+        for i in levels[v]:
+            for c in levels[v - 1]:
+                if dist(i, c) <= 3.0 * 2.0 ** -v:
+                    parent[(v, i)] = c
+                    break
+    return levels, parent, v_min, v_max, diam
+
+
 def weyl_direct(Q, A, B, d):
     """Complete normalized exponential sum by direct length-Q summation.
 

@@ -61,7 +61,7 @@ def test_weyl_row_matches_columnwise_sums():
         assert row[i] == pytest.approx(weyl_sum(FreqPoint(Q, A, B), 3), abs=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(1, 40), st.integers(1, 3), st.data())
 def test_weyl_rows_match_single_rows_and_direct_sums(Q, m, data):
     coeff = st.integers(-3 * Q, 3 * Q)

@@ -111,7 +111,7 @@ def test_chi_window_shape():
     assert 0.0 < mid < 1.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(1, 4), st.sampled_from([10.0, 2.5, 0.37, 0.125]),
        st.integers(1, 5000), st.data())
 def test_chi_window_is_bitwise_the_shifted_evaluation(s, a0, M, data):

@@ -111,6 +111,8 @@ def test_cli_seed_changes_outputs(tmp_path):
 
 
 def test_run_respects_jobs_env(tmp_path, monkeypatch):
+    # jobs 2 passes the jobs cap on a one-CPU host too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("MODVAR_JOBS", "0")
     cfg = parse_config("kind = chaining\nn_inst = 2\n")
     with pytest.raises(ConfigError):
@@ -136,6 +138,49 @@ def test_cli_exit_one_on_non_integer_jobs_env(tmp_path, monkeypatch, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "MODVAR_JOBS" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["variation", "--set", "oracle_tol=nan"],
+    ["sweep", "--set", "operator=vr-sd", "--set", "r=inf"],
+])
+def test_non_finite_floats_refused(argv, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config("kind = bump-check\neps0_list = 0.1, -inf\n")
+
+
+def test_jobs_above_cpu_count_refused_before_any_work(tmp_path, monkeypatch,
+                                                      capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started")
+
+    ran = []
+
+    def runner(cfg, out, seed, jobs):
+        ran.append(jobs)
+        return True, {}
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setitem(harness._RUNNERS, "carleson", runner)
+    monkeypatch.delenv("MODVAR_JOBS", raising=False)
+    out = str(tmp_path / "out")
+    for cpus, jobs in ((3, "4"), (None, "2")):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli.main(["carleson", "--jobs", jobs, "--out", out]) == 1
+        monkeypatch.setenv("MODVAR_JOBS", jobs)
+        assert cli.main(["carleson", "--out", out]) == 1
+        monkeypatch.delenv("MODVAR_JOBS")
+        errs = capsys.readouterr().err.splitlines()
+        assert len(errs) == 2
+        assert all(e.startswith("config error:") and "CPUs" in e
+                   for e in errs)
+    assert ran == [] and not os.path.exists(out)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli.main(["carleson", "--jobs", "3", "--out", out]) == 0
+    assert ran == [3]
 
 
 def test_int_lists_reject_fractions(tmp_path):
@@ -196,6 +241,8 @@ def test_cli_names_domain_and_io_errors(tmp_path, monkeypatch, capsys):
 def _outputs_at_jobs(argv, tmp_path, monkeypatch):
     """Every --out file of one run at --jobs 1 and at --jobs 2."""
     monkeypatch.delenv("MODVAR_JOBS", raising=False)   # it overrides --jobs
+    # jobs 2 passes the jobs cap on a one-CPU host too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     outs = []
     for jobs in ("1", "2"):
         out = tmp_path / jobs
@@ -270,7 +317,7 @@ _LINE = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(lines=st.lists(_LINE, max_size=8),
        overrides=st.dictionaries(st.one_of(st.sampled_from(_KEYS),
                                            st.text()),

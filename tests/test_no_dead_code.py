@@ -17,6 +17,10 @@ ALLOWED = {
     "default_config": "perfbench/run.py builds its configs with it",
     "obs_const": "tests of orbit_average and ww_scan use the constant "
                  "observable",
+    "jump_count": "the public jump count; jump_variation_check runs its "
+                  "core _chain_dp on the gap matrix it shares with the "
+                  "variation DP, and the DFS-oracle tests check that core "
+                  "through jump_count",
     # Unit-tested references for objects of the paper that no experiment
     # runs yet; each goes, with its tests, when a later change drops it.
     "rough_average": "the plain Wiener-Wintner average (1/N) sum "

@@ -62,7 +62,7 @@ coeff = st.one_of(dyadic, st.floats(-1e6, 1e6))
 big_n0 = st.one_of(st.integers(-1000, 1000), st.integers(-2 ** 80, 2 ** 80))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(coeff, min_size=1, max_size=5), big_n0, st.integers(0, 24))
 @example([0.0, 0.0, 2.0 ** -70], -(2 ** 64) - 3, 9)
 @example([0.5, -(2.0 ** -64), 0.75], 2 ** 63 + 5, 9)
@@ -75,7 +75,7 @@ def test_phase_range_equals_exact_fractions(coeffs, n0, N):
     assert [polykit.eval_phase(p, n) for n in range(n0, n0 + N)] == want
 
 
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=5)
 @given(st.lists(coeff, min_size=1, max_size=4), st.integers(65, 120),
        big_n0, st.integers(1, 40))
 def test_phase_range_blocks_equal_exact_fractions(coeffs, e_big, n0, extra):

@@ -82,7 +82,7 @@ def test_skew_orbit_point_matches_array():
         assert arr[i, 1] == pytest.approx(y, abs=1e-15)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.integers(0, SCALE - 1), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
        st.one_of(st.integers(-1000, 1000), st.integers(-2 ** 80, 2 ** 80)),
        st.integers(1, 40))

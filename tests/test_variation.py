@@ -1,13 +1,17 @@
 """r-variation, jump counting, and the chaining cover invariants."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modvar.util import DomainError
 from modvar.variation import (
+    ChainingCover,
     VecSequence,
+    _gaps,
     build_chaining_cover,
     chaining_telescope_check,
     jump_count,
@@ -63,16 +67,17 @@ _part = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
 
 
 @st.composite
-def _columns(draw):
-    n = draw(st.integers(1, 10))
-    k = draw(st.integers(1, 4))
-    parts = draw(st.lists(_part, min_size=2 * n * k, max_size=2 * n * k))
-    a = np.asarray(parts).reshape(2, n, k)
+def _complex_rows(draw, max_n, max_dim, part):
+    """An (n, dim) complex matrix, n <= max_n and dim <= max_dim."""
+    n = draw(st.integers(1, max_n))
+    dim = draw(st.integers(1, max_dim))
+    parts = draw(st.lists(part, min_size=2 * n * dim, max_size=2 * n * dim))
+    a = np.asarray(parts).reshape(2, n, dim)
     return a[0] + 1j * a[1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(_columns(), st.floats(1.0, 8.0, exclude_min=True))
+@settings(max_examples=200)
+@given(_complex_rows(10, 4, _part), st.floats(1.0, 8.0, exclude_min=True))
 def test_batch_exact_and_brute_variation_agree(cols, r):
     got = vr_batch(cols, r)
     assert got.shape == (cols.shape[1],)
@@ -173,6 +178,9 @@ def test_cover_degenerate_cases():
     assert cov.diameter == 0.0
     with pytest.raises(DomainError):
         build_chaining_cover(VecSequence(times=(), values=np.zeros((0, 1))))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            build_chaining_cover(VecSequence(times=(0, 1), values=[0.0, bad]))
 
 
 def test_cover_two_points():
@@ -210,3 +218,68 @@ def test_cover_json_roundtrip(rng):
     blob = json.loads(cov.to_json())
     assert blob["v_min"] == cov.v_min
     assert blob["v_max"] == cov.v_max
+
+
+@settings(max_examples=200)
+@given(_complex_rows(24, 16, st.floats(-1e6, 1e6)))
+def test_gap_matrix_rows_match_norm_bitwise(vals):
+    G = _gaps(vals)
+    for i in range(len(vals)):
+        want = np.linalg.norm(vals[i] - vals[:i], axis=1)
+        assert G[i, :i].tobytes() == want.tobytes()
+    # the cover's diameter and parent links read either triangle
+    assert G.tobytes() == G.T.copy().tobytes()
+    assert not np.any(np.diag(G))
+
+
+def test_gap_matrix_built_in_blocks_matches_norm_rows(rng):
+    vals = rng.normal(size=(300, 3)) + 1j * rng.normal(size=(300, 3))
+    G = _gaps(vals)   # 900 difference entries per row: several blocks
+    for i in range(len(vals)):
+        want = np.linalg.norm(vals[i] - vals, axis=1)
+        assert G[i].tobytes() == want.tobytes()
+
+
+def test_gap_matrix_refuses_overlong_sequences():
+    with pytest.raises(DomainError, match="longer than"):
+        jump_count(np.zeros(4097), 1.0)
+    with pytest.raises(DomainError, match="longer than"):
+        build_chaining_cover(VecSequence(times=tuple(range(4097)),
+                                         values=np.zeros(4097)))
+
+
+def _near(x, t):
+    # verify_cover allows an absolute 1e-12 beyond each radius
+    return abs(x - t) <= max(1e-9 * t, 1e-12)
+
+
+@settings(max_examples=150)
+@given(_complex_rows(12, 4, st.floats(-4.0, 4.0)),
+       st.sampled_from([1e-6, 1e-3, 0.25]))
+def test_cover_matches_loop_oracle(vals, resolution):
+    levels, parent, v_min, v_max, diam = oracles.chaining_cover_loops(
+        vals, resolution)
+    if diam > 0.0:
+        for t in (diam, resolution * diam):
+            assume(not _near(t, 2.0 ** round(math.log2(t))))
+        rads = 2.0 ** -np.arange(v_min, v_max + 1.0)
+        for g in np.linalg.norm(vals[:, None] - vals[None, :], axis=2).flat:
+            assume(not any(_near(g, t) for t in np.concatenate([rads, 3 * rads])))
+    vseq = VecSequence(times=tuple(range(len(vals))), values=vals)
+    cover = build_chaining_cover(vseq, resolution=resolution)
+    assert cover.levels == levels
+    assert cover.parent == parent
+    assert (cover.v_min, cover.v_max) == (v_min, v_max)
+    assert cover.diameter == pytest.approx(diam, rel=1e-12, abs=0.0)
+    assert verify_cover(cover, vseq) <= 3.0
+
+    # a removed center is itself the first point left uncovered
+    v = cover.v_max
+    if len(cover.levels[v]) > 1:
+        c = cover.levels[v][-1]
+        broken = ChainingCover(dict(cover.levels), cover.parent,
+                               cover.v_min, cover.v_max, cover.diameter)
+        broken.levels[v] = cover.levels[v][:-1]
+        with pytest.raises(AssertionError,
+                           match="point %d uncovered at level %d$" % (c, v)):
+            verify_cover(broken, vseq)
