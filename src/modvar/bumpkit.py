@@ -87,39 +87,6 @@ class Profile:
             )
         return self.fn(np.asarray(t, dtype=float), order)
 
-    def integral(self, a, b, order=0):
-        """Adaptive quadrature of the order-th derivative over [a, b]."""
-        a, b = float(a), float(b)
-        lo = max(a, self.support[0])
-        hi = min(b, self.support[1])
-        if lo >= hi:
-            return 0.0
-        pts = [p for p in self.breakpoints if lo < p < hi]
-        val, _err = integrate.quad(
-            lambda t: float(self.fn(np.asarray([t]), order)[0]),
-            lo, hi, points=pts or None, limit=200,
-        )
-        return val
-
-    def dilated(self, R, preserve_mass=False):
-        """The profile t -> f(t/R), divided by R when preserve_mass is set."""
-        R = float(R)
-        if R <= 0:
-            raise DomainError("dilation factor must be positive")
-        base = self.fn
-        amp = 1.0 / R if preserve_mass else 1.0
-
-        def fn(t, order):
-            return amp * base(t / R, order) / R ** order
-
-        return Profile(
-            fn,
-            (self.support[0] * R, self.support[1] * R),
-            max_order=self.max_order,
-            breakpoints=[b * R for b in self.breakpoints],
-            h=self.h * R,
-        )
-
 
 class SmoothBump(Profile):
     """Smooth surrogate of 1_[0,1] with ||phi - 1_[0,1]||_1 <= eps0.

@@ -683,11 +683,21 @@ def _dense_dft_column(values, n0, M):
             * e(-(np.outer(b, n) % M) / M)).sum(axis=1)
 
 
+def _dense_arc_symbol(A, Q, khat, chi, M):
+    """sum over B = 1..Q of S(A/Q, B/Q) roll(khat, b_B) chi(. - b_B / M)."""
+    acc = np.zeros(M, dtype=complex)
+    for B in range(1, Q + 1):
+        b0 = int(round(M * B / float(Q))) % M
+        w = arithmetic.weyl_sum(arithmetic.FreqPoint(Q=Q, A=A, B=B), len(A) + 1)
+        window = np.array([chi((b - b0) / M) for b in range(M)])
+        acc += w * np.roll(khat, b0) * window
+    return acc
+
+
 def _dense_symbol(s, J, lambda_vec, bump, lam, M, a0=DEFAULT_A0):
     chi = make_chi(s)
     d = len(lambda_vec) + 1
     total = np.zeros(M, dtype=complex)
-    grid = np.arange(M)
     for A, Q in arithmetic.arc_pairs(s, d):
         offs = []
         hit = True
@@ -707,12 +717,7 @@ def _dense_symbol(s, J, lambda_vec, bump, lam, M, a0=DEFAULT_A0):
         for k, mu in enumerate(tuple(offs), start=2):
             phases = phases + mu * (n0 + np.arange(len(vals))) ** k
         khat = _dense_dft_column(vals * e(-(phases % 1.0)), n0, M)
-        for B in range(1, Q + 1):
-            b0 = int(round(M * B / float(Q))) % M
-            fp = arithmetic.FreqPoint(Q=Q, A=A, B=B)
-            w = arithmetic.weyl_sum(fp, d)
-            window = np.array([chi((b - b0) / M) for b in grid])
-            total += w * np.roll(khat, b0) * window
+        total += _dense_arc_symbol(A, Q, khat, chi, M)
     return total
 
 
@@ -723,6 +728,17 @@ def _dense_apply(symbol, fvals):
     fhat = np.array([np.sum(fvals * e(-(n * b % M) / M)) for n in range(M)])
     prod = symbol * fhat
     return np.array([np.sum(prod * e((x * b % M) / M)) for x in range(M)]) / M
+
+
+def _dense_vr_sup(symbol_stacks, fvals, r):
+    """Pointwise max over the stacks of vr_exact across each stack's rows,
+    every row applied to fvals by direct summation."""
+    want = np.zeros(len(fvals))
+    for symbols in symbol_stacks:
+        rows = np.asarray([_dense_apply(sym, fvals) for sym in symbols])
+        for x in range(len(fvals)):
+            want[x] = max(want[x], variation.vr_exact(rows[:, x], r))
+    return want
 
 
 def _run_multiplier(cfg, out, seed, jobs):
@@ -738,54 +754,35 @@ def _run_multiplier(cfg, out, seed, jobs):
     bump = make_bump(0.25)
     errs = {"vr_s": 0.0, "vr_sd": 0.0, "vrd": 0.0}
     for s in cfg.get("s_list"):
-        for draw in range(cfg.get("n_draw")):
-            f = CyclicSignal(_gauss(seed, 100 * s + draw, M))
-            got = multipliers.vr_s_operator(s, f, J_list, r, bump, lam=lam)
-            symbols = [_dense_symbol(s, J, (0.0,), bump, lam, M)
-                       for J in J_list]
-            # per-arc symbol stacking matches the operator's sup over arcs
-            per_arc = []
-            chi = make_chi(s)
-            for A, Q in arithmetic.arc_pairs(s, 2):
-                rows = []
-                for J in J_list:
-                    ker = make_Psi(bump, lam, J, s_floor=s)
-                    n0, vals = ker.at_integers()
-                    khat = _dense_dft_column(vals, n0, M)
-                    acc = np.zeros(M, dtype=complex)
-                    for B in range(1, Q + 1):
-                        b0 = int(round(M * B / float(Q))) % M
-                        w = arithmetic.weyl_sum(
-                            arithmetic.FreqPoint(Q=Q, A=A, B=B), 2)
-                        window = np.array([chi((b - b0) / M)
-                                           for b in range(M)])
-                        acc += w * np.roll(khat, b0) * window
-                    rows.append(_dense_apply(acc, f.values))
-                per_arc.append(np.asarray(rows))
-            want = np.zeros(M)
-            for rows in per_arc:
-                for x in range(M):
-                    want[x] = max(want[x],
-                                  variation.vr_exact(rows[:, x], r))
-            errs["vr_s"] = max(errs["vr_s"],
-                               float(np.max(np.abs(got.values - want))))
+        # symbols depend on the level only: build once, apply per draw
+        stacks_s = multipliers.vr_s_stacks(s, J_list, M, bump, lam=lam)
+        chi = make_chi(s)
+        psis = [make_Psi(bump, lam, J, s_floor=s).at_integers()
+                for J in J_list]
+        dense_s = [[_dense_arc_symbol(A, Q, _dense_dft_column(vals, n0, M),
+                                      chi, M)
+                    for n0, vals in psis]
+                   for A, Q in arithmetic.arc_pairs(s, 2)]
+        # vr_sd on a 3-point lambda subset of the canonical grid
+        lgrid = multipliers.lambda_grid_for(s, 2)[:3]
+        stacks_sd = multipliers.vr_sd_stacks(s, J_list, lgrid, M, bump,
+                                             lam=lam, strict_modulus=False)
+        dense_sd = [[_dense_symbol(s, J, tuple(lv), bump, lam, M)
+                     for J in J_list]
+                    for lv in lgrid]
 
-            # vr_sd on a 3-point lambda subset of the canonical grid
-            lgrid = multipliers.lambda_grid_for(s, 2)[:3]
-            got_sd = multipliers.vr_sd_operator(
-                s, f, J_list, lgrid, r, bump, lam=lam, strict_modulus=False)
-            want_sd = np.zeros(M)
-            for lv in lgrid:
-                rows = np.asarray([
-                    _dense_apply(_dense_symbol(s, J, tuple(lv), bump, lam, M),
-                                 f.values)
-                    for J in J_list])
-                for x in range(M):
-                    want_sd[x] = max(want_sd[x],
-                                     variation.vr_exact(rows[:, x], r))
-            errs["vr_sd"] = max(errs["vr_sd"],
-                                float(np.max(np.abs(got_sd.values
-                                                    - want_sd))))
+        def draw_errors(draw):
+            f = CyclicSignal(_gauss(seed, 100 * s + draw, M))
+            return tuple(
+                float(np.max(np.abs(multipliers.vr_sup(stacks, f, r)
+                                    - _dense_vr_sup(dense, f.values, r))))
+                for stacks, dense in ((stacks_s, dense_s),
+                                      (stacks_sd, dense_sd)))
+
+        for err_s, err_sd in _map_jobs(draw_errors, range(cfg.get("n_draw")),
+                                       jobs):
+            errs["vr_s"] = max(errs["vr_s"], err_s)
+            errs["vr_sd"] = max(errs["vr_sd"], err_sd)
 
     # vrd on a short line signal, nested-loop oracle
     n = 48
@@ -860,19 +857,7 @@ def sweep_norm_ratio(kind, config, seed, jobs):
     lam = cfg.get("lam")
     rows, points, checks = [], [], {}
 
-    if kind == "maximal-arc":
-        M = cfg.get("M") or multipliers.SUGGESTED_MODULUS
-        for s in s_range:
-            vals = _map_jobs(
-                lambda d, _s=s: multipliers.maximal_arc_ratio(
-                    _s, CyclicSignal(_gauss(seed, d, M)),
-                    chi_a0=PROBE_CHI_A0),
-                range(batch), jobs)
-            stats = _stats(vals)
-            points.append(stats)
-            rows.append((s, 0.0, M, batch) + stats)
-        checks["nonincreasing_in_s"] = _nonincreasing_within_se(points)
-    elif kind == "seqspace":
+    if kind == "seqspace":
         for s in s_range:
             freqs = multipliers.seqspace_freqs(s)
             length = cfg.get("seq_base") * 2 ** s
@@ -885,51 +870,45 @@ def sweep_norm_ratio(kind, config, seed, jobs):
             points.append(stats)
             rows.append((s, 0.0, length, batch) + stats)
         checks["nonincreasing_in_s"] = _nonincreasing_within_se(points)
-    elif kind in ("vr-s", "vr-sd"):
+    elif kind in ("maximal-arc", "vr-s", "vr-sd"):
         M = cfg.get("M") or multipliers.SUGGESTED_MODULUS
         J_list = list(cfg.get("J_list"))
         for s in s_range:
-            # quartered window schedule: level-s arc frequencies sit at
-            # spacing >= Q^-2 ~ 4^-s, so radius rho0*4^(1-s) keeps distinct
-            # arcs' windows disjoint and the sup probes per-arc decay
-            probe = _chi_a0_for_radius(s, cfg.get("rho0") * 0.25 ** (s - 1))
-            if kind == "vr-s":
-                def one(d, _s=s, _probe=probe):
-                    f = CyclicSignal(_gauss(seed, d, M))
-                    g = multipliers.vr_s_operator(
-                        _s, f, J_list, r, bump, lam=lam,
-                        chi_a0=_probe)
-                    return float(np.linalg.norm(g.values.real)
-                                 / np.linalg.norm(f.values))
-                vals = _map_jobs(one, range(batch), jobs)
-            else:
-                # draw-independent symbols: build once per (lambda, J)
-                stacks = []
-                for lv in multipliers.lambda_grid_for(s, 2):
-                    stack = np.asarray([
-                        multipliers.build_arc_multiplier(
-                            s, J, lv, bump, lam, M,
-                            chi_a0=probe).values
-                        for J in J_list])
-                    stacks.append(stack)
+            # symbols depend on the level only: build once, apply per draw
+            if kind == "maximal-arc":
+                symbols = multipliers.arc_symbols(s, M, chi_a0=PROBE_CHI_A0)
 
-                def one(d, _stacks=stacks):
-                    f = _gauss(seed, d, M)
-                    fhat = np.fft.fft(f)
-                    best = np.zeros(M)
-                    for stack in _stacks:
-                        rows_ = np.fft.ifft(stack * fhat, axis=1)
-                        np.maximum(best, variation.vr_batch(rows_, r),
-                                   out=best)
-                    return float(np.linalg.norm(best) / np.linalg.norm(f))
-                vals = _map_jobs(one, range(batch), jobs)
+                def ratio(f):
+                    return multipliers.maximal_arc_ratio(symbols, f)
+            else:
+                # quartered window schedule: level-s arc frequencies sit at
+                # spacing >= Q^-2 ~ 4^-s, so radius rho0*4^(1-s) keeps
+                # distinct arcs' windows disjoint and the sup probes per-arc
+                # decay
+                probe = _chi_a0_for_radius(
+                    s, cfg.get("rho0") * 0.25 ** (s - 1))
+                if kind == "vr-s":
+                    stacks = multipliers.vr_s_stacks(
+                        s, J_list, M, bump, lam=lam, chi_a0=probe)
+                else:
+                    stacks = multipliers.vr_sd_stacks(
+                        s, J_list, multipliers.lambda_grid_for(s, 2), M,
+                        bump, lam=lam, chi_a0=probe)
+
+                def ratio(f):
+                    return float(np.linalg.norm(multipliers.vr_sup(
+                        stacks, f, r)) / f.l2())
+            vals = _map_jobs(
+                lambda d: ratio(CyclicSignal(_gauss(seed, d, M))),
+                range(batch), jobs)
             stats = _stats(vals)
             points.append(stats)
-            rows.append((s, r, M, batch) + stats)
-        if kind == "vr-sd":
-            checks["nonincreasing_in_s"] = _nonincreasing_within_se(points)
+            rows.append((s, 0.0 if kind == "maximal-arc" else r, M, batch)
+                        + stats)
         # vr-s levels are telescoping pieces with no per-level decay claim:
         # stats are reported, nothing asserted
+        if kind != "vr-s":
+            checks["nonincreasing_in_s"] = _nonincreasing_within_se(points)
     else:  # vr-linear-sup-theta
         sweep = _size_sweep(cfg, bump, seed, jobs)
         rows, points = sweep["rows"], sweep["points"]

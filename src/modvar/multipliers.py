@@ -16,6 +16,13 @@ grid point b/M; construction refuses when the snap offset exceeds one
 sixteenth of the chi_s radius (choose M divisible by the lcm of the Q
 range to keep offsets zero, e.g. 6720 for everything up to Q = 16).
 
+The inner sum over B is the arc symbol, and arc_symbol is its only
+implementation.  No symbol depends on the signal, so every operator here
+runs in two steps: a builder makes the symbols once per level
+(arc_symbols, vr_s_stacks, vr_sd_stacks, each from build_arc_multiplier or
+arc_symbol), and an apply takes one draw through them with one batched
+inverse FFT (maximal_arc_ratio, vr_sup).
+
 Everything here works on the cyclic group Z/M, so "Fourier transform"
 means the forward DFT convention stated in signalkit (numpy's fft).
 """
@@ -23,13 +30,12 @@ means the forward DFT convention stated in signalkit (numpy's fft).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import arithmetic, polykit, variation
 from .bumpkit import DEFAULT_A0, Profile, make_Psi, make_chi, psi_floor_index
-from .signalkit import CyclicSignal, Signal
+from .signalkit import Signal
 from .util import DomainError, GridTooCoarseError, e, torus_signed, write_csv
 
 S_CAP = 4
@@ -41,6 +47,24 @@ ARC_RADIUS_EXP = 10            # indicator radius 2^(-10 s - 10)
 
 def arc_indicator_radius(s: int) -> float:
     return 2.0 ** (-ARC_RADIUS_EXP * int(s) - 10)
+
+
+def _level_chi(s, a0, chi_a0):
+    """The level-s window, its width set by chi_a0 (default a0); the one
+    check that 1 <= s <= S_CAP."""
+    s = int(s)
+    if not (1 <= s <= S_CAP):
+        raise DomainError("level s must lie in 1..%d" % S_CAP)
+    return make_chi(s, a0=a0 if chi_a0 is None else chi_a0)
+
+
+def _scales(J_list):
+    J_list = [int(J) for J in J_list]
+    if not J_list:
+        raise DomainError("need at least one scale")
+    if sorted(J_list) != J_list or len(set(J_list)) != len(J_list):
+        raise DomainError("J_list must be strictly increasing")
+    return J_list
 
 
 def kernel_gate(mu, J, a0=DEFAULT_A0) -> bool:
@@ -96,38 +120,27 @@ def _kernel_hat(bump, lam, J, s, mu, M, a0):
     return np.fft.fft(padded)
 
 
-@dataclass
-class ArcMultiplier:
-    """Sampled multiplier on the M-point frequency grid plus its provenance."""
+def arc_symbol(A, Q, M, chi, khat=None) -> np.ndarray:
+    """sum over B = 1..Q of S(A/Q, B/Q) * K_hat(. - b_B) * chi(. - b_B) on Z/M.
 
-    s: int
-    J: int
-    lambda_vec: tuple
-    M: int
-    lam: float
-    values: np.ndarray = field(repr=False)
-    contributors: list          # (FreqPoint, grid index, snap offset)
-    lambda_lipschitz: float     # output drift bound per unit lambda shift
-
-    def apply(self, f: CyclicSignal) -> CyclicSignal:
-        if f.modulus != self.M:
-            raise DomainError("signal modulus %d != multiplier grid %d"
-                              % (f.modulus, self.M))
-        return CyclicSignal(np.fft.ifft(np.fft.fft(f.values) * self.values))
-
-    def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def to_csv(self, path):
-        freqs = np.arange(self.M) / self.M
-        rows = [(f, v.real, v.imag) for f, v in zip(freqs, self.values)]
-        write_csv(path, ("frequency", "re", "im"), rows)
+    b_B is the grid index of B/Q (snap_to_grid against the chi radius).
+    khat=None stands for K_hat = 1: the plain window symbol of the arc.
+    """
+    srow = arithmetic.weyl_row(Q, A)
+    acc = np.zeros(M, dtype=complex)
+    for B in range(1, Q + 1):
+        b0, _off = snap_to_grid(M, B, Q, chi.radius)
+        if khat is None:
+            acc += srow[B - 1] * chi.window(M, b0)
+        else:
+            acc += srow[B - 1] * np.roll(khat, b0) * chi.window(M, b0)
+    return acc
 
 
 def build_arc_multiplier(s: int, J: int, lambda_vec, bump: Profile,
                          lam: float, M: int, a0=DEFAULT_A0,
-                         chi_a0=None, strict_modulus=True) -> ArcMultiplier:
-    """Assemble the level-s multiplier at scale J and coefficient lambda_vec.
+                         chi_a0=None, strict_modulus=True) -> np.ndarray:
+    """The level-s multiplier at scale J and coefficient lambda_vec on Z/M.
 
     a0 governs the kernel scale floor and gate; chi_a0 (defaulting to a0)
     governs only the chi_s window width, so narrow-window probes can keep
@@ -135,50 +148,25 @@ def build_arc_multiplier(s: int, J: int, lambda_vec, bump: Profile,
     floor for small cross-check instances; snapping and kernel-support
     errors still apply.
     """
-    s = int(s)
-    if not (1 <= s <= S_CAP):
-        raise DomainError("level s must lie in 1..%d" % S_CAP)
+    chi = _level_chi(s, a0, chi_a0)
     M = int(M)
     if strict_modulus and M < MIN_MODULUS:
         raise DomainError("grid modulus must be at least %d" % MIN_MODULUS)
     J = int(J)
-    j0 = psi_floor_index(s, a0)
+    j0 = psi_floor_index(chi.s, a0)
     if J < j0:
         raise DomainError("scale J=%d is below the level floor j0=%d" % (J, j0))
     lambda_vec = tuple(float(x) for x in lambda_vec)
-    d = len(lambda_vec) + 1
-    chi = make_chi(s, a0=a0 if chi_a0 is None else chi_a0)
-    ball = arc_indicator_radius(s)
+    ball = arc_indicator_radius(chi.s)
     total = np.zeros(M, dtype=complex)
-    contributors = []
-    kernel_cache = {}
-    kernel_l1 = 0.0
-    for A, Q in arithmetic.arc_pairs(s, d):
+    for A, Q in arithmetic.arc_pairs(chi.s, len(lambda_vec) + 1):
         offs = tuple(float(torus_signed(lv - a / Q)) for lv, a in zip(lambda_vec, A))
         if any(abs(o) > ball for o in offs):
             continue
-        khat = kernel_cache.get(offs)
-        if khat is None:
-            khat = _kernel_hat(bump, lam, J, s, offs, M, a0)
-            kernel_cache[offs] = khat if khat is not None else False
-        if khat is False or khat is None:
-            continue
-        srow = arithmetic.weyl_row(Q, A)
-        for B in range(1, Q + 1):
-            b0, off = snap_to_grid(M, B, Q, chi.radius)
-            total += srow[B - 1] * np.roll(khat, b0) * chi.window(M, b0)
-            contributors.append((arithmetic.FreqPoint(Q=Q, A=A, B=B), b0, off))
-    if contributors:
-        ker = make_Psi(bump, lam, J, s_floor=s, a0=a0)
-        _n0, vals = ker.at_integers()
-        kernel_l1 = float(np.sum(np.abs(vals)))
-        length = lam ** (J + 1)
-        drift = 2.0 * math.pi * kernel_l1 * sum(length ** k for k in range(2, d + 1))
-    else:
-        drift = 0.0
-    return ArcMultiplier(s=s, J=J, lambda_vec=lambda_vec, M=M, lam=lam,
-                         values=total, contributors=contributors,
-                         lambda_lipschitz=drift)
+        khat = _kernel_hat(bump, lam, J, chi.s, offs, M, a0)
+        if khat is not None:
+            total += arc_symbol(A, Q, M, chi, khat)
+    return total
 
 
 def lambda_grid_for(s: int, d: int, a0=DEFAULT_A0):
@@ -199,69 +187,32 @@ def lambda_grid_for(s: int, d: int, a0=DEFAULT_A0):
     return pts
 
 
-def _arc_projections(s, fhat, M, chi, weight_rows, d):
-    """Per-arc filtered signals g_{A,Q}(x); weight_rows may add m_mu factors.
-
-    weight_rows: None for plain chi projection, else an iterable of
-    (label, frequency-domain weight array centered like the kernel hats).
-    Yields (A, Q, g) with g the inverse DFT, for each weight in turn.
-    """
-    for A, Q in arithmetic.arc_pairs(s, d):
-        srow = arithmetic.weyl_row(Q, A)
-        acc_base = np.zeros(M, dtype=complex)
-        if weight_rows is None:
-            for B in range(1, Q + 1):
-                b0, _off = snap_to_grid(M, B, Q, chi.radius)
-                acc_base += srow[B - 1] * chi.window(M, b0) * fhat
-            yield A, Q, np.fft.ifft(acc_base)
-        else:
-            for wlab, what in weight_rows:
-                acc = np.zeros(M, dtype=complex)
-                for B in range(1, Q + 1):
-                    b0, _off = snap_to_grid(M, B, Q, chi.radius)
-                    acc += (srow[B - 1] * np.roll(what, b0)
-                            * chi.window(M, b0) * fhat)
-                yield A, Q, np.fft.ifft(acc)
+def _check_grid(symbols, f):
+    if symbols.shape[-1] != f.modulus:
+        raise DomainError("signal modulus %d != symbol grid %d"
+                          % (f.modulus, symbols.shape[-1]))
 
 
-def maximal_arc_ratio(s: int, f: CyclicSignal, mod_kernel=None,
-                      a0=DEFAULT_A0, chi_a0=None, d=2) -> float:
+def arc_symbols(s: int, M: int, a0=DEFAULT_A0, chi_a0=None, d=2) -> np.ndarray:
+    """One window symbol per level-s arc, in arc_pairs order: an (arcs, M)
+    array for maximal_arc_ratio."""
+    chi = _level_chi(s, a0, chi_a0)
+    return np.array([arc_symbol(A, Q, int(M), chi)
+                     for A, Q in arithmetic.arc_pairs(chi.s, d)])
+
+
+def maximal_arc_ratio(symbols, f) -> float:
     """l2 ratio of the arc-maximal function against f.
 
-    For each arc (A, Q) the signal is filtered by sum_B S(A/Q, B/Q) times
-    the chi_s window at B/Q (times the modulated-kernel symbol m_mu when
-    mod_kernel = (weights Signal, list of mu vectors) is given); the sup of
-    |g| over arcs (and mu) is measured in l2 and normalized by ||f||_2.
+    Each row of symbols (from arc_symbols) filters f; the sup of |g| over
+    the rows is measured in l2 and normalized by ||f||_2.
     """
-    s = int(s)
-    if not (1 <= s <= S_CAP):
-        raise DomainError("level s must lie in 1..%d" % S_CAP)
-    M = f.modulus
     norm = f.l2()
     if norm == 0.0:
         return 0.0
-    chi = make_chi(s, a0=a0 if chi_a0 is None else chi_a0)
-    fhat = np.fft.fft(f.values)
-    weight_rows = None
-    if mod_kernel is not None:
-        w, mu_grid = mod_kernel
-        if not isinstance(w, Signal):
-            raise DomainError("mod_kernel weights must be a Signal")
-        l1 = float(np.sum(np.abs(w.values)))
-        if l1 > 1.0 + 1e-9:
-            raise DomainError("modulated kernel must have l1 norm <= 1")
-        weight_rows = []
-        idx = (w.support_start + np.arange(len(w))) % M
-        for mu in mu_grid:
-            p = polykit.Poly.vanish2(tuple(mu))
-            vals = w.values * e(polykit.phase_range(p, w.support_start, len(w)))
-            padded = np.zeros(M, dtype=complex)
-            np.add.at(padded, idx, vals)
-            weight_rows.append((tuple(mu), np.fft.fft(padded)))
-    best = np.zeros(M)
-    for _A, _Q, g in _arc_projections(s, fhat, M, chi, weight_rows, d):
-        np.maximum(best, np.abs(g), out=best)
-    return float(np.linalg.norm(best) / norm)
+    _check_grid(symbols, f)
+    g = np.fft.ifft(symbols * np.fft.fft(f.values), axis=1)
+    return float(np.linalg.norm(np.abs(g).max(axis=0)) / norm)
 
 
 def seqspace_freqs(s: int):
@@ -283,9 +234,8 @@ def seqspace_ratio(c, s: int, I, a0=DEFAULT_A0, chi_a0=None, d=2) -> float:
     length) with length >= 1/(2 radius(chi_s)).  No grid snapping: the
     frequencies B/Q are used exactly.  Normalization |I|^(1/2) ||c||_2.
     """
-    s = int(s)
-    if not (1 <= s <= S_CAP):
-        raise DomainError("level s must lie in 1..%d" % S_CAP)
+    chi = _level_chi(s, a0, chi_a0)
+    s = chi.s
     freqs = seqspace_freqs(s)
     c = np.asarray(c, dtype=complex)
     if c.shape != (len(freqs),):
@@ -297,7 +247,6 @@ def seqspace_ratio(c, s: int, I, a0=DEFAULT_A0, chi_a0=None, d=2) -> float:
     if cnorm == 0.0:
         return 0.0
     start, length = int(I[0]), int(I[1])
-    chi = make_chi(s, a0=a0 if chi_a0 is None else chi_a0)
     need = math.ceil(1.0 / (2.0 * chi.radius))
     if length < need:
         raise DomainError(
@@ -320,75 +269,42 @@ def seqspace_ratio(c, s: int, I, a0=DEFAULT_A0, chi_a0=None, d=2) -> float:
     return float(np.linalg.norm(best) / (math.sqrt(length) * cnorm))
 
 
-def _multiplier_sequence(s, f, J_list, lambda_vec, bump, lam, a0, chi_a0=None,
-                         strict_modulus=True):
-    """Stack of filtered signals, one row per J, for a fixed lambda_vec."""
-    M = f.modulus
-    rows = np.zeros((len(J_list), M), dtype=complex)
-    fhat = np.fft.fft(f.values)
-    for i, J in enumerate(J_list):
-        mult = build_arc_multiplier(s, J, lambda_vec, bump, lam, M, a0=a0,
-                                    chi_a0=chi_a0, strict_modulus=strict_modulus)
-        rows[i] = np.fft.ifft(mult.values * fhat)
-    return rows
-
-
-def vr_s_operator(s: int, f: CyclicSignal, J_list, r, bump: Profile,
-                  lam=1.5, a0=DEFAULT_A0, chi_a0=None, d=2) -> CyclicSignal:
-    """Pointwise r-variation over the J-indexed arc projections, sup over arcs.
+def vr_s_stacks(s: int, J_list, M: int, bump: Profile, lam=1.5,
+                a0=DEFAULT_A0, chi_a0=None, d=2):
+    """Per level-s arc, the (J, M) stack of its symbols at the scales J_list.
 
     The kernel here is the unmodulated partial sum Psi (lambda sits exactly
-    on A/Q, so mu = 0).
+    on A/Q, so mu = 0 and the scale gate is open).
     """
-    s = int(s)
-    J_list = [int(J) for J in J_list]
-    if sorted(J_list) != J_list or len(set(J_list)) != len(J_list):
-        raise DomainError("J_list must be strictly increasing")
-    j0 = psi_floor_index(s, a0)
-    if J_list and J_list[0] < j0:
-        raise DomainError("scales below the level floor %d" % j0)
-    M = f.modulus
-    chi = make_chi(s, a0=a0 if chi_a0 is None else chi_a0)
+    chi = _level_chi(s, a0, chi_a0)
+    M = int(M)
+    khats = [_kernel_hat(bump, lam, J, chi.s, (0.0,) * (d - 1), M, a0)
+             for J in _scales(J_list)]
+    return [np.array([arc_symbol(A, Q, M, chi, khat) for khat in khats])
+            for A, Q in arithmetic.arc_pairs(chi.s, d)]
+
+
+def vr_sd_stacks(s: int, J_list, lambda_grid, M: int, bump: Profile,
+                 lam=1.5, a0=DEFAULT_A0, chi_a0=None, strict_modulus=True):
+    """Per lambda in the grid, the (J, M) stack of build_arc_multiplier rows."""
+    J_list = _scales(J_list)
+    return [np.array([build_arc_multiplier(s, J, lv, bump, lam, M, a0=a0,
+                                           chi_a0=chi_a0,
+                                           strict_modulus=strict_modulus)
+                      for J in J_list])
+            for lv in lambda_grid]
+
+
+def vr_sup(stacks, f, r) -> np.ndarray:
+    """Pointwise sup over the stacks of the r-variation across the rows of
+    each stack applied to f (stacks from vr_s_stacks or vr_sd_stacks)."""
     fhat = np.fft.fft(f.values)
-    khats = {}
-    for J in J_list:
-        khats[J] = _kernel_hat(bump, lam, J, s, (0.0,) * (d - 1), M, a0)
-    best = np.zeros(M)
-    for A, Q in arithmetic.arc_pairs(s, d):
-        srow = arithmetic.weyl_row(Q, A)
-        rows = np.zeros((len(J_list), M), dtype=complex)
-        for i, J in enumerate(J_list):
-            if khats[J] is None:
-                continue
-            acc = np.zeros(M, dtype=complex)
-            for B in range(1, Q + 1):
-                b0, _off = snap_to_grid(M, B, Q, chi.radius)
-                acc += srow[B - 1] * np.roll(khats[J], b0) * chi.window(M, b0)
-            rows[i] = np.fft.ifft(acc * fhat)
-        if len(J_list) >= 2:
-            np.maximum(best, variation.vr_batch(rows, r), out=best)
-    return CyclicSignal(best)
-
-
-def vr_sd_operator(s: int, f: CyclicSignal, J_list, lambda_grid, r,
-                   bump: Profile, lam=1.5, a0=DEFAULT_A0,
-                   chi_a0=None, strict_modulus=True) -> CyclicSignal:
-    """sup over lambda in the grid of the r-variation across J of L * f."""
-    s = int(s)
-    J_list = [int(J) for J in J_list]
-    if sorted(J_list) != J_list or len(set(J_list)) != len(J_list):
-        raise DomainError("J_list must be strictly increasing")
-    M = f.modulus
-    best = np.zeros(M)
-    if not lambda_grid:
-        return CyclicSignal(best)
-    for lv in lambda_grid:
-        rows = _multiplier_sequence(s, f, J_list, tuple(lv), bump, lam, a0,
-                                    chi_a0=chi_a0,
-                                    strict_modulus=strict_modulus)
-        if len(J_list) >= 2:
-            np.maximum(best, variation.vr_batch(rows, r), out=best)
-    return CyclicSignal(best)
+    best = np.zeros(f.modulus)
+    for stack in stacks:
+        _check_grid(stack, f)
+        rows = np.fft.ifft(stack * fhat, axis=1)
+        np.maximum(best, variation.vr_batch(rows, r), out=best)
+    return best
 
 
 def vrd_operator(f: Signal, bump: Profile, lam, P_grid, k_list, r) -> Signal:

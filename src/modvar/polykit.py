@@ -67,11 +67,6 @@ class Poly:
                 return j
         return 0
 
-    @property
-    def mu_vec(self):
-        """Coefficients of degrees 2..d (the drift-free part)."""
-        return self.coeffs[2:]
-
     @staticmethod
     def linear(theta, c0=0.0, degree_cap=DEFAULT_DEGREE_CAP):
         return Poly((c0, theta), "linear", degree_cap)

@@ -34,14 +34,6 @@ class Signal:
     def __len__(self):
         return len(self.values)
 
-    @property
-    def support_end(self):
-        """Last index carrying a stored value (inclusive)."""
-        return self.support_start + len(self.values) - 1
-
-    def indices(self):
-        return self.support_start + np.arange(len(self.values))
-
     def at(self, n):
         """Value at integer n, zero off the stored window."""
         i = int(n) - self.support_start
@@ -51,9 +43,6 @@ class Signal:
 
     def l2(self):
         return float(np.linalg.norm(self.values))
-
-    def linf(self):
-        return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
 
     @staticmethod
     def delta(n=0):

@@ -21,7 +21,6 @@ indicator / character combinations used in experiments live at the bottom.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -163,12 +162,6 @@ class ScanTable:
                 v = self.values[(i, N)]
                 rows.append((ptxt, N, v.real, v.imag, abs(v)))
         write_csv(path, ("P", "N", "re", "im", "abs"), rows)
-
-    def summary_json(self):
-        return json.dumps({
-            "oscillation": {str(i): self.oscillation[i] for i in sorted(self.oscillation)},
-            "times": list(self.times),
-        })
 
 
 def ww_scan(sys, f, omega, P_grid, N_grid, bump: Profile) -> ScanTable:

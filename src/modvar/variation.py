@@ -340,14 +340,12 @@ def verify_cover(cover: ChainingCover, vseq: VecSequence):
 def chaining_telescope_check(cover: ChainingCover, vseq: VecSequence) -> float:
     """Max deviation of value(t) from ancestor value plus telescoped steps."""
     vals = _as_value_matrix(vseq)
-    worst = 0.0
-    for t in cover.levels[cover.v_max]:
-        total = np.zeros(vals.shape[1], dtype=complex)
-        v, node = cover.v_max, t
-        while v > cover.v_min:
-            p = cover.parent[(v, node)]
-            total += vals[node] - vals[p]
-            node, v = p, v - 1
-        recon = vals[node] + total
-        worst = max(worst, float(np.linalg.norm(recon - vals[t])))
-    return worst
+    leaves = np.array(cover.levels[cover.v_max])
+    node = leaves
+    total = np.zeros((len(leaves), vals.shape[1]), dtype=complex)
+    for v in range(cover.v_max, cover.v_min, -1):
+        p = np.array([cover.parent[(v, i)] for i in node.tolist()])
+        total += vals[node] - vals[p]
+        node = p
+    dev = vals[node] + total - vals[leaves]
+    return float(np.sqrt(np.max((dev.real ** 2 + dev.imag ** 2).sum(axis=1))))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modvar import cli, harness
+from modvar import arithmetic, cli, harness
 from modvar.harness import SCHEMAS, ConfigError, default_config, parse_config
 from modvar.util import GridTooCoarseError
 
@@ -212,6 +212,28 @@ def test_sweep_level_range_checked_before_any_draw(operator, monkeypatch):
                            "s_max = %d\n" % (operator, s_min, s_max))
         with pytest.raises(ConfigError, match="s_min <= s_max"):
             harness.sweep_norm_ratio(operator, cfg, 1, 1)
+
+
+@pytest.mark.parametrize("operator", ["maximal-arc", "vr-s"])
+def test_sweep_builds_symbols_once_per_level(operator, monkeypatch):
+    # no symbol depends on the draw, so the Weyl rows behind the symbols
+    # are computed per level: their count must not grow with the batch
+    calls = []
+    weyl_row = arithmetic.weyl_row
+
+    def counted(Q, A):
+        calls.append((Q, A))
+        return weyl_row(Q, A)
+
+    monkeypatch.setattr(arithmetic, "weyl_row", counted)
+    counts = []
+    for batch in (30, 60):
+        calls.clear()
+        cfg = parse_config("kind = sweep\noperator = %s\ns_max = 2\n"
+                           "batch = %d\nM = 240\n" % (operator, batch))
+        harness.sweep_norm_ratio(operator, cfg, 1, 1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_cli_empty_level_range_exits_one_and_writes_nothing(tmp_path,

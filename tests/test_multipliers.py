@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modvar import harness
 from modvar.bumpkit import make_Psi, make_bump, make_chi, psi_floor_index
 from modvar.multipliers import (
     MIN_MODULUS,
-    ArcMultiplier,
     arc_indicator_radius,
+    arc_symbols,
     build_arc_multiplier,
     kernel_gate,
     lambda_grid_for,
@@ -17,8 +20,9 @@ from modvar.multipliers import (
     seqspace_freqs,
     seqspace_ratio,
     snap_to_grid,
-    vr_s_operator,
-    vr_sd_operator,
+    vr_s_stacks,
+    vr_sd_stacks,
+    vr_sup,
     vrd_operator,
 )
 from modvar.signalkit import CyclicSignal, Signal
@@ -31,13 +35,13 @@ BUMP = make_bump(0.25)
 
 def test_maximal_arc_ratio_zero_signal():
     f = CyclicSignal(np.zeros(256, dtype=complex))
-    assert maximal_arc_ratio(1, f) == 0.0
+    assert maximal_arc_ratio(arc_symbols(1, 256), f) == 0.0
 
 
 def test_maximal_arc_ratio_point_mass_near_one():
     vals = np.zeros(512, dtype=complex)
     vals[0] = 1.0
-    ratio = maximal_arc_ratio(1, CyclicSignal(vals))
+    ratio = maximal_arc_ratio(arc_symbols(1, 512), CyclicSignal(vals))
     assert ratio <= 1.0 + 1e-12
     assert ratio > 0.9
 
@@ -51,7 +55,8 @@ def test_maximal_arc_ratio_level_one_is_plain_window():
     fhat = np.fft.fft(f.values)
     g = np.fft.ifft(chi(np.arange(512) / 512) * fhat)
     want = float(np.linalg.norm(np.abs(g)) / f.l2())
-    assert maximal_arc_ratio(1, f) == pytest.approx(want, abs=1e-12)
+    assert maximal_arc_ratio(arc_symbols(1, 512), f) == pytest.approx(
+        want, abs=1e-12)
 
 
 def test_maximal_arc_ratio_tone_outside_all_windows():
@@ -60,15 +65,17 @@ def test_maximal_arc_ratio_tone_outside_all_windows():
     M = 4096
     b = round(5 * M / 6)
     f = CyclicSignal(e(np.arange(M) * b / M))
-    assert maximal_arc_ratio(2, f, chi_a0=0.1) < 1e-10
+    assert maximal_arc_ratio(arc_symbols(2, M, chi_a0=0.1), f) < 1e-10
 
 
 def test_maximal_arc_ratio_rejects_bad_level():
-    f = CyclicSignal(np.ones(64, dtype=complex))
     with pytest.raises(DomainError):
-        maximal_arc_ratio(0, f)
+        arc_symbols(0, 64)
     with pytest.raises(DomainError):
-        maximal_arc_ratio(5, f)
+        arc_symbols(5, 64)
+    with pytest.raises(DomainError):       # symbols built for another grid
+        maximal_arc_ratio(arc_symbols(1, 128),
+                          CyclicSignal(np.ones(64, dtype=complex)))
 
 
 def test_seqspace_freqs_level_two():
@@ -143,46 +150,62 @@ def test_arc_multiplier_apply_parseval():
     mult = build_arc_multiplier(1, j0 + 2, (0.0,), BUMP, 1.5, 512,
                                 strict_modulus=False)
     f = CyclicSignal(rng.normal(size=512) + 1j * rng.normal(size=512))
-    g = mult.apply(f)
-    assert g.l2() <= mult.sup_abs() * f.l2() * (1 + 1e-12)
-    assert len(mult.contributors) == 1
+    g = CyclicSignal(np.fft.ifft(mult * np.fft.fft(f.values)))
+    assert g.l2() <= np.max(np.abs(mult)) * f.l2() * (1 + 1e-12)
     with pytest.raises(DomainError):
-        mult.apply(CyclicSignal(np.ones(256, dtype=complex)))
+        vr_sup([mult[None, :]], CyclicSignal(np.ones(256, dtype=complex)),
+               2.5)
 
 
 def test_build_arc_multiplier_far_lambda_is_zero():
     mult = build_arc_multiplier(1, psi_floor_index(1) + 1, (0.5,), BUMP, 1.5,
                                 512, strict_modulus=False)
-    assert mult.contributors == []
-    assert mult.sup_abs() == 0.0
-    assert mult.lambda_lipschitz == 0.0
+    assert np.max(np.abs(mult)) == 0.0
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_arc_symbol_matches_dense_oracle(data):
+    # production symbols (snapped grid, chi table, FFT kernel, batched Weyl
+    # rows) against the dense direct-summation oracle, on arc and off it
+    s = data.draw(st.sampled_from((1, 2)))
+    M = data.draw(st.sampled_from((240, 360)))
+    j0 = psi_floor_index(s)
+    J = data.draw(st.integers(j0, j0 + 3))
+    lambda_vec = data.draw(st.one_of(
+        st.sampled_from(lambda_grid_for(s, 2)),
+        st.tuples(st.floats(0.0, 1.0, exclude_max=True))))
+    got = build_arc_multiplier(s, J, lambda_vec, BUMP, 1.5, M,
+                               strict_modulus=False)
+    want = harness._dense_symbol(s, J, lambda_vec, BUMP, 1.5, M)
+    assert np.max(np.abs(got - want)) <= 1e-8
 
 
 def test_vr_s_operator_trivial_cases():
     rng = np.random.default_rng(3)
     j0 = psi_floor_index(1)
     f = CyclicSignal(rng.normal(size=256) + 0j)
-    single = vr_s_operator(1, f, [j0], 2.5, BUMP)
-    assert np.max(single.values) == 0.0       # one scale has no variation
-    zero = vr_s_operator(1, CyclicSignal(np.zeros(256, dtype=complex)),
-                         [j0, j0 + 1], 2.5, BUMP)
-    assert np.max(zero.values) == 0.0
-    with pytest.raises(DomainError):
-        vr_s_operator(1, f, [j0 + 1, j0], 2.5, BUMP)
-    with pytest.raises(DomainError):
-        vr_s_operator(1, f, [j0 - 1, j0], 2.5, BUMP)
+    single = vr_sup(vr_s_stacks(1, [j0], 256, BUMP), f, 2.5)
+    assert np.max(single) == 0.0              # one scale has no variation
+    zero = vr_sup(vr_s_stacks(1, [j0, j0 + 1], 256, BUMP),
+                  CyclicSignal(np.zeros(256, dtype=complex)), 2.5)
+    assert np.max(zero) == 0.0
+    for s, J_list in ((1, [j0 + 1, j0]), (1, [j0 - 1, j0]), (1, []),
+                      (0, [j0, j0 + 1]), (5, [j0, j0 + 1])):
+        with pytest.raises(DomainError):
+            vr_s_stacks(s, J_list, 256, BUMP)
 
 
 def test_vr_sd_operator_far_grid_vanishes():
     rng = np.random.default_rng(5)
     f = CyclicSignal(rng.normal(size=512) + 0j)
     j0 = psi_floor_index(1)
-    out = vr_sd_operator(1, f, [j0, j0 + 1, j0 + 2], [(0.5,)], 2.5, BUMP,
+    far = vr_sd_stacks(1, [j0, j0 + 1, j0 + 2], [(0.5,)], 512, BUMP,
+                       strict_modulus=False)
+    assert np.max(vr_sup(far, f, 2.5)) == 0.0
+    empty = vr_sd_stacks(1, [j0, j0 + 1], [], 512, BUMP,
                          strict_modulus=False)
-    assert np.max(out.values) == 0.0
-    empty = vr_sd_operator(1, f, [j0, j0 + 1], [], 2.5, BUMP,
-                           strict_modulus=False)
-    assert np.max(empty.values) == 0.0
+    assert np.max(vr_sup(empty, f, 2.5)) == 0.0
 
 
 def test_vr_sd_matches_vr_s_at_arc_center():
@@ -192,10 +215,10 @@ def test_vr_sd_matches_vr_s_at_arc_center():
     f = CyclicSignal(rng.normal(size=512) + 1j * rng.normal(size=512))
     j0 = psi_floor_index(1)
     J_list = [j0, j0 + 1, j0 + 2]
-    a = vr_s_operator(1, f, J_list, 2.5, BUMP)
-    b = vr_sd_operator(1, f, J_list, [(0.0,)], 2.5, BUMP,
-                       strict_modulus=False)
-    assert np.max(np.abs(a.values - b.values)) < 1e-12
+    a = vr_sup(vr_s_stacks(1, J_list, 512, BUMP), f, 2.5)
+    b = vr_sup(vr_sd_stacks(1, J_list, [(0.0,)], 512, BUMP,
+                            strict_modulus=False), f, 2.5)
+    assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_vrd_operator_guards_and_single_scale():
