@@ -24,7 +24,6 @@ import numpy as np
 
 from .util import DomainError, e, write_csv
 
-S_CAP_DEFAULT = 4
 DECAY_QMAX = {2: 200, 3: 64}
 ROW_BLOCK = 4096               # most Weyl-row entries per decay-fit batch
 
@@ -50,14 +49,6 @@ class FreqPoint:
     @property
     def degree(self):
         return len(self.A) + 1
-
-    def arc_coprime(self):
-        """gcd(A_2, ..., A_d, Q) = 1 (B not included)."""
-        return math.gcd(*self.A, self.Q) == 1
-
-    def joint_coprime(self):
-        """gcd(A_2, ..., A_d, B, Q) = 1."""
-        return math.gcd(*self.A, self.B, self.Q) == 1
 
 
 def weyl_sum(fp: FreqPoint, d: int) -> complex:
@@ -123,16 +114,17 @@ def _coprime_vectors(Q, m):
     yield from rec([], Q)
 
 
-def arc_pairs(s: int, d: int, s_cap=S_CAP_DEFAULT):
-    """The (A, Q) pairs indexing major arcs at level s: gcd(A, Q) = 1."""
+def arc_pairs(s: int, d: int):
+    """The (A, Q) pairs indexing major arcs at level s: gcd(A, Q) = 1.
+
+    The level cap is multipliers.S_CAP, checked where the arcs are used.
+    """
     s = int(s)
     d = int(d)
     if s < 1:
         raise DomainError("s must be at least 1")
     if d < 2:
         raise DomainError("degree must be at least 2")
-    if s > s_cap:
-        raise DomainError("refusing s=%d > cap %d" % (s, s_cap))
     pairs = []
     for Q in range(2 ** (s - 1), 2 ** s):
         for A in _coprime_vectors(Q, d - 1):

@@ -5,9 +5,11 @@ The smoothed average of a signal f at scale M with polynomial phase P is
     A_M^P f(x) = sum_n phi(n/M)/M * e(P(n)) * f(x - n),
 
 a discrete convolution against the modulated bump weights.  The dynamical
-variant replaces f(x - n) by an observable sampled along an orbit, and the
+variant replaces f(x - n) by an observable sampled along an orbit.  The
 rough variant drops the smooth weight in favour of the plain Birkhoff
-normalization (1/N) sum_{n=1..N}.
+normalization (1/N) sum_{n=1..N}: it is the average the pointwise
+convergence theorem is about.  Both orbit averages read the terms
+e(P(m)) f(T^m omega) of one orbit_terms call.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import polykit, signalkit
-from .bumpkit import Profile, scaled_weight
+from .bumpkit import SmoothBump, scaled_weight
 from .util import DomainError, e
 
 
-def modulated_weights(bump: Profile, M: int, p: polykit.Poly) -> signalkit.Signal:
+def modulated_weights(bump: SmoothBump, M: int, p: polykit.Poly) -> signalkit.Signal:
     """The kernel phi(n/M)/M * e(P(n)) on n = 0..M as a Signal."""
     M = int(M)
     if M < 1:
@@ -29,7 +31,7 @@ def modulated_weights(bump: Profile, M: int, p: polykit.Poly) -> signalkit.Signa
     return signalkit.Signal(0, w * e(polykit.phase_range(p, 0, M + 1)))
 
 
-def conv_average(f: signalkit.Signal, bump: Profile, M: int, p: polykit.Poly,
+def conv_average(f: signalkit.Signal, bump: SmoothBump, M: int, p: polykit.Poly,
                  full=False) -> signalkit.Signal:
     """A_M^P f as a Signal.
 
@@ -46,22 +48,30 @@ def conv_average(f: signalkit.Signal, bump: Profile, M: int, p: polykit.Poly,
     return signalkit.Signal(start, out.values[short - 1: len(out) - short + 1])
 
 
-def orbit_average(sys, f, omega, bump: Profile, M: int, p: polykit.Poly) -> complex:
-    """sum_m phi(m/M)/M * e(P(m)) * f(T^m omega) over m = 0..M."""
-    M = int(M)
-    if M < 1:
-        raise DomainError("scale M must be a positive integer")
-    m = np.arange(M + 1)
-    w = scaled_weight(bump, M, m) * e(polykit.phase_range(p, 0, M + 1))
-    vals = f(sys.orbit_array(omega, 0, M + 1))
-    return complex(np.sum(w * vals))
+def orbit_terms(sys, f, omega, N: int, p: polykit.Poly):
+    """The pair (e(P(m)), f(T^m omega)) for m = 0..N.
 
-
-def rough_average(sys, f, omega, N: int, p: polykit.Poly) -> complex:
-    """(1/N) sum_{n=1..N} e(P(n)) f(T^n omega)."""
+    One phase range and one orbit, which orbit_average and rough_average
+    then both read.
+    """
     N = int(N)
     if N < 1:
         raise DomainError("N must be at least 1")
-    ph = polykit.phase_range(p, 1, N)
-    vals = f(sys.orbit_array(omega, 1, N))
-    return complex(np.mean(e(ph) * vals))
+    return (e(polykit.phase_range(p, 0, N + 1)),
+            f(sys.orbit_array(omega, 0, N + 1)))
+
+
+def orbit_average(terms, bump: SmoothBump) -> complex:
+    """sum_m phi(m/N)/N * e(P(m)) * f(T^m omega) over m = 0..N, for the
+    terms of orbit_terms at N."""
+    chars, vals = terms
+    N = len(chars) - 1
+    w = scaled_weight(bump, N, np.arange(N + 1)) * chars
+    return complex(np.sum(w * vals))
+
+
+def rough_average(terms) -> complex:
+    """(1/N) sum_{n=1..N} e(P(n)) f(T^n omega), for the terms of
+    orbit_terms at N."""
+    chars, vals = terms
+    return complex(np.mean(chars[1:] * vals[1:]))

@@ -58,87 +58,57 @@ _S4_SUP = [_poly_sup(a) for a in range(5)]
 TRANSITION_FRACTION = 0.96
 
 DEFAULT_A0 = 10.0
-GRID_LO, GRID_HI = -0.5, 1.5
 
 
-class Profile:
-    """Compactly supported piecewise-C^4 function with closed-form derivatives.
-
-    fn(t, order) must accept a float array and 0 <= order <= max_order and
-    return the order-th derivative at t (zero outside the support).
-    """
-
-    def __init__(self, fn, support, max_order=4, breakpoints=(), h=None):
-        self.fn = fn
-        self.support = (float(support[0]), float(support[1]))
-        self.max_order = int(max_order)
-        self.breakpoints = tuple(sorted(set(float(b) for b in breakpoints)))
-        width = self.support[1] - self.support[0]
-        self.h = float(h) if h is not None else max(width, 1e-9) / 2048.0
-
-    def __call__(self, t):
-        return self.fn(np.asarray(t, dtype=float), 0)
-
-    def deriv(self, t, order=1):
-        if order > self.max_order:
-            raise DomainError(
-                "profile carries derivatives up to order %d, got %d"
-                % (self.max_order, order)
-            )
-        return self.fn(np.asarray(t, dtype=float), order)
-
-
-class SmoothBump(Profile):
+class SmoothBump:
     """Smooth surrogate of 1_[0,1] with ||phi - 1_[0,1]||_1 <= eps0.
 
     Rises from 0 to 1 on [0, T] and falls back on [1-T, 1] through the
     degree-9 smoothstep, T = TRANSITION_FRACTION * eps0.  Exactly zero
-    outside [0, 1].  Stores a sampled grid over [-0.5, 1.5] for export and
-    grid-based checks; evaluation itself is closed form.
+    outside [0, 1].  Evaluation is closed form, with derivatives up to order
+    4; h = T/128 is the sample spacing of quadrature, export and the kernels
+    built from the bump.
     """
 
-    def __init__(self, eps0, h=None, max_order=4):
+    def __init__(self, eps0):
         if not (0.0 < eps0 <= 0.5):
             raise DomainError("eps0 must lie in (0, 1/2], got %r" % (eps0,))
-        if not (1 <= max_order <= 4):
-            raise DomainError("max_order must be between 1 and 4")
         self.eps0 = float(eps0)
         self.transition = TRANSITION_FRACTION * self.eps0
-        T = self.transition
-        h = float(h) if h is not None else T / 128.0
-
-        def fn(t, order):
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            rise = (t > 0.0) & (t < T)
-            fall = (t > 1.0 - T) & (t < 1.0)
-            if order == 0:
-                out[(t >= T) & (t <= 1.0 - T)] = 1.0
-                out[rise] = _S4[0](t[rise] / T)
-                out[fall] = _S4[0]((1.0 - t[fall]) / T)
-            else:
-                D = _S4[order]
-                out[rise] = D(t[rise] / T) / T ** order
-                out[fall] = D((1.0 - t[fall]) / T) * (-1.0) ** order / T ** order
-            return out
-
-        super().__init__(
-            fn, (0.0, 1.0), max_order=max_order,
-            breakpoints=(0.0, T, 1.0 - T, 1.0), h=h,
-        )
+        self.support = (0.0, 1.0)
+        self.h = self.transition / 128.0
         # Scale-free derivative constants: |phi^(a)| <= C_a * eps0^-a with the
         # same C_a for every eps0, since the transition width is a fixed
         # multiple of eps0.
         rho = TRANSITION_FRACTION
-        self.deriv_constants = {
-            a: _S4_SUP[a] / rho ** a for a in range(1, max_order + 1)
-        }
+        self.deriv_constants = {a: _S4_SUP[a] / rho ** a for a in range(1, 5)}
         # One-sided transitions each integrate to T/2, so the L1 defect is
         # exactly T and the mass is exactly 1 - T.
-        self.mass = 1.0 - T
-        self.l1_defect = T
-        self.grid_t = np.arange(GRID_LO, GRID_HI + 0.5 * h, h)
-        self.grid_values = self(self.grid_t)
+        self.mass = 1.0 - self.transition
+        self.l1_defect = self.transition
+
+    def __call__(self, t):
+        return self.deriv(t, 0)
+
+    def deriv(self, t, order=1):
+        """The order-th derivative at t, 0 <= order <= 4."""
+        if not 0 <= order <= 4:
+            raise DomainError("the bump carries derivatives up to order 4, "
+                              "got %d" % order)
+        T = self.transition
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        rise = (t > 0.0) & (t < T)
+        fall = (t > 1.0 - T) & (t < 1.0)
+        if order == 0:
+            out[(t >= T) & (t <= 1.0 - T)] = 1.0
+            out[rise] = _S4[0](t[rise] / T)
+            out[fall] = _S4[0]((1.0 - t[fall]) / T)
+        else:
+            D = _S4[order]
+            out[rise] = D(t[rise] / T) / T ** order
+            out[fall] = D((1.0 - t[fall]) / T) * (-1.0) ** order / T ** order
+        return out
 
     def l1_distance_to_indicator(self):
         """Quadrature estimate of ||phi - 1_[0,1]||_1 with a Richardson check.
@@ -157,12 +127,12 @@ class SmoothBump(Profile):
         return float(integrate.simpson(d, dx=h))
 
 
-def make_bump(eps0, h=None, max_order=4) -> SmoothBump:
+def make_bump(eps0) -> SmoothBump:
     """Construct the smooth bump for accuracy eps0 in (0, 1/2]."""
-    return SmoothBump(eps0, h=h, max_order=max_order)
+    return SmoothBump(eps0)
 
 
-def scaled_weight(bump: Profile, N: int, n):
+def scaled_weight(bump: SmoothBump, N: int, n):
     """phi_N(n) = phi(n/N) / N, vectorized in n."""
     N = int(N)
     if N < 1:
@@ -171,31 +141,24 @@ def scaled_weight(bump: Profile, N: int, n):
 
 
 class Kernel:
-    """A sampled kernel on a uniform real grid, with closed-form evaluator.
-
-    values[i] sits at start + i * spacing.  ``scale`` records the lacunary
-    scale lam^k the kernel represents.  When ``fn`` is present the kernel can
-    be resampled exactly, e.g. on the integers for discrete convolution.
+    """A kernel sampled at t = i * spacing, i = 0..len - 1, with its
+    closed-form evaluator fn, so it can also be resampled exactly, e.g. on
+    the integers for discrete convolution.
     """
 
-    def __init__(self, values, start, spacing, scale=1.0, lam=None, fn=None):
+    def __init__(self, values, spacing, fn):
         self.values = np.asarray(values)
-        self.start = float(start)
         self.spacing = float(spacing)
-        self.scale = float(scale)
-        self.lam = lam
         self.fn = fn
 
     @property
     def support(self):
-        return (self.start, self.start + (len(self.values) - 1) * self.spacing)
+        return (0.0, (len(self.values) - 1) * self.spacing)
 
     def __len__(self):
         return len(self.values)
 
     def __call__(self, t):
-        if self.fn is None:
-            raise DomainError("kernel has no closed-form evaluator")
         return self.fn(np.asarray(t, dtype=float))
 
     def mean_defect(self):
@@ -203,17 +166,12 @@ class Kernel:
         return abs(complex(np.sum(self.values) * self.spacing))
 
     def at_integers(self):
-        """(n0, values at the integers n0, n0+1, ... covering the support)."""
-        if self.fn is None:
-            raise DomainError("kernel has no closed-form evaluator")
-        lo, hi = self.support
-        n0 = int(math.floor(lo))
-        n1 = int(math.ceil(hi))
-        n = np.arange(n0, n1 + 1)
-        return n0, self.fn(n.astype(float))
+        """(0, values at the integers 0, 1, ... covering the support)."""
+        n = np.arange(int(math.ceil(self.support[1])) + 1)
+        return 0, self.fn(n.astype(float))
 
 
-def _psi_closed_form(bump: Profile, lam: float):
+def _psi_closed_form(bump: SmoothBump, lam: float):
     def psi(t):
         t = np.asarray(t, dtype=float)
         return bump(t) - bump(t / lam) / lam
@@ -221,7 +179,7 @@ def _psi_closed_form(bump: Profile, lam: float):
     return psi
 
 
-def make_psi_kernel(bump: Profile, lam: float, k: int) -> Kernel:
+def make_psi_kernel(bump: SmoothBump, lam: float, k: int) -> Kernel:
     """psi_k(t) = lam^-k * (phi - phi(./lam)/lam)(lam^-k t).
 
     Supported in [0, lam^(k+1)]; integrates to zero because both bump terms
@@ -242,28 +200,28 @@ def make_psi_kernel(bump: Profile, lam: float, k: int) -> Kernel:
     spacing = bump.h * scale
     hi = lam ** (k + 1)
     t = np.arange(0.0, hi + 0.5 * spacing, spacing)
-    return Kernel(fn(t), 0.0, spacing, scale=scale, lam=lam, fn=fn)
+    return Kernel(fn(t), spacing, fn)
 
 
-def psi_floor_index(s_floor, a0=DEFAULT_A0) -> int:
+def psi_floor_index(s_floor) -> int:
     """Lowest scale index retained when a level-s floor is imposed."""
     if s_floor is None:
         return 1
-    return max(1, math.ceil(2.0 ** (float(s_floor) / float(a0))))
+    return max(1, math.ceil(2.0 ** (float(s_floor) / DEFAULT_A0)))
 
 
-def make_Psi(bump: Profile, lam: float, k: int, s_floor=None, a0=DEFAULT_A0) -> Kernel:
+def make_Psi(bump: SmoothBump, lam: float, k: int, s_floor=None) -> Kernel:
     """Partial sum Psi_k = sum_{j0 <= j <= k} psi_j, telescoped in closed form.
 
-    j0 = 1 without a floor, else ceil(2^(s_floor/a0)).  The telescoped form is
-    phi(./lam^j0)/lam^j0 - phi(./lam^(k+1))/lam^(k+1); tests compare it to the
-    explicit sum of make_psi_kernel outputs.
+    j0 = 1 without a floor, else ceil(2^(s_floor/A0)) with A0 = DEFAULT_A0.
+    The telescoped form is phi(./lam^j0)/lam^j0 - phi(./lam^(k+1))/lam^(k+1);
+    tests compare it to the explicit sum of make_psi_kernel outputs.
     """
     lam = float(lam)
     if not (1.0 < lam <= 2.0):
         raise DomainError("lacunarity lam must lie in (1, 2], got %r" % (lam,))
     k = int(k)
-    j0 = psi_floor_index(s_floor, a0)
+    j0 = psi_floor_index(s_floor)
     if k < j0:
         raise DomainError(
             "empty kernel: upper scale k=%d is below the lower cutoff j0=%d"
@@ -277,7 +235,7 @@ def make_Psi(bump: Profile, lam: float, k: int, s_floor=None, a0=DEFAULT_A0) -> 
 
     spacing = bump.h * lam ** k
     t = np.arange(0.0, b + 0.5 * spacing, spacing)
-    return Kernel(fn(t), 0.0, spacing, scale=lam ** k, lam=lam, fn=fn)
+    return Kernel(fn(t), spacing, fn)
 
 
 class ChiCutoff:
@@ -328,16 +286,11 @@ def make_chi(s, a0=DEFAULT_A0) -> ChiCutoff:
     return ChiCutoff(s, a0=a0)
 
 
-def export_profile_csv(profile, path):
-    """Write (t, value) samples of a Profile or Kernel to CSV."""
+def export_profile_csv(bump: SmoothBump, path):
+    """Write (t, value) samples of the bump over its support to CSV."""
     from .util import write_csv
 
-    if isinstance(profile, Kernel):
-        t = profile.start + np.arange(len(profile.values)) * profile.spacing
-        v = profile.values
-    else:
-        lo, hi = profile.support
-        t = np.arange(lo, hi + 0.5 * profile.h, profile.h)
-        v = profile(t)
-    rows = [(float(ti), vi) for ti, vi in zip(t, np.asarray(v))]
+    lo, hi = bump.support
+    t = np.arange(lo, hi + 0.5 * bump.h, bump.h)
+    rows = [(float(ti), vi) for ti, vi in zip(t, np.asarray(bump(t)))]
     write_csv(path, ("t", "value"), rows)

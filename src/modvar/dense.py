@@ -1,0 +1,116 @@
+"""Dense oracles for the multiplier experiment: no FFT anywhere.
+
+Each function recomputes a production object of multipliers by direct
+summation: Weyl sums one (A, B, Q) at a time through arithmetic.weyl_sum,
+chi windows point by point, kernel transforms and applies as O(M^2) sums,
+variation by vr_exact at each point, and vrd_operator as a nested loop over
+positions, phases, scales and kernel taps.  The multiplier experiment and
+the tests compare the production code against these; no other experiment
+imports this module.
+"""
+
+import numpy as np
+
+from . import arithmetic, multipliers, polykit, variation
+from .bumpkit import make_Psi, make_chi
+from .util import e
+
+
+def dft_column(values, n0, M):
+    """hat(b) = sum_n v(n) e(-n b / M) for values on n = n0, n0 + 1, ..."""
+    b = np.arange(M)
+    n = n0 + np.arange(len(values))
+    return (np.asarray(values, dtype=complex)[None, :]
+            * e(-(np.outer(b, n) % M) / M)).sum(axis=1)
+
+
+def arc_sum(A, Q, khat, chi, M):
+    """sum over B = 1..Q of S(A/Q, B/Q) roll(khat, b_B) chi(. - b_B / M)."""
+    acc = np.zeros(M, dtype=complex)
+    for B in range(1, Q + 1):
+        b0 = int(round(M * B / float(Q))) % M
+        w = arithmetic.weyl_sum(arithmetic.FreqPoint(Q=Q, A=A, B=B), len(A) + 1)
+        window = np.array([chi((b - b0) / M) for b in range(M)])
+        acc += w * np.roll(khat, b0) * window
+    return acc
+
+
+def arc_multiplier(s, J, lambda_vec, bump, lam, M):
+    """multipliers.build_arc_multiplier at the default window, densely."""
+    chi = make_chi(s)
+    d = len(lambda_vec) + 1
+    total = np.zeros(M, dtype=complex)
+    for A, Q in arithmetic.arc_pairs(s, d):
+        offs = []
+        hit = True
+        for lv, a in zip(lambda_vec, A):
+            diff = (lv - a / Q) % 1.0
+            diff = diff - 1.0 if diff > 0.5 else diff
+            offs.append(diff)
+            if abs(diff) > multipliers.arc_indicator_radius(s):
+                hit = False
+        if not hit:
+            continue
+        if not multipliers.kernel_gate(tuple(offs), J):
+            continue
+        ker = make_Psi(bump, lam, J, s_floor=s)
+        n0, vals = ker.at_integers()
+        phases = np.zeros(len(vals))
+        for k, mu in enumerate(tuple(offs), start=2):
+            phases = phases + mu * (n0 + np.arange(len(vals))) ** k
+        khat = dft_column(vals * e(-(phases % 1.0)), n0, M)
+        total += arc_sum(A, Q, khat, chi, M)
+    return total
+
+
+def vr_s_stacks(s, J_list, M, bump, lam):
+    """multipliers.vr_s_stacks at the default window, densely."""
+    chi = make_chi(s)
+    psis = [make_Psi(bump, lam, J, s_floor=s).at_integers() for J in J_list]
+    return [[arc_sum(A, Q, dft_column(vals, n0, M), chi, M)
+             for n0, vals in psis]
+            for A, Q in arithmetic.arc_pairs(s, 2)]
+
+
+def apply(symbol, fvals):
+    """Inverse DFT of symbol * DFT(f), both by direct summation."""
+    M = len(fvals)
+    b = np.arange(M)
+    fhat = np.array([np.sum(fvals * e(-(n * b % M) / M)) for n in range(M)])
+    prod = symbol * fhat
+    return np.array([np.sum(prod * e((x * b % M) / M)) for x in range(M)]) / M
+
+
+def variation_sup(symbol_stacks, fvals, r):
+    """Pointwise max over the stacks of vr_exact across each stack's rows,
+    every row applied to fvals by direct summation."""
+    want = np.zeros(len(fvals))
+    for symbols in symbol_stacks:
+        rows = np.asarray([apply(sym, fvals) for sym in symbols])
+        for x in range(len(fvals)):
+            want[x] = max(want[x], variation.vr_exact(rows[:, x], r))
+    return want
+
+
+def vrd(f, bump, lam, P_grid, k_list, r, xs):
+    """multipliers.vrd_operator at the positions xs, by nested loops."""
+    kernels = {k: make_Psi(bump, lam, k).at_integers() for k in k_list}
+    polys = [polykit.Poly.zero()] + list(P_grid)
+    want = np.zeros(len(xs))
+    for xi, x in enumerate(xs):
+        best = 0.0
+        for p in polys:
+            vals = []
+            for k in k_list:
+                n0, kv = kernels[k]
+                tot = 0.0 + 0j
+                for i, w in enumerate(kv):
+                    m = n0 + i
+                    j = x - m
+                    if f.support_start <= j < f.support_start + len(f):
+                        tot += (w * e(polykit.eval_phase(p, m))
+                                * f.values[j - f.support_start])
+                vals.append(tot)
+            best = max(best, variation.vr_exact(np.array(vals), r))
+        want[xi] = best
+    return want

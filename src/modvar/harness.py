@@ -20,8 +20,7 @@ import numpy as np
 
 from . import arithmetic, averaging, polykit, systems, variation
 from . import multipliers
-from .bumpkit import DEFAULT_A0, make_bump, make_chi, scaled_weight, \
-    make_psi_kernel, make_Psi
+from .bumpkit import make_bump, scaled_weight, make_psi_kernel, make_Psi
 from .signalkit import CyclicSignal, Signal, modulate, modulate_cyclic
 from .util import DomainError, e, stream
 
@@ -170,6 +169,22 @@ SCHEMAS = {
     },
 }
 
+# inclusive (low, high) bounds of integer keys, high None for no cap;
+# parse_config refuses a value outside them, so no run starts on one
+_RANGES = {
+    "bump-check": {"samples": (1, None)},
+    "variation": {"n_oracle": (1, None), "n_jump": (1, None),
+                  "max_len": (2, variation.MAX_BRUTE_LENGTH),
+                  "jump_len": (4, variation.MAX_DP_LENGTH)},
+    "chaining": {"max_times": (2, variation.MAX_DP_LENGTH),
+                 "max_dim": (1, None)},
+    # the scan's time grid 2^7..2^16 must lie below n_top
+    "converge": {"n_top": (2 ** 16 + 1, None)},
+    "carleson": {"cov_len": (8, None), "theta_count": (2, None),
+                 "batch": (30, None)},
+    "sweep": {"M": (0, None), "batch": (30, None)},
+}
+
 SWEEP_OPERATORS = ("maximal-arc", "seqspace", "vr-s", "vr-sd",
                    "vr-linear-sup-theta")
 
@@ -235,6 +250,11 @@ def parse_config(text, kind=None, overrides=None):
             raise ConfigError("missing required key %r for experiment %r"
                               % (key, kind))
         params[key] = default
+    for key, (lo, hi) in _RANGES.get(kind, {}).items():
+        if params[key] < lo or (hi is not None and params[key] > hi):
+            raise ConfigError("%s must lie in %d..%s, got %d"
+                              % (key, lo, "" if hi is None else hi,
+                                 params[key]))
     return ExperimentConfig(kind=kind, params=params)
 
 
@@ -559,9 +579,16 @@ def _converge_poly_grid():
 
 
 def _run_converge(cfg, out, seed, jobs):
+    """Smoothed and rough (plain) averages along three systems at n_top.
+
+    The smoothed averages converge to bump.mass times the limit of the
+    rough ones, so they get the tolerance eps0 + res_pad, and the rough
+    averages res_pad alone.
+    """
     eps0 = cfg.get("eps0")
     bump = make_bump(eps0)
     n_top = cfg.get("n_top")
+    pad, top_tol = cfg.get("res_pad"), cfg.get("top_tol")
 
     # scenario a: integer shift, window observable, polynomial grid
     times = [2 ** k for k in range(7, 17)] + [n_top]
@@ -571,35 +598,44 @@ def _run_converge(cfg, out, seed, jobs):
     osc_max = max(table.oscillation.values())
     top_max = max(abs(table.values[(i, n_top)])
                   for i in range(len(table.polys)))
-    a_ok = osc_max <= cfg.get("osc_tol") and top_max <= cfg.get("top_tol")
+    rough_max = max(abs(v) for v in table.rough.values())
+    a_ok = (osc_max <= cfg.get("osc_tol") and top_max <= top_tol
+            and rough_max <= top_tol)
 
     # scenario b: rotation, character observable, resonant vs generic phase
     rot = systems.CircleRotation()
     fchar = systems.obs_char(1)
-    res_tol = eps0 + cfg.get("res_pad")
-    p_res = polykit.Poly.linear(1.0 - rot.alpha)
-    v_res = averaging.orbit_average(rot, fchar, 0.0, bump, n_top, p_res)
-    b_res = abs(v_res - bump.mass)
-    p_gen = polykit.Poly.linear(0.25)
-    v_gen = averaging.orbit_average(rot, fchar, 0.0, bump, n_top, p_gen)
-    b_ok = b_res <= res_tol and abs(v_gen) <= 0.01
+    res_tol = eps0 + pad
+    res = averaging.orbit_terms(rot, fchar, 0.0, n_top,
+                                polykit.Poly.linear(1.0 - rot.alpha))
+    b_res = abs(averaging.orbit_average(res, bump) - bump.mass)
+    b_rough = abs(averaging.rough_average(res) - 1.0)
+    gen = averaging.orbit_terms(rot, fchar, 0.0, n_top,
+                                polykit.Poly.linear(0.25))
+    v_gen = averaging.orbit_average(gen, bump)
+    g_rough = abs(averaging.rough_average(gen))
+    b_ok = (b_res <= res_tol and abs(v_gen) <= 0.01 and b_rough <= pad
+            and g_rough <= 0.01)
 
     # scenario c: skew product, quadratic resonance at x = 1/2
     skew = systems.SkewProduct()
     y0 = cfg.get("y0")
-    fy = systems.obs_skew_char(1)
-    p_skew = polykit.Poly.vanish2((-skew.alpha,))
-    v_skew = averaging.orbit_average(skew, fy, (0.5, y0), bump, n_top, p_skew)
-    c_res = abs(v_skew - e(y0) * bump.mass)
-    c_ok = c_res <= res_tol
+    sk = averaging.orbit_terms(skew, systems.obs_skew_char(1), (0.5, y0),
+                               n_top, polykit.Poly.vanish2((-skew.alpha,)))
+    c_res = abs(averaging.orbit_average(sk, bump) - e(y0) * bump.mass)
+    c_rough = abs(averaging.rough_average(sk) - e(y0))
+    c_ok = c_res <= res_tol and c_rough <= pad
 
     ok = a_ok and b_ok and c_ok
     summary = {
         "scan": {"max_oscillation": osc_max, "max_top_abs": top_max,
-                 "times": times, "ok": a_ok},
+                 "rough_top_abs": rough_max, "times": times, "ok": a_ok},
         "rotation": {"resonant_error": b_res, "generic_abs": abs(v_gen),
-                     "tol": res_tol, "ok": b_ok},
-        "skew": {"resonant_error": c_res, "tol": res_tol, "ok": c_ok},
+                     "rough_resonant_error": b_rough,
+                     "rough_generic_abs": g_rough, "tol": res_tol,
+                     "ok": b_ok},
+        "skew": {"resonant_error": c_res, "rough_resonant_error": c_rough,
+                 "tol": res_tol, "ok": c_ok},
         "ok": ok,
     }
     _write_json(os.path.join(out, "converge.json"), summary)
@@ -607,8 +643,6 @@ def _run_converge(cfg, out, seed, jobs):
 
 
 def _run_carleson(cfg, out, seed, jobs):
-    if cfg.get("batch") < 30:
-        raise ConfigError("batch must be at least 30")
     bump = make_bump(cfg.get("eps0"))
 
     # part 1: modulation covariance on finite signals
@@ -672,76 +706,9 @@ def _run_carleson(cfg, out, seed, jobs):
     return ok, summary
 
 
-# dense multiplier oracles: no FFT anywhere, direct O(M^2) summation
-
-
-def _dense_dft_column(values, n0, M):
-    # hat(b) = sum_n v(n) e(-n b / M) for integer-supported values
-    b = np.arange(M)
-    n = n0 + np.arange(len(values))
-    return (np.asarray(values, dtype=complex)[None, :]
-            * e(-(np.outer(b, n) % M) / M)).sum(axis=1)
-
-
-def _dense_arc_symbol(A, Q, khat, chi, M):
-    """sum over B = 1..Q of S(A/Q, B/Q) roll(khat, b_B) chi(. - b_B / M)."""
-    acc = np.zeros(M, dtype=complex)
-    for B in range(1, Q + 1):
-        b0 = int(round(M * B / float(Q))) % M
-        w = arithmetic.weyl_sum(arithmetic.FreqPoint(Q=Q, A=A, B=B), len(A) + 1)
-        window = np.array([chi((b - b0) / M) for b in range(M)])
-        acc += w * np.roll(khat, b0) * window
-    return acc
-
-
-def _dense_symbol(s, J, lambda_vec, bump, lam, M, a0=DEFAULT_A0):
-    chi = make_chi(s)
-    d = len(lambda_vec) + 1
-    total = np.zeros(M, dtype=complex)
-    for A, Q in arithmetic.arc_pairs(s, d):
-        offs = []
-        hit = True
-        for lv, a in zip(lambda_vec, A):
-            diff = (lv - a / Q) % 1.0
-            diff = diff - 1.0 if diff > 0.5 else diff
-            offs.append(diff)
-            if abs(diff) > multipliers.arc_indicator_radius(s):
-                hit = False
-        if not hit:
-            continue
-        if not multipliers.kernel_gate(tuple(offs), J, a0):
-            continue
-        ker = make_Psi(bump, lam, J, s_floor=s, a0=a0)
-        n0, vals = ker.at_integers()
-        phases = np.zeros(len(vals))
-        for k, mu in enumerate(tuple(offs), start=2):
-            phases = phases + mu * (n0 + np.arange(len(vals))) ** k
-        khat = _dense_dft_column(vals * e(-(phases % 1.0)), n0, M)
-        total += _dense_arc_symbol(A, Q, khat, chi, M)
-    return total
-
-
-def _dense_apply(symbol, fvals):
-    # inverse DFT of symbol * DFT(f), all by direct summation
-    M = len(fvals)
-    b = np.arange(M)
-    fhat = np.array([np.sum(fvals * e(-(n * b % M) / M)) for n in range(M)])
-    prod = symbol * fhat
-    return np.array([np.sum(prod * e((x * b % M) / M)) for x in range(M)]) / M
-
-
-def _dense_vr_sup(symbol_stacks, fvals, r):
-    """Pointwise max over the stacks of vr_exact across each stack's rows,
-    every row applied to fvals by direct summation."""
-    want = np.zeros(len(fvals))
-    for symbols in symbol_stacks:
-        rows = np.asarray([_dense_apply(sym, fvals) for sym in symbols])
-        for x in range(len(fvals)):
-            want[x] = max(want[x], variation.vr_exact(rows[:, x], r))
-    return want
-
-
 def _run_multiplier(cfg, out, seed, jobs):
+    from . import dense
+
     bad = [s for s in cfg.get("s_list") if not 1 <= s <= multipliers.S_CAP]
     if bad:
         raise ConfigError("every s in s_list must lie in 1..%d, got %d"
@@ -756,18 +723,12 @@ def _run_multiplier(cfg, out, seed, jobs):
     for s in cfg.get("s_list"):
         # symbols depend on the level only: build once, apply per draw
         stacks_s = multipliers.vr_s_stacks(s, J_list, M, bump, lam=lam)
-        chi = make_chi(s)
-        psis = [make_Psi(bump, lam, J, s_floor=s).at_integers()
-                for J in J_list]
-        dense_s = [[_dense_arc_symbol(A, Q, _dense_dft_column(vals, n0, M),
-                                      chi, M)
-                    for n0, vals in psis]
-                   for A, Q in arithmetic.arc_pairs(s, 2)]
+        dense_s = dense.vr_s_stacks(s, J_list, M, bump, lam)
         # vr_sd on a 3-point lambda subset of the canonical grid
         lgrid = multipliers.lambda_grid_for(s, 2)[:3]
         stacks_sd = multipliers.vr_sd_stacks(s, J_list, lgrid, M, bump,
                                              lam=lam, strict_modulus=False)
-        dense_sd = [[_dense_symbol(s, J, tuple(lv), bump, lam, M)
+        dense_sd = [[dense.arc_multiplier(s, J, tuple(lv), bump, lam, M)
                      for J in J_list]
                     for lv in lgrid]
 
@@ -775,9 +736,10 @@ def _run_multiplier(cfg, out, seed, jobs):
             f = CyclicSignal(_gauss(seed, 100 * s + draw, M))
             return tuple(
                 float(np.max(np.abs(multipliers.vr_sup(stacks, f, r)
-                                    - _dense_vr_sup(dense, f.values, r))))
-                for stacks, dense in ((stacks_s, dense_s),
-                                      (stacks_sd, dense_sd)))
+                                    - dense.variation_sup(want, f.values,
+                                                          r))))
+                for stacks, want in ((stacks_s, dense_s),
+                                     (stacks_sd, dense_sd)))
 
         for err_s, err_sd in _map_jobs(draw_errors, range(cfg.get("n_draw")),
                                        jobs):
@@ -785,31 +747,11 @@ def _run_multiplier(cfg, out, seed, jobs):
             errs["vr_sd"] = max(errs["vr_sd"], err_sd)
 
     # vrd on a short line signal, nested-loop oracle
-    n = 48
-    f = Signal(3, _gauss(seed, 9000, n))
+    f = Signal(3, _gauss(seed, 9000, 48))
     grid = [polykit.Poly.vanish2((0.3,)), polykit.Poly.linear(0.1)]
-    ks = [1, 2, 3]
-    got = multipliers.vrd_operator(f, bump, lam, grid, ks, r)
-    kernels = {k: make_Psi(bump, lam, k).at_integers() for k in ks}
-    polys = [polykit.Poly.zero()] + grid
-    want = np.zeros(len(got))
-    for xi in range(len(got)):
-        x = got.support_start + xi
-        best = 0.0
-        for p in polys:
-            vals = []
-            for k in ks:
-                n0, kv = kernels[k]
-                tot = 0.0 + 0j
-                for i, w in enumerate(kv):
-                    m = n0 + i
-                    j = x - m
-                    if f.support_start <= j < f.support_start + len(f):
-                        tot += (w * e(polykit.eval_phase(p, m))
-                                * f.values[j - f.support_start])
-                vals.append(tot)
-            best = max(best, variation.vr_exact(np.array(vals), r))
-        want[xi] = best
+    got = multipliers.vrd_operator(f, bump, lam, grid, [1, 2, 3], r)
+    want = dense.vrd(f, bump, lam, grid, [1, 2, 3], r,
+                     range(got.support_start, got.support_start + len(got)))
     errs["vrd"] = float(np.max(np.abs(got.values - want)))
 
     ok = all(v <= tol for v in errs.values())
@@ -844,8 +786,6 @@ def sweep_norm_ratio(kind, config, seed, jobs):
                           % (kind, ", ".join(SWEEP_OPERATORS)))
     cfg = config
     batch = cfg.get("batch")
-    if batch < 30:
-        raise ConfigError("batch must be at least 30")
     r = cfg.get("r")
     s_min, s_max = cfg.get("s_min"), cfg.get("s_max")
     if (kind != "vr-linear-sup-theta"
@@ -857,29 +797,30 @@ def sweep_norm_ratio(kind, config, seed, jobs):
     lam = cfg.get("lam")
     rows, points, checks = [], [], {}
 
-    if kind == "seqspace":
-        for s in s_range:
-            freqs = multipliers.seqspace_freqs(s)
-            length = cfg.get("seq_base") * 2 ** s
-            vals = []
-            for d in range(batch):
-                c = _gauss(seed, d, len(freqs))
-                vals.append(multipliers.seqspace_ratio(
-                    c, s, (0, length), chi_a0=PROBE_CHI_A0))
-            stats = _stats(vals)
-            points.append(stats)
-            rows.append((s, 0.0, length, batch) + stats)
-        checks["nonincreasing_in_s"] = _nonincreasing_within_se(points)
-    elif kind in ("maximal-arc", "vr-s", "vr-sd"):
+    if kind == "vr-linear-sup-theta":
+        sweep = _size_sweep(cfg, bump, seed, jobs)
+        rows, points = sweep["rows"], sweep["points"]
+        checks = {k: sweep[k] for k in ("size_stable", "r_envelope")}
+    else:
         M = cfg.get("M") or multipliers.SUGGESTED_MODULUS
         J_list = list(cfg.get("J_list"))
         for s in s_range:
             # symbols depend on the level only: build once, apply per draw
-            if kind == "maximal-arc":
+            size = n = M
+            if kind == "seqspace":
+                size = cfg.get("seq_base") * 2 ** s
+                level = multipliers.seqspace_level(s, size,
+                                                   chi_a0=PROBE_CHI_A0)
+                n = level[0]
+
+                def ratio(v):
+                    return multipliers.seqspace_ratio(level, v)
+            elif kind == "maximal-arc":
                 symbols = multipliers.arc_symbols(s, M, chi_a0=PROBE_CHI_A0)
 
-                def ratio(f):
-                    return multipliers.maximal_arc_ratio(symbols, f)
+                def ratio(v):
+                    return multipliers.maximal_arc_ratio(symbols,
+                                                         CyclicSignal(v))
             else:
                 # quartered window schedule: level-s arc frequencies sit at
                 # spacing >= Q^-2 ~ 4^-s, so radius rho0*4^(1-s) keeps
@@ -895,24 +836,20 @@ def sweep_norm_ratio(kind, config, seed, jobs):
                         s, J_list, multipliers.lambda_grid_for(s, 2), M,
                         bump, lam=lam, chi_a0=probe)
 
-                def ratio(f):
+                def ratio(v):
+                    f = CyclicSignal(v)
                     return float(np.linalg.norm(multipliers.vr_sup(
                         stacks, f, r)) / f.l2())
-            vals = _map_jobs(
-                lambda d: ratio(CyclicSignal(_gauss(seed, d, M))),
-                range(batch), jobs)
+            vals = _map_jobs(lambda d: ratio(_gauss(seed, d, n)),
+                             range(batch), jobs)
             stats = _stats(vals)
             points.append(stats)
-            rows.append((s, 0.0 if kind == "maximal-arc" else r, M, batch)
-                        + stats)
+            rows.append((s, r if kind in ("vr-s", "vr-sd") else 0.0, size,
+                         batch) + stats)
         # vr-s levels are telescoping pieces with no per-level decay claim:
         # stats are reported, nothing asserted
         if kind != "vr-s":
             checks["nonincreasing_in_s"] = _nonincreasing_within_se(points)
-    else:  # vr-linear-sup-theta
-        sweep = _size_sweep(cfg, bump, seed, jobs)
-        rows, points = sweep["rows"], sweep["points"]
-        checks = {k: sweep[k] for k in ("size_stable", "r_envelope")}
 
     ok = all(checks.values())
     return {"operator": kind, "rows": rows,

@@ -21,7 +21,10 @@ implementation.  No symbol depends on the signal, so every operator here
 runs in two steps: a builder makes the symbols once per level
 (arc_symbols, vr_s_stacks, vr_sd_stacks, each from build_arc_multiplier or
 arc_symbol), and an apply takes one draw through them with one batched
-inverse FFT (maximal_arc_ratio, vr_sup).
+inverse FFT (maximal_arc_ratio, vr_sup).  The sequence-space ratio follows
+the same pattern off the grid: seqspace_level builds the Weyl rows and the
+characters e(Bx/Q) once per level, and seqspace_ratio applies them to each
+coefficient draw.
 
 Everything here works on the cyclic group Z/M, so "Fourier transform"
 means the forward DFT convention stated in signalkit (numpy's fft).
@@ -30,11 +33,13 @@ means the forward DFT convention stated in signalkit (numpy's fft).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from . import arithmetic, polykit, variation
-from .bumpkit import DEFAULT_A0, Profile, make_Psi, make_chi, psi_floor_index
+from .bumpkit import DEFAULT_A0, SmoothBump, make_Psi, make_chi, \
+    psi_floor_index
 from .signalkit import Signal
 from .util import DomainError, GridTooCoarseError, e, torus_signed, write_csv
 
@@ -49,13 +54,13 @@ def arc_indicator_radius(s: int) -> float:
     return 2.0 ** (-ARC_RADIUS_EXP * int(s) - 10)
 
 
-def _level_chi(s, a0, chi_a0):
-    """The level-s window, its width set by chi_a0 (default a0); the one
-    check that 1 <= s <= S_CAP."""
+def _level_chi(s, chi_a0):
+    """The level-s window, its width set by chi_a0; the one check that
+    1 <= s <= S_CAP."""
     s = int(s)
     if not (1 <= s <= S_CAP):
         raise DomainError("level s must lie in 1..%d" % S_CAP)
-    return make_chi(s, a0=a0 if chi_a0 is None else chi_a0)
+    return make_chi(s, a0=chi_a0)
 
 
 def _scales(J_list):
@@ -67,8 +72,9 @@ def _scales(J_list):
     return J_list
 
 
-def kernel_gate(mu, J, a0=DEFAULT_A0) -> bool:
-    """The scale gate: ||mu_k|| <= J^a0 * 2^(-k J) for every k >= 2.
+def kernel_gate(mu, J) -> bool:
+    """The scale gate: ||mu_k|| <= J^A0 * 2^(-k J) for every k >= 2, with
+    A0 = DEFAULT_A0.
 
     Evaluated in logs so large J cannot overflow.
     """
@@ -77,7 +83,7 @@ def kernel_gate(mu, J, a0=DEFAULT_A0) -> bool:
         t = float(abs(torus_signed(m)))
         if t == 0.0:
             continue
-        if math.log2(t) > a0 * math.log2(J) - k * J:
+        if math.log2(t) > DEFAULT_A0 * math.log2(J) - k * J:
             return False
     return True
 
@@ -97,15 +103,15 @@ def snap_to_grid(M: int, B: int, Q: int, radius: float):
     return b0, offset
 
 
-def _kernel_hat(bump, lam, J, s, mu, M, a0):
+def _kernel_hat(bump, lam, J, s, mu, M):
     """DFT on Z/M of the gated, modulated partial-sum kernel.
 
     Returns None when the scale gate closes.  mu entries are signed torus
     offsets; the polynomial P_mu has vanishing constant and linear parts.
     """
-    if not kernel_gate(mu, J, a0):
+    if not kernel_gate(mu, J):
         return None
-    ker = make_Psi(bump, lam, J, s_floor=s, a0=a0)
+    ker = make_Psi(bump, lam, J, s_floor=s)
     n0, vals = ker.at_integers()
     if len(vals) > M:
         raise DomainError(
@@ -137,23 +143,22 @@ def arc_symbol(A, Q, M, chi, khat=None) -> np.ndarray:
     return acc
 
 
-def build_arc_multiplier(s: int, J: int, lambda_vec, bump: Profile,
-                         lam: float, M: int, a0=DEFAULT_A0,
-                         chi_a0=None, strict_modulus=True) -> np.ndarray:
+def build_arc_multiplier(s: int, J: int, lambda_vec, bump: SmoothBump,
+                         lam: float, M: int, chi_a0=DEFAULT_A0,
+                         strict_modulus=True) -> np.ndarray:
     """The level-s multiplier at scale J and coefficient lambda_vec on Z/M.
 
-    a0 governs the kernel scale floor and gate; chi_a0 (defaulting to a0)
-    governs only the chi_s window width, so narrow-window probes can keep
-    the kernel floor intact.  strict_modulus=False lifts the MIN_MODULUS
-    floor for small cross-check instances; snapping and kernel-support
-    errors still apply.
+    The kernel scale floor and gate use DEFAULT_A0; chi_a0 governs only the
+    chi_s window width, so narrow-window probes keep the kernel floor
+    intact.  strict_modulus=False lifts the MIN_MODULUS floor for small
+    cross-check instances; snapping and kernel-support errors still apply.
     """
-    chi = _level_chi(s, a0, chi_a0)
+    chi = _level_chi(s, chi_a0)
     M = int(M)
     if strict_modulus and M < MIN_MODULUS:
         raise DomainError("grid modulus must be at least %d" % MIN_MODULUS)
     J = int(J)
-    j0 = psi_floor_index(chi.s, a0)
+    j0 = psi_floor_index(chi.s)
     if J < j0:
         raise DomainError("scale J=%d is below the level floor j0=%d" % (J, j0))
     lambda_vec = tuple(float(x) for x in lambda_vec)
@@ -163,13 +168,13 @@ def build_arc_multiplier(s: int, J: int, lambda_vec, bump: Profile,
         offs = tuple(float(torus_signed(lv - a / Q)) for lv, a in zip(lambda_vec, A))
         if any(abs(o) > ball for o in offs):
             continue
-        khat = _kernel_hat(bump, lam, J, chi.s, offs, M, a0)
+        khat = _kernel_hat(bump, lam, J, chi.s, offs, M)
         if khat is not None:
             total += arc_symbol(A, Q, M, chi, khat)
     return total
 
 
-def lambda_grid_for(s: int, d: int, a0=DEFAULT_A0):
+def lambda_grid_for(s: int, d: int):
     """The canonical discretization of the lambda supremum.
 
     Each arc ball of radius 2^(-10 s - 10) around A/Q carries 3^(d-1)
@@ -193,12 +198,12 @@ def _check_grid(symbols, f):
                           % (f.modulus, symbols.shape[-1]))
 
 
-def arc_symbols(s: int, M: int, a0=DEFAULT_A0, chi_a0=None, d=2) -> np.ndarray:
+def arc_symbols(s: int, M: int, chi_a0=DEFAULT_A0) -> np.ndarray:
     """One window symbol per level-s arc, in arc_pairs order: an (arcs, M)
     array for maximal_arc_ratio."""
-    chi = _level_chi(s, a0, chi_a0)
+    chi = _level_chi(s, chi_a0)
     return np.array([arc_symbol(A, Q, int(M), chi)
-                     for A, Q in arithmetic.arc_pairs(chi.s, d)])
+                     for A, Q in arithmetic.arc_pairs(chi.s, 2)])
 
 
 def maximal_arc_ratio(symbols, f) -> float:
@@ -217,8 +222,6 @@ def maximal_arc_ratio(symbols, f) -> float:
 
 def seqspace_freqs(s: int):
     """Canonical sorted list of reduced frequencies B/Q for the level-s range."""
-    from fractions import Fraction
-
     s = int(s)
     out = set()
     for Q in range(2 ** (s - 1), 2 ** s):
@@ -227,68 +230,79 @@ def seqspace_freqs(s: int):
     return tuple(sorted(out))
 
 
-def seqspace_ratio(c, s: int, I, a0=DEFAULT_A0, chi_a0=None, d=2) -> float:
-    """Ratio for the coefficient-to-function map x -> sum_B c_{B/Q} S e(Bx/Q).
+def seqspace_level(s: int, length: int, chi_a0=DEFAULT_A0):
+    """The level-s data of the sequence-space map on x = 0..length-1.
 
-    c is aligned with seqspace_freqs(s); I is an integer interval (start,
-    length) with length >= 1/(2 radius(chi_s)).  No grid snapping: the
-    frequencies B/Q are used exactly.  Normalization |I|^(1/2) ||c||_2.
+    Returns (frequency count, length, arcs); each arc, in arc_pairs order,
+    holds its Weyl row S(A/Q, B/Q), the index of each B/Q in
+    seqspace_freqs(s), and the characters e(Bx/Q), B = 1..Q.  length must
+    be at least 1/(2 radius(chi_s)).  No grid snapping: the frequencies B/Q
+    are used exactly.
     """
-    chi = _level_chi(s, a0, chi_a0)
-    s = chi.s
-    freqs = seqspace_freqs(s)
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (len(freqs),):
-        raise DomainError(
-            "coefficient vector must align with the %d level-%d frequencies"
-            % (len(freqs), s)
-        )
-    cnorm = float(np.linalg.norm(c))
-    if cnorm == 0.0:
-        return 0.0
-    start, length = int(I[0]), int(I[1])
+    chi = _level_chi(s, chi_a0)
+    s, length = chi.s, int(length)
     need = math.ceil(1.0 / (2.0 * chi.radius))
     if length < need:
         raise DomainError(
             "interval length %d below the level-%d floor %d" % (length, s, need)
         )
-    lookup = {fr: i for i, fr in enumerate(freqs)}
-    x = np.arange(start, start + length, dtype=np.int64)
-    best = np.zeros(length)
-    from fractions import Fraction
+    lookup = {fr: i for i, fr in enumerate(seqspace_freqs(s))}
+    x = np.arange(length, dtype=np.int64)
+    chars = {Q: [e(((B % Q) * x % Q) / Q) for B in range(1, Q + 1)]
+             for Q in range(2 ** (s - 1), 2 ** s)}
+    arcs = [(arithmetic.weyl_row(Q, A),
+             [lookup[Fraction(B % Q, Q)] for B in range(1, Q + 1)], chars[Q])
+            for A, Q in arithmetic.arc_pairs(s, 2)]
+    return len(lookup), length, arcs
 
-    for A, Q in arithmetic.arc_pairs(s, d):
-        srow = arithmetic.weyl_row(Q, A)
+
+def seqspace_ratio(level, c) -> float:
+    """Ratio for the coefficient-to-function map x -> sum_B c_{B/Q} S e(Bx/Q).
+
+    level comes from seqspace_level; c is aligned with seqspace_freqs(s).
+    The sup over arcs of |sum_B| is measured in l2 over the level's
+    interval I and normalized by |I|^(1/2) ||c||_2.
+    """
+    n_freqs, length, arcs = level
+    c = np.asarray(c, dtype=complex)
+    if c.shape != (n_freqs,):
+        raise DomainError("coefficient vector must align with the %d level "
+                          "frequencies" % n_freqs)
+    cnorm = float(np.linalg.norm(c))
+    if cnorm == 0.0:
+        return 0.0
+    best = np.zeros(length)
+    for srow, idx, chars in arcs:
         F = np.zeros(length, dtype=complex)
-        for B in range(1, Q + 1):
-            coeff = c[lookup[Fraction(B % Q, Q)]] * srow[B - 1]
+        for w, i, char in zip(srow, idx, chars):
+            coeff = c[i] * w
             if coeff == 0.0:
                 continue
-            F += coeff * e(((B % Q) * x % Q) / Q)
+            F += coeff * char
         np.maximum(best, np.abs(F), out=best)
     return float(np.linalg.norm(best) / (math.sqrt(length) * cnorm))
 
 
-def vr_s_stacks(s: int, J_list, M: int, bump: Profile, lam=1.5,
-                a0=DEFAULT_A0, chi_a0=None, d=2):
+def vr_s_stacks(s: int, J_list, M: int, bump: SmoothBump, lam=1.5,
+                chi_a0=DEFAULT_A0):
     """Per level-s arc, the (J, M) stack of its symbols at the scales J_list.
 
     The kernel here is the unmodulated partial sum Psi (lambda sits exactly
     on A/Q, so mu = 0 and the scale gate is open).
     """
-    chi = _level_chi(s, a0, chi_a0)
+    chi = _level_chi(s, chi_a0)
     M = int(M)
-    khats = [_kernel_hat(bump, lam, J, chi.s, (0.0,) * (d - 1), M, a0)
+    khats = [_kernel_hat(bump, lam, J, chi.s, (0.0,), M)
              for J in _scales(J_list)]
     return [np.array([arc_symbol(A, Q, M, chi, khat) for khat in khats])
-            for A, Q in arithmetic.arc_pairs(chi.s, d)]
+            for A, Q in arithmetic.arc_pairs(chi.s, 2)]
 
 
-def vr_sd_stacks(s: int, J_list, lambda_grid, M: int, bump: Profile,
-                 lam=1.5, a0=DEFAULT_A0, chi_a0=None, strict_modulus=True):
+def vr_sd_stacks(s: int, J_list, lambda_grid, M: int, bump: SmoothBump,
+                 lam=1.5, chi_a0=DEFAULT_A0, strict_modulus=True):
     """Per lambda in the grid, the (J, M) stack of build_arc_multiplier rows."""
     J_list = _scales(J_list)
-    return [np.array([build_arc_multiplier(s, J, lv, bump, lam, M, a0=a0,
+    return [np.array([build_arc_multiplier(s, J, lv, bump, lam, M,
                                            chi_a0=chi_a0,
                                            strict_modulus=strict_modulus)
                       for J in J_list])
@@ -307,7 +321,7 @@ def vr_sup(stacks, f, r) -> np.ndarray:
     return best
 
 
-def vrd_operator(f: Signal, bump: Profile, lam, P_grid, k_list, r) -> Signal:
+def vrd_operator(f: Signal, bump: SmoothBump, lam, P_grid, k_list, r) -> Signal:
     """Time-domain variation operator over modulated partial-sum kernels.
 
     Per x: sup over P (the zero polynomial always included) of the exact

@@ -20,15 +20,12 @@ unrestricted "general".
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .util import DomainError
-
-DEFAULT_DEGREE_CAP = 6
 
 _CLASS_TAGS = ("linear", "vanish2", "general")
 
@@ -39,17 +36,12 @@ class Poly:
 
     coeffs: tuple
     class_tag: str = "general"
-    degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if self.class_tag not in _CLASS_TAGS:
             raise DomainError("unknown polynomial class %r" % (self.class_tag,))
-        if len(coeffs) - 1 > self.degree_cap:
-            raise DomainError(
-                "degree %d exceeds cap %d" % (len(coeffs) - 1, self.degree_cap)
-            )
         if self.class_tag == "linear" and any(c != 0.0 for c in coeffs[2:]):
             raise DomainError("linear polynomial has a coefficient beyond degree 1")
         if self.class_tag == "vanish2" and any(c != 0.0 for c in coeffs[:2]):
@@ -68,25 +60,17 @@ class Poly:
         return 0
 
     @staticmethod
-    def linear(theta, c0=0.0, degree_cap=DEFAULT_DEGREE_CAP):
-        return Poly((c0, theta), "linear", degree_cap)
+    def linear(theta):
+        return Poly((0.0, theta), "linear")
 
     @staticmethod
-    def vanish2(mu, degree_cap=DEFAULT_DEGREE_CAP):
+    def vanish2(mu):
         """Build from mu = (lam_2, ..., lam_d)."""
-        return Poly((0.0, 0.0) + tuple(mu), "vanish2", degree_cap)
+        return Poly((0.0, 0.0) + tuple(mu), "vanish2")
 
     @staticmethod
     def zero():
         return Poly((0.0,), "general")
-
-    def to_json(self):
-        return json.dumps({"coeffs": list(self.coeffs), "class": self.class_tag})
-
-    @staticmethod
-    def from_json(text):
-        obj = json.loads(text)
-        return Poly(tuple(obj["coeffs"]), obj.get("class", "general"))
 
 
 def _dyadic_parts(p: Poly):

@@ -1,5 +1,5 @@
-"""Finite complex signals on Z and Z/M: DFT conventions, modulation,
-convolution, and the centered discrete maximal function.
+"""Finite complex signals on Z and Z/M: DFT conventions, modulation and
+convolution.
 
 Conventions fixed here and used everywhere else:
 
@@ -18,7 +18,6 @@ import numpy as np
 from scipy import signal as _sps
 
 from . import polykit
-from .bumpkit import Kernel
 from .util import DomainError, e
 
 
@@ -34,23 +33,12 @@ class Signal:
     def __len__(self):
         return len(self.values)
 
-    def at(self, n):
-        """Value at integer n, zero off the stored window."""
-        i = int(n) - self.support_start
-        if 0 <= i < len(self.values):
-            return complex(self.values[i])
-        return 0.0 + 0.0j
-
     def l2(self):
         return float(np.linalg.norm(self.values))
 
-    @staticmethod
-    def delta(n=0):
-        return Signal(n, [1.0 + 0.0j])
-
 
 class CyclicSignal:
-    """Complex signal on Z/M, indexable mod M."""
+    """Complex signal on Z/M."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=complex)
@@ -63,9 +51,6 @@ class CyclicSignal:
 
     def __len__(self):
         return len(self.values)
-
-    def at(self, n):
-        return complex(self.values[int(n) % self.modulus])
 
     def l2(self):
         return float(np.linalg.norm(self.values))
@@ -85,53 +70,18 @@ def modulate_cyclic(f: CyclicSignal, b: int) -> CyclicSignal:
     return CyclicSignal(f.values * e(ph / M))
 
 
-def _kernel_as_signal(k):
-    if isinstance(k, Signal):
-        return k
-    if isinstance(k, Kernel):
-        n0, vals = k.at_integers()
-        return Signal(n0, vals)
-    raise DomainError("kernel must be a Signal or a Kernel with an evaluator")
-
-
 FFT_THRESHOLD = 4096
 
 
-def convolve(f: Signal, k, method=None) -> Signal:
+def convolve(f: Signal, k: Signal, method=None) -> Signal:
     """(f * k)(x) = sum_n k(n) f(x - n), full support arithmetic.
 
     Direct summation for short outputs, FFT beyond FFT_THRESHOLD; ``method``
     forces "direct" or "fft".
     """
-    ks = _kernel_as_signal(k)
-    out_len = len(f) + len(ks) - 1
+    out_len = len(f) + len(k) - 1
     if method is None:
         method = "fft" if out_len > FFT_THRESHOLD else "direct"
-    out = _sps.convolve(f.values, ks.values, mode="full", method=method)
-    return Signal(f.support_start + ks.support_start, out)
+    out = _sps.convolve(f.values, k.values, mode="full", method=method)
+    return Signal(f.support_start + k.support_start, out)
 
-
-def maximal_hl(f: Signal, x: int) -> float:
-    """sup_{N >= 0} average of |f| over the window [x-N, x+N].
-
-    The supremum is exact: windows beyond the support only dilute the
-    average, so only finitely many N matter.
-    """
-    a = f.support_start
-    m = len(f)
-    if m == 0:
-        return 0.0
-    x = int(x)
-    mags = np.abs(f.values)
-    csum = np.concatenate(([0.0], np.cumsum(mags)))
-    n_max = max(abs(x - a), abs(x - (a + m - 1)))
-    N = np.arange(n_max + 1)
-    lo = np.clip(x - N - a, 0, m)
-    hi = np.clip(x + N - a + 1, 0, m)
-    sums = csum[hi] - csum[lo]
-    return float(np.max(sums / (2.0 * N + 1.0)))
-
-
-def maximal_hl_profile(f: Signal, xs) -> np.ndarray:
-    """maximal_hl at each x in xs."""
-    return np.array([maximal_hl(f, x) for x in np.asarray(xs, dtype=int)])

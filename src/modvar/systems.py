@@ -10,10 +10,10 @@ Rotation and skew angles are stored as 120-bit fixed-point integers
 n (w + n a for the rotation, y + 2 n x + n^2 a for the skew product), which
 orbit_array evaluates modulo 2^120 with the phase kernel
 polykit._mod1_range, so points never accumulate rounding error: the only
-rounding is the final conversion of each coordinate to a float.
-orbit_point is the scalar reference.  Defaults are sqrt(2) - 1 and
-sqrt(3) - 1, badly approximable numbers that keep desk-scale experiments
-away from accidental near-resonances.
+rounding is the final conversion of each coordinate to a float.  The tests
+check it against exact scalar orbits that share none of this code.
+Defaults are sqrt(2) - 1 and sqrt(3) - 1, badly approximable numbers that
+keep desk-scale experiments away from accidental near-resonances.
 
 Observables are plain callables on coordinate arrays; builders for the
 indicator / character combinations used in experiments live at the bottom.
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import polykit
-from .bumpkit import Profile, scaled_weight
-from .signalkit import Signal
+from . import averaging, polykit
+from .bumpkit import SmoothBump, scaled_weight
 from .util import DomainError, e, write_csv
 
 PREC_BITS = 120
@@ -61,9 +60,6 @@ class ZShift:
 
     kind = "zshift"
 
-    def orbit_point(self, omega, n):
-        return int(omega) + int(n)
-
     def orbit_array(self, omega, n0, N):
         return int(omega) + int(n0) + np.arange(int(N), dtype=np.int64)
 
@@ -85,10 +81,6 @@ class CircleRotation:
     def alpha(self):
         """Nearest-float image of the stored angle."""
         return self.alpha_scaled / SCALE
-
-    def orbit_point(self, omega, n):
-        w = _to_scaled(omega)
-        return ((w + int(n) * self.alpha_scaled) % SCALE) / SCALE
 
     def orbit_array(self, omega, n0, N):
         return polykit._mod1_range([_to_scaled(omega), self.alpha_scaled],
@@ -115,15 +107,6 @@ class SkewProduct:
     def alpha(self):
         return self.alpha_scaled / SCALE
 
-    def orbit_point(self, omega, n):
-        x, y = omega
-        xs, ys = _to_scaled(x), _to_scaled(y)
-        n = int(n)
-        a = self.alpha_scaled
-        xn = (xs + n * a) % SCALE
-        yn = (ys + 2 * n * xs + n * n * a) % SCALE
-        return (xn / SCALE, yn / SCALE)
-
     def orbit_array(self, omega, n0, N):
         x, y = omega
         xs, ys = _to_scaled(x), _to_scaled(y)
@@ -133,26 +116,16 @@ class SkewProduct:
             polykit._mod1_range([ys, 2 * xs, a], PREC_BITS, n0, N)))
 
 
-def sample_transfer(sys, f, omega, L: int) -> Signal:
-    """The transferred signal n -> f(T^n omega), n = 0..L-1."""
-    L = int(L)
-    if L < 1:
-        raise DomainError("transfer length must be at least 1")
-    vals = np.asarray(f(sys.orbit_array(omega, 0, L)), dtype=complex)
-    bad = np.where(~np.isfinite(vals))[0]
-    if len(bad):
-        raise DomainError("observable undefined at orbit index %d" % int(bad[0]))
-    return Signal(0, vals)
-
-
 @dataclass(frozen=True)
 class ScanTable:
-    """ww_scan output: per-(P, N) averages plus per-P tail oscillation."""
+    """ww_scan output: per-(P, N) averages, per-P tail oscillation, and the
+    per-P rough average at the last time."""
 
     polys: tuple
     times: tuple
     values: dict                # (p_index, N) -> complex
     oscillation: dict           # p_index -> max adjacent |difference| in tail
+    rough: dict                 # p_index -> complex
 
     def to_csv(self, path):
         rows = []
@@ -164,26 +137,30 @@ class ScanTable:
         write_csv(path, ("P", "N", "re", "im", "abs"), rows)
 
 
-def ww_scan(sys, f, omega, P_grid, N_grid, bump: Profile) -> ScanTable:
-    """Smoothed averages over all (P, N) plus tail Cauchy oscillation.
+def ww_scan(sys, f, omega, P_grid, N_grid, bump: SmoothBump) -> ScanTable:
+    """Smoothed averages over all (P, N), tail Cauchy oscillation, and the
+    rough average (averaging.rough_average) at the last time.
 
     Every P must be tagged linear or vanish2 (the two classes the pointwise
     convergence statement covers).  Oscillation is the max |difference| over
-    adjacent time pairs in the second half of the time grid.
+    adjacent time pairs in the second half of the time grid.  One orbit
+    serves every P, and one phase range every average of a P.
     """
     polys = tuple(P_grid)
     for p in polys:
         if p.class_tag not in ("linear", "vanish2"):
             raise DomainError("scan polynomials must be linear or vanish2")
-    times = tuple(N_grid.times if hasattr(N_grid, "times") else N_grid)
+    times = tuple(N_grid)
     if not times:
         raise DomainError("empty time grid")
     n_max = max(times)
     track = np.asarray(f(sys.orbit_array(omega, 0, n_max + 1)), dtype=complex)
     m_all = np.arange(n_max + 1)
-    values = {}
+    values, rough = {}, {}
     for i, p in enumerate(polys):
-        modulated = e(polykit.phase_range(p, 0, n_max + 1)) * track
+        chars = e(polykit.phase_range(p, 0, n_max + 1))
+        rough[i] = averaging.rough_average((chars, track))
+        modulated = chars * track
         for N in times:
             w = scaled_weight(bump, N, m_all[: N + 1])
             values[(i, N)] = complex(np.sum(w * modulated[: N + 1]))
@@ -195,7 +172,7 @@ def ww_scan(sys, f, omega, P_grid, N_grid, bump: Profile) -> ScanTable:
             osc = max(osc, abs(values[(i, Nb)] - values[(i, Na)]))
         oscillation[i] = osc
     return ScanTable(polys=polys, times=times, values=values,
-                     oscillation=oscillation)
+                     oscillation=oscillation, rough=rough)
 
 
 # observable builders

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
-
 
 class DomainError(ValueError):
     """An argument lies outside the contract of the operation."""

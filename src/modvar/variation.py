@@ -27,7 +27,6 @@ output bytes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +46,6 @@ class VecSequence:
 
     times: tuple
     values: np.ndarray = field(compare=False)
-    coords: tuple = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -55,20 +53,11 @@ class VecSequence:
             vals = vals[:, None]
         if vals.ndim != 2 or vals.shape[0] != len(self.times):
             raise DomainError("values must be a (times x coords) array")
-        if self.coords is not None and len(self.coords) != vals.shape[1]:
-            raise DomainError("coordinate labels do not match the dimension")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "times", tuple(self.times))
 
     def __len__(self):
         return len(self.times)
-
-    @property
-    def dim(self):
-        return self.values.shape[1]
-
-    def dist(self, i, j):
-        return float(np.linalg.norm(self.values[i] - self.values[j]))
 
 
 def _as_value_matrix(seq):
@@ -255,15 +244,6 @@ class ChainingCover:
 
     def radius(self, v):
         return 2.0 ** (-v)
-
-    def to_json(self):
-        return json.dumps({
-            "v_min": self.v_min,
-            "v_max": self.v_max,
-            "diameter": self.diameter,
-            "levels": {str(v): list(c) for v, c in self.levels.items()},
-            "parent": [[v, t, p] for (v, t), p in sorted(self.parent.items())],
-        })
 
 
 def build_chaining_cover(vseq: VecSequence, resolution=COVER_RESOLUTION) -> ChainingCover:

@@ -161,9 +161,31 @@ def phase_fraction(coeffs, n):
     return float(frac)
 
 
-def rotation_orbit_exact(alpha_scaled, scale, n):
-    """n-step circle rotation orbit of 0 via exact integer arithmetic."""
-    return float(Fraction(alpha_scaled * n % scale, scale))
+def shift_orbit_point(omega, n):
+    """n-th point of the orbit of omega under the shift n -> n + 1 on Z."""
+    return int(omega) + int(n)
+
+
+def _fixed(x, scale):
+    """x mod 1 as a multiple of 1/scale: exact for a float with at most
+    log2(scale) fraction bits, else rounded half to even."""
+    return round(Fraction(x) * scale) % scale
+
+
+def rotation_orbit_point(alpha_scaled, scale, omega, n):
+    """omega + n alpha mod 1, alpha = alpha_scaled / scale, in exact integer
+    arithmetic up to the final correctly rounded float."""
+    return float(Fraction((_fixed(omega, scale) + n * alpha_scaled) % scale,
+                          scale))
+
+
+def skew_orbit_point(alpha_scaled, scale, omega, n):
+    """(x + n a, y + 2 n x + n^2 a) mod 1 for omega = (x, y), a =
+    alpha_scaled / scale, exact up to the two final floats."""
+    x, y = (_fixed(c, scale) for c in omega)
+    a = alpha_scaled
+    return (float(Fraction((x + n * a) % scale, scale)),
+            float(Fraction((y + 2 * n * x + n * n * a) % scale, scale)))
 
 
 def skew_orbit_steps(alpha_scaled, scale, omega, n):

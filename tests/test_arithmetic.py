@@ -102,10 +102,19 @@ def test_freq_point_reduces_components():
 
 
 def test_freq_point_coprimality_flags():
-    assert FreqPoint(6, (2,), 3).joint_coprime()       # gcd(2,3,6) = 1
-    assert not FreqPoint(6, (2,), 4).joint_coprime()   # gcd(2,4,6) = 2
-    assert FreqPoint(6, (5,), 4).arc_coprime()
-    assert not FreqPoint(6, (3,), 1).arc_coprime()     # gcd(3,6) = 3
+    # the two conventions read the reduced components: the arc condition
+    # gcd(A, Q) = 1 leaves B out, the joint one gcd(A, B, Q) = 1 takes it in
+    def joint(fp):
+        return math.gcd(*fp.A, fp.B, fp.Q) == 1
+
+    def arc(fp):
+        return math.gcd(*fp.A, fp.Q) == 1
+
+    assert joint(FreqPoint(6, (8,), 9))        # A = 2, B = 3: gcd 1
+    assert not joint(FreqPoint(6, (2,), -2))   # A = 2, B = 4: gcd 2
+    assert arc(FreqPoint(6, (-1,), 4))         # A = 5
+    assert not arc(FreqPoint(6, (9,), 1))      # A = 3: gcd(3, 6) = 3
+    assert joint(FreqPoint(6, (9,), 1)) and not arc(FreqPoint(6, (9,), 1))
 
 
 def test_freq_point_rejects_bad_modulus():
@@ -136,14 +145,6 @@ def test_enumerate_level_two_degree_two():
     assert {(p.Q, p.A) for p in pts} == {(2, (1,)), (3, (1,)), (3, (2,))}
     for p in pts:
         assert math.gcd(*p.A, p.Q) == 1
-        assert p.arc_coprime()
-
-
-def test_enumerate_respects_level_cap():
-    with pytest.raises(DomainError):
-        arc_pairs(5, 2, s_cap=4)
-    with pytest.raises(DomainError):
-        arc_pairs(5, 2)
 
 
 def test_arc_pairs_level_two():

@@ -194,7 +194,10 @@ def test_int_lists_reject_fractions(tmp_path):
 
 
 def test_summary_line_prints_json_booleans(tmp_path, capsys):
-    rc = cli.main(["converge", "--set", "n_top=2000", "--out", str(tmp_path)])
+    # a zero tolerance fails the scan check, so ok prints as false
+    rc = cli.main(["converge", "--set", "n_top=65537", "--set", "top_tol=0",
+                   "--out", str(tmp_path)])
+    assert rc == 2
     line = capsys.readouterr().out.strip().splitlines()[-1]
     flat = json.loads(line.split(" ", 2)[2])
     assert flat["ok"] is (rc == 0)
@@ -214,7 +217,7 @@ def test_sweep_level_range_checked_before_any_draw(operator, monkeypatch):
             harness.sweep_norm_ratio(operator, cfg, 1, 1)
 
 
-@pytest.mark.parametrize("operator", ["maximal-arc", "vr-s"])
+@pytest.mark.parametrize("operator", ["maximal-arc", "seqspace", "vr-s"])
 def test_sweep_builds_symbols_once_per_level(operator, monkeypatch):
     # no symbol depends on the draw, so the Weyl rows behind the symbols
     # are computed per level: their count must not grow with the batch
@@ -277,6 +280,7 @@ def _outputs_at_jobs(argv, tmp_path, monkeypatch):
 
 _SWEEP_SETS = {
     "maximal-arc": ("s_max=2",),
+    "seqspace": ("s_max=2",),
     "vr-s": ("s_max=2",),
     "vr-sd": ("s_max=2",),
     "vr-linear-sup-theta": ("theta_count=8", "sizes=1024,2048"),
@@ -309,6 +313,17 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     ("multiplier", "s_list=1,5", "modvar.harness.stream"),
     ("multiplier", "s_list=0,1", "modvar.harness.stream"),
     ("carleson", "batch=29", "modvar.harness.stream"),
+    ("carleson", "theta_count=0", "modvar.harness.stream"),
+    ("carleson", "cov_len=7", "modvar.harness.stream"),
+    ("sweep", "operator=maximal-arc M=-5", "modvar.harness.make_bump"),
+    ("bump-check", "samples=0", "modvar.harness.make_bump"),
+    ("chaining", "max_times=1", "modvar.harness.stream"),
+    ("chaining", "max_dim=0", "modvar.harness.stream"),
+    ("variation", "max_len=1", "modvar.harness.stream"),
+    ("variation", "jump_len=3", "modvar.harness.stream"),
+    ("variation", "n_oracle=-1", "modvar.harness.stream"),
+    # the time grid 2^7..2^16 would be unsorted and the run would fail
+    ("converge", "n_top=10", "modvar.harness.make_bump"),
 ])
 def test_config_ranges_refused_before_any_work(kind, setting, first_work,
                                                tmp_path, monkeypatch, capsys):
@@ -316,10 +331,14 @@ def test_config_ranges_refused_before_any_work(kind, setting, first_work,
         raise AssertionError("work ran before the range check")
 
     monkeypatch.setattr(first_work, work)
-    rc = cli.main([kind, "--set", setting, "--out", str(tmp_path)])
-    assert rc == 1
+    argv = [kind, "--out", str(tmp_path)]
+    for item in setting.split():
+        argv += ["--set", item]
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:")
+    # the refusal names the key of the last setting
+    assert setting.split()[-1].split("=")[0] in err
 
 
 _KEYS = sorted({key for schema in SCHEMAS.values() for key in schema}

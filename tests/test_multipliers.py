@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modvar import harness
+from modvar import dense
 from modvar.bumpkit import make_Psi, make_bump, make_chi, psi_floor_index
 from modvar.multipliers import (
     MIN_MODULUS,
@@ -18,6 +18,7 @@ from modvar.multipliers import (
     lambda_grid_for,
     maximal_arc_ratio,
     seqspace_freqs,
+    seqspace_level,
     seqspace_ratio,
     snap_to_grid,
     vr_s_stacks,
@@ -84,25 +85,30 @@ def test_seqspace_freqs_level_two():
 
 
 def test_seqspace_ratio_zero_coefficients():
-    assert seqspace_ratio(np.zeros(4), 2, (0, 64)) == 0.0
+    assert seqspace_ratio(seqspace_level(2, 64), np.zeros(4)) == 0.0
 
 
 def test_seqspace_ratio_level_one_unit():
     # single frequency 0 with weight S = 1: the map is the constant 1
-    assert seqspace_ratio([1.0], 1, (0, 16)) == pytest.approx(1.0, abs=1e-12)
+    assert seqspace_ratio(seqspace_level(1, 16), [1.0]) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_seqspace_ratio_half_frequency_full_weight():
     # B/Q = 1/2 carries |S(1,1;2)| = 1, so a pure coefficient there attains 1
     c = [0.0, 0.0, 1.0, 0.0]
-    assert seqspace_ratio(c, 2, (0, 64)) == pytest.approx(1.0, abs=1e-12)
+    assert seqspace_ratio(seqspace_level(2, 64), c) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_seqspace_ratio_validates_input():
-    with pytest.raises(DomainError):
-        seqspace_ratio([1.0, 0.0], 1, (0, 16))       # wrong length
-    with pytest.raises(DomainError):
-        seqspace_ratio([1.0], 1, (0, 1))             # interval too short
+    with pytest.raises(DomainError):                # wrong length
+        seqspace_ratio(seqspace_level(1, 16), [1.0, 0.0])
+    with pytest.raises(DomainError):                # interval too short
+        seqspace_level(1, 1)
+    for s in (0, 5):
+        with pytest.raises(DomainError):
+            seqspace_level(s, 64)
 
 
 def test_snap_accepts_fine_grid():
@@ -177,7 +183,7 @@ def test_arc_symbol_matches_dense_oracle(data):
         st.tuples(st.floats(0.0, 1.0, exclude_max=True))))
     got = build_arc_multiplier(s, J, lambda_vec, BUMP, 1.5, M,
                                strict_modulus=False)
-    want = harness._dense_symbol(s, J, lambda_vec, BUMP, 1.5, M)
+    want = dense.arc_multiplier(s, J, lambda_vec, BUMP, 1.5, M)
     assert np.max(np.abs(got - want)) <= 1e-8
 
 

@@ -1,9 +1,12 @@
 """Guard against library code that nothing in the package reaches.
 
-Every public module-level function and class of src/modvar, and every
-public method and property of a module-level class, must be named somewhere
-in the package outside its own definition, or be listed below with the
-reason it stays.  A plain ast scan, so it costs milliseconds.
+Every public module-level function, class and UPPER_CASE constant of
+src/modvar, every public method and property of a module-level class, and
+every public field such a class sets as ``self.NAME = ...`` must be read
+somewhere in the package outside its own definition, or be listed below
+with the reason it stays.  Only loads count, and attribute chains rooted at
+a module imported from outside the package (``np.add.at``) name nothing of
+the package.  A plain ast scan, so it costs milliseconds.
 """
 
 import ast
@@ -11,10 +14,12 @@ import pathlib
 import time
 from collections import Counter
 
+import pytest
+
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "modvar"
 
-# name (Class.method for methods) -> why it stays although no package code
-# names it
+# name (Class.member for methods and fields) -> why it stays although no
+# package code names it
 ALLOWED = {
     "default_config": "perfbench/run.py builds its configs with it",
     "obs_const": "tests of orbit_average and ww_scan use the constant "
@@ -23,80 +28,94 @@ ALLOWED = {
                   "core _chain_dp on the gap matrix it shares with the "
                   "variation DP, and the DFS-oracle tests check that core "
                   "through jump_count",
-    # Unit-tested references for objects of the paper that no experiment
-    # runs yet; each goes, with its tests, when a later change drops it.
-    "rough_average": "the plain Wiener-Wintner average (1/N) sum "
-                     "e(P(n)) f(T^n omega); the resonance tests check "
-                     "orbit_array and phase_range through it",
-    "sample_transfer": "the transferred signal n -> f(T^n omega) that "
-                       "carries integer-line bounds to a system",
-    "maximal_hl_profile": "the centered Hardy-Littlewood maximal average "
-                          "(maximal_hl) over a set of points",
-    # Methods that only tests call.
-    "ZShift.orbit_point": "the scalar orbit, the reference that the "
-                          "orbit_array tests compare against",
-    "CircleRotation.orbit_point": "the scalar orbit, the reference that the "
-                                  "orbit_array tests compare against",
-    "SkewProduct.orbit_point": "the scalar orbit, the reference that the "
-                               "orbit_array tests compare against",
-    "FreqPoint.arc_coprime": "gcd(A, Q) = 1, the condition that defines an "
-                             "arc; tests check arc_pairs against it",
-    "FreqPoint.joint_coprime": "gcd(A, B, Q) = 1, the reduced-frequency "
-                               "condition of the Weyl-sum bounds, checked "
-                               "by tests",
-    "VecSequence.dist": "the l2 distance of two sequence elements; the "
-                        "cover tests check net separation with it",
-    "Signal.delta": "the unit point mass that the DFT and averaging tests "
-                    "start from",
-    "Poly.to_json": "the JSON form of a polynomial; its round-trip test "
-                    "pairs it with from_json",
-    "Poly.from_json": "reads Poly.to_json back; its round-trip test is the "
-                      "only caller",
-    "ChainingCover.to_json": "the JSON form of a cover's levels; its "
-                             "round-trip test is the only caller",
 }
 
 
-def _names(tree):
-    """Every identifier that an expression under tree refers to."""
+def _foreign_roots(tree):
+    """Names that absolute imports bind, such as np for numpy."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.update(a.asname or a.name for a in node.names)
+    return roots
+
+
+def _root(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _names(tree, foreign=frozenset()):
+    """Every identifier that an expression under tree reads, except the
+    attributes of chains rooted at a name in foreign."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)
+              and _root(node) not in foreign):
             out[node.attr] += 1
     return out
 
 
+def _public(name):
+    return not name.startswith("_")
+
+
 def _definitions(tree):
-    """(key, name, node) of each public top-level function and class, and
-    of each public method or property of a top-level class; methods are
-    keyed Class.method."""
+    """(key, name, node) of each public top-level function, class and
+    UPPER_CASE constant, and of each public method, property or self.NAME
+    field of a top-level class; members are keyed Class.member."""
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")):
+                and _public(node.name)):
             yield node.name, node.name, node
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                if (isinstance(t, ast.Name) and _public(t.id)
+                        and t.id.isupper()):
+                    yield t.id, t.id, node
         if isinstance(node, ast.ClassDef):
+            fields = {}
             for item in node.body:
-                if (isinstance(item, ast.FunctionDef)
-                        and not item.name.startswith("_")):
+                if isinstance(item, ast.FunctionDef) and _public(item.name):
                     yield node.name + "." + item.name, item.name, item
+                for sub in ast.walk(item):
+                    if isinstance(sub, ast.Assign):
+                        for t in sub.targets:
+                            if (isinstance(t, ast.Attribute)
+                                    and _root(t) == "self"
+                                    and isinstance(t.value, ast.Name)
+                                    and _public(t.attr)):
+                                fields.setdefault(t.attr, sub)
+            for name, sub in fields.items():
+                yield node.name + "." + name, name, sub
 
 
-def _unreached():
-    """Public definitions whose name appears nowhere outside themselves.
+def _unreached(sources=None):
+    """Public definitions whose name is read nowhere outside themselves.
 
-    A name is matched, not a binding, so a method counts as reached when
-    anything in the package names an attribute of that name.
+    sources: (file name, text) pairs, the package files by default.  A name
+    is matched, not a binding, so a method counts as reached when anything
+    in the package reads an attribute of that name.
     """
-    defined = []          # (key, name, where, uses of name inside itself)
+    if sources is None:
+        sources = [(p.name, p.read_text())
+                   for p in sorted(PACKAGE.glob("*.py"))]
+    defined = []          # (key, name, where, reads of name inside itself)
     named = Counter()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        named += _names(tree)
+    for fname, text in sources:
+        tree = ast.parse(text, filename=fname)
+        foreign = _foreign_roots(tree)
+        named += _names(tree, foreign)
         for key, name, node in _definitions(tree):
-            defined.append((key, name, "%s:%d" % (path.name, node.lineno),
-                            _names(node)[name]))
+            defined.append((key, name, "%s:%d" % (fname, node.lineno),
+                            _names(node, foreign)[name]))
     inside = Counter()
     for _key, name, _where, uses in defined:
         inside[name] += uses
@@ -117,3 +136,23 @@ def test_every_public_definition_is_reached():
 def test_allowlist_names_only_unreached_definitions():
     # an entry whose object is gone or now reached must leave the list
     assert set(ALLOWED) <= set(_unreached())
+
+
+# one planted dead definition per kind the guard must see
+_PLANTED = {
+    # np.add.at reads numpy's at, not the method
+    "Signal.at": "import numpy as np\n\n\nclass Signal:\n"
+                 "    def at(self, n):\n        return n\n\n\n"
+                 "np.add.at(np.zeros(2), [0], 1.0)\nSignal()\n",
+    # a constant that is only assigned
+    "TWO_PI": "TWO_PI = 6.28\nSCALE = 2\nprint(SCALE)\n",
+    # a field that is only stored; h is read
+    "Bump.grid": "class Bump:\n    def __init__(self, h):\n"
+                 "        self.h = h\n        self.grid = [h]\n\n\n"
+                 "print(Bump(1).h)\n",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PLANTED))
+def test_guard_sees_planted_dead_code(key):
+    assert set(_unreached([("planted.py", _PLANTED[key])])) == {key}

@@ -86,9 +86,3 @@ def test_phase_range_blocks_equal_exact_fractions(coeffs, e_big, n0, extra):
     got = polykit.phase_range(Poly(coeffs), n0, N)
     assert got.tolist() == [oracles.phase_fraction(coeffs, n)
                             for n in range(n0, n0 + N)]
-
-
-def test_poly_json_roundtrip():
-    p = Poly.vanish2((0.5, -0.125))
-    q = Poly.from_json(p.to_json())
-    assert q.coeffs == p.coeffs and q.class_tag == p.class_tag

@@ -1,5 +1,4 @@
-"""Signals, the DFT convention, modulation, convolution, and the centered
-maximal average."""
+"""Signals, the DFT convention, modulation and convolution."""
 
 import numpy as np
 import pytest
@@ -8,12 +7,10 @@ from modvar.signalkit import (
     CyclicSignal,
     Signal,
     convolve,
-    maximal_hl,
-    maximal_hl_profile,
     modulate,
     modulate_cyclic,
 )
-from modvar import harness, polykit
+from modvar import dense, polykit
 from modvar.util import e
 
 import oracles
@@ -24,13 +21,13 @@ def _random_cyclic(rng, M):
 
 
 # The convention is numpy's fft; the multiplier experiment's dense oracle
-# (harness._dense_dft_column, _dense_apply) implements it by direct sums.
+# (dense.dft_column, dense.apply) implements it by direct sums.
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 8, 17, 64])
 def test_dft_matches_dense_oracle(rng, M):
     f = _random_cyclic(rng, M)
-    got = harness._dense_dft_column(f.values, 0, M)
+    got = dense.dft_column(f.values, 0, M)
     want = oracles.dft_dense(f.values)
     assert np.max(np.abs(got - want)) < 1e-9 * max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(np.fft.fft(f.values) - want)) < \
@@ -40,13 +37,13 @@ def test_dft_matches_dense_oracle(rng, M):
 def test_dft_idft_roundtrip(rng):
     # the all-ones symbol: inverse DFT of the DFT
     f = _random_cyclic(rng, 48)
-    back = harness._dense_apply(np.ones(48), f.values)
+    back = dense.apply(np.ones(48), f.values)
     assert np.max(np.abs(back - f.values)) < 1e-12
 
 
 def test_dft_parseval(rng):
     f = _random_cyclic(rng, 53)
-    fhat = harness._dense_dft_column(f.values, 0, 53)
+    fhat = dense.dft_column(f.values, 0, 53)
     # sum |fhat|^2 = M * sum |f|^2 with the unnormalized forward transform
     assert np.sum(np.abs(fhat) ** 2) == pytest.approx(
         53 * np.sum(np.abs(f.values) ** 2), rel=1e-12)
@@ -55,7 +52,7 @@ def test_dft_parseval(rng):
 def test_dft_of_point_mass_is_flat():
     vals = np.zeros(16, dtype=complex)
     vals[0] = 1.0
-    fhat = harness._dense_dft_column(vals, 0, 16)
+    fhat = dense.dft_column(vals, 0, 16)
     assert np.max(np.abs(fhat - 1.0)) < 1e-12
 
 
@@ -118,40 +115,3 @@ def test_convolve_direct_and_fft_agree(rng):
     b = convolve(f, k, method="fft")
     assert a.support_start == b.support_start
     assert np.max(np.abs(a.values - b.values)) < 1e-9
-
-
-def test_maximal_hl_point_mass():
-    f = Signal.delta(0)
-    # at x=2 the smallest window reaching the mass has N=2, giving 1/5,
-    # and longer windows only dilute
-    assert maximal_hl(f, 2) == pytest.approx(0.2, abs=1e-15)
-    assert maximal_hl(f, 0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_maximal_hl_plateau_attains_height():
-    f = Signal(0, np.full(101, 0.7, dtype=complex))
-    assert maximal_hl(f, 50) == pytest.approx(0.7, abs=1e-12)
-
-
-def test_maximal_hl_zero_signal():
-    f = Signal(0, np.zeros(10, dtype=complex))
-    assert maximal_hl(f, 3) == 0.0
-
-
-def test_maximal_hl_brute_force(rng):
-    vals = rng.normal(size=13) + 1j * rng.normal(size=13)
-    f = Signal(-6, vals)
-    for x in range(-10, 11, 4):
-        best = 0.0
-        for N in range(0, 40):
-            tot = sum(abs(f.at(n)) for n in range(x - N, x + N + 1))
-            best = max(best, tot / (2 * N + 1))
-        assert maximal_hl(f, x) == pytest.approx(best, rel=1e-12)
-
-
-def test_maximal_hl_profile_matches_scalar(rng):
-    f = Signal(0, rng.normal(size=9) + 0j)
-    xs = [-2, 0, 4, 11]
-    prof = maximal_hl_profile(f, xs)
-    for x, v in zip(xs, prof):
-        assert v == maximal_hl(f, x)
