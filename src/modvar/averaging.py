@@ -31,21 +31,10 @@ def modulated_weights(bump: SmoothBump, M: int, p: polykit.Poly) -> signalkit.Si
     return signalkit.Signal(0, w * e(polykit.phase_range(p, 0, M + 1)))
 
 
-def conv_average(f: signalkit.Signal, bump: SmoothBump, M: int, p: polykit.Poly,
-                 full=False) -> signalkit.Signal:
-    """A_M^P f as a Signal.
-
-    By default the output keeps only the positions where the shorter of the
-    two supports sits entirely inside the longer one (no partial-overlap
-    boundary terms); full=True keeps the whole convolution support.
-    """
-    k = modulated_weights(bump, M, p)
-    out = signalkit.convolve(f, k)
-    if full:
-        return out
-    short = min(len(f), len(k))
-    start = out.support_start + short - 1
-    return signalkit.Signal(start, out.values[short - 1: len(out) - short + 1])
+def conv_average(f: signalkit.Signal, bump: SmoothBump, M: int,
+                 p: polykit.Poly) -> signalkit.Signal:
+    """A_M^P f as a Signal on the whole convolution support."""
+    return signalkit.convolve(f, modulated_weights(bump, M, p))
 
 
 def orbit_terms(sys, f, omega, N: int, p: polykit.Poly):

@@ -319,7 +319,6 @@ def theta_sup_variation(values, bump, trunc_list, theta_count, r):
         raise DomainError("theta grid %d must divide the length %d"
                           % (theta_count, L))
     step = L // theta_count
-    fhat = np.fft.fft(values)
     what = np.empty((len(trunc_list), L), dtype=complex)
     for k, M in enumerate(trunc_list):
         if M >= L:
@@ -328,11 +327,9 @@ def theta_sup_variation(values, bump, trunc_list, theta_count, r):
         padded = np.zeros(L, dtype=complex)
         padded[: M + 1] = scaled_weight(bump, M, np.arange(M + 1))
         what[k] = np.fft.fft(padded)
-    best = np.zeros(L)
-    for j in range(theta_count):
-        rows = np.fft.ifft(np.roll(what, -j * step, axis=1) * fhat, axis=1)
-        np.maximum(best, variation.vr_batch(rows, r), out=best)
-    return best
+    return multipliers.vr_sup((np.roll(what, -j * step, axis=1)
+                               for j in range(theta_count)),
+                              CyclicSignal(values), r)
 
 
 def _truncation_list(L):
@@ -656,10 +653,9 @@ def _run_carleson(cfg, out, seed, jobs):
         theta = int(g.integers(0, 256)) / 256.0
         theta2 = int(g.integers(0, 256)) / 256.0
         lhs = averaging.conv_average(modulate(f, theta), bump, M_avg,
-                                     polykit.Poly.linear(-theta2), full=True)
+                                     polykit.Poly.linear(-theta2))
         rhs = modulate(averaging.conv_average(
-            f, bump, M_avg, polykit.Poly.linear(-(theta2 + theta)),
-            full=True), theta)
+            f, bump, M_avg, polykit.Poly.linear(-(theta2 + theta))), theta)
         assert lhs.support_start == rhs.support_start
         worst_cov = max(worst_cov,
                         float(np.max(np.abs(lhs.values - rhs.values))))

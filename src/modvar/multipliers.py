@@ -40,7 +40,7 @@ import numpy as np
 from . import arithmetic, polykit, variation
 from .bumpkit import DEFAULT_A0, SmoothBump, make_Psi, make_chi, \
     psi_floor_index
-from .signalkit import Signal
+from .signalkit import Signal, convolve
 from .util import DomainError, GridTooCoarseError, e, torus_signed, write_csv
 
 S_CAP = 4
@@ -64,11 +64,12 @@ def _level_chi(s, chi_a0):
 
 
 def _scales(J_list):
+    """The one check of a scale list: nonempty, strictly increasing."""
     J_list = [int(J) for J in J_list]
     if not J_list:
         raise DomainError("need at least one scale")
     if sorted(J_list) != J_list or len(set(J_list)) != len(J_list):
-        raise DomainError("J_list must be strictly increasing")
+        raise DomainError("scales must be strictly increasing")
     return J_list
 
 
@@ -311,7 +312,8 @@ def vr_sd_stacks(s: int, J_list, lambda_grid, M: int, bump: SmoothBump,
 
 def vr_sup(stacks, f, r) -> np.ndarray:
     """Pointwise sup over the stacks of the r-variation across the rows of
-    each stack applied to f (stacks from vr_s_stacks or vr_sd_stacks)."""
+    each stack applied to f (stacks: any iterable of (rows, M) symbol
+    arrays, e.g. vr_s_stacks, vr_sd_stacks, or a generator of them)."""
     fhat = np.fft.fft(f.values)
     best = np.zeros(f.modulus)
     for stack in stacks:
@@ -327,11 +329,7 @@ def vrd_operator(f: Signal, bump: SmoothBump, lam, P_grid, k_list, r) -> Signal:
     Per x: sup over P (the zero polynomial always included) of the exact
     r-variation of the sequence k -> sum_n Psi_k(n) e(P(n)) f(x - n).
     """
-    k_list = [int(k) for k in k_list]
-    if sorted(k_list) != k_list or len(set(k_list)) != len(k_list):
-        raise DomainError("k_list must be strictly increasing")
-    if not k_list:
-        raise DomainError("need at least one scale")
+    k_list = _scales(k_list)
     polys = [polykit.Poly.zero()]
     for p in P_grid:
         if p.degree > 0 or any(c != 0.0 for c in p.coeffs):
@@ -347,9 +345,9 @@ def vrd_operator(f: Signal, bump: SmoothBump, lam, P_grid, k_list, r) -> Signal:
         for i, k in enumerate(k_list):
             n0, vals = kernels[k]
             mod = vals * e(polykit.phase_range(p, n0, len(vals)))
-            conv = np.convolve(f.values, mod)
-            lead = (f.support_start + n0) - out_start
-            rows[i, lead: lead + len(conv)] = conv
+            conv = convolve(f, Signal(n0, mod))
+            lead = conv.support_start - out_start
+            rows[i, lead: lead + len(conv)] = conv.values
         if len(k_list) >= 2:
             np.maximum(best, variation.vr_batch(rows, r), out=best)
     return Signal(out_start, best)

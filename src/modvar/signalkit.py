@@ -10,12 +10,13 @@ so Parseval reads ||f||^2 = (1/M) sum_b |fhat(b)|^2.  modulate() takes its
 phases n * theta mod 1 from polykit.phase_range of the linear polynomial
 theta n, which reduces them exactly in integer arithmetic (the float theta
 is a dyadic rational), so it is exact for every representable frequency.
+convolve() is numpy's direct full convolution with the supports added; the
+package's signals are short, so no FFT path is needed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as _sps
 
 from . import polykit
 from .util import DomainError, e
@@ -70,18 +71,7 @@ def modulate_cyclic(f: CyclicSignal, b: int) -> CyclicSignal:
     return CyclicSignal(f.values * e(ph / M))
 
 
-FFT_THRESHOLD = 4096
-
-
-def convolve(f: Signal, k: Signal, method=None) -> Signal:
-    """(f * k)(x) = sum_n k(n) f(x - n), full support arithmetic.
-
-    Direct summation for short outputs, FFT beyond FFT_THRESHOLD; ``method``
-    forces "direct" or "fft".
-    """
-    out_len = len(f) + len(k) - 1
-    if method is None:
-        method = "fft" if out_len > FFT_THRESHOLD else "direct"
-    out = _sps.convolve(f.values, k.values, mode="full", method=method)
-    return Signal(f.support_start + k.support_start, out)
-
+def convolve(f: Signal, k: Signal) -> Signal:
+    """(f * k)(x) = sum_n k(n) f(x - n), full support arithmetic."""
+    return Signal(f.support_start + k.support_start,
+                  np.convolve(f.values, k.values))

@@ -240,7 +240,6 @@ class ChainingCover:
     parent: dict
     v_min: int
     v_max: int
-    diameter: float
 
     def radius(self, v):
         return 2.0 ** (-v)
@@ -261,7 +260,7 @@ def build_chaining_cover(vseq: VecSequence, resolution=COVER_RESOLUTION) -> Chai
     G = _gaps(vals)
     diam = float(G.max())
     if diam == 0.0:
-        return ChainingCover({0: (0,)}, {}, 0, 0, 0.0)
+        return ChainingCover({0: (0,)}, {}, 0, 0)
     v_min = int(math.floor(-math.log2(diam)))
     v_max = int(math.floor(-math.log2(resolution * diam)))
     v_max = max(v_max, v_min)
@@ -287,7 +286,7 @@ def build_chaining_cover(vseq: VecSequence, resolution=COVER_RESOLUTION) -> Chai
         # argmax finds the first hit, the minimal-time center
         for i, k in zip(levels[v], near.argmax(axis=1)):
             parent[(v, i)] = coarse[k]
-    return ChainingCover(levels, parent, v_min, v_max, diam)
+    return ChainingCover(levels, parent, v_min, v_max)
 
 
 def verify_cover(cover: ChainingCover, vseq: VecSequence):

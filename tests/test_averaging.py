@@ -43,22 +43,10 @@ def test_conv_average_of_point_mass_recovers_weights():
     M = 8
     f = Signal(0, [1.0])
     p = polykit.Poly.linear(0.0)
-    out = conv_average(f, bump, M, p, full=True)
+    out = conv_average(f, bump, M, p)
     w = modulated_weights(bump, M, p)
     assert out.support_start == 0
     assert np.max(np.abs(out.values - w.values)) < 1e-15
-
-
-def test_conv_average_interior_only_by_default(rng):
-    bump = make_bump(0.25)
-    f = Signal(0, rng.normal(size=40) + 0j)
-    out = conv_average(f, bump, 8, polykit.Poly.linear(0.0))
-    full = conv_average(f, bump, 8, polykit.Poly.linear(0.0), full=True)
-    # interior slice: all positions where the kernel support fits inside f's
-    assert len(out) == len(full) - 2 * (9 - 1)
-    assert out.support_start == full.support_start + 8
-    i0 = out.support_start - full.support_start
-    assert np.array_equal(out.values, full.values[i0: i0 + len(out)])
 
 
 def test_conv_average_matches_loop_oracle(rng):
@@ -66,7 +54,7 @@ def test_conv_average_matches_loop_oracle(rng):
     M = 6
     f = Signal(-3, rng.normal(size=20) + 1j * rng.normal(size=20))
     p = polykit.Poly.linear(0.375)
-    out = conv_average(f, bump, M, p, full=True)
+    out = conv_average(f, bump, M, p)
     k = modulated_weights(bump, M, p)
     want = oracles.convolve_loops(f.values, k.values)
     assert np.max(np.abs(out.values - want)) < 1e-10

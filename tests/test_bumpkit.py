@@ -1,3 +1,4 @@
+import importlib.util
 import math
 
 import numpy as np
@@ -128,3 +129,34 @@ def test_chi_window_refuses_index_off_the_grid():
     for b0 in (-1, 97):
         with pytest.raises(DomainError):
             chi.window(97, b0)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
+                    reason="scipy, the oracle, is a test extra")
+@settings(max_examples=200)
+@given(st.integers(3, 4000), st.floats(1e-6, 1.0),
+       st.sampled_from([1e-3, 1.0, 1e5]), st.integers(0, 2 ** 32 - 1))
+def test_simpson_matches_scipy_bitwise(n, h, scale, seed):
+    from scipy import integrate
+    y = np.random.default_rng(seed).standard_normal(n) * scale
+    got = bumpkit._simpson(y, h)
+    want = float(integrate.simpson(y, dx=h))
+    # equal as floats: bit for bit, up to the sign of an exact zero
+    assert got == want
+
+
+@settings(max_examples=200)
+@given(st.integers(3, 400), st.floats(1e-3, 0.1), st.floats(-1.0, 1.0),
+       st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+def test_simpson_is_exact_on_quadratics(n, h, x0, coeffs):
+    # both parities: the end correction of an even count is exact too
+    c0, c1, c2 = coeffs
+    t = x0 + h * np.arange(n)
+    y = c0 + c1 * t + c2 * t ** 2
+    a, b = x0, x0 + h * (n - 1)
+
+    def F(x):
+        return c0 * x + c1 * x ** 2 / 2 + c2 * x ** 3 / 3
+
+    scale = (b - a) * float(np.max(np.abs(y)) + 1.0)
+    assert abs(bumpkit._simpson(y, h) - (F(b) - F(a))) <= 1e-11 * scale

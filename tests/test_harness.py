@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -372,3 +374,31 @@ def test_parse_config_raises_only_config_error(lines, overrides, kind):
         return
     assert cfg.kind in SCHEMAS
     assert set(cfg.params) == set(SCHEMAS[cfg.kind])
+
+
+_SCIPY_FREE_RUN = """
+import sys
+from modvar import cli
+for argv in (["bump-check"],
+             ["carleson", "--set", "n_cov=10", "--set", "theta_count=8",
+              "--set", "sizes=1024,2048"]):
+    assert cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # a fresh interpreter: the test process itself may have loaded scipy
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env.pop("MODVAR_JOBS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert sorted(os.listdir(tmp_path)) == [
+        "bump_check.json", "bump_profile.csv", "carleson.csv",
+        "carleson.json"]

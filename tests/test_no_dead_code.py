@@ -2,11 +2,14 @@
 
 Every public module-level function, class and UPPER_CASE constant of
 src/modvar, every public method and property of a module-level class, and
-every public field such a class sets as ``self.NAME = ...`` must be read
-somewhere in the package outside its own definition, or be listed below
-with the reason it stays.  Only loads count, and attribute chains rooted at
-a module imported from outside the package (``np.add.at``) name nothing of
-the package.  A plain ast scan, so it costs milliseconds.
+every public field such a class sets as ``self.NAME = ...`` or declares as
+an annotated class attribute (a dataclass field) must be read somewhere in
+the package outside its own definition, or be listed below with the reason
+it stays.  Only loads count.  A member counts as read only through an
+attribute (``obj.NAME``), so a local variable of the same name does not
+hide it; attribute chains rooted at a module imported from outside the
+package (``np.add.at``) name nothing of the package.  A plain ast scan, so
+it costs milliseconds.
 """
 
 import ast
@@ -50,17 +53,25 @@ def _root(node):
 
 
 def _names(tree, foreign=frozenset()):
-    """Every identifier that an expression under tree reads, except the
-    attributes of chains rooted at a name in foreign."""
-    out = Counter()
+    """The identifiers that expressions under tree read, as a pair of
+    counters: bare names, and attributes (except those of chains rooted at
+    a name in foreign)."""
+    names, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out[node.id] += 1
+            names[node.id] += 1
         elif (isinstance(node, ast.Attribute)
               and isinstance(node.ctx, ast.Load)
               and _root(node) not in foreign):
-            out[node.attr] += 1
-    return out
+            attrs[node.attr] += 1
+    return names, attrs
+
+
+def _reads(counts, name, member):
+    """Reads of name in a _names pair: attribute reads only for a member,
+    bare names too for a module-level definition."""
+    names, attrs = counts
+    return attrs[name] + (0 if member else names[name])
 
 
 def _public(name):
@@ -68,23 +79,28 @@ def _public(name):
 
 
 def _definitions(tree):
-    """(key, name, node) of each public top-level function, class and
-    UPPER_CASE constant, and of each public method, property or self.NAME
-    field of a top-level class; members are keyed Class.member."""
+    """(key, name, member, node) of each public top-level function, class
+    and UPPER_CASE constant, and of each public method, property, self.NAME
+    field or annotated class field of a top-level class; members are keyed
+    Class.member."""
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and _public(node.name)):
-            yield node.name, node.name, node
+            yield node.name, node.name, False, node
         if isinstance(node, ast.Assign):
             for t in node.targets:
                 if (isinstance(t, ast.Name) and _public(t.id)
                         and t.id.isupper()):
-                    yield t.id, t.id, node
+                    yield t.id, t.id, False, node
         if isinstance(node, ast.ClassDef):
             fields = {}
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and _public(item.name):
-                    yield node.name + "." + item.name, item.name, item
+                    yield node.name + "." + item.name, item.name, True, item
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and _public(item.target.id)):
+                    fields.setdefault(item.target.id, item)
                 for sub in ast.walk(item):
                     if isinstance(sub, ast.Assign):
                         for t in sub.targets:
@@ -94,7 +110,7 @@ def _definitions(tree):
                                     and _public(t.attr)):
                                 fields.setdefault(t.attr, sub)
             for name, sub in fields.items():
-                yield node.name + "." + name, name, sub
+                yield node.name + "." + name, name, True, sub
 
 
 def _unreached(sources=None):
@@ -107,20 +123,23 @@ def _unreached(sources=None):
     if sources is None:
         sources = [(p.name, p.read_text())
                    for p in sorted(PACKAGE.glob("*.py"))]
-    defined = []          # (key, name, where, reads of name inside itself)
-    named = Counter()
+    defined = []   # (key, name, member, where, reads of name inside itself)
+    names, attrs = Counter(), Counter()
     for fname, text in sources:
         tree = ast.parse(text, filename=fname)
         foreign = _foreign_roots(tree)
-        named += _names(tree, foreign)
-        for key, name, node in _definitions(tree):
-            defined.append((key, name, "%s:%d" % (fname, node.lineno),
-                            _names(node, foreign)[name]))
+        file_names, file_attrs = _names(tree, foreign)
+        names += file_names
+        attrs += file_attrs
+        for key, name, member, node in _definitions(tree):
+            defined.append((key, name, member,
+                            "%s:%d" % (fname, node.lineno),
+                            _reads(_names(node, foreign), name, member)))
     inside = Counter()
-    for _key, name, _where, uses in defined:
-        inside[name] += uses
-    return {key: where for key, name, where, _uses in defined
-            if named[name] == inside[name]}
+    for _key, name, member, _where, uses in defined:
+        inside[name, member] += uses
+    return {key: where for key, name, member, where, _uses in defined
+            if _reads((names, attrs), name, member) == inside[name, member]}
 
 
 def test_every_public_definition_is_reached():
@@ -150,6 +169,16 @@ _PLANTED = {
     "Bump.grid": "class Bump:\n    def __init__(self, h):\n"
                  "        self.h = h\n        self.grid = [h]\n\n\n"
                  "print(Bump(1).h)\n",
+    # a field whose name is read only as a local variable
+    "Kernel.scale": "class Kernel:\n    def __init__(self, scale):\n"
+                    "        self.scale = scale\n\n\n"
+                    "def widths(scale):\n    return [scale]\n\n\n"
+                    "print(widths(2), Kernel(1))\n",
+    # a dataclass field that is only set; levels is read
+    "Cover.diameter": "from dataclasses import dataclass\n\n\n"
+                      "@dataclass\nclass Cover:\n    levels: dict\n"
+                      "    diameter: float\n\n\n"
+                      "print(Cover({}, 0.0).levels)\n",
 }
 
 

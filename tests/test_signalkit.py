@@ -106,12 +106,3 @@ def test_convolve_matches_loop_oracle(rng):
     want = oracles.convolve_loops(f.values, k.values)
     assert got.support_start == f.support_start + k.support_start
     assert np.max(np.abs(got.values - want)) < 1e-10
-
-
-def test_convolve_direct_and_fft_agree(rng):
-    f = Signal(0, rng.normal(size=300) + 0j)
-    k = Signal(-4, rng.normal(size=9) + 0j)
-    a = convolve(f, k, method="direct")
-    b = convolve(f, k, method="fft")
-    assert a.support_start == b.support_start
-    assert np.max(np.abs(a.values - b.values)) < 1e-9

@@ -168,11 +168,12 @@ def test_vec_sequence_validation():
 def test_cover_degenerate_cases():
     single = VecSequence(times=(0,), values=np.zeros((1, 2)))
     cov = build_chaining_cover(single)
-    assert cov.diameter == 0.0
+    assert (cov.v_min, cov.v_max) == (0, 0)
     assert cov.levels == {0: (0,)}
     flat = VecSequence(times=(0, 1, 2), values=np.ones((3, 2)))
     cov = build_chaining_cover(flat)
-    assert cov.diameter == 0.0
+    assert (cov.v_min, cov.v_max) == (0, 0)
+    assert cov.levels == {0: (0,)}
     with pytest.raises(DomainError):
         build_chaining_cover(VecSequence(times=(), values=np.zeros((0, 1))))
     for bad in (np.nan, np.inf):
@@ -259,7 +260,6 @@ def test_cover_matches_loop_oracle(vals, resolution):
     assert cover.levels == levels
     assert cover.parent == parent
     assert (cover.v_min, cover.v_max) == (v_min, v_max)
-    assert cover.diameter == pytest.approx(diam, rel=1e-12, abs=0.0)
     assert verify_cover(cover, vseq) <= 3.0
 
     # a removed center is itself the first point left uncovered
@@ -267,7 +267,7 @@ def test_cover_matches_loop_oracle(vals, resolution):
     if len(cover.levels[v]) > 1:
         c = cover.levels[v][-1]
         broken = ChainingCover(dict(cover.levels), cover.parent,
-                               cover.v_min, cover.v_max, cover.diameter)
+                               cover.v_min, cover.v_max)
         broken.levels[v] = cover.levels[v][:-1]
         with pytest.raises(AssertionError,
                            match="point %d uncovered at level %d$" % (c, v)):
