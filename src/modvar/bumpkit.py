@@ -302,10 +302,6 @@ class ChiCutoff:
         return out
 
 
-def make_chi(s, a0=DEFAULT_A0) -> ChiCutoff:
-    return ChiCutoff(s, a0=a0)
-
-
 def export_profile_csv(bump: SmoothBump, path):
     """Write (t, value) samples of the bump over its support to CSV."""
     from .util import write_csv

@@ -4,15 +4,17 @@ Each function recomputes a production object of multipliers by direct
 summation: Weyl sums one (A, B, Q) at a time through arithmetic.weyl_sum,
 chi windows point by point, kernel transforms and applies as O(M^2) sums,
 variation by vr_exact at each point, and vrd_operator as a nested loop over
-positions, phases, scales and kernel taps.  The multiplier experiment and
-the tests compare the production code against these; no other experiment
-imports this module.
+positions, phases, scales and kernel taps.  arc_multiplier is the one
+oracle of the multiplier stacks: at an arc centre A/Q its offsets vanish,
+so it covers the vr-s stacks as well as the vr-sd ones.  The multiplier
+experiment and the tests compare the production code against these; no
+other experiment imports this module.
 """
 
 import numpy as np
 
 from . import arithmetic, multipliers, polykit, variation
-from .bumpkit import make_Psi, make_chi
+from .bumpkit import ChiCutoff, make_Psi
 from .util import e
 
 
@@ -36,8 +38,9 @@ def arc_sum(A, Q, khat, chi, M):
 
 
 def arc_multiplier(s, J, lambda_vec, bump, lam, M):
-    """multipliers.build_arc_multiplier at the default window, densely."""
-    chi = make_chi(s)
+    """One row of multipliers.build_arc_multiplier, at scale J and
+    lambda_vec with the default window, densely."""
+    chi = ChiCutoff(s)
     d = len(lambda_vec) + 1
     total = np.zeros(M, dtype=complex)
     for A, Q in arithmetic.arc_pairs(s, d):
@@ -61,15 +64,6 @@ def arc_multiplier(s, J, lambda_vec, bump, lam, M):
         khat = dft_column(vals * e(-(phases % 1.0)), n0, M)
         total += arc_sum(A, Q, khat, chi, M)
     return total
-
-
-def vr_s_stacks(s, J_list, M, bump, lam):
-    """multipliers.vr_s_stacks at the default window, densely."""
-    chi = make_chi(s)
-    psis = [make_Psi(bump, lam, J, s_floor=s).at_integers() for J in J_list]
-    return [[arc_sum(A, Q, dft_column(vals, n0, M), chi, M)
-             for n0, vals in psis]
-            for A, Q in arithmetic.arc_pairs(s, 2)]
 
 
 def apply(symbol, fvals):

@@ -38,6 +38,12 @@ def _chi_a0_for_radius(s, radius):
     return s / (10.0 * math.log2(math.log2(1.0 / radius)))
 
 
+def _arc_centres(s):
+    """The level-s arc centres A/Q as lambda points: where the vr-s stacks
+    of build_arc_multiplier sit."""
+    return [(A[0] / Q,) for A, Q in arithmetic.arc_pairs(s, 2)]
+
+
 class ConfigError(Exception):
     """Invalid experiment configuration; the message names the field."""
 
@@ -152,8 +158,6 @@ SCHEMAS = {
         "operator": (_parse_str, _REQUIRED),
         "batch": (_parse_int, 30),
         "r": (_parse_float, 3.0),
-        "r_low": (_parse_float, 2.2),
-        "r_high": (_parse_float, 4.0),
         "M": (_parse_int, 0),        # 0 = per-operator default
         "s_min": (_parse_int, 1),
         "s_max": (_parse_int, 4),
@@ -161,11 +165,7 @@ SCHEMAS = {
         "lam": (_parse_float, 1.5),
         "eps0": (_parse_float, 0.25),
         "rho0": (_parse_float, 0.125),
-        "sizes": (_parse_ints, (1024, 4096, 16384)),
-        "theta_count": (_parse_int, 32),
         "seq_base": (_parse_int, 64),
-        "size_slack": (_parse_float, 1.5),
-        "envelope_slack": (_parse_float, 10.0),
     },
 }
 
@@ -185,8 +185,7 @@ _RANGES = {
     "sweep": {"M": (0, None), "batch": (30, None)},
 }
 
-SWEEP_OPERATORS = ("maximal-arc", "seqspace", "vr-s", "vr-sd",
-                   "vr-linear-sup-theta")
+SWEEP_OPERATORS = ("maximal-arc", "seqspace", "vr-s", "vr-sd")
 
 
 @dataclass(frozen=True)
@@ -340,40 +339,6 @@ def _truncation_list(L):
         out.append(M)
         M *= 2
     return out
-
-
-def _size_sweep(cfg, bump, seed, jobs):
-    """l2 ratio ||sup_theta V^r|| / ||f|| across sizes, plus the r envelope.
-
-    The linear case of carleson and of the vr-linear-sup-theta sweep: batch
-    draws per size at r, then paired draws at r_low and r_high on the
-    smallest size.  Returns a dict: "rows" for ratio_table_csv, "points"
-    (mean, max, stderr) per size, "mean_low" and "mean_high" at r_low and
-    r_high, the envelope "cap" on their ratio, and the checks "size_stable"
-    and "r_envelope".
-    """
-    sizes, batch, r = cfg.get("sizes"), cfg.get("batch"), cfg.get("r")
-    lo, hi = cfg.get("r_low"), cfg.get("r_high")
-
-    def stats_at(L, r_val):
-        def one(d):
-            f = _gauss(seed, d, L)
-            best = theta_sup_variation(f, bump, _truncation_list(L),
-                                       cfg.get("theta_count"), r_val)
-            return float(np.linalg.norm(best) / np.linalg.norm(f))
-        return _stats(_map_jobs(one, range(batch), jobs))
-
-    points = [stats_at(L, r) for L in sizes]
-    at_lo, at_hi = stats_at(sizes[0], lo), stats_at(sizes[0], hi)
-    rows = [(0, r, L, batch) + p for L, p in zip(sizes, points)]
-    rows += [(0, lo, sizes[0], batch) + at_lo, (0, hi, sizes[0], batch) + at_hi]
-    envelope = (lo / (lo - 2.0)) / (hi / (hi - 2.0))
-    cap = cfg.get("envelope_slack") * envelope
-    return {"rows": rows, "points": points,
-            "mean_low": at_lo[0], "mean_high": at_hi[0], "cap": cap,
-            "size_stable": (points[-1][0]
-                            <= cfg.get("size_slack") * points[0][0]),
-            "r_envelope": at_lo[0] / at_hi[0] <= cap}
 
 
 # ---------------------------------------------------------------------------
@@ -676,26 +641,42 @@ def _run_carleson(cfg, out, seed, jobs):
     grid_dev = float(np.max(np.abs(a1 - a2)))
     grid_ok = grid_dev <= cfg.get("grid_exact_tol")
 
-    # parts 3-4: l2 ratio stability across sizes, r-growth envelope
-    sweep = _size_sweep(cfg, bump, seed, jobs)
-    multipliers.ratio_table_csv(os.path.join(out, "carleson.csv"),
-                                sweep["rows"])
-    per_size = sweep["points"]
-    m_lo, m_hi = sweep["mean_low"], sweep["mean_high"]
+    # parts 3-4: l2 ratio ||sup_theta V^r|| / ||f|| across sizes at r, then
+    # paired draws at r_low and r_high on the smallest size for the
+    # r-growth envelope
+    sizes, batch = cfg.get("sizes"), cfg.get("batch")
+    lo, hi = cfg.get("r_low"), cfg.get("r_high")
 
-    ok = cov_ok and grid_ok and sweep["size_stable"] and sweep["r_envelope"]
+    def stats_at(L, r_val):
+        def one(d):
+            f = _gauss(seed, d, L)
+            best = theta_sup_variation(f, bump, _truncation_list(L),
+                                       cfg.get("theta_count"), r_val)
+            return float(np.linalg.norm(best) / np.linalg.norm(f))
+        return _stats(_map_jobs(one, range(batch), jobs))
+
+    per_size = [stats_at(L, r) for L in sizes]
+    at_lo, at_hi = stats_at(sizes[0], lo), stats_at(sizes[0], hi)
+    rows = [(0, r, L, batch) + p for L, p in zip(sizes, per_size)]
+    rows += [(0, lo, sizes[0], batch) + at_lo,
+             (0, hi, sizes[0], batch) + at_hi]
+    multipliers.ratio_table_csv(os.path.join(out, "carleson.csv"), rows)
+    m_lo, m_hi = at_lo[0], at_hi[0]
+    cap = cfg.get("envelope_slack") * (lo / (lo - 2.0)) / (hi / (hi - 2.0))
+    size_ok = per_size[-1][0] <= cfg.get("size_slack") * per_size[0][0]
+    env_ok = m_lo / m_hi <= cap
+
+    ok = cov_ok and grid_ok and size_ok and env_ok
     summary = {
         "covariance": {"worst": worst_cov, "tol": cfg.get("cov_tol"),
                        "ok": cov_ok},
         "grid_invariance": {"deviation": grid_dev, "ok": grid_ok},
         "sizes": {str(L): {"mean": m, "max": x, "stderr": s}
-                  for L, (m, x, s) in zip(cfg.get("sizes"), per_size)},
+                  for L, (m, x, s) in zip(sizes, per_size)},
         "size_stability": {"ratio": per_size[-1][0] / per_size[0][0],
-                           "slack": cfg.get("size_slack"),
-                           "ok": sweep["size_stable"]},
+                           "slack": cfg.get("size_slack"), "ok": size_ok},
         "r_envelope": {"mean_low": m_lo, "mean_high": m_hi,
-                       "growth": m_lo / m_hi, "cap": sweep["cap"],
-                       "ok": sweep["r_envelope"]},
+                       "growth": m_lo / m_hi, "cap": cap, "ok": env_ok},
         "ok": ok,
     }
     _write_json(os.path.join(out, "carleson.json"), summary)
@@ -717,16 +698,16 @@ def _run_multiplier(cfg, out, seed, jobs):
     bump = make_bump(0.25)
     errs = {"vr_s": 0.0, "vr_sd": 0.0, "vrd": 0.0}
     for s in cfg.get("s_list"):
-        # symbols depend on the level only: build once, apply per draw
-        stacks_s = multipliers.vr_s_stacks(s, J_list, M, bump, lam=lam)
-        dense_s = dense.vr_s_stacks(s, J_list, M, bump, lam)
-        # vr_sd on a 3-point lambda subset of the canonical grid
-        lgrid = multipliers.lambda_grid_for(s, 2)[:3]
-        stacks_sd = multipliers.vr_sd_stacks(s, J_list, lgrid, M, bump,
-                                             lam=lam, strict_modulus=False)
-        dense_sd = [[dense.arc_multiplier(s, J, tuple(lv), bump, lam, M)
-                     for J in J_list]
-                    for lv in lgrid]
+        # symbols depend on the level only: build once, apply per draw;
+        # vr_s at the arc centres, vr_sd on a 3-point lambda subset of the
+        # canonical grid
+        built, oracle = [], []
+        for lgrid in (_arc_centres(s), multipliers.lambda_grid_for(s, 2)[:3]):
+            built.append(multipliers.build_arc_multiplier(
+                s, J_list, lgrid, M, bump, lam=lam, strict_modulus=False))
+            oracle.append([[dense.arc_multiplier(s, J, lv, bump, lam, M)
+                            for J in J_list]
+                           for lv in lgrid])
 
         def draw_errors(draw):
             f = CyclicSignal(_gauss(seed, 100 * s + draw, M))
@@ -734,8 +715,7 @@ def _run_multiplier(cfg, out, seed, jobs):
                 float(np.max(np.abs(multipliers.vr_sup(stacks, f, r)
                                     - dense.variation_sup(want, f.values,
                                                           r))))
-                for stacks, want in ((stacks_s, dense_s),
-                                     (stacks_sd, dense_sd)))
+                for stacks, want in zip(built, oracle))
 
         for err_s, err_sd in _map_jobs(draw_errors, range(cfg.get("n_draw")),
                                        jobs):
@@ -768,7 +748,7 @@ def _nonincreasing_within_se(points):
     return True
 
 
-def sweep_norm_ratio(kind, config, seed, jobs):
+def sweep_norm_ratio(config, seed, jobs):
     """Batched l2 norm-ratio sweep for one named operator.
 
     Returns a record {operator, rows, points, checks, ok}; rows are the CSV
@@ -777,15 +757,15 @@ def sweep_norm_ratio(kind, config, seed, jobs):
     seed fixes the draws and jobs the worker threads; the record does not
     depend on jobs.  The level range is checked before the first draw.
     """
+    cfg = config
+    kind = cfg.get("operator")
     if kind not in SWEEP_OPERATORS:
         raise ConfigError("unknown operator %r (known: %s)"
                           % (kind, ", ".join(SWEEP_OPERATORS)))
-    cfg = config
     batch = cfg.get("batch")
     r = cfg.get("r")
     s_min, s_max = cfg.get("s_min"), cfg.get("s_max")
-    if (kind != "vr-linear-sup-theta"
-            and not 1 <= s_min <= s_max <= multipliers.S_CAP):
+    if not 1 <= s_min <= s_max <= multipliers.S_CAP:
         raise ConfigError("need 1 <= s_min <= s_max <= %d, got %d and %d"
                           % (multipliers.S_CAP, s_min, s_max))
     s_range = range(s_min, s_max + 1)
@@ -793,59 +773,50 @@ def sweep_norm_ratio(kind, config, seed, jobs):
     lam = cfg.get("lam")
     rows, points, checks = [], [], {}
 
-    if kind == "vr-linear-sup-theta":
-        sweep = _size_sweep(cfg, bump, seed, jobs)
-        rows, points = sweep["rows"], sweep["points"]
-        checks = {k: sweep[k] for k in ("size_stable", "r_envelope")}
-    else:
-        M = cfg.get("M") or multipliers.SUGGESTED_MODULUS
-        J_list = list(cfg.get("J_list"))
-        for s in s_range:
-            # symbols depend on the level only: build once, apply per draw
-            size = n = M
-            if kind == "seqspace":
-                size = cfg.get("seq_base") * 2 ** s
-                level = multipliers.seqspace_level(s, size,
-                                                   chi_a0=PROBE_CHI_A0)
-                n = level[0]
+    M = cfg.get("M") or multipliers.SUGGESTED_MODULUS
+    J_list = list(cfg.get("J_list"))
+    for s in s_range:
+        # symbols depend on the level only: build once, apply per draw
+        size = n = M
+        if kind == "seqspace":
+            size = cfg.get("seq_base") * 2 ** s
+            level = multipliers.seqspace_level(s, size, chi_a0=PROBE_CHI_A0)
+            n = level[0]
 
-                def ratio(v):
-                    return multipliers.seqspace_ratio(level, v)
-            elif kind == "maximal-arc":
-                symbols = multipliers.arc_symbols(s, M, chi_a0=PROBE_CHI_A0)
+            def ratio(v):
+                return multipliers.seqspace_ratio(level, v)
+        elif kind == "maximal-arc":
+            symbols = multipliers.arc_symbols(s, M, chi_a0=PROBE_CHI_A0)
 
-                def ratio(v):
-                    return multipliers.maximal_arc_ratio(symbols,
-                                                         CyclicSignal(v))
-            else:
-                # quartered window schedule: level-s arc frequencies sit at
-                # spacing >= Q^-2 ~ 4^-s, so radius rho0*4^(1-s) keeps
-                # distinct arcs' windows disjoint and the sup probes per-arc
-                # decay
-                probe = _chi_a0_for_radius(
-                    s, cfg.get("rho0") * 0.25 ** (s - 1))
-                if kind == "vr-s":
-                    stacks = multipliers.vr_s_stacks(
-                        s, J_list, M, bump, lam=lam, chi_a0=probe)
-                else:
-                    stacks = multipliers.vr_sd_stacks(
-                        s, J_list, multipliers.lambda_grid_for(s, 2), M,
-                        bump, lam=lam, chi_a0=probe)
+            def ratio(v):
+                return multipliers.maximal_arc_ratio(symbols, CyclicSignal(v))
+        else:
+            # quartered window schedule: level-s arc frequencies sit at
+            # spacing >= Q^-2 ~ 4^-s, so radius rho0*4^(1-s) keeps distinct
+            # arcs' windows disjoint and the sup probes per-arc decay
+            probe = _chi_a0_for_radius(s, cfg.get("rho0") * 0.25 ** (s - 1))
+            # vr-s sits at the arc centres, vr-sd sups over the lambda
+            # grid; the MIN_MODULUS floor guards the lambda sup only
+            lgrid = (_arc_centres(s) if kind == "vr-s"
+                     else multipliers.lambda_grid_for(s, 2))
+            stacks = multipliers.build_arc_multiplier(
+                s, J_list, lgrid, M, bump, lam=lam, chi_a0=probe,
+                strict_modulus=kind == "vr-sd")
 
-                def ratio(v):
-                    f = CyclicSignal(v)
-                    return float(np.linalg.norm(multipliers.vr_sup(
-                        stacks, f, r)) / f.l2())
-            vals = _map_jobs(lambda d: ratio(_gauss(seed, d, n)),
-                             range(batch), jobs)
-            stats = _stats(vals)
-            points.append(stats)
-            rows.append((s, r if kind in ("vr-s", "vr-sd") else 0.0, size,
-                         batch) + stats)
-        # vr-s levels are telescoping pieces with no per-level decay claim:
-        # stats are reported, nothing asserted
-        if kind != "vr-s":
-            checks["nonincreasing_in_s"] = _nonincreasing_within_se(points)
+            def ratio(v):
+                f = CyclicSignal(v)
+                return float(np.linalg.norm(multipliers.vr_sup(
+                    stacks, f, r)) / f.l2())
+        vals = _map_jobs(lambda d: ratio(_gauss(seed, d, n)),
+                         range(batch), jobs)
+        stats = _stats(vals)
+        points.append(stats)
+        rows.append((s, r if kind in ("vr-s", "vr-sd") else 0.0, size,
+                     batch) + stats)
+    # vr-s levels are telescoping pieces with no per-level decay claim:
+    # stats are reported, nothing asserted
+    if kind != "vr-s":
+        checks["nonincreasing_in_s"] = _nonincreasing_within_se(points)
 
     ok = all(checks.values())
     return {"operator": kind, "rows": rows,
@@ -855,7 +826,7 @@ def sweep_norm_ratio(kind, config, seed, jobs):
 
 
 def _run_sweep(cfg, out, seed, jobs):
-    record = sweep_norm_ratio(cfg.get("operator"), cfg, seed, jobs)
+    record = sweep_norm_ratio(cfg, seed, jobs)
     name = "sweep_%s" % cfg.get("operator").replace("-", "_")
     multipliers.ratio_table_csv(os.path.join(out, name + ".csv"),
                                 record["rows"])

@@ -18,13 +18,15 @@ range to keep offsets zero, e.g. 6720 for everything up to Q = 16).
 
 The inner sum over B is the arc symbol, and arc_symbol is its only
 implementation.  No symbol depends on the signal, so every operator here
-runs in two steps: a builder makes the symbols once per level
-(arc_symbols, vr_s_stacks, vr_sd_stacks, each from build_arc_multiplier or
-arc_symbol), and an apply takes one draw through them with one batched
-inverse FFT (maximal_arc_ratio, vr_sup).  The sequence-space ratio follows
-the same pattern off the grid: seqspace_level builds the Weyl rows and the
-characters e(Bx/Q) once per level, and seqspace_ratio applies them to each
-coefficient draw.
+runs in two steps: a builder makes the symbols once per level (arc_symbols
+for the plain windows, build_arc_multiplier for the (J, M) stacks, both
+from arc_symbol), and an apply takes one draw through them with one
+batched inverse FFT (maximal_arc_ratio, vr_sup).  The vr-s stacks are
+build_arc_multiplier's at the arc centres lambda = A/Q, where every offset
+vanishes and the kernel is the plain Psi; the vr-sd stacks are its stacks
+on lambda_grid_for.  The sequence-space ratio follows the same pattern off
+the grid: seqspace_level builds the Weyl rows and the characters e(Bx/Q)
+once per level, and seqspace_ratio applies them to each coefficient draw.
 
 Everything here works on the cyclic group Z/M, so "Fourier transform"
 means the forward DFT convention stated in signalkit (numpy's fft).
@@ -38,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arithmetic, polykit, variation
-from .bumpkit import DEFAULT_A0, SmoothBump, make_Psi, make_chi, \
+from .bumpkit import DEFAULT_A0, ChiCutoff, SmoothBump, make_Psi, \
     psi_floor_index
 from .signalkit import Signal, convolve
 from .util import DomainError, GridTooCoarseError, e, torus_signed, write_csv
@@ -60,7 +62,7 @@ def _level_chi(s, chi_a0):
     s = int(s)
     if not (1 <= s <= S_CAP):
         raise DomainError("level s must lie in 1..%d" % S_CAP)
-    return make_chi(s, a0=chi_a0)
+    return ChiCutoff(s, a0=chi_a0)
 
 
 def _scales(J_list):
@@ -144,11 +146,14 @@ def arc_symbol(A, Q, M, chi, khat=None) -> np.ndarray:
     return acc
 
 
-def build_arc_multiplier(s: int, J: int, lambda_vec, bump: SmoothBump,
-                         lam: float, M: int, chi_a0=DEFAULT_A0,
-                         strict_modulus=True) -> np.ndarray:
-    """The level-s multiplier at scale J and coefficient lambda_vec on Z/M.
+def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
+                         bump: SmoothBump, lam=1.5, chi_a0=DEFAULT_A0,
+                         strict_modulus=True):
+    """Per lambda_vec in lambda_grid, the (J, M) stack of the level-s
+    multiplier at the scales J_list on Z/M.
 
+    The level's window, its checks and the arcs in each lambda_vec's ball
+    are found once; one kernel transform is made per distinct (J, offsets).
     The kernel scale floor and gate use DEFAULT_A0; chi_a0 governs only the
     chi_s window width, so narrow-window probes keep the kernel floor
     intact.  strict_modulus=False lifts the MIN_MODULUS floor for small
@@ -158,21 +163,31 @@ def build_arc_multiplier(s: int, J: int, lambda_vec, bump: SmoothBump,
     M = int(M)
     if strict_modulus and M < MIN_MODULUS:
         raise DomainError("grid modulus must be at least %d" % MIN_MODULUS)
-    J = int(J)
+    J_list = _scales(J_list)
     j0 = psi_floor_index(chi.s)
-    if J < j0:
-        raise DomainError("scale J=%d is below the level floor j0=%d" % (J, j0))
-    lambda_vec = tuple(float(x) for x in lambda_vec)
+    if J_list[0] < j0:
+        raise DomainError("scale J=%d is below the level floor j0=%d"
+                          % (J_list[0], j0))
     ball = arc_indicator_radius(chi.s)
-    total = np.zeros(M, dtype=complex)
-    for A, Q in arithmetic.arc_pairs(chi.s, len(lambda_vec) + 1):
-        offs = tuple(float(torus_signed(lv - a / Q)) for lv, a in zip(lambda_vec, A))
-        if any(abs(o) > ball for o in offs):
-            continue
-        khat = _kernel_hat(bump, lam, J, chi.s, offs, M)
-        if khat is not None:
-            total += arc_symbol(A, Q, M, chi, khat)
-    return total
+    hits = []           # per lambda_vec: the arcs in its ball, with offsets
+    for lambda_vec in lambda_grid:
+        lambda_vec = tuple(float(x) for x in lambda_vec)
+        hits.append([])
+        for A, Q in arithmetic.arc_pairs(chi.s, len(lambda_vec) + 1):
+            offs = tuple(float(torus_signed(lv - a / Q))
+                         for lv, a in zip(lambda_vec, A))
+            if all(abs(o) <= ball for o in offs):
+                hits[-1].append((A, Q, offs))
+    stacks = [np.zeros((len(J_list), M), dtype=complex) for _ in hits]
+    for j, J in enumerate(J_list):
+        khats = {}      # one scale's kernel transforms alive at a time
+        for stack, arcs in zip(stacks, hits):
+            for A, Q, offs in arcs:
+                if offs not in khats:
+                    khats[offs] = _kernel_hat(bump, lam, J, chi.s, offs, M)
+                if khats[offs] is not None:
+                    stack[j] += arc_symbol(A, Q, M, chi, khats[offs])
+    return stacks
 
 
 def lambda_grid_for(s: int, d: int):
@@ -284,36 +299,10 @@ def seqspace_ratio(level, c) -> float:
     return float(np.linalg.norm(best) / (math.sqrt(length) * cnorm))
 
 
-def vr_s_stacks(s: int, J_list, M: int, bump: SmoothBump, lam=1.5,
-                chi_a0=DEFAULT_A0):
-    """Per level-s arc, the (J, M) stack of its symbols at the scales J_list.
-
-    The kernel here is the unmodulated partial sum Psi (lambda sits exactly
-    on A/Q, so mu = 0 and the scale gate is open).
-    """
-    chi = _level_chi(s, chi_a0)
-    M = int(M)
-    khats = [_kernel_hat(bump, lam, J, chi.s, (0.0,), M)
-             for J in _scales(J_list)]
-    return [np.array([arc_symbol(A, Q, M, chi, khat) for khat in khats])
-            for A, Q in arithmetic.arc_pairs(chi.s, 2)]
-
-
-def vr_sd_stacks(s: int, J_list, lambda_grid, M: int, bump: SmoothBump,
-                 lam=1.5, chi_a0=DEFAULT_A0, strict_modulus=True):
-    """Per lambda in the grid, the (J, M) stack of build_arc_multiplier rows."""
-    J_list = _scales(J_list)
-    return [np.array([build_arc_multiplier(s, J, lv, bump, lam, M,
-                                           chi_a0=chi_a0,
-                                           strict_modulus=strict_modulus)
-                      for J in J_list])
-            for lv in lambda_grid]
-
-
 def vr_sup(stacks, f, r) -> np.ndarray:
     """Pointwise sup over the stacks of the r-variation across the rows of
     each stack applied to f (stacks: any iterable of (rows, M) symbol
-    arrays, e.g. vr_s_stacks, vr_sd_stacks, or a generator of them)."""
+    arrays, e.g. build_arc_multiplier's, or a generator of them)."""
     fhat = np.fft.fft(f.values)
     best = np.zeros(f.modulus)
     for stack in stacks:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modvar import bumpkit
-from modvar.bumpkit import (make_Psi, make_bump, make_chi, make_psi_kernel,
+from modvar.bumpkit import (ChiCutoff, make_Psi, make_bump, make_psi_kernel,
                             psi_floor_index, scaled_weight)
 from modvar.util import DomainError
 
@@ -97,13 +97,13 @@ def test_make_Psi_floor_single_term(bump):
 
 
 def test_chi_window_shape():
-    chi = make_chi(1)
+    chi = ChiCutoff(1)
     assert chi.radius == pytest.approx(2.0 ** -(2.0 ** 0.01), rel=1e-12)
     assert chi.radius == pytest.approx(0.49759519175730593, rel=1e-9)
     for s in (1, 2, 3, 4):
-        assert make_chi(s)(0.0) == 1.0
+        assert ChiCutoff(s)(0.0) == 1.0
     # the vanishing region is visible once the doubled radius fits the torus
-    narrow = make_chi(4, a0=0.125)
+    narrow = ChiCutoff(4, a0=0.125)
     assert 2.0 * narrow.radius + 0.01 < 0.5
     assert narrow(2.0 * narrow.radius + 0.01) == 0.0
     assert narrow(-(2.0 * narrow.radius + 0.01)) == 0.0
@@ -116,7 +116,7 @@ def test_chi_window_shape():
 @given(st.integers(1, 4), st.sampled_from([10.0, 2.5, 0.37, 0.125]),
        st.integers(1, 5000), st.data())
 def test_chi_window_is_bitwise_the_shifted_evaluation(s, a0, M, data):
-    chi = make_chi(s, a0=a0)
+    chi = ChiCutoff(s, a0=a0)
     for b0 in (0, M - 1, data.draw(st.integers(0, M - 1))):
         want = chi((np.arange(M) - b0) / M)
         got = chi.window(M, b0)
@@ -125,7 +125,7 @@ def test_chi_window_is_bitwise_the_shifted_evaluation(s, a0, M, data):
 
 
 def test_chi_window_refuses_index_off_the_grid():
-    chi = make_chi(2)
+    chi = ChiCutoff(2)
     for b0 in (-1, 97):
         with pytest.raises(DomainError):
             chi.window(97, b0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modvar import arithmetic, cli, harness
+from modvar import arithmetic, cli, harness, multipliers
 from modvar.harness import SCHEMAS, ConfigError, default_config, parse_config
 from modvar.util import GridTooCoarseError
 
@@ -73,6 +73,10 @@ def test_cli_exit_one_on_unknown_sweep_operator(tmp_path):
     rc = cli.main(["sweep", "--set", "operator=not-a-thing",
                    "--out", str(tmp_path)])
     assert rc == 1
+    # the linear theta sup is carleson parts 3-4, not a sweep operator
+    cfg = parse_config("kind = sweep\noperator = vr-linear-sup-theta\n")
+    with pytest.raises(ConfigError, match="unknown operator"):
+        harness.sweep_norm_ratio(cfg, 1, 1)
 
 
 def test_cli_exit_one_on_missing_config_file(tmp_path):
@@ -216,10 +220,11 @@ def test_sweep_level_range_checked_before_any_draw(operator, monkeypatch):
         cfg = parse_config("kind = sweep\noperator = %s\ns_min = %d\n"
                            "s_max = %d\n" % (operator, s_min, s_max))
         with pytest.raises(ConfigError, match="s_min <= s_max"):
-            harness.sweep_norm_ratio(operator, cfg, 1, 1)
+            harness.sweep_norm_ratio(cfg, 1, 1)
 
 
-@pytest.mark.parametrize("operator", ["maximal-arc", "seqspace", "vr-s"])
+@pytest.mark.parametrize("operator", ["maximal-arc", "seqspace", "vr-s",
+                                      "vr-sd"])
 def test_sweep_builds_symbols_once_per_level(operator, monkeypatch):
     # no symbol depends on the draw, so the Weyl rows behind the symbols
     # are computed per level: their count must not grow with the batch
@@ -231,12 +236,14 @@ def test_sweep_builds_symbols_once_per_level(operator, monkeypatch):
         return weyl_row(Q, A)
 
     monkeypatch.setattr(arithmetic, "weyl_row", counted)
+    # the lambda sup keeps the MIN_MODULUS floor
+    M = multipliers.MIN_MODULUS if operator == "vr-sd" else 240
     counts = []
     for batch in (30, 60):
         calls.clear()
         cfg = parse_config("kind = sweep\noperator = %s\ns_max = 2\n"
-                           "batch = %d\nM = 240\n" % (operator, batch))
-        harness.sweep_norm_ratio(operator, cfg, 1, 1)
+                           "batch = %d\nM = %d\n" % (operator, batch, M))
+        harness.sweep_norm_ratio(cfg, 1, 1)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -285,7 +292,6 @@ _SWEEP_SETS = {
     "seqspace": ("s_max=2",),
     "vr-s": ("s_max=2",),
     "vr-sd": ("s_max=2",),
-    "vr-linear-sup-theta": ("theta_count=8", "sizes=1024,2048"),
 }
 
 

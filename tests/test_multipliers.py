@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modvar import dense
-from modvar.bumpkit import make_Psi, make_bump, make_chi, psi_floor_index
+from modvar import arithmetic, dense, multipliers
+from modvar.bumpkit import ChiCutoff, make_Psi, make_bump, psi_floor_index
 from modvar.multipliers import (
     MIN_MODULUS,
     arc_indicator_radius,
@@ -21,8 +21,6 @@ from modvar.multipliers import (
     seqspace_level,
     seqspace_ratio,
     snap_to_grid,
-    vr_s_stacks,
-    vr_sd_stacks,
     vr_sup,
     vrd_operator,
 )
@@ -52,7 +50,7 @@ def test_maximal_arc_ratio_level_one_is_plain_window():
     # operator reduces to the chi window filter
     rng = np.random.default_rng(7)
     f = CyclicSignal(rng.normal(size=512) + 1j * rng.normal(size=512))
-    chi = make_chi(1)
+    chi = ChiCutoff(1)
     fhat = np.fft.fft(f.values)
     g = np.fft.ifft(chi(np.arange(512) / 512) * fhat)
     want = float(np.linalg.norm(np.abs(g)) / f.l2())
@@ -142,19 +140,19 @@ def test_lambda_grid_counts():
 
 def test_build_arc_multiplier_guards():
     with pytest.raises(DomainError):
-        build_arc_multiplier(1, 5, (0.0,), BUMP, 1.5, 512)   # below MIN_MODULUS
+        build_arc_multiplier(1, [5], [(0.0,)], 512, BUMP)   # below MIN_MODULUS
     with pytest.raises(DomainError):
-        build_arc_multiplier(0, 5, (0.0,), BUMP, 1.5, MIN_MODULUS)
+        build_arc_multiplier(0, [5], [(0.0,)], MIN_MODULUS, BUMP)
     j0 = psi_floor_index(1)
     with pytest.raises(DomainError):
-        build_arc_multiplier(1, j0 - 1, (0.0,), BUMP, 1.5, MIN_MODULUS)
+        build_arc_multiplier(1, [j0 - 1], [(0.0,)], MIN_MODULUS, BUMP)
 
 
 def test_arc_multiplier_apply_parseval():
     rng = np.random.default_rng(11)
     j0 = psi_floor_index(1)
-    mult = build_arc_multiplier(1, j0 + 2, (0.0,), BUMP, 1.5, 512,
-                                strict_modulus=False)
+    mult = build_arc_multiplier(1, [j0 + 2], [(0.0,)], 512, BUMP,
+                                strict_modulus=False)[0][0]
     f = CyclicSignal(rng.normal(size=512) + 1j * rng.normal(size=512))
     g = CyclicSignal(np.fft.ifft(mult * np.fft.fft(f.values)))
     assert g.l2() <= np.max(np.abs(mult)) * f.l2() * (1 + 1e-12)
@@ -164,8 +162,8 @@ def test_arc_multiplier_apply_parseval():
 
 
 def test_build_arc_multiplier_far_lambda_is_zero():
-    mult = build_arc_multiplier(1, psi_floor_index(1) + 1, (0.5,), BUMP, 1.5,
-                                512, strict_modulus=False)
+    mult = build_arc_multiplier(1, [psi_floor_index(1) + 1], [(0.5,)], 512,
+                                BUMP, strict_modulus=False)[0][0]
     assert np.max(np.abs(mult)) == 0.0
 
 
@@ -181,50 +179,74 @@ def test_arc_symbol_matches_dense_oracle(data):
     lambda_vec = data.draw(st.one_of(
         st.sampled_from(lambda_grid_for(s, 2)),
         st.tuples(st.floats(0.0, 1.0, exclude_max=True))))
-    got = build_arc_multiplier(s, J, lambda_vec, BUMP, 1.5, M,
-                               strict_modulus=False)
+    got = build_arc_multiplier(s, [J], [lambda_vec], M, BUMP,
+                               strict_modulus=False)[0][0]
     want = dense.arc_multiplier(s, J, lambda_vec, BUMP, 1.5, M)
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
+def _centres(s):
+    return [(A[0] / Q,) for A, Q in arithmetic.arc_pairs(s, 2)]
+
+
 def test_vr_s_operator_trivial_cases():
+    # vr-s: the stacks at the arc centres A/Q
     rng = np.random.default_rng(3)
     j0 = psi_floor_index(1)
     f = CyclicSignal(rng.normal(size=256) + 0j)
-    single = vr_sup(vr_s_stacks(1, [j0], 256, BUMP), f, 2.5)
+    single = vr_sup(build_arc_multiplier(1, [j0], _centres(1), 256, BUMP,
+                                         strict_modulus=False), f, 2.5)
     assert np.max(single) == 0.0              # one scale has no variation
-    zero = vr_sup(vr_s_stacks(1, [j0, j0 + 1], 256, BUMP),
+    zero = vr_sup(build_arc_multiplier(1, [j0, j0 + 1], _centres(1), 256,
+                                       BUMP, strict_modulus=False),
                   CyclicSignal(np.zeros(256, dtype=complex)), 2.5)
     assert np.max(zero) == 0.0
     for s, J_list in ((1, [j0 + 1, j0]), (1, [j0 - 1, j0]), (1, []),
                       (0, [j0, j0 + 1]), (5, [j0, j0 + 1])):
         with pytest.raises(DomainError):
-            vr_s_stacks(s, J_list, 256, BUMP)
+            build_arc_multiplier(s, J_list, [(0.0,)], 256, BUMP,
+                                 strict_modulus=False)
 
 
 def test_vr_sd_operator_far_grid_vanishes():
     rng = np.random.default_rng(5)
     f = CyclicSignal(rng.normal(size=512) + 0j)
     j0 = psi_floor_index(1)
-    far = vr_sd_stacks(1, [j0, j0 + 1, j0 + 2], [(0.5,)], 512, BUMP,
-                       strict_modulus=False)
+    far = build_arc_multiplier(1, [j0, j0 + 1, j0 + 2], [(0.5,)], 512, BUMP,
+                               strict_modulus=False)
     assert np.max(vr_sup(far, f, 2.5)) == 0.0
-    empty = vr_sd_stacks(1, [j0, j0 + 1], [], 512, BUMP,
-                         strict_modulus=False)
+    empty = build_arc_multiplier(1, [j0, j0 + 1], [], 512, BUMP,
+                                 strict_modulus=False)
+    assert empty == []
     assert np.max(vr_sup(empty, f, 2.5)) == 0.0
 
 
-def test_vr_sd_matches_vr_s_at_arc_center():
-    # lambda exactly on the level-1 arc: offsets vanish and the two
-    # operators use identical kernels
-    rng = np.random.default_rng(13)
-    f = CyclicSignal(rng.normal(size=512) + 1j * rng.normal(size=512))
-    j0 = psi_floor_index(1)
+def test_level_build_makes_one_chi_table_and_one_kernel_per_key(monkeypatch):
+    # one build per level: the chi table is evaluated once and each distinct
+    # (J, offsets) gets one kernel transform, however many lambda points
+    # and arcs share it; on lambda_grid_for the offsets are {-h, 0, +h}
+    chi_calls, khat_keys = [], []
+    chi_call = ChiCutoff.__call__
+    kernel_hat = multipliers._kernel_hat
+
+    def counted_chi(self, beta):
+        chi_calls.append(self.s)
+        return chi_call(self, beta)
+
+    def counted_khat(bump, lam, J, s, mu, M):
+        khat_keys.append((J, mu))
+        return kernel_hat(bump, lam, J, s, mu, M)
+
+    monkeypatch.setattr(ChiCutoff, "__call__", counted_chi)
+    monkeypatch.setattr(multipliers, "_kernel_hat", counted_khat)
+    j0 = psi_floor_index(2)
     J_list = [j0, j0 + 1, j0 + 2]
-    a = vr_sup(vr_s_stacks(1, J_list, 512, BUMP), f, 2.5)
-    b = vr_sup(vr_sd_stacks(1, J_list, [(0.0,)], 512, BUMP,
-                            strict_modulus=False), f, 2.5)
-    assert np.max(np.abs(a - b)) < 1e-12
+    grid = lambda_grid_for(2, 2)
+    stacks = build_arc_multiplier(2, J_list, grid, 240, BUMP,
+                                  strict_modulus=False)
+    assert len(stacks) == len(grid) == 9
+    assert chi_calls == [2]
+    assert len(khat_keys) == len(set(khat_keys)) == 3 * len(J_list)
 
 
 def test_vrd_operator_guards_and_single_scale():
