@@ -147,11 +147,6 @@ def _simpson(y, h):
     return float(total)
 
 
-def make_bump(eps0) -> SmoothBump:
-    """Construct the smooth bump for accuracy eps0 in (0, 1/2]."""
-    return SmoothBump(eps0)
-
-
 def scaled_weight(bump: SmoothBump, N: int, n):
     """phi_N(n) = phi(n/N) / N, vectorized in n."""
     N = int(N)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import arithmetic, averaging, polykit, systems, variation
 from . import multipliers
-from .bumpkit import make_bump, scaled_weight, make_psi_kernel, make_Psi
+from .bumpkit import SmoothBump, scaled_weight, make_psi_kernel, make_Psi
 from .signalkit import CyclicSignal, Signal, modulate, modulate_cyclic
 from .util import DomainError, e, stream
 
@@ -102,10 +102,6 @@ SCHEMAS = {
         "fit_qmax": (_parse_int, 64),
         "min_exponent": (_parse_float, 0.2),
         "envelope_slack": (_parse_float, 4.0),
-    },
-    "weyl-decay": {
-        "d": (_parse_int, 2),
-        "Qmax": (_parse_int, 100),
     },
     "variation": {
         "n_oracle": (_parse_int, 1000),
@@ -350,7 +346,7 @@ def _run_bump_check(cfg, out, seed, jobs):
     ok = True
     samples = cfg.get("samples")
     for eps0 in cfg.get("eps0_list"):
-        bump = make_bump(eps0)
+        bump = SmoothBump(eps0)
         est, rich = bump.l1_distance_to_indicator()
         l1_ok = bump.l1_defect <= eps0 and est <= eps0 + 1e-9
         T = bump.transition
@@ -371,7 +367,7 @@ def _run_bump_check(cfg, out, seed, jobs):
             "deriv": {str(a): v for a, v in deriv.items()},
             "deriv_ok": deriv_ok,
         }
-    bump = make_bump(cfg.get("eps0_list")[0])
+    bump = SmoothBump(cfg.get("eps0_list")[0])
     for lam in cfg.get("lam_list"):
         worst_tel, worst_mean = 0.0, 0.0
         for k in range(1, cfg.get("kmax") + 1):
@@ -398,20 +394,20 @@ def _run_bump_check(cfg, out, seed, jobs):
     return ok, summary
 
 
-def _check_decay_range(cfg, d_key, q_key):
+def _check_decay_range(cfg):
     """Refuse a decay-fit degree or Qmax outside arithmetic.DECAY_QMAX."""
-    d, Qmax = cfg.get(d_key), cfg.get(q_key)
+    d, Qmax = cfg.get("fit_d"), cfg.get("fit_qmax")
     caps = arithmetic.DECAY_QMAX
     if d not in caps:
-        raise ConfigError("%s must be one of %s, got %d"
-                          % (d_key, sorted(caps), d))
+        raise ConfigError("fit_d must be one of %s, got %d"
+                          % (sorted(caps), d))
     if not 2 <= Qmax <= caps[d]:
-        raise ConfigError("need 2 <= %s <= %d for %s = %d, got %d"
-                          % (q_key, caps[d], d_key, d, Qmax))
+        raise ConfigError("need 2 <= fit_qmax <= %d for fit_d = %d, got %d"
+                          % (caps[d], d, Qmax))
 
 
 def _run_weyl(cfg, out, seed, jobs):
-    _check_decay_range(cfg, "fit_d", "fit_qmax")
+    _check_decay_range(cfg)
     gauss_worst = 0.0
     for Q in range(1, cfg.get("gauss_qmax") + 1, 2):
         target = Q ** -0.5
@@ -447,17 +443,6 @@ def _run_weyl(cfg, out, seed, jobs):
     }
     _write_json(os.path.join(out, "weyl.json"), summary)
     return ok, summary
-
-
-def _run_weyl_decay(cfg, out, seed, jobs):
-    _check_decay_range(cfg, "d", "Qmax")
-    fit = arithmetic.weyl_decay_fit(cfg.get("d"), cfg.get("Qmax"))
-    fit.to_csv(os.path.join(out, "weyl_decay.csv"))
-    summary = {"d": fit.d, "Qmax": cfg.get("Qmax"),
-               "exponent": fit.exponent, "constant": fit.constant,
-               "ok": True}
-    _write_json(os.path.join(out, "weyl_decay.json"), summary)
-    return True, summary
 
 
 def _run_variation(cfg, out, seed, jobs):
@@ -505,15 +490,17 @@ def _run_chaining(cfg, out, seed, jobs):
         g = stream(seed, i)
         n = int(g.integers(2, cfg.get("max_times") + 1))
         dim = int(g.integers(1, cfg.get("max_dim") + 1))
-        times = np.sort(g.uniform(0.0, 10.0, n))
+        # the cover reads values only; this draw of the sample times stays
+        # so that every instance keeps its seeded values and chaining.json
+        # its bytes
+        g.uniform(0.0, 10.0, n)
         vals = g.standard_normal((n, dim)) + 1j * g.standard_normal((n, dim))
-        vseq = variation.VecSequence(tuple(times), vals)
         try:
-            cover = variation.build_chaining_cover(vseq)
+            cover = variation.build_chaining_cover(vals)
             worst_ratio = max(worst_ratio,
-                              variation.verify_cover(cover, vseq))
+                              variation.verify_cover(cover, vals))
             worst_tel = max(worst_tel,
-                            variation.chaining_telescope_check(cover, vseq))
+                            variation.chaining_telescope_check(cover, vals))
         except AssertionError:
             failures += 1
     ok = (failures == 0 and worst_ratio <= 3.0 + 1e-9
@@ -548,7 +535,7 @@ def _run_converge(cfg, out, seed, jobs):
     averages res_pad alone.
     """
     eps0 = cfg.get("eps0")
-    bump = make_bump(eps0)
+    bump = SmoothBump(eps0)
     n_top = cfg.get("n_top")
     pad, top_tol = cfg.get("res_pad"), cfg.get("top_tol")
 
@@ -605,7 +592,11 @@ def _run_converge(cfg, out, seed, jobs):
 
 
 def _run_carleson(cfg, out, seed, jobs):
-    bump = make_bump(cfg.get("eps0"))
+    # the r-growth envelope cap r/(r-2) of parts 3-4 needs r above 2
+    for key in ("r_low", "r_high"):
+        if not cfg.get(key) > 2.0:
+            raise ConfigError("%s must exceed 2, got %r" % (key, cfg.get(key)))
+    bump = SmoothBump(cfg.get("eps0"))
 
     # part 1: modulation covariance on finite signals
     worst_cov = 0.0
@@ -695,7 +686,7 @@ def _run_multiplier(cfg, out, seed, jobs):
     r = cfg.get("r")
     tol = cfg.get("tol")
     J_list = list(cfg.get("J_list"))
-    bump = make_bump(0.25)
+    bump = SmoothBump(0.25)
     errs = {"vr_s": 0.0, "vr_sd": 0.0, "vrd": 0.0}
     for s in cfg.get("s_list"):
         # symbols depend on the level only: build once, apply per draw;
@@ -704,7 +695,7 @@ def _run_multiplier(cfg, out, seed, jobs):
         built, oracle = [], []
         for lgrid in (_arc_centres(s), multipliers.lambda_grid_for(s, 2)[:3]):
             built.append(multipliers.build_arc_multiplier(
-                s, J_list, lgrid, M, bump, lam=lam, strict_modulus=False))
+                s, J_list, lgrid, M, bump, lam=lam))
             oracle.append([[dense.arc_multiplier(s, J, lv, bump, lam, M)
                             for J in J_list]
                            for lv in lgrid])
@@ -755,7 +746,8 @@ def sweep_norm_ratio(config, seed, jobs):
     layout of ratio_table_csv.  Draws are paired across parameter points
     (same signals per draw index) so the decay comparisons are low-variance.
     seed fixes the draws and jobs the worker threads; the record does not
-    depend on jobs.  The level range is checked before the first draw.
+    depend on jobs.  The level range, and for vr-sd the MIN_MODULUS floor
+    on M, are checked before the first level is built.
     """
     cfg = config
     kind = cfg.get("operator")
@@ -768,12 +760,16 @@ def sweep_norm_ratio(config, seed, jobs):
     if not 1 <= s_min <= s_max <= multipliers.S_CAP:
         raise ConfigError("need 1 <= s_min <= s_max <= %d, got %d and %d"
                           % (multipliers.S_CAP, s_min, s_max))
+    M = cfg.get("M") or multipliers.SUGGESTED_MODULUS
+    # the MIN_MODULUS floor guards the lambda sup only
+    if kind == "vr-sd" and M < multipliers.MIN_MODULUS:
+        raise ConfigError("M must be at least %d for operator vr-sd, got %d"
+                          % (multipliers.MIN_MODULUS, M))
     s_range = range(s_min, s_max + 1)
-    bump = make_bump(cfg.get("eps0"))
+    bump = SmoothBump(cfg.get("eps0"))
     lam = cfg.get("lam")
     rows, points, checks = [], [], {}
 
-    M = cfg.get("M") or multipliers.SUGGESTED_MODULUS
     J_list = list(cfg.get("J_list"))
     for s in s_range:
         # symbols depend on the level only: build once, apply per draw
@@ -795,13 +791,11 @@ def sweep_norm_ratio(config, seed, jobs):
             # spacing >= Q^-2 ~ 4^-s, so radius rho0*4^(1-s) keeps distinct
             # arcs' windows disjoint and the sup probes per-arc decay
             probe = _chi_a0_for_radius(s, cfg.get("rho0") * 0.25 ** (s - 1))
-            # vr-s sits at the arc centres, vr-sd sups over the lambda
-            # grid; the MIN_MODULUS floor guards the lambda sup only
+            # vr-s sits at the arc centres, vr-sd sups over the lambda grid
             lgrid = (_arc_centres(s) if kind == "vr-s"
                      else multipliers.lambda_grid_for(s, 2))
             stacks = multipliers.build_arc_multiplier(
-                s, J_list, lgrid, M, bump, lam=lam, chi_a0=probe,
-                strict_modulus=kind == "vr-sd")
+                s, J_list, lgrid, M, bump, lam=lam, chi_a0=probe)
 
             def ratio(v):
                 f = CyclicSignal(v)
@@ -838,7 +832,6 @@ def _run_sweep(cfg, out, seed, jobs):
 _RUNNERS = {
     "bump-check": _run_bump_check,
     "weyl": _run_weyl,
-    "weyl-decay": _run_weyl_decay,
     "variation": _run_variation,
     "chaining": _run_chaining,
     "converge": _run_converge,

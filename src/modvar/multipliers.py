@@ -147,8 +147,7 @@ def arc_symbol(A, Q, M, chi, khat=None) -> np.ndarray:
 
 
 def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
-                         bump: SmoothBump, lam=1.5, chi_a0=DEFAULT_A0,
-                         strict_modulus=True):
+                         bump: SmoothBump, lam=1.5, chi_a0=DEFAULT_A0):
     """Per lambda_vec in lambda_grid, the (J, M) stack of the level-s
     multiplier at the scales J_list on Z/M.
 
@@ -156,13 +155,12 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
     are found once; one kernel transform is made per distinct (J, offsets).
     The kernel scale floor and gate use DEFAULT_A0; chi_a0 governs only the
     chi_s window width, so narrow-window probes keep the kernel floor
-    intact.  strict_modulus=False lifts the MIN_MODULUS floor for small
-    cross-check instances; snapping and kernel-support errors still apply.
+    intact.  Any M is accepted here (the vr-sd sweep refuses M below
+    MIN_MODULUS as a config range); snapping and kernel-support errors
+    still apply.
     """
     chi = _level_chi(s, chi_a0)
     M = int(M)
-    if strict_modulus and M < MIN_MODULUS:
-        raise DomainError("grid modulus must be at least %d" % MIN_MODULUS)
     J_list = _scales(J_list)
     j0 = psi_floor_index(chi.s)
     if J_list[0] < j0:

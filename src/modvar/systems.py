@@ -58,16 +58,12 @@ def _to_scaled(x) -> int:
 class ZShift:
     """n -> n + 1 on the integers, counting measure."""
 
-    kind = "zshift"
-
     def orbit_array(self, omega, n0, N):
         return int(omega) + int(n0) + np.arange(int(N), dtype=np.int64)
 
 
 class CircleRotation:
     """x -> x + alpha mod 1."""
-
-    kind = "rotation"
 
     def __init__(self, alpha=None, scaled=None):
         if scaled is not None:
@@ -92,8 +88,6 @@ class SkewProduct:
 
     Second coordinate of T^n: y + 2 n x + n^2 alpha (exact formula).
     """
-
-    kind = "skew"
 
     def __init__(self, alpha=None, scaled=None):
         if scaled is not None:

@@ -4,7 +4,11 @@ The r-variation of a finite sequence is the supremum of
 (sum_k |a_{N_k} - a_{N_{k-1}}|^r)^(1/r) over increasing subsequences.  The
 supremum is computed exactly by dynamic programming over end indices; a
 brute-force enumerator over all subsequences serves as an oracle at small
-lengths.  Vector-valued sequences use l2 increments throughout.
+lengths.  A sequence is a 1-d array of scalars or an (n, dim) array of
+vectors, and vector-valued sequences use l2 increments throughout.
+_vr_dp is the one dynamic program: vr_exact and jump_variation_check feed
+it the rows of a gap matrix, vr_batch the |increments| of many scalar
+sequences at once.
 
 Jump counting asks for the longest chain of times whose consecutive values
 differ by at least tau.  A greedy scan is NOT maximal for this problem
@@ -28,7 +32,7 @@ output bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,35 +44,13 @@ COVER_RESOLUTION = 1e-6
 GAP_BLOCK = 1 << 16    # difference entries per block of rows in _gaps
 
 
-@dataclass(frozen=True)
-class VecSequence:
-    """Vectors over a common coordinate set, indexed by increasing times."""
-
-    times: tuple
-    values: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.ndim != 2 or vals.shape[0] != len(self.times):
-            raise DomainError("values must be a (times x coords) array")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "times", tuple(self.times))
-
-    def __len__(self):
-        return len(self.times)
-
-
 def _as_value_matrix(seq):
-    """Any accepted sequence form -> complex (n, dim) matrix."""
-    if isinstance(seq, VecSequence):
-        return seq.values
+    """A 1-d or 2-d sequence -> complex (n, dim) matrix."""
     arr = np.asarray(seq, dtype=complex)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
-        raise DomainError("sequence must be 1-d, 2-d, or a VecSequence")
+        raise DomainError("sequence must be 1-d or 2-d")
     return arr
 
 
@@ -97,48 +79,42 @@ def _gaps(vals):
     return G
 
 
-def _vr_dp(G, r):
-    """r-variation from a gap matrix; D[i] is the best chain ending at i."""
-    n = len(G)
-    if n == 0:
+def _vr_dp(gaps, shape, r):
+    """r-variation by dynamic programming; D[i] is the best chain ending at i.
+
+    gaps(i) returns the gaps from entry i to entries 0..i-1, an array of
+    shape (i,) + shape[1:]; the DP runs on every column of shape at once.
+    Every chain's last link comes from some earlier end, so maximizing over
+    predecessors is exhaustive.
+    """
+    if shape[0] == 0:
         raise DomainError("empty sequence has no variation")
-    D = np.zeros(n)
-    for i in range(1, n):
-        D[i] = np.max(D[:i] + G[i, :i] ** r)
-    return float(np.max(D) ** (1.0 / r))
+    D = np.zeros(shape)
+    for i in range(1, shape[0]):
+        D[i] = (D[:i] + gaps(i) ** r).max(axis=0)
+    return D.max(axis=0) ** (1.0 / r)
 
 
 def vr_exact(seq, r) -> float:
-    """Exact r-variation by dynamic programming, O(n^2).
-
-    D[i] = best increment-power sum over chains ending at i; every chain's
-    last link comes from some earlier end, so maximizing over predecessors
-    is exhaustive.
-    """
+    """Exact r-variation of one sequence, O(n^2)."""
     r = _check_r(r)
-    return _vr_dp(_gaps(_as_value_matrix(seq)), r)
+    G = _gaps(_as_value_matrix(seq))
+    return float(_vr_dp(lambda i: G[i, :i], (len(G),), r))
 
 
 def vr_batch(values, r) -> np.ndarray:
     """r-variation of many scalar sequences at once.
 
     values has shape (n_times, n_sequences); returns one variation value per
-    column.  Same dynamic program as vr_exact, vectorized across columns.
+    column, from the DP of vr_exact run on all columns together.
     """
     r = _check_r(r)
     vals = np.asarray(values)
     if vals.ndim != 2:
         raise DomainError("expected a (times x sequences) matrix")
-    n = vals.shape[0]
-    if n == 0:
-        raise DomainError("empty sequence has no variation")
-    if n > MAX_DP_LENGTH:
+    if vals.shape[0] > MAX_DP_LENGTH:
         raise DomainError("sequence longer than %d; split the call" % MAX_DP_LENGTH)
-    D = np.zeros(vals.shape, dtype=float)
-    for i in range(1, n):
-        cand = D[:i] + np.abs(vals[i] - vals[:i]) ** r
-        D[i] = cand.max(axis=0)
-    return D.max(axis=0) ** (1.0 / r)
+    return _vr_dp(lambda i: np.abs(vals[i] - vals[:i]), vals.shape, r)
 
 
 def vr_brute(seq, r) -> float:
@@ -181,17 +157,6 @@ def _chain_dp(G, threshold):
     return int(np.max(best))
 
 
-def _allowed_values(vals, allowed):
-    """The rows of vals at the sorted distinct allowed indices (all if None)."""
-    if allowed is None:
-        return vals
-    idx = sorted(set(int(i) for i in allowed))
-    for i in idx:
-        if not (0 <= i < len(vals)):
-            raise DomainError("allowed index %d outside the sequence" % i)
-    return vals[idx]
-
-
 def _check_tau(tau):
     tau = float(tau)
     if tau <= 0:
@@ -199,19 +164,14 @@ def _check_tau(tau):
     return tau
 
 
-def jump_count(seq, tau, allowed_indices=None) -> int:
-    """Maximal K with times M_0 < ... < M_K, |a_{M_i} - a_{M_{i-1}}| >= tau.
-
-    Chosen times must lie in allowed_indices (all indices when omitted);
-    intermediate times are unconstrained.
-    """
+def jump_count(seq, tau) -> int:
+    """Maximal K with times M_0 < ... < M_K, |a_{M_i} - a_{M_{i-1}}| >= tau."""
     tau = _check_tau(tau)
-    sub = _allowed_values(_as_value_matrix(seq), allowed_indices)
-    return _chain_dp(_gaps(sub), tau)
+    return _chain_dp(_gaps(_as_value_matrix(seq)), tau)
 
 
-def jump_variation_check(seq, tau, r, allowed_indices=None):
-    """Verify tau * K^(1/r) <= V^r on the allowed index set.
+def jump_variation_check(seq, tau, r):
+    """Verify tau * K^(1/r) <= V^r on the whole sequence.
 
     Returns (holds, slack) with slack = vr - tau * K^(1/r).  The inequality
     is an identity of definitions: a K-jump chain is itself a subsequence
@@ -219,9 +179,9 @@ def jump_variation_check(seq, tau, r, allowed_indices=None):
     """
     r = _check_r(r)
     tau = _check_tau(tau)
-    G = _gaps(_allowed_values(_as_value_matrix(seq), allowed_indices))
+    G = _gaps(_as_value_matrix(seq))
     K = _chain_dp(G, tau)
-    vr = _vr_dp(G, r)
+    vr = float(_vr_dp(lambda i: G[i, :i], (len(G),), r))
     lhs = tau * K ** (1.0 / r)
     slack = vr - lhs
     return slack >= -1e-12, slack
@@ -229,7 +189,7 @@ def jump_variation_check(seq, tau, r, allowed_indices=None):
 
 @dataclass
 class ChainingCover:
-    """Greedy dyadic nets over a VecSequence, with parent links.
+    """Greedy dyadic nets over the values of a sequence, with parent links.
 
     levels[v] lists center indices of the 2^-v net; parent[(v, i)] is the
     minimal-time center of the (v-1)-net whose 2^(1-v) ball meets the 2^-v
@@ -245,13 +205,13 @@ class ChainingCover:
         return 2.0 ** (-v)
 
 
-def build_chaining_cover(vseq: VecSequence, resolution=COVER_RESOLUTION) -> ChainingCover:
+def build_chaining_cover(seq, resolution=COVER_RESOLUTION) -> ChainingCover:
     """Nets at radii 2^-v from one covering everything down to the floor.
 
     Centers are chosen greedily in time order: the first element not within
     2^-v of an existing center becomes one.
     """
-    vals = _as_value_matrix(vseq)
+    vals = _as_value_matrix(seq)
     n = len(vals)
     if n == 0:
         raise DomainError("cannot cover an empty sequence")
@@ -289,13 +249,13 @@ def build_chaining_cover(vseq: VecSequence, resolution=COVER_RESOLUTION) -> Chai
     return ChainingCover(levels, parent, v_min, v_max)
 
 
-def verify_cover(cover: ChainingCover, vseq: VecSequence):
+def verify_cover(cover: ChainingCover, seq):
     """Assert every stated cover invariant; returns the increment-bound max.
 
     Checks: every element within 2^-v of a center at each level; parents
     exist, live one level up, and sit within 3 * 2^-v.
     """
-    G = _gaps(_as_value_matrix(vseq))
+    G = _gaps(_as_value_matrix(seq))
     worst = 0.0
     for v, centers in cover.levels.items():
         rad = cover.radius(v)
@@ -316,9 +276,9 @@ def verify_cover(cover: ChainingCover, vseq: VecSequence):
     return worst
 
 
-def chaining_telescope_check(cover: ChainingCover, vseq: VecSequence) -> float:
+def chaining_telescope_check(cover: ChainingCover, seq) -> float:
     """Max deviation of value(t) from ancestor value plus telescoped steps."""
-    vals = _as_value_matrix(vseq)
+    vals = _as_value_matrix(seq)
     leaves = np.array(cover.levels[cover.v_max])
     node = leaves
     total = np.zeros((len(leaves), vals.shape[1]), dtype=complex)

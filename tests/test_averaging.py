@@ -11,7 +11,7 @@ from modvar.averaging import (
     orbit_terms,
     rough_average,
 )
-from modvar.bumpkit import make_bump, scaled_weight
+from modvar.bumpkit import SmoothBump, scaled_weight
 from modvar.signalkit import Signal
 from modvar.systems import CircleRotation, SkewProduct, ZShift, obs_char, obs_const, obs_indicator, obs_skew_char
 from modvar.util import DomainError, e
@@ -20,7 +20,7 @@ import oracles
 
 
 def test_modulated_weights_zero_phase():
-    bump = make_bump(0.25)
+    bump = SmoothBump(0.25)
     M = 8
     w = modulated_weights(bump, M, polykit.Poly.linear(0.0))
     assert w.support_start == 0
@@ -29,7 +29,7 @@ def test_modulated_weights_zero_phase():
 
 
 def test_modulated_weights_carries_polynomial_phase():
-    bump = make_bump(0.25)
+    bump = SmoothBump(0.25)
     M = 16
     p = polykit.Poly.linear(0.25)
     w = modulated_weights(bump, M, p)
@@ -39,7 +39,7 @@ def test_modulated_weights_carries_polynomial_phase():
 
 
 def test_conv_average_of_point_mass_recovers_weights():
-    bump = make_bump(0.25)
+    bump = SmoothBump(0.25)
     M = 8
     f = Signal(0, [1.0])
     p = polykit.Poly.linear(0.0)
@@ -50,7 +50,7 @@ def test_conv_average_of_point_mass_recovers_weights():
 
 
 def test_conv_average_matches_loop_oracle(rng):
-    bump = make_bump(0.25)
+    bump = SmoothBump(0.25)
     M = 6
     f = Signal(-3, rng.normal(size=20) + 1j * rng.normal(size=20))
     p = polykit.Poly.linear(0.375)
@@ -62,7 +62,7 @@ def test_conv_average_matches_loop_oracle(rng):
 
 def test_orbit_average_constant_is_weight_mass():
     z = ZShift()
-    bump = make_bump(0.25)
+    bump = SmoothBump(0.25)
     M = 200
     terms = orbit_terms(z, obs_const(1.0), 0, M, polykit.Poly.linear(0.0))
     got = orbit_average(terms, bump)
@@ -72,7 +72,7 @@ def test_orbit_average_constant_is_weight_mass():
 
 def test_orbit_average_indicator_counts_window():
     z = ZShift()
-    bump = make_bump(0.25)
+    bump = SmoothBump(0.25)
     M = 1000
     terms = orbit_terms(z, obs_indicator(0, 100), 0, M,
                         polykit.Poly.linear(0.0))
@@ -113,7 +113,7 @@ def test_skew_resonance_hits_unit_modulus():
 
 def test_orbit_average_matches_manual_sum(rng):
     rot = CircleRotation()
-    bump = make_bump(0.25)
+    bump = SmoothBump(0.25)
     M = 64
     p = polykit.Poly.linear(0.25)
     got = orbit_average(orbit_terms(rot, obs_char(1), 0.0, M, p), bump)

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modvar import bumpkit
-from modvar.bumpkit import (ChiCutoff, make_Psi, make_bump, make_psi_kernel,
+from modvar.bumpkit import (ChiCutoff, SmoothBump, make_Psi, make_psi_kernel,
                             psi_floor_index, scaled_weight)
 from modvar.util import DomainError
 
 
 @pytest.fixture(scope="module")
 def bump():
-    return make_bump(0.25)
+    return SmoothBump(0.25)
 
 
 def test_bump_plateau_and_support(bump):
@@ -25,7 +25,7 @@ def test_bump_plateau_and_support(bump):
 
 @pytest.mark.parametrize("eps0", [0.1, 0.25])
 def test_bump_l1_defect_within_budget(eps0):
-    b = make_bump(eps0)
+    b = SmoothBump(eps0)
     assert b.l1_defect <= eps0
     # independent quadrature of |phi - indicator| on a fine grid
     t = np.linspace(-0.5, 1.5, 40001)
@@ -36,7 +36,7 @@ def test_bump_l1_defect_within_budget(eps0):
 
 @pytest.mark.parametrize("eps0", [0.1, 0.25])
 def test_bump_derivative_bounds_up_to_order_four(eps0):
-    b = make_bump(eps0)
+    b = SmoothBump(eps0)
     t = np.linspace(-0.1, 1.4, 30001)
     assert np.max(np.abs(b(t))) <= 1.0 + 1e-12
     orders = sorted(b.deriv_constants)

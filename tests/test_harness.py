@@ -316,22 +316,28 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind,setting,first_work", [
     ("weyl", "fit_qmax=65", "modvar.arithmetic.weyl_rows"),
     ("weyl", "fit_d=4", "modvar.arithmetic.weyl_rows"),
-    ("weyl-decay", "Qmax=201", "modvar.arithmetic.weyl_decay_fit"),
-    ("weyl-decay", "Qmax=1", "modvar.arithmetic.weyl_decay_fit"),
+    ("weyl", "fit_d=2 fit_qmax=201", "modvar.arithmetic.weyl_rows"),
+    ("weyl", "fit_qmax=1", "modvar.arithmetic.weyl_rows"),
     ("multiplier", "s_list=1,5", "modvar.harness.stream"),
     ("multiplier", "s_list=0,1", "modvar.harness.stream"),
     ("carleson", "batch=29", "modvar.harness.stream"),
     ("carleson", "theta_count=0", "modvar.harness.stream"),
     ("carleson", "cov_len=7", "modvar.harness.stream"),
-    ("sweep", "operator=maximal-arc M=-5", "modvar.harness.make_bump"),
-    ("bump-check", "samples=0", "modvar.harness.make_bump"),
+    # the r-growth envelope cap r/(r-2) divides by zero at r = 2
+    ("carleson", "r_low=2", "modvar.harness.stream"),
+    ("carleson", "r_high=2", "modvar.harness.stream"),
+    ("sweep", "operator=maximal-arc M=-5", "modvar.harness.SmoothBump"),
+    # the lambda sup's MIN_MODULUS floor, refused before any level build
+    ("sweep", "operator=vr-sd M=240",
+     "modvar.multipliers.build_arc_multiplier"),
+    ("bump-check", "samples=0", "modvar.harness.SmoothBump"),
     ("chaining", "max_times=1", "modvar.harness.stream"),
     ("chaining", "max_dim=0", "modvar.harness.stream"),
     ("variation", "max_len=1", "modvar.harness.stream"),
     ("variation", "jump_len=3", "modvar.harness.stream"),
     ("variation", "n_oracle=-1", "modvar.harness.stream"),
     # the time grid 2^7..2^16 would be unsorted and the run would fail
-    ("converge", "n_top=10", "modvar.harness.make_bump"),
+    ("converge", "n_top=10", "modvar.harness.SmoothBump"),
 ])
 def test_config_ranges_refused_before_any_work(kind, setting, first_work,
                                                tmp_path, monkeypatch, capsys):

@@ -8,8 +8,13 @@ the package outside its own definition, or be listed below with the reason
 it stays.  Only loads count.  A member counts as read only through an
 attribute (``obj.NAME``), so a local variable of the same name does not
 hide it; attribute chains rooted at a module imported from outside the
-package (``np.add.at``) name nothing of the package.  A plain ast scan, so
-it costs milliseconds.
+package (``np.add.at``) name nothing of the package.
+
+Every defaulted parameter of a public function or method (``__init__`` as
+the class) must likewise be passed by some package call, by keyword or by
+position, or be listed below; a call is matched by the callee's name, and
+one with ``*args`` or ``**kwargs`` counts as passing everything.  Plain ast
+scans, so they cost milliseconds.
 """
 
 import ast
@@ -21,8 +26,9 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "modvar"
 
-# name (Class.member for methods and fields) -> why it stays although no
-# package code names it
+# name (Class.member for methods and fields; name(param), Class(param) or
+# Class.method(param) for a parameter) -> why it stays although no package
+# code names or passes it
 ALLOWED = {
     "default_config": "perfbench/run.py builds its configs with it",
     "obs_const": "tests of orbit_average and ww_scan use the constant "
@@ -31,6 +37,17 @@ ALLOWED = {
                   "core _chain_dp on the gap matrix it shares with the "
                   "variation DP, and the DFS-oracle tests check that core "
                   "through jump_count",
+    "main(argv)": "tests and perfbench/run.py call cli.main with an "
+                  "argument list; the console script passes none",
+    "build_chaining_cover(resolution)": "tests build covers at coarse "
+                                        "resolutions so the loop oracle "
+                                        "and the two-point case stay small",
+    "torus_dist(y)": "tests measure distances between two phases",
+    "CircleRotation(alpha)": "tests set the angle of the rotation",
+    "CircleRotation(scaled)": "tests set the 120-bit angle directly",
+    "SkewProduct(alpha)": "tests set the angle of the skew product",
+    "SkewProduct(scaled)": "tests set the 120-bit angle directly",
+    "obs_const(c)": "tests use constant observables other than 1",
 }
 
 
@@ -142,6 +159,80 @@ def _unreached(sources=None):
             if _reads((names, attrs), name, member) == inside[name, member]}
 
 
+def _callee(node):
+    """The name a call is matched by: f(...) and obj.f(...) give f."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _defaulted(tree):
+    """(key, callee name, parameter, position or None, where) of each
+    defaulted parameter of a public top-level function or public method or
+    __init__ of a top-level class; position counts the arguments a call
+    writes (no self), None for a keyword-only parameter."""
+    def params(fn, key, callee, skip):
+        args = fn.args
+        pos = (args.posonlyargs + args.args)[skip:]
+        first = len(pos) - len(args.defaults)
+        for k, a in enumerate(pos[first:], start=first):
+            yield key + "(%s)" % a.arg, callee, a.arg, k, fn.lineno
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                yield key + "(%s)" % a.arg, callee, a.arg, None, fn.lineno
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and _public(node.name):
+            yield from params(node, node.name, node.name, 0)
+        if isinstance(node, ast.ClassDef) and _public(node.name):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name)
+                             and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                if item.name == "__init__":
+                    yield from params(item, node.name, node.name, 1)
+                elif _public(item.name):
+                    yield from params(item, node.name + "." + item.name,
+                                      item.name, 0 if static else 1)
+
+
+def _unpassed(sources=None):
+    """Defaulted public parameters that no package call passes."""
+    if sources is None:
+        sources = [(p.name, p.read_text())
+                   for p in sorted(PACKAGE.glob("*.py"))]
+    trees = [(fname, ast.parse(text, filename=fname))
+             for fname, text in sources]
+    passed = set()      # (callee, keyword) and (callee, position) pairs
+    for _fname, tree in trees:
+        for node in ast.walk(tree):
+            name = _callee(node) if isinstance(node, ast.Call) else None
+            if name is None:
+                continue
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                passed.add((name, "*"))
+            passed.update((name, k) for k in range(len(node.args)))
+            passed.update((name, k.arg) for k in node.keywords)
+    return {key: "%s:%d" % (fname, line)
+            for fname, tree in trees
+            for key, callee, param, pos, line in _defaulted(tree)
+            if not {(callee, "*"), (callee, param), (callee, pos)} & passed}
+
+
+def test_every_defaulted_parameter_is_passed():
+    t0 = time.perf_counter()
+    unpassed = _unpassed()
+    assert time.perf_counter() - t0 < 1.0
+    unexplained = sorted("%s (%s)" % (key, where)
+                         for key, where in unpassed.items()
+                         if key not in ALLOWED)
+    assert unexplained == []
+
+
 def test_every_public_definition_is_reached():
     t0 = time.perf_counter()
     dead = _unreached()
@@ -154,7 +245,7 @@ def test_every_public_definition_is_reached():
 
 def test_allowlist_names_only_unreached_definitions():
     # an entry whose object is gone or now reached must leave the list
-    assert set(ALLOWED) <= set(_unreached())
+    assert set(ALLOWED) <= set(_unreached()) | set(_unpassed())
 
 
 # one planted dead definition per kind the guard must see
@@ -179,9 +270,15 @@ _PLANTED = {
                       "@dataclass\nclass Cover:\n    levels: dict\n"
                       "    diameter: float\n\n\n"
                       "print(Cover({}, 0.0).levels)\n",
+    # a defaulted parameter no call passes; tau is passed by keyword,
+    # start by position
+    "count(allowed)": "def count(seq, tau=1.0, start=0, allowed=None):\n"
+                      "    return seq\n\n\n"
+                      "print(count([1], tau=2.0), count([1], 1.0, 0))\n",
 }
 
 
 @pytest.mark.parametrize("key", sorted(_PLANTED))
 def test_guard_sees_planted_dead_code(key):
-    assert set(_unreached([("planted.py", _PLANTED[key])])) == {key}
+    planted = [("planted.py", _PLANTED[key])]
+    assert set(_unreached(planted)) | set(_unpassed(planted)) == {key}

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modvar import polykit
-from modvar.bumpkit import make_bump
+from modvar.bumpkit import SmoothBump
 from modvar.systems import (
     ALPHA_ROTATION,
     ALPHA_SKEW,
@@ -118,12 +118,12 @@ def test_observable_builders():
 def test_ww_scan_rejects_general_polynomials():
     z = ZShift()
     with pytest.raises(DomainError):
-        ww_scan(z, obs_const(), 0, [polykit.Poly.zero()], [10, 20], make_bump(0.25))
+        ww_scan(z, obs_const(), 0, [polykit.Poly.zero()], [10, 20], SmoothBump(0.25))
 
 
 def test_ww_scan_shapes_and_oscillation():
     z = ZShift()
-    bump = make_bump(0.25)
+    bump = SmoothBump(0.25)
     p = polykit.Poly.linear(0.0)
     table = ww_scan(z, obs_const(), 0, [p], [8, 16, 32, 64], bump)
     assert set(table.values) == {(0, 8), (0, 16), (0, 32), (0, 64)}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from modvar.util import DomainError
 from modvar.variation import (
     ChainingCover,
-    VecSequence,
+    _as_value_matrix,
     _gaps,
     build_chaining_cover,
     chaining_telescope_check,
@@ -89,11 +89,11 @@ def test_batch_exact_and_brute_variation_agree(cols, r):
 
 
 def test_vector_variation_matches_dfs(rng):
-    vseq = VecSequence(times=tuple(range(6)), values=rng.normal(size=(6, 3)))
+    vals = rng.normal(size=(6, 3))
     want = 0.0
     # scalarize through the oracle by checking against brute on vectors
-    assert vr_exact(vseq, 2.5) == pytest.approx(vr_brute(vseq, 2.5), abs=1e-10)
-    assert vr_exact(vseq, 2.5) >= want
+    assert vr_exact(vals, 2.5) == pytest.approx(vr_brute(vals, 2.5), abs=1e-10)
+    assert vr_exact(vals, 2.5) >= want
 
 
 def test_vr_batch_matches_columnwise(rng):
@@ -120,13 +120,6 @@ def test_jump_count_matches_dfs(rng):
         assert jump_count(seq, tau) == oracles.jumps_dfs(list(seq), tau)
 
 
-def test_jump_count_respects_allowed_indices():
-    seq = [0.0, 10.0, 0.0, 10.0]
-    assert jump_count(seq, 5.0) == 3
-    assert jump_count(seq, 5.0, allowed_indices=[0, 1]) == 1
-    assert jump_count(seq, 5.0, allowed_indices=[0, 2]) == 0
-
-
 def test_jump_count_rejects_bad_threshold():
     with pytest.raises(DomainError):
         jump_count([0.0, 1.0], 0.0)
@@ -137,8 +130,7 @@ def test_vector_jump_count_matches_dfs(rng):
         n = int(rng.integers(2, 8))
         vals = rng.normal(size=(n, 2))
         lam = float(rng.uniform(0.3, 2.5))
-        vseq = VecSequence(times=tuple(range(n)), values=vals)
-        assert jump_count(vseq, lam) == oracles.vec_jumps_dfs(vals, lam)
+        assert jump_count(vals, lam) == oracles.vec_jumps_dfs(vals, lam)
 
 
 @pytest.mark.parametrize("r", [2.2, 3.0, 8.0])
@@ -152,37 +144,32 @@ def test_jump_variation_inequality_random(rng, r):
         assert slack >= -1e-12
 
 
-def test_jump_variation_check_on_allowed_subset(rng):
-    seq = rng.normal(size=10)
-    ok, _ = jump_variation_check(seq, 0.5, 2.5, allowed_indices=[1, 3, 4, 8])
-    assert ok
-
-
 def test_vec_sequence_validation():
-    with pytest.raises(DomainError):
-        VecSequence(times=(0, 1), values=np.zeros((3, 2)))
-    v = VecSequence(times=(0, 5), values=[1.0, 2.0])
-    assert v.values.tolist() == [[1.0], [2.0]]
+    for bad in (np.zeros((3, 2, 1)), 1.0):
+        with pytest.raises(DomainError):
+            _as_value_matrix(bad)
+        with pytest.raises(DomainError):
+            vr_exact(bad, 2.5)
+    v = _as_value_matrix([1.0, 2.0])
+    assert v.dtype == complex and v.tolist() == [[1.0], [2.0]]
 
 
 def test_cover_degenerate_cases():
-    single = VecSequence(times=(0,), values=np.zeros((1, 2)))
-    cov = build_chaining_cover(single)
+    cov = build_chaining_cover(np.zeros((1, 2)))
     assert (cov.v_min, cov.v_max) == (0, 0)
     assert cov.levels == {0: (0,)}
-    flat = VecSequence(times=(0, 1, 2), values=np.ones((3, 2)))
-    cov = build_chaining_cover(flat)
+    cov = build_chaining_cover(np.ones((3, 2)))
     assert (cov.v_min, cov.v_max) == (0, 0)
     assert cov.levels == {0: (0,)}
     with pytest.raises(DomainError):
-        build_chaining_cover(VecSequence(times=(), values=np.zeros((0, 1))))
+        build_chaining_cover(np.zeros((0, 1)))
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError, match="non-finite"):
-            build_chaining_cover(VecSequence(times=(0, 1), values=[0.0, bad]))
+            build_chaining_cover([0.0, bad])
 
 
 def test_cover_two_points():
-    v = VecSequence(times=(0, 1), values=np.array([[0.0], [1.0]]))
+    v = np.array([[0.0], [1.0]])
     cov = build_chaining_cover(v, resolution=0.25)
     # at radius 1 (v = 0) one center suffices; by radius 1/4 both are centers
     assert cov.v_min == 0
@@ -195,18 +182,17 @@ def test_cover_random_invariants(rng):
     for _ in range(10):
         n = int(rng.integers(2, 17))
         dim = int(rng.integers(1, 5))
-        vseq = VecSequence(times=tuple(range(n)),
-                           values=rng.normal(size=(n, dim)) * rng.uniform(0.1, 10))
-        cov = build_chaining_cover(vseq, resolution=1e-3)
-        worst = verify_cover(cov, vseq)
+        vals = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10)
+        cov = build_chaining_cover(vals, resolution=1e-3)
+        worst = verify_cover(cov, vals)
         assert worst <= 3.0
-        assert chaining_telescope_check(cov, vseq) <= 1e-12
+        assert chaining_telescope_check(cov, vals) <= 1e-12
         # every level's centers are pairwise separated by more than its radius
         for v, centers in cov.levels.items():
             rad = cov.radius(v)
             for a in range(len(centers)):
                 for b in range(a + 1, len(centers)):
-                    gap = vseq.values[centers[a]] - vseq.values[centers[b]]
+                    gap = vals[centers[a]] - vals[centers[b]]
                     assert np.linalg.norm(gap) > rad
 
 
@@ -234,8 +220,7 @@ def test_gap_matrix_refuses_overlong_sequences():
     with pytest.raises(DomainError, match="longer than"):
         jump_count(np.zeros(4097), 1.0)
     with pytest.raises(DomainError, match="longer than"):
-        build_chaining_cover(VecSequence(times=tuple(range(4097)),
-                                         values=np.zeros(4097)))
+        build_chaining_cover(np.zeros(4097))
 
 
 def _near(x, t):
@@ -255,12 +240,11 @@ def test_cover_matches_loop_oracle(vals, resolution):
         rads = 2.0 ** -np.arange(v_min, v_max + 1.0)
         for g in np.linalg.norm(vals[:, None] - vals[None, :], axis=2).flat:
             assume(not any(_near(g, t) for t in np.concatenate([rads, 3 * rads])))
-    vseq = VecSequence(times=tuple(range(len(vals))), values=vals)
-    cover = build_chaining_cover(vseq, resolution=resolution)
+    cover = build_chaining_cover(vals, resolution=resolution)
     assert cover.levels == levels
     assert cover.parent == parent
     assert (cover.v_min, cover.v_max) == (v_min, v_max)
-    assert verify_cover(cover, vseq) <= 3.0
+    assert verify_cover(cover, vals) <= 3.0
 
     # a removed center is itself the first point left uncovered
     v = cover.v_max
@@ -271,4 +255,4 @@ def test_cover_matches_loop_oracle(vals, resolution):
         broken.levels[v] = cover.levels[v][:-1]
         with pytest.raises(AssertionError,
                            match="point %d uncovered at level %d$" % (c, v)):
-            verify_cover(broken, vseq)
+            verify_cover(broken, vals)
