@@ -3,12 +3,12 @@
 Each function recomputes a production object of multipliers by direct
 summation: Weyl sums one (A, B, Q) at a time through arithmetic.weyl_sum,
 chi windows point by point, kernel transforms and applies as O(M^2) sums,
-variation by vr_exact at each point, and vrd_operator as a nested loop over
-positions, phases, scales and kernel taps.  arc_multiplier is the one
-oracle of the multiplier stacks: at an arc centre A/Q its offsets vanish,
-so it covers the vr-s stacks as well as the vr-sd ones.  The multiplier
-experiment and the tests compare the production code against these; no
-other experiment imports this module.
+variation by one vr_exact call over all points of a stack, and vrd_operator
+as a nested loop over positions, phases, scales and kernel taps.
+arc_multiplier is the one oracle of the multiplier stacks: at an arc centre
+A/Q its offsets vanish, so it covers the vr-s stacks as well as the vr-sd
+ones.  The multiplier experiment and the tests compare the production code
+against these; no other experiment imports this module.
 """
 
 import numpy as np
@@ -81,8 +81,7 @@ def variation_sup(symbol_stacks, fvals, r):
     want = np.zeros(len(fvals))
     for symbols in symbol_stacks:
         rows = np.asarray([apply(sym, fvals) for sym in symbols])
-        for x in range(len(fvals)):
-            want[x] = max(want[x], variation.vr_exact(rows[:, x], r))
+        np.maximum(want, variation.vr_exact(list(rows.T), r), out=want)
     return want
 
 
@@ -105,6 +104,6 @@ def vrd(f, bump, lam, P_grid, k_list, r, xs):
                         tot += (w * e(polykit.eval_phase(p, m))
                                 * f.values[j - f.support_start])
                 vals.append(tot)
-            best = max(best, variation.vr_exact(np.array(vals), r))
+            best = max(best, variation.vr_exact([np.array(vals)], r)[0])
         want[xi] = best
     return want

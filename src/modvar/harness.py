@@ -21,6 +21,7 @@ import numpy as np
 from . import arithmetic, averaging, polykit, systems, variation
 from . import multipliers
 from .bumpkit import SmoothBump, scaled_weight, make_psi_kernel, make_Psi
+from .bumpkit import export_profile_csv
 from .signalkit import CyclicSignal, Signal, modulate, modulate_cyclic
 from .util import DomainError, e, stream
 
@@ -165,9 +166,10 @@ SCHEMAS = {
     },
 }
 
-# inclusive (low, high) bounds of integer keys, high None for no cap;
-# parse_config refuses a value outside them, so no run starts on one
+# inclusive (low, high) bounds of integer keys and list entries, high None
+# for no cap; parse_config refuses a value outside them before any run
 _RANGES = {
+    "multiplier": {"s_list": (1, multipliers.S_CAP)},
     "bump-check": {"samples": (1, None)},
     "variation": {"n_oracle": (1, None), "n_jump": (1, None),
                   "max_len": (2, variation.MAX_BRUTE_LENGTH),
@@ -180,6 +182,10 @@ _RANGES = {
                  "batch": (30, None)},
     "sweep": {"M": (0, None), "batch": (30, None)},
 }
+
+# exclusive lower bounds of float keys and list entries, in every kind:
+# variation exponents r > 1, and r > 2 for carleson's envelope r/(r-2)
+_FLOORS = {"r": 1.0, "r_list": 1.0, "r_low": 2.0, "r_high": 2.0}
 
 SWEEP_OPERATORS = ("maximal-arc", "seqspace", "vr-s", "vr-sd")
 
@@ -246,11 +252,34 @@ def parse_config(text, kind=None, overrides=None):
                               % (key, kind))
         params[key] = default
     for key, (lo, hi) in _RANGES.get(kind, {}).items():
-        if params[key] < lo or (hi is not None and params[key] > hi):
-            raise ConfigError("%s must lie in %d..%s, got %d"
-                              % (key, lo, "" if hi is None else hi,
-                                 params[key]))
+        vals = params[key]
+        for v in vals if isinstance(vals, tuple) else (vals,):
+            if v < lo or (hi is not None and v > hi):
+                raise ConfigError("%s must lie in %d..%s, got %d"
+                                  % (key, lo, "" if hi is None else hi, v))
+    for key, floor in _FLOORS.items():
+        vals = params.get(key, ())
+        for v in vals if isinstance(vals, tuple) else (vals,):
+            if not v > floor:
+                raise ConfigError("%s must exceed %g, got %r" % (key, floor, v))
+    _check_cross(kind, params)
     return ExperimentConfig(kind=kind, params=params)
+
+
+def _check_cross(kind, p):
+    """The refusals that tie keys of one kind together."""
+    caps = arithmetic.DECAY_QMAX
+    if kind == "weyl" and p["fit_d"] not in caps:
+        raise ConfigError("fit_d must be one of %s, got %d"
+                          % (sorted(caps), p["fit_d"]))
+    if kind == "weyl" and not 2 <= p["fit_qmax"] <= caps[p["fit_d"]]:
+        raise ConfigError("need 2 <= fit_qmax <= %d for fit_d = %d, got %d"
+                          % (caps[p["fit_d"]], p["fit_d"], p["fit_qmax"]))
+    # every theta of the carleson grid must be a frequency of each length
+    if kind == "carleson" and any(L % p["theta_count"] for L in
+                                  (p["grid_len"],) + p["sizes"]):
+        raise ConfigError("theta_count %d must divide grid_len and every "
+                          "entry of sizes" % p["theta_count"])
 
 
 def default_config(kind):
@@ -284,12 +313,8 @@ def _stats(vals):
 
 
 def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return obj.item()
     raise TypeError("not JSON serializable: %r" % (obj,))
 
 
@@ -386,28 +411,13 @@ def _run_bump_check(cfg, out, seed, jobs):
             "max_telescope": worst_tel, "max_mean_defect": worst_mean,
             "ok": lam_ok,
         }
-    from .bumpkit import export_profile_csv
-
     export_profile_csv(bump, os.path.join(out, "bump_profile.csv"))
     summary["ok"] = ok
     _write_json(os.path.join(out, "bump_check.json"), summary)
     return ok, summary
 
 
-def _check_decay_range(cfg):
-    """Refuse a decay-fit degree or Qmax outside arithmetic.DECAY_QMAX."""
-    d, Qmax = cfg.get("fit_d"), cfg.get("fit_qmax")
-    caps = arithmetic.DECAY_QMAX
-    if d not in caps:
-        raise ConfigError("fit_d must be one of %s, got %d"
-                          % (sorted(caps), d))
-    if not 2 <= Qmax <= caps[d]:
-        raise ConfigError("need 2 <= fit_qmax <= %d for fit_d = %d, got %d"
-                          % (caps[d], d, Qmax))
-
-
 def _run_weyl(cfg, out, seed, jobs):
-    _check_decay_range(cfg)
     gauss_worst = 0.0
     for Q in range(1, cfg.get("gauss_qmax") + 1, 2):
         target = Q ** -0.5
@@ -447,28 +457,26 @@ def _run_weyl(cfg, out, seed, jobs):
 
 def _run_variation(cfg, out, seed, jobs):
     tol = cfg.get("oracle_tol")
-    max_len = cfg.get("max_len")
-    worst = 0.0
+    seqs = []
     for i in range(cfg.get("n_oracle")):
         g = stream(seed, i)
-        n = int(g.integers(2, max_len + 1))
-        seq = g.standard_normal(n) + 1j * g.standard_normal(n)
-        for r in cfg.get("r_list"):
-            worst = max(worst, abs(variation.vr_exact(seq, r)
-                                   - variation.vr_brute(seq, r)))
+        n = int(g.integers(2, cfg.get("max_len") + 1))
+        seqs.append(g.standard_normal(n) + 1j * g.standard_normal(n))
+    worst = max(abs(dp - brute) for r in cfg.get("r_list")
+                for dp, brute in zip(variation.vr_exact(seqs, r),
+                                     variation.vr_brute(seqs, r)))
     oracle_ok = worst <= tol
 
-    min_slack = math.inf
-    violations = 0
+    seqs, taus, rs = [], [], []
     for i in range(cfg.get("n_jump")):
         g = stream(seed, 10 ** 6 + i)
         n = int(g.integers(4, cfg.get("jump_len") + 1))
-        seq = g.standard_normal(n) + 1j * g.standard_normal(n)
-        tau = float(g.uniform(0.05, 2.0))
-        r = float(g.uniform(2.1, 8.0))
-        passed, slack = variation.jump_variation_check(seq, tau, r)
-        min_slack = min(min_slack, slack)
-        violations += 0 if passed else 1
+        seqs.append(g.standard_normal(n) + 1j * g.standard_normal(n))
+        taus.append(float(g.uniform(0.05, 2.0)))
+        rs.append(float(g.uniform(2.1, 8.0)))
+    checks = variation.jump_variation_check(seqs, taus, rs)
+    min_slack = min(slack for _held, slack in checks)
+    violations = sum(not held for held, _slack in checks)
     jump_ok = violations == 0
     ok = oracle_ok and jump_ok
     summary = {
@@ -592,10 +600,6 @@ def _run_converge(cfg, out, seed, jobs):
 
 
 def _run_carleson(cfg, out, seed, jobs):
-    # the r-growth envelope cap r/(r-2) of parts 3-4 needs r above 2
-    for key in ("r_low", "r_high"):
-        if not cfg.get(key) > 2.0:
-            raise ConfigError("%s must exceed 2, got %r" % (key, cfg.get(key)))
     bump = SmoothBump(cfg.get("eps0"))
 
     # part 1: modulation covariance on finite signals
@@ -677,10 +681,6 @@ def _run_carleson(cfg, out, seed, jobs):
 def _run_multiplier(cfg, out, seed, jobs):
     from . import dense
 
-    bad = [s for s in cfg.get("s_list") if not 1 <= s <= multipliers.S_CAP]
-    if bad:
-        raise ConfigError("every s in s_list must lie in 1..%d, got %d"
-                          % (multipliers.S_CAP, bad[0]))
     M = cfg.get("M")
     lam = cfg.get("lam")
     r = cfg.get("r")

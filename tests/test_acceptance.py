@@ -12,9 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from modvar import arithmetic, harness, variation
+from modvar import arithmetic, harness
 from modvar.harness import parse_config
-from modvar.util import stream
 
 from conftest import record_acceptance
 
@@ -42,6 +41,14 @@ def outroot(tmp_path_factory):
 def carleson_run(outroot):
     # one run feeds criteria 7 (parts 1-2) and 11 (parts 3-4)
     return _run_kind("carleson", outroot / "carleson")
+
+
+@pytest.fixture(scope="module")
+def variation_run(outroot):
+    # one default run feeds criteria 3 (1000 sequences x 5 exponents at
+    # n <= 12 against the brute-force oracle) and 4 (10,000 jump checks at
+    # n <= 24), on the draws of streams (SEED, i) and (SEED, 10**6 + i)
+    return _run_kind("variation", outroot / "variation")
 
 
 def test_01_gauss_sum_magnitudes():
@@ -87,43 +94,28 @@ def test_02_weyl_decay_fit():
     assert dt < 60.0
 
 
-def test_03_variation_oracle_match():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for i in range(1000):
-        g = stream(SEED, i)
-        n = int(g.integers(2, 13))
-        seq = g.standard_normal(n) + 1j * g.standard_normal(n)
-        for r in (2.2, 2.5, 3.0, 4.0, 8.0):
-            worst = max(worst, abs(variation.vr_exact(seq, r)
-                                   - variation.vr_brute(seq, r)))
-    dt = time.perf_counter() - t0
-    ok = worst <= 1e-9 and dt < 10.0
+def test_03_variation_oracle_match(variation_run):
+    rc, summary, dt = variation_run
+    oracle = summary["oracle"]
+    ok = oracle["worst_error"] <= 1e-9 and dt < 10.0
     record_acceptance("variation-oracle-match", ok, dt,
-                      "worst |exact - brute| %.2e over 1000 x 5" % worst)
-    assert worst <= 1e-9
+                      "worst |exact - brute| %.2e over %d x 5 (shared run)"
+                      % (oracle["worst_error"], oracle["n"]))
+    assert oracle["n"] == 1000
+    assert oracle["worst_error"] <= 1e-9
     assert dt < 10.0
 
 
-def test_04_jump_variation_inequality():
-    t0 = time.perf_counter()
-    violations = 0
-    min_slack = math.inf
-    for i in range(10000):
-        g = stream(SEED, 10 ** 6 + i)
-        n = int(g.integers(4, 25))
-        seq = g.standard_normal(n) + 1j * g.standard_normal(n)
-        tau = float(g.uniform(0.05, 2.0))
-        r = float(g.uniform(2.1, 8.0))
-        passed, slack = variation.jump_variation_check(seq, tau, r)
-        min_slack = min(min_slack, slack)
-        violations += 0 if passed else 1
-    dt = time.perf_counter() - t0
-    ok = violations == 0 and dt < 30.0
+def test_04_jump_variation_inequality(variation_run):
+    rc, summary, dt = variation_run
+    jump = summary["jump"]
+    ok = rc == 0 and jump["violations"] == 0 and dt < 30.0
     record_acceptance("jump-variation-inequality", ok, dt,
-                      "%d violations in 10000, min slack %.2e"
-                      % (violations, min_slack))
-    assert violations == 0
+                      "%d violations in %d, min slack %.2e (shared run)"
+                      % (jump["violations"], jump["n"], jump["min_slack"]))
+    assert rc == 0
+    assert jump["n"] == 10000
+    assert jump["violations"] == 0
     assert dt < 30.0
 
 

@@ -338,6 +338,14 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     ("variation", "n_oracle=-1", "modvar.harness.stream"),
     # the time grid 2^7..2^16 would be unsorted and the run would fail
     ("converge", "n_top=10", "modvar.harness.SmoothBump"),
+    # every variation exponent must exceed 1
+    ("carleson", "r=1", "modvar.harness.stream"),
+    ("sweep", "operator=vr-sd r=1", "modvar.harness.SmoothBump"),
+    ("multiplier", "r=0.5", "modvar.harness.SmoothBump"),
+    ("variation", "r_list=2.5,1", "modvar.harness.stream"),
+    # every theta of the carleson grid must be a frequency of each length
+    ("carleson", "sizes=1024,4096,16384,1000", "modvar.harness.SmoothBump"),
+    ("carleson", "grid_len=60", "modvar.harness.SmoothBump"),
 ])
 def test_config_ranges_refused_before_any_work(kind, setting, first_work,
                                                tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """r-variation, jump counting, and the chaining cover invariants."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modvar import cli, variation
 from modvar.util import DomainError
 from modvar.variation import (
     ChainingCover,
@@ -26,28 +28,28 @@ import oracles
 
 
 def test_constant_sequence_has_zero_variation():
-    assert vr_exact([3.0, 3.0, 3.0, 3.0], 2.5) == 0.0
+    assert vr_exact([[3.0, 3.0, 3.0, 3.0]], 2.5) == [0.0]
 
 
 def test_monotone_ramp_single_jump_wins():
     # one 0 -> 1 step beats two half steps when r > 1
-    assert vr_exact([0.0, 0.5, 1.0], 3) == pytest.approx(1.0, abs=1e-12)
+    assert vr_exact([[0.0, 0.5, 1.0]], 3)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_up_down_accumulates_both_jumps():
-    assert vr_exact([0.0, 1.0, 0.0], 3) == pytest.approx(2 ** (1 / 3), abs=1e-12)
+    assert vr_exact([[0.0, 1.0, 0.0]], 3)[0] == pytest.approx(2 ** (1 / 3), abs=1e-12)
 
 
 def test_single_point_and_pair():
-    assert vr_exact([7.0], 2) == 0.0
-    assert vr_exact([2.0, 5.5], 4) == pytest.approx(3.5)
+    assert vr_exact([[7.0]], 2) == [0.0]
+    assert vr_exact([[2.0, 5.5]], 4)[0] == pytest.approx(3.5)
     with pytest.raises(DomainError):
-        vr_exact([], 2)
+        vr_exact([[]], 2)
 
 
 def test_variation_rejects_small_exponent():
     with pytest.raises(DomainError):
-        vr_exact([0.0, 1.0], 1.0)
+        vr_exact([[0.0, 1.0]], 1.0)
 
 
 @pytest.mark.parametrize("r", [2.2, 2.5, 3.0, 8.0])
@@ -55,8 +57,8 @@ def test_dp_matches_brute_and_dfs(rng, r):
     for _ in range(20):
         n = int(rng.integers(2, 9))
         seq = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v_dp = vr_exact(seq, r)
-        assert v_dp == pytest.approx(vr_brute(seq, r), abs=1e-10)
+        v_dp = vr_exact([seq], r)[0]
+        assert v_dp == pytest.approx(vr_brute([seq], r)[0], abs=1e-10)
         assert v_dp == pytest.approx(oracles.vr_dfs(seq, r), abs=1e-10)
 
 
@@ -81,26 +83,82 @@ def _complex_rows(draw, max_n, max_dim, part):
 def test_batch_exact_and_brute_variation_agree(cols, r):
     got = vr_batch(cols, r)
     assert got.shape == (cols.shape[1],)
-    for j in range(cols.shape[1]):
-        want = vr_exact(cols[:, j], r)
-        assert got[j] == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert want == pytest.approx(vr_brute(cols[:, j], r), rel=1e-12,
-                                     abs=0.0)
+    want = vr_exact(list(cols.T), r)
+    assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert want == pytest.approx(vr_brute(list(cols.T), r), rel=1e-12,
+                                 abs=0.0)
 
 
 def test_vector_variation_matches_dfs(rng):
     vals = rng.normal(size=(6, 3))
     want = 0.0
     # scalarize through the oracle by checking against brute on vectors
-    assert vr_exact(vals, 2.5) == pytest.approx(vr_brute(vals, 2.5), abs=1e-10)
-    assert vr_exact(vals, 2.5) >= want
+    assert vr_exact([vals], 2.5) == pytest.approx(vr_brute([vals], 2.5),
+                                                  abs=1e-10)
+    assert vr_exact([vals], 2.5)[0] >= want
 
 
 def test_vr_batch_matches_columnwise(rng):
     vals = rng.normal(size=(10, 7))
     got = vr_batch(vals, 2.2)
-    for c in range(7):
-        assert got[c] == pytest.approx(vr_exact(vals[:, c], 2.2), rel=1e-12)
+    assert got.tolist() == pytest.approx(vr_exact(list(vals.T), 2.2),
+                                         rel=1e-12)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _mixed_sequences(rng):
+    """Complex sequences of mixed lengths: classes of several members at
+    n = 2, 5 and 18, single members at 3, 9 and 12, and a vector class."""
+    seqs = [rng.normal(size=n) + 1j * rng.normal(size=n)
+            for n in (2, 5, 18, 5, 2, 9, 5, 12, 18, 3, 2)]
+    return seqs + [rng.normal(size=(4, 3)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("block", [variation.BATCH_BLOCK, 50])
+def test_list_api_matches_one_element_calls_bitwise(rng, monkeypatch, block):
+    # block 50 splits the n = 5 class into blocks of at most two gap
+    # matrices, and the n = 5 and n = 18 classes into one chain-sum table
+    # per member
+    monkeypatch.setattr(variation, "BATCH_BLOCK", block)
+    seqs = _mixed_sequences(rng)
+    for r in (2.2, 3.0, 4.0, 8.0):
+        for fn in (vr_exact, vr_brute):
+            one = [fn([s], r)[0] for s in seqs]
+            assert _bits(fn(seqs, r)) == _bits(one)
+    taus = rng.uniform(0.05, 2.0, len(seqs)).tolist()
+    rs = rng.uniform(2.1, 8.0, len(seqs)).tolist()
+    got = jump_variation_check(seqs, taus, rs)
+    one = [jump_variation_check([s], t, r)[0]
+           for s, t, r in zip(seqs, taus, rs)]
+    assert [held for held, _ in got] == [held for held, _ in one]
+    assert _bits([slack for _, slack in got]) == _bits(
+        [slack for _, slack in one])
+
+
+def test_list_api_refuses_bad_members():
+    with pytest.raises(DomainError, match="refuses length 19"):
+        vr_brute([np.zeros(3), np.zeros(19)], 2.5)
+    with pytest.raises(DomainError, match="longer than"):
+        vr_exact([np.zeros(4097)], 2.5)
+    with pytest.raises(DomainError, match="tau must be positive"):
+        jump_variation_check([np.zeros(3), np.zeros(3)], [1.0, 0.0], 2.5)
+    with pytest.raises(DomainError, match="must exceed 1"):
+        jump_variation_check([np.zeros(3), np.zeros(3)], 1.0, [2.5, 1.0])
+    assert vr_exact([], 2.5) == vr_brute([], 2.5) == []
+
+
+def test_variation_json_bytes_pinned(tmp_path):
+    # the bytes that the one-sequence-per-call code of commit 0269fae wrote,
+    # with numpy's AVX-512 pow and with its dispatch off (libm pow) alike
+    argv = ["variation", "--set", "n_oracle=50", "--set", "n_jump=500",
+            "--seed", "5", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "variation.json").read_bytes())
+    assert digest.hexdigest() == ("2b03c9be42ec8d9e46335c791f69b909"
+                                  "38638c96772c17b13e62d0fc8292cbc5")
 
 
 def test_jump_count_alternating():
@@ -139,7 +197,7 @@ def test_jump_variation_inequality_random(rng, r):
         n = int(rng.integers(2, 12))
         seq = rng.normal(size=n) + 1j * rng.normal(size=n)
         tau = float(rng.uniform(0.1, 1.5))
-        ok, slack = jump_variation_check(seq, tau, r)
+        [(ok, slack)] = jump_variation_check([seq], tau, r)
         assert ok
         assert slack >= -1e-12
 
@@ -149,7 +207,7 @@ def test_vec_sequence_validation():
         with pytest.raises(DomainError):
             _as_value_matrix(bad)
         with pytest.raises(DomainError):
-            vr_exact(bad, 2.5)
+            vr_exact([bad], 2.5)
     v = _as_value_matrix([1.0, 2.0])
     assert v.dtype == complex and v.tolist() == [[1.0], [2.0]]
 
