@@ -6,9 +6,9 @@ chi windows point by point, kernel transforms and applies as O(M^2) sums,
 variation by one vr_exact call over all points of a stack, and vrd_operator
 as a nested loop over positions, phases, scales and kernel taps.
 arc_multiplier is the one oracle of the multiplier stacks: at an arc centre
-A/Q its offsets vanish, so it covers the vr-s stacks as well as the vr-sd
-ones.  The multiplier experiment and the tests compare the production code
-against these; no other experiment imports this module.
+A/Q its offsets vanish, so it covers the stacks at the arc centres as well
+as those off them.  The multiplier experiment and the tests compare the
+production code against these; no other experiment imports this module.
 """
 
 import numpy as np

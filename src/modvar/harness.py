@@ -33,16 +33,9 @@ PROBE_CHI_A0 = 0.125
 
 
 def _chi_a0_for_radius(s, radius):
-    """The chi_a0 value whose level-s window has exactly this radius."""
-    if not 0.0 < radius < 0.5:
-        raise ConfigError("window radius must lie in (0, 0.5)")
+    """The chi_a0 value whose level-s window has exactly this radius, for
+    a radius in (0, 0.5) (parse_config refuses a rho0 that leaves it)."""
     return s / (10.0 * math.log2(math.log2(1.0 / radius)))
-
-
-def _arc_centres(s):
-    """The level-s arc centres A/Q as lambda points: where the vr-s stacks
-    of build_arc_multiplier sit."""
-    return [(A[0] / Q,) for A, Q in arithmetic.arc_pairs(s, 2)]
 
 
 class ConfigError(Exception):
@@ -155,7 +148,7 @@ SCHEMAS = {
         "operator": (_parse_str, _REQUIRED),
         "batch": (_parse_int, 30),
         "r": (_parse_float, 3.0),
-        "M": (_parse_int, 0),        # 0 = per-operator default
+        "M": (_parse_int, multipliers.SUGGESTED_MODULUS),
         "s_min": (_parse_int, 1),
         "s_max": (_parse_int, 4),
         "J_list": (_parse_ints, (2, 3, 5)),
@@ -180,14 +173,14 @@ _RANGES = {
     "converge": {"n_top": (2 ** 16 + 1, None)},
     "carleson": {"cov_len": (8, None), "theta_count": (2, None),
                  "batch": (30, None)},
-    "sweep": {"M": (0, None), "batch": (30, None)},
+    "sweep": {"M": (1, None), "batch": (30, None)},
 }
 
 # exclusive lower bounds of float keys and list entries, in every kind:
 # variation exponents r > 1, and r > 2 for carleson's envelope r/(r-2)
 _FLOORS = {"r": 1.0, "r_list": 1.0, "r_low": 2.0, "r_high": 2.0}
 
-SWEEP_OPERATORS = ("maximal-arc", "seqspace", "vr-s", "vr-sd")
+SWEEP_OPERATORS = ("maximal-arc", "seqspace", "vr-sd")
 
 
 @dataclass(frozen=True)
@@ -280,6 +273,26 @@ def _check_cross(kind, p):
                                   (p["grid_len"],) + p["sizes"]):
         raise ConfigError("theta_count %d must divide grid_len and every "
                           "entry of sizes" % p["theta_count"])
+    if kind != "sweep":
+        return
+    if p["operator"] not in SWEEP_OPERATORS:
+        raise ConfigError("unknown operator %r (known: %s)"
+                          % (p["operator"], ", ".join(SWEEP_OPERATORS)))
+    s_min, s_max = p["s_min"], p["s_max"]
+    if not 1 <= s_min <= s_max <= multipliers.S_CAP:
+        raise ConfigError("need 1 <= s_min <= s_max <= %d, got %d and %d"
+                          % (multipliers.S_CAP, s_min, s_max))
+    if p["operator"] != "vr-sd":
+        return
+    # the MIN_MODULUS floor guards the lambda sup only
+    if p["M"] < multipliers.MIN_MODULUS:
+        raise ConfigError("M must be at least %d for operator vr-sd, got %d"
+                          % (multipliers.MIN_MODULUS, p["M"]))
+    # the level-s window radius rho0*4^(1-s) falls with s
+    if not (0.0 < p["rho0"] * 0.25 ** (s_max - 1)
+            and p["rho0"] * 0.25 ** (s_min - 1) < 0.5):
+        raise ConfigError("need 0 < rho0*4^(1-s) < 0.5 at every level "
+                          "s_min..s_max, got rho0 = %r" % p["rho0"])
 
 
 def default_config(kind):
@@ -690,10 +703,11 @@ def _run_multiplier(cfg, out, seed, jobs):
     errs = {"vr_s": 0.0, "vr_sd": 0.0, "vrd": 0.0}
     for s in cfg.get("s_list"):
         # symbols depend on the level only: build once, apply per draw;
-        # vr_s at the arc centres, vr_sd on a 3-point lambda subset of the
-        # canonical grid
+        # vr_s at the arc centres (the points 3k+1 of the canonical grid),
+        # vr_sd on the grid's first 3 points
+        grid = multipliers.lambda_grid_for(s, 2)
         built, oracle = [], []
-        for lgrid in (_arc_centres(s), multipliers.lambda_grid_for(s, 2)[:3]):
+        for lgrid in (grid[1::3], grid[:3]):
             built.append(multipliers.build_arc_multiplier(
                 s, J_list, lgrid, M, bump, lam=lam))
             oracle.append([[dense.arc_multiplier(s, J, lv, bump, lam, M)
@@ -742,91 +756,98 @@ def _nonincreasing_within_se(points):
 def sweep_norm_ratio(config, seed, jobs):
     """Batched l2 norm-ratio sweep for one named operator.
 
-    Returns a record {operator, rows, points, checks, ok}; rows are the CSV
-    layout of ratio_table_csv.  Draws are paired across parameter points
-    (same signals per draw index) so the decay comparisons are low-variance.
-    seed fixes the draws and jobs the worker threads; the record does not
-    depend on jobs.  The level range, and for vr-sd the MIN_MODULUS floor
-    on M, are checked before the first level is built.
+    Returns one record {operator, rows, points, checks, ok} per table the
+    run writes, the operator's own first; rows are the CSV layout of
+    ratio_table_csv.  The vr-sd run also returns the vr-s record: the same
+    operator at the arc centres lambda = A/Q alone, its stats reported and
+    nothing asserted.  Draws are paired across parameter points
+    (same signals per draw index) so the decay comparisons are
+    low-variance.  seed fixes the draws and jobs the worker threads; the
+    records do not depend on jobs.
     """
     cfg = config
     kind = cfg.get("operator")
-    if kind not in SWEEP_OPERATORS:
-        raise ConfigError("unknown operator %r (known: %s)"
-                          % (kind, ", ".join(SWEEP_OPERATORS)))
+    tables = [kind] + (["vr-s"] if kind == "vr-sd" else [])
     batch = cfg.get("batch")
     r = cfg.get("r")
-    s_min, s_max = cfg.get("s_min"), cfg.get("s_max")
-    if not 1 <= s_min <= s_max <= multipliers.S_CAP:
-        raise ConfigError("need 1 <= s_min <= s_max <= %d, got %d and %d"
-                          % (multipliers.S_CAP, s_min, s_max))
-    M = cfg.get("M") or multipliers.SUGGESTED_MODULUS
-    # the MIN_MODULUS floor guards the lambda sup only
-    if kind == "vr-sd" and M < multipliers.MIN_MODULUS:
-        raise ConfigError("M must be at least %d for operator vr-sd, got %d"
-                          % (multipliers.MIN_MODULUS, M))
-    s_range = range(s_min, s_max + 1)
+    M = cfg.get("M")
     bump = SmoothBump(cfg.get("eps0"))
     lam = cfg.get("lam")
-    rows, points, checks = [], [], {}
+    rows = [[] for _ in tables]
+    points = [[] for _ in tables]
 
     J_list = list(cfg.get("J_list"))
-    for s in s_range:
-        # symbols depend on the level only: build once, apply per draw
+    for s in range(cfg.get("s_min"), cfg.get("s_max") + 1):
+        # symbols depend on the level only: build once, apply per draw;
+        # ratios(v) gives one ratio per table
         size = n = M
         if kind == "seqspace":
             size = cfg.get("seq_base") * 2 ** s
             level = multipliers.seqspace_level(s, size, chi_a0=PROBE_CHI_A0)
             n = level[0]
 
-            def ratio(v):
-                return multipliers.seqspace_ratio(level, v)
+            def ratios(v):
+                return (multipliers.seqspace_ratio(level, v),)
         elif kind == "maximal-arc":
             symbols = multipliers.arc_symbols(s, M, chi_a0=PROBE_CHI_A0)
 
-            def ratio(v):
-                return multipliers.maximal_arc_ratio(symbols, CyclicSignal(v))
+            def ratios(v):
+                return (multipliers.maximal_arc_ratio(symbols,
+                                                      CyclicSignal(v)),)
         else:
             # quartered window schedule: level-s arc frequencies sit at
             # spacing >= Q^-2 ~ 4^-s, so radius rho0*4^(1-s) keeps distinct
             # arcs' windows disjoint and the sup probes per-arc decay
             probe = _chi_a0_for_radius(s, cfg.get("rho0") * 0.25 ** (s - 1))
-            # vr-s sits at the arc centres, vr-sd sups over the lambda grid
-            lgrid = (_arc_centres(s) if kind == "vr-s"
-                     else multipliers.lambda_grid_for(s, 2))
             stacks = multipliers.build_arc_multiplier(
-                s, J_list, lgrid, M, bump, lam=lam, chi_a0=probe)
+                s, J_list, multipliers.lambda_grid_for(s, 2), M, bump,
+                lam=lam, chi_a0=probe)
+            # the grid's points 3k+1 are the arc centres: vr-s sups over
+            # their stacks, vr-sd over every stack, so the max of the
+            # centre sup with the sup over the rest is the vr-sd value
+            centres = stacks[1::3]
+            rest = [st for i, st in enumerate(stacks) if i % 3 != 1]
 
-            def ratio(v):
+            def ratios(v):
                 f = CyclicSignal(v)
-                return float(np.linalg.norm(multipliers.vr_sup(
-                    stacks, f, r)) / f.l2())
-        vals = _map_jobs(lambda d: ratio(_gauss(seed, d, n)),
+                at_centres = multipliers.vr_sup(centres, f, r)
+                best = np.maximum(at_centres,
+                                  multipliers.vr_sup(rest, f, r))
+                return tuple(float(np.linalg.norm(g) / f.l2())
+                             for g in (best, at_centres))
+        vals = _map_jobs(lambda d: ratios(_gauss(seed, d, n)),
                          range(batch), jobs)
-        stats = _stats(vals)
-        points.append(stats)
-        rows.append((s, r if kind in ("vr-s", "vr-sd") else 0.0, size,
-                     batch) + stats)
-    # vr-s levels are telescoping pieces with no per-level decay claim:
-    # stats are reported, nothing asserted
-    if kind != "vr-s":
-        checks["nonincreasing_in_s"] = _nonincreasing_within_se(points)
+        for table_rows, table_points, col in zip(rows, points, zip(*vals)):
+            stats = _stats(col)
+            table_points.append(stats)
+            table_rows.append((s, r if kind == "vr-sd" else 0.0, size,
+                               batch) + stats)
 
-    ok = all(checks.values())
-    return {"operator": kind, "rows": rows,
-            "points": [{"mean": m, "max": x, "stderr": s}
-                       for m, x, s in points],
-            "checks": checks, "ok": ok}
+    records = []
+    for name, table_rows, table_points in zip(tables, rows, points):
+        # only the operator's own table claims decay in s: the vr-s levels
+        # are telescoping pieces with no per-level claim
+        checks = ({"nonincreasing_in_s":
+                   _nonincreasing_within_se(table_points)}
+                  if name == kind else {})
+        records.append({"operator": name, "rows": table_rows,
+                        "points": [{"mean": m, "max": x, "stderr": s}
+                                   for m, x, s in table_points],
+                        "checks": checks, "ok": all(checks.values())})
+    return records
 
 
 def _run_sweep(cfg, out, seed, jobs):
-    record = sweep_norm_ratio(cfg, seed, jobs)
-    name = "sweep_%s" % cfg.get("operator").replace("-", "_")
-    multipliers.ratio_table_csv(os.path.join(out, name + ".csv"),
-                                record["rows"])
-    payload = {k: v for k, v in record.items() if k != "rows"}
-    _write_json(os.path.join(out, name + ".json"), payload)
-    return record["ok"], payload
+    payloads = []
+    for record in sweep_norm_ratio(cfg, seed, jobs):
+        name = "sweep_%s" % record["operator"].replace("-", "_")
+        multipliers.ratio_table_csv(os.path.join(out, name + ".csv"),
+                                    record["rows"])
+        payloads.append({k: v for k, v in record.items() if k != "rows"})
+        _write_json(os.path.join(out, name + ".json"), payloads[-1])
+    # the summary is the operator's own record: the vr-s record of a vr-sd
+    # run asserts nothing
+    return payloads[0]["ok"], payloads[0]
 
 
 _RUNNERS = {

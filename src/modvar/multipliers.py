@@ -21,12 +21,13 @@ implementation.  No symbol depends on the signal, so every operator here
 runs in two steps: a builder makes the symbols once per level (arc_symbols
 for the plain windows, build_arc_multiplier for the (J, M) stacks, both
 from arc_symbol), and an apply takes one draw through them with one
-batched inverse FFT (maximal_arc_ratio, vr_sup).  The vr-s stacks are
-build_arc_multiplier's at the arc centres lambda = A/Q, where every offset
-vanishes and the kernel is the plain Psi; the vr-sd stacks are its stacks
-on lambda_grid_for.  The sequence-space ratio follows the same pattern off
-the grid: seqspace_level builds the Weyl rows and the characters e(Bx/Q)
-once per level, and seqspace_ratio applies them to each coefficient draw.
+batched inverse FFT (maximal_arc_ratio, vr_sup).  The vr-sd stacks are
+build_arc_multiplier's on lambda_grid_for; the grid's points 3k+1 are the
+arc centres lambda = A/Q, where every offset vanishes and the kernel is
+the plain Psi, and the vr-s table is the sup over the stacks there alone.
+The sequence-space ratio follows the same pattern off the grid:
+seqspace_level builds the Weyl rows and the characters e(Bx/Q) once per
+level, and seqspace_ratio applies them to each coefficient draw.
 
 Everything here works on the cyclic group Z/M, so "Fourier transform"
 means the forward DFT convention stated in signalkit (numpy's fft).

@@ -74,9 +74,8 @@ def test_cli_exit_one_on_unknown_sweep_operator(tmp_path):
                    "--out", str(tmp_path)])
     assert rc == 1
     # the linear theta sup is carleson parts 3-4, not a sweep operator
-    cfg = parse_config("kind = sweep\noperator = vr-linear-sup-theta\n")
     with pytest.raises(ConfigError, match="unknown operator"):
-        harness.sweep_norm_ratio(cfg, 1, 1)
+        parse_config("kind = sweep\noperator = vr-linear-sup-theta\n")
 
 
 def test_cli_exit_one_on_missing_config_file(tmp_path):
@@ -209,22 +208,20 @@ def test_summary_line_prints_json_booleans(tmp_path, capsys):
     assert flat["ok"] is (rc == 0)
 
 
-@pytest.mark.parametrize("operator", ["maximal-arc", "seqspace", "vr-s",
-                                      "vr-sd"])
+@pytest.mark.parametrize("operator", harness.SWEEP_OPERATORS)
 def test_sweep_level_range_checked_before_any_draw(operator, monkeypatch):
     def draw(*args, **kwargs):
         raise AssertionError("a draw ran before the level check")
 
     monkeypatch.setattr(harness, "_gauss", draw)
     for s_min, s_max in ((1, 9), (0, 2), (3, 2)):
-        cfg = parse_config("kind = sweep\noperator = %s\ns_min = %d\n"
-                           "s_max = %d\n" % (operator, s_min, s_max))
         with pytest.raises(ConfigError, match="s_min <= s_max"):
+            cfg = parse_config("kind = sweep\noperator = %s\ns_min = %d\n"
+                               "s_max = %d\n" % (operator, s_min, s_max))
             harness.sweep_norm_ratio(cfg, 1, 1)
 
 
-@pytest.mark.parametrize("operator", ["maximal-arc", "seqspace", "vr-s",
-                                      "vr-sd"])
+@pytest.mark.parametrize("operator", harness.SWEEP_OPERATORS)
 def test_sweep_builds_symbols_once_per_level(operator, monkeypatch):
     # no symbol depends on the draw, so the Weyl rows behind the symbols
     # are computed per level: their count must not grow with the batch
@@ -287,22 +284,24 @@ def _outputs_at_jobs(argv, tmp_path, monkeypatch):
     return outs
 
 
-_SWEEP_SETS = {
-    "maximal-arc": ("s_max=2",),
-    "seqspace": ("s_max=2",),
-    "vr-s": ("s_max=2",),
-    "vr-sd": ("s_max=2",),
-}
-
-
-@pytest.mark.parametrize("operator", sorted(_SWEEP_SETS))
+@pytest.mark.parametrize("operator", harness.SWEEP_OPERATORS)
 def test_threaded_sweep_bytes_do_not_depend_on_jobs(operator, tmp_path,
                                                      monkeypatch):
-    argv = ["sweep", "--set", "operator=" + operator]
-    for item in _SWEEP_SETS[operator]:
-        argv += ["--set", item]
+    argv = ["sweep", "--set", "operator=" + operator, "--set", "s_max=2"]
     outs = _outputs_at_jobs(argv, tmp_path, monkeypatch)
-    assert len(outs[0]) == 2 and outs[0] == outs[1]
+    # the vr-sd run also writes the vr-s table of the arc centres
+    names = [operator] + (["vr-s"] if operator == "vr-sd" else [])
+    assert sorted(outs[0]) == sorted(
+        "sweep_%s.%s" % (n.replace("-", "_"), ext)
+        for n in names for ext in ("csv", "json"))
+    assert outs[0] == outs[1]
+
+
+def test_multiplier_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
+    outs = _outputs_at_jobs(["multiplier", "--set", "s_list=1"], tmp_path,
+                            monkeypatch)
+    assert sorted(outs[0]) == ["multiplier.json"]
+    assert outs[0] == outs[1]
 
 
 def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
@@ -327,9 +326,16 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     ("carleson", "r_low=2", "modvar.harness.stream"),
     ("carleson", "r_high=2", "modvar.harness.stream"),
     ("sweep", "operator=maximal-arc M=-5", "modvar.harness.SmoothBump"),
+    ("sweep", "operator=maximal-arc M=0", "modvar.harness.SmoothBump"),
+    ("sweep", "operator=maximal-arc s_min=3 s_max=2",
+     "modvar.harness.SmoothBump"),
+    # the arc-centre table is written by the vr-sd run
+    ("sweep", "operator=vr-s", "modvar.harness.SmoothBump"),
     # the lambda sup's MIN_MODULUS floor, refused before any level build
     ("sweep", "operator=vr-sd M=240",
      "modvar.multipliers.build_arc_multiplier"),
+    # the level-1 window radius rho0 must lie in (0, 0.5)
+    ("sweep", "operator=vr-sd rho0=0.6", "modvar.harness.SmoothBump"),
     ("bump-check", "samples=0", "modvar.harness.SmoothBump"),
     ("chaining", "max_times=1", "modvar.harness.stream"),
     ("chaining", "max_dim=0", "modvar.harness.stream"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modvar import arithmetic, dense, multipliers
+from modvar import arithmetic, dense, harness, multipliers
 from modvar.bumpkit import (ChiCutoff, SmoothBump, make_Psi,
                             psi_floor_index)
 from modvar.multipliers import (
@@ -182,20 +182,35 @@ def test_arc_symbol_matches_dense_oracle(data):
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
-def _centres(s):
-    return [(A[0] / Q,) for A, Q in arithmetic.arc_pairs(s, 2)]
+@pytest.mark.parametrize("s", range(1, multipliers.S_CAP + 1))
+def test_grid_points_3k_plus_1_are_the_arc_centres(s):
+    # the vr-sd sweep reads its vr-s table off the stacks at the grid's
+    # points 3k+1: they must be the arc centres A/Q, and the stacks built
+    # there with the whole grid must be those built at (A/Q,) alone
+    centres = [(A[0] / Q % 1.0,) for A, Q in arithmetic.arc_pairs(s, 2)]
+    grid = lambda_grid_for(s, 2)
+    assert grid[1::3] == centres
+    # the sweep's default scales and probe window, and the default window
+    J_list = harness.SCHEMAS["sweep"]["J_list"][1]
+    rho0 = harness.SCHEMAS["sweep"]["rho0"][1]
+    probe = harness._chi_a0_for_radius(s, rho0 * 0.25 ** (s - 1))
+    for M, window in ((4096, {"chi_a0": probe}), (240, {})):
+        got = build_arc_multiplier(s, J_list, grid, M, BUMP, **window)[1::3]
+        want = build_arc_multiplier(s, J_list, centres, M, BUMP, **window)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_vr_s_operator_trivial_cases():
     # vr-s: the stacks at the arc centres A/Q
     rng = np.random.default_rng(3)
     j0 = psi_floor_index(1)
+    centres = lambda_grid_for(1, 2)[1::3]
     f = CyclicSignal(rng.normal(size=256) + 0j)
-    single = vr_sup(build_arc_multiplier(1, [j0], _centres(1), 256, BUMP),
+    single = vr_sup(build_arc_multiplier(1, [j0], centres, 256, BUMP),
                     f, 2.5)
     assert np.max(single) == 0.0              # one scale has no variation
-    zero = vr_sup(build_arc_multiplier(1, [j0, j0 + 1], _centres(1), 256,
-                                       BUMP),
+    zero = vr_sup(build_arc_multiplier(1, [j0, j0 + 1], centres, 256, BUMP),
                   CyclicSignal(np.zeros(256, dtype=complex)), 2.5)
     assert np.max(zero) == 0.0
     for s, J_list in ((1, [j0 + 1, j0]), (1, [j0 - 1, j0]), (1, []),
