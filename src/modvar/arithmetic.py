@@ -28,46 +28,6 @@ DECAY_QMAX = {2: 200, 3: 64}
 ROW_BLOCK = 4096               # most Weyl-row entries per decay-fit batch
 
 
-@dataclass(frozen=True)
-class FreqPoint:
-    """Rational frequency data (A_2..A_d, B, Q), components reduced to [1, Q]."""
-
-    Q: int
-    A: tuple
-    B: int
-
-    def __post_init__(self):
-        Q = int(self.Q)
-        if Q < 1:
-            raise DomainError("modulus Q must be positive")
-        A = tuple(((int(a) - 1) % Q) + 1 for a in self.A)
-        B = ((int(self.B) - 1) % Q) + 1
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-
-    @property
-    def degree(self):
-        return len(self.A) + 1
-
-
-def weyl_sum(fp: FreqPoint, d: int) -> complex:
-    """S(A/Q, B/Q) with exact integer phase reduction."""
-    d = int(d)
-    if d != fp.degree:
-        raise DomainError(
-            "degree %d does not match the %d coefficients stored" % (d, len(fp.A))
-        )
-    Q = fp.Q
-    r = np.arange(1, Q + 1, dtype=np.int64)
-    num = (r * (fp.B % Q)) % Q
-    rpow = r % Q
-    for a in fp.A:
-        rpow = (rpow * r) % Q       # now r^j mod Q for the degree of a
-        num = (num + (a % Q) * rpow) % Q
-    return complex(np.mean(e(-num.astype(float) / Q)))
-
-
 def weyl_row(Q: int, A) -> np.ndarray:
     """S(A/Q, B/Q) for B = 1..Q: the one-row case of weyl_rows."""
     return weyl_rows(Q, [A])[0]

@@ -269,23 +269,31 @@ class ChiCutoff:
         self.s = s
         self.a0 = float(a0)
         self.radius = 2.0 ** (-(2.0 ** (s / (10.0 * self.a0))))
-        self._tables = {}
+        self._nonzeros = {}
 
     def window(self, M, b0):
-        """chi((arange(M) - b0) / M) bit for bit, for grid index 0 <= b0 < M.
+        """The nonzeros of chi((arange(M) - b0) / M) bit for bit, for grid
+        index 0 <= b0 < M: (their sorted grid indices, the values there).
 
-        Slices one read-only table of chi at k/M, k = -(M-1)..M-1, built on
-        first use for each M and kept on this instance.
+        Both are read from the nonzeros of one table of chi at k/M,
+        k = -(M-1)..M-1, found on first use for each M and kept (read-only)
+        on this instance.  The table holds k and k - M alike, so a window
+        that wraps round Z/M is covered exactly.
         """
         M, b0 = int(M), int(b0)
         if not (0 <= b0 < M):
             raise DomainError("grid index %d outside 0..%d" % (b0, M - 1))
-        table = self._tables.get(M)
-        if table is None:
+        nonzeros = self._nonzeros.get(M)
+        if nonzeros is None:
             table = self(np.arange(-(M - 1), M) / M)
-            table.flags.writeable = False
-            self._tables[M] = table
-        return table[M - 1 - b0: 2 * M - 1 - b0]
+            offsets = np.flatnonzero(table)
+            nonzeros = (offsets - (M - 1), table[offsets])
+            for a in nonzeros:
+                a.flags.writeable = False
+            self._nonzeros[M] = nonzeros
+        offsets, values = nonzeros
+        lo, hi = np.searchsorted(offsets, (-b0, M - b0))
+        return b0 + offsets[lo:hi], values[lo:hi]
 
     def __call__(self, beta):
         t = torus_dist(beta)

@@ -1,21 +1,78 @@
 """Dense oracles for the multiplier experiment: no FFT anywhere.
 
 Each function recomputes a production object of multipliers by direct
-summation: Weyl sums one (A, B, Q) at a time through arithmetic.weyl_sum,
-chi windows point by point, kernel transforms and applies as O(M^2) sums,
-variation by one vr_exact call over all points of a stack, and vrd_operator
-as a nested loop over positions, phases, scales and kernel taps.
-arc_multiplier is the one oracle of the multiplier stacks: at an arc centre
-A/Q its offsets vanish, so it covers the stacks at the arc centres as well
-as those off them.  The multiplier experiment and the tests compare the
+summation: Weyl sums one (A, B, Q) at a time through weyl_sum, chi windows
+point by point, kernel transforms and applies as O(M^2) sums, variation by
+one vr_exact call over all points of a stack, and vrd_operator as a nested
+loop over positions, phases, scales and kernel taps, each phase through the
+scalar evaluator eval_phase.  arc_multiplier is the one oracle of the
+multiplier stacks, which it builds as dense (M,) rows: at an arc centre A/Q
+its offsets vanish, so it covers the stacks at the arc centres as well as
+those off them.  The multiplier experiment and the tests compare the
 production code against these; no other experiment imports this module.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import arithmetic, multipliers, polykit, variation
 from .bumpkit import ChiCutoff, make_Psi
-from .util import e
+from .util import DomainError, e
+
+
+@dataclass(frozen=True)
+class FreqPoint:
+    """Rational frequency data (A_2..A_d, B, Q), components reduced to [1, Q]."""
+
+    Q: int
+    A: tuple
+    B: int
+
+    def __post_init__(self):
+        Q = int(self.Q)
+        if Q < 1:
+            raise DomainError("modulus Q must be positive")
+        A = tuple(((int(a) - 1) % Q) + 1 for a in self.A)
+        B = ((int(self.B) - 1) % Q) + 1
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+
+    @property
+    def degree(self):
+        return len(self.A) + 1
+
+
+def weyl_sum(fp: FreqPoint, d: int) -> complex:
+    """S(A/Q, B/Q) of one frequency point, with exact integer phase
+    reduction (arithmetic.weyl_rows computes whole rows by FFT)."""
+    d = int(d)
+    if d != fp.degree:
+        raise DomainError(
+            "degree %d does not match the %d coefficients stored" % (d, len(fp.A))
+        )
+    Q = fp.Q
+    r = np.arange(1, Q + 1, dtype=np.int64)
+    num = (r * (fp.B % Q)) % Q
+    rpow = r % Q
+    for a in fp.A:
+        rpow = (rpow * r) % Q       # now r^j mod Q for the degree of a
+        num = (num + (a % Q) * rpow) % Q
+    return complex(np.mean(e(-num.astype(float) / Q)))
+
+
+def eval_phase(p, n: int) -> float:
+    """P(n) mod 1 in [0, 1) at one n, exact up to the final float rounding:
+    the reduction of polykit (dyadic numerators mod 2^E), by Horner in
+    Python integers."""
+    n = int(n)
+    nums, E = polykit._dyadic_parts(p)
+    mod = 1 << E
+    acc = 0
+    for c in reversed(nums):
+        acc = (acc * n + c) % mod
+    return acc / mod
 
 
 def dft_column(values, n0, M):
@@ -31,7 +88,7 @@ def arc_sum(A, Q, khat, chi, M):
     acc = np.zeros(M, dtype=complex)
     for B in range(1, Q + 1):
         b0 = int(round(M * B / float(Q))) % M
-        w = arithmetic.weyl_sum(arithmetic.FreqPoint(Q=Q, A=A, B=B), len(A) + 1)
+        w = weyl_sum(FreqPoint(Q=Q, A=A, B=B), len(A) + 1)
         window = np.array([chi((b - b0) / M) for b in range(M)])
         acc += w * np.roll(khat, b0) * window
     return acc
@@ -101,7 +158,7 @@ def vrd(f, bump, lam, P_grid, k_list, r, xs):
                     m = n0 + i
                     j = x - m
                     if f.support_start <= j < f.support_start + len(f):
-                        tot += (w * e(polykit.eval_phase(p, m))
+                        tot += (w * e(eval_phase(p, m))
                                 * f.values[j - f.support_start])
                 vals.append(tot)
             best = max(best, variation.vr_exact([np.array(vals)], r)[0])

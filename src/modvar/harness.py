@@ -34,7 +34,8 @@ PROBE_CHI_A0 = 0.125
 
 def _chi_a0_for_radius(s, radius):
     """The chi_a0 value whose level-s window has exactly this radius, for
-    a radius in (0, 0.5) (parse_config refuses a rho0 that leaves it)."""
+    a radius in (0, 0.5) (parse_config refuses a rho0 that leaves it, or
+    whose value here is not a positive finite float)."""
     return s / (10.0 * math.log2(math.log2(1.0 / radius)))
 
 
@@ -288,11 +289,15 @@ def _check_cross(kind, p):
     if p["M"] < multipliers.MIN_MODULUS:
         raise ConfigError("M must be at least %d for operator vr-sd, got %d"
                           % (multipliers.MIN_MODULUS, p["M"]))
-    # the level-s window radius rho0*4^(1-s) falls with s
-    if not (0.0 < p["rho0"] * 0.25 ** (s_max - 1)
-            and p["rho0"] * 0.25 ** (s_min - 1) < 0.5):
-        raise ConfigError("need 0 < rho0*4^(1-s) < 0.5 at every level "
-                          "s_min..s_max, got rho0 = %r" % p["rho0"])
+    # the level-s window radius is rho0*4^(1-s); a subnormal radius has an
+    # infinite reciprocal, so its chi_a0 would be 0
+    for s in range(s_min, s_max + 1):
+        radius = p["rho0"] * 0.25 ** (s - 1)
+        if not (0.0 < radius < 0.5
+                and 0.0 < _chi_a0_for_radius(s, radius) < math.inf):
+            raise ConfigError("need 0 < rho0*4^(1-s) < 0.5 and a positive "
+                              "finite chi_a0 at every level s_min..s_max, "
+                              "got rho0 = %r" % p["rho0"])
 
 
 def default_config(kind):

@@ -17,11 +17,17 @@ sixteenth of the chi_s radius (choose M divisible by the lcm of the Q
 range to keep offsets zero, e.g. 6720 for everything up to Q = 16).
 
 The inner sum over B is the arc symbol, and arc_symbol is its only
-implementation.  No symbol depends on the signal, so every operator here
-runs in two steps: a builder makes the symbols once per level (arc_symbols
-for the plain windows, build_arc_multiplier for the (J, M) stacks, both
-from arc_symbol), and an apply takes one draw through them with one
-batched inverse FFT (maximal_arc_ratio, vr_sup).  The vr-sd stacks are
+implementation.  Each term lives on the nonzeros of one chi_s window, and
+arc_symbol adds it there alone.  No symbol depends on the signal, so every
+operator here runs in two steps: a builder makes the symbols once per level
+(arc_symbols for the plain windows as dense (arcs, M) rows,
+build_arc_multiplier for the (J, M) stacks, both from arc_symbol), and an
+apply takes one draw through them with one batched inverse FFT
+(maximal_arc_ratio, vr_sup).  build_arc_multiplier stores each stack on its
+support (a SupportStack): the union of the window nonzeros of the arcs in
+its lambda ball, a few percent of Z/M for the sweep's narrow windows.
+vr_sup writes a support stack's values times the signal's transform into a
+zeroed (J, M) array before the inverse FFT.  The vr-sd stacks are
 build_arc_multiplier's on lambda_grid_for; the grid's points 3k+1 are the
 arc centres lambda = A/Q, where every offset vanishes and the kernel is
 the plain Psi, and the vr-s table is the sup over the stacks there alone.
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,28 +137,50 @@ def _kernel_hat(bump, lam, J, s, mu, M):
     return np.fft.fft(padded)
 
 
-def arc_symbol(A, Q, M, chi, khat=None) -> np.ndarray:
-    """sum over B = 1..Q of S(A/Q, B/Q) * K_hat(. - b_B) * chi(. - b_B) on Z/M.
+def arc_symbol(A, Q, M, chi, khat=None, support=None) -> np.ndarray:
+    """sum over B = 1..Q of S(A/Q, B/Q) * K_hat(. - b_B) * chi(. - b_B) on
+    support, a sorted array of indices into Z/M (None: all of Z/M) that
+    holds every nonzero of the arc's windows.
 
     b_B is the grid index of B/Q (snap_to_grid against the chi radius).
+    Each term is added on its window's nonzeros only; off them it is zero,
+    so the values equal those of the full-grid sum bit for bit.
     khat=None stands for K_hat = 1: the plain window symbol of the arc.
     """
     srow = arithmetic.weyl_row(Q, A)
-    acc = np.zeros(M, dtype=complex)
+    place = np.arange(M)        # grid index -> position in the result
+    if support is not None:
+        place[support] = np.arange(len(support))
+    acc = np.zeros(M if support is None else len(support), dtype=complex)
     for B in range(1, Q + 1):
         b0, _off = snap_to_grid(M, B, Q, chi.radius)
+        idx, window = chi.window(M, b0)
+        at = place[idx]
         if khat is None:
-            acc += srow[B - 1] * chi.window(M, b0)
+            acc[at] += srow[B - 1] * window
         else:
-            acc += srow[B - 1] * np.roll(khat, b0) * chi.window(M, b0)
+            acc[at] += srow[B - 1] * khat[idx - b0] * window
     return acc
+
+
+class SupportStack(NamedTuple):
+    """A (J, modulus) multiplier stack stored on its support: the sorted
+    indices into Z/modulus off which every row vanishes, and the (J,
+    len(support)) values there."""
+
+    modulus: int
+    support: np.ndarray
+    values: np.ndarray
 
 
 def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
                          bump: SmoothBump, lam=1.5, chi_a0=DEFAULT_A0):
-    """Per lambda_vec in lambda_grid, the (J, M) stack of the level-s
+    """Per lambda_vec in lambda_grid, the SupportStack of the level-s
     multiplier at the scales J_list on Z/M.
 
+    A stack's support is the union of the chi_s window nonzeros of the arcs
+    in lambda_vec's ball, and each arc's symbol is summed there alone, so
+    scattered into zeros a stack is the dense (J, M) array bit for bit.
     The level's window, its checks and the arcs in each lambda_vec's ball
     are found once; one kernel transform is made per distinct (J, offsets).
     The kernel scale floor and gate use DEFAULT_A0; chi_a0 governs only the
@@ -177,7 +206,23 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
                          for lv, a in zip(lambda_vec, A))
             if all(abs(o) <= ball for o in offs):
                 hits[-1].append((A, Q, offs))
-    stacks = [np.zeros((len(J_list), M), dtype=complex) for _ in hits]
+    # the windows of an arc depend on its Q alone: covered[Q] marks them
+    covered = {}
+    for arcs in hits:
+        for _A, Q, _offs in arcs:
+            if Q not in covered:
+                covered[Q] = np.zeros(M, dtype=bool)
+                for B in range(1, Q + 1):
+                    b0, _off = snap_to_grid(M, B, Q, chi.radius)
+                    covered[Q][chi.window(M, b0)[0]] = True
+    stacks = []
+    for arcs in hits:
+        mask = np.zeros(M, dtype=bool)
+        for _A, Q, _offs in arcs:
+            mask |= covered[Q]
+        support = np.flatnonzero(mask)
+        stacks.append(SupportStack(M, support, np.zeros(
+            (len(J_list), len(support)), dtype=complex)))
     for j, J in enumerate(J_list):
         khats = {}      # one scale's kernel transforms alive at a time
         for stack, arcs in zip(stacks, hits):
@@ -185,7 +230,8 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
                 if offs not in khats:
                     khats[offs] = _kernel_hat(bump, lam, J, chi.s, offs, M)
                 if khats[offs] is not None:
-                    stack[j] += arc_symbol(A, Q, M, chi, khats[offs])
+                    stack.values[j] += arc_symbol(A, Q, M, chi, khats[offs],
+                                                  stack.support)
     return stacks
 
 
@@ -207,10 +253,10 @@ def lambda_grid_for(s: int, d: int):
     return pts
 
 
-def _check_grid(symbols, f):
-    if symbols.shape[-1] != f.modulus:
+def _check_grid(M, f):
+    if M != f.modulus:
         raise DomainError("signal modulus %d != symbol grid %d"
-                          % (f.modulus, symbols.shape[-1]))
+                          % (f.modulus, M))
 
 
 def arc_symbols(s: int, M: int, chi_a0=DEFAULT_A0) -> np.ndarray:
@@ -230,7 +276,7 @@ def maximal_arc_ratio(symbols, f) -> float:
     norm = f.l2()
     if norm == 0.0:
         return 0.0
-    _check_grid(symbols, f)
+    _check_grid(symbols.shape[-1], f)
     g = np.fft.ifft(symbols * np.fft.fft(f.values), axis=1)
     return float(np.linalg.norm(np.abs(g).max(axis=0)) / norm)
 
@@ -300,13 +346,25 @@ def seqspace_ratio(level, c) -> float:
 
 def vr_sup(stacks, f, r) -> np.ndarray:
     """Pointwise sup over the stacks of the r-variation across the rows of
-    each stack applied to f (stacks: any iterable of (rows, M) symbol
-    arrays, e.g. build_arc_multiplier's, or a generator of them)."""
+    each stack applied to f, each stack with one batched inverse FFT.
+
+    stacks is any iterable (a generator too) of symbol stacks in either
+    form: build_arc_multiplier's SupportStacks, whose values times f's
+    transform are written into a zeroed (J, M) array, or dense (rows, M)
+    arrays, multiplied by f's transform whole.
+    """
     fhat = np.fft.fft(f.values)
     best = np.zeros(f.modulus)
     for stack in stacks:
-        _check_grid(stack, f)
-        rows = np.fft.ifft(stack * fhat, axis=1)
+        if isinstance(stack, SupportStack):
+            _check_grid(stack.modulus, f)
+            spec = np.zeros((len(stack.values), f.modulus), dtype=complex)
+            spec[:, stack.support] = stack.values * fhat[stack.support]
+        else:
+            _check_grid(stack.shape[-1], f)
+            spec = stack * fhat
+        rows = np.fft.ifft(spec, axis=1)
+        del spec        # not held while the DP runs and the next stack is made
         np.maximum(best, variation.vr_batch(rows, r), out=best)
     return best
 

@@ -6,8 +6,8 @@ exactly, hence P(n) mod 1 is an integer computation: with E = max_j e_j,
 
     P(n) mod 1 = (sum_j p_j 2^(E - e_j) n^j  mod 2^E) / 2^E.
 
-Both the scalar evaluator and the range evaluator use this reduction, so the
-only rounding anywhere is the final division by 2^E.  This is stronger than
+The range evaluator phase_range uses this reduction, so the only rounding
+anywhere is the final division by 2^E.  This is stronger than
 compensated floating-point summation: there is no catastrophic cancellation
 to control because nothing is ever cancelled inexactly.  The range kernel
 _mod1_range evaluates any integer polynomial mod 2^E over a run of n; the
@@ -86,22 +86,6 @@ def _dyadic_parts(p: Poly):
     for num, e in parts:
         nums.append(num << (E - e))
     return nums, E
-
-
-def _eval_num(nums, modulus, n):
-    """sum_j nums[j] * n^j mod modulus, Horner in integer arithmetic."""
-    acc = 0
-    for c in reversed(nums):
-        acc = (acc * n + c) % modulus
-    return acc
-
-
-def eval_phase(p: Poly, n: int) -> float:
-    """P(n) mod 1 in [0, 1), exact up to the final float rounding."""
-    n = int(n)
-    nums, E = _dyadic_parts(p)
-    mod = 1 << E
-    return _eval_num(nums, mod, n) / mod
 
 
 def phase_range(p: Poly, n0: int, N: int) -> np.ndarray:

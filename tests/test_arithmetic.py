@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from modvar import arithmetic
 from modvar.arithmetic import (
     DECAY_QMAX,
-    FreqPoint,
     arc_pairs,
     weyl_decay_fit,
     weyl_row,
     weyl_rows,
-    weyl_sum,
 )
+from modvar.dense import FreqPoint, weyl_sum
 from modvar.util import DomainError
 
 import oracles

@@ -116,12 +116,17 @@ def test_chi_window_shape():
 @given(st.integers(1, 4), st.sampled_from([10.0, 2.5, 0.37, 0.125]),
        st.integers(1, 5000), st.data())
 def test_chi_window_is_bitwise_the_shifted_evaluation(s, a0, M, data):
+    # the window is the nonzeros of the shifted evaluation: scattered into
+    # zeros it is that evaluation bit for bit, wrapped round Z/M or not
     chi = ChiCutoff(s, a0=a0)
     for b0 in (0, M - 1, data.draw(st.integers(0, M - 1))):
         want = chi((np.arange(M) - b0) / M)
-        got = chi.window(M, b0)
+        idx, vals = chi.window(M, b0)
+        assert np.all(np.diff(idx) > 0) and np.all(vals != 0.0)
+        got = np.zeros(M)
+        got[idx] = vals
         assert got.tobytes() == want.tobytes()
-    assert not got.flags.writeable
+    assert not vals.flags.writeable
 
 
 def test_chi_window_refuses_index_off_the_grid():

@@ -336,6 +336,9 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
      "modvar.multipliers.build_arc_multiplier"),
     # the level-1 window radius rho0 must lie in (0, 0.5)
     ("sweep", "operator=vr-sd rho0=0.6", "modvar.harness.SmoothBump"),
+    # a subnormal level-1 radius passes (0, 0.5) but leaves chi_a0 = 0
+    ("sweep", "operator=vr-sd s_max=1 rho0=1e-310",
+     "modvar.harness.SmoothBump"),
     ("bump-check", "samples=0", "modvar.harness.SmoothBump"),
     ("chaining", "max_times=1", "modvar.harness.stream"),
     ("chaining", "max_dim=0", "modvar.harness.stream"),

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modvar import arithmetic, dense, harness, multipliers
-from modvar.bumpkit import (ChiCutoff, SmoothBump, make_Psi,
+from modvar.bumpkit import (DEFAULT_A0, ChiCutoff, SmoothBump, make_Psi,
                             psi_floor_index)
 from modvar.multipliers import (
     MIN_MODULUS,
     arc_indicator_radius,
+    arc_symbol,
     arc_symbols,
     build_arc_multiplier,
     kernel_gate,
@@ -26,11 +27,18 @@ from modvar.multipliers import (
     vrd_operator,
 )
 from modvar.signalkit import CyclicSignal, Signal
-from modvar.util import DomainError, GridTooCoarseError, e
+from modvar.util import DomainError, GridTooCoarseError, e, torus_signed
 
 import oracles
 
 BUMP = SmoothBump(0.25)
+
+
+def _dense(stack):
+    """A SupportStack scattered into zeros: its dense (J, M) array."""
+    out = np.zeros((len(stack.values), stack.modulus), dtype=complex)
+    out[:, stack.support] = stack.values
+    return out
 
 
 def test_maximal_arc_ratio_zero_signal():
@@ -150,19 +158,22 @@ def test_build_arc_multiplier_guards():
 def test_arc_multiplier_apply_parseval():
     rng = np.random.default_rng(11)
     j0 = psi_floor_index(1)
-    mult = build_arc_multiplier(1, [j0 + 2], [(0.0,)], 512, BUMP)[0][0]
+    stacks = build_arc_multiplier(1, [j0 + 2], [(0.0,)], 512, BUMP)
+    mult = _dense(stacks[0])[0]
     f = CyclicSignal(rng.normal(size=512) + 1j * rng.normal(size=512))
     g = CyclicSignal(np.fft.ifft(mult * np.fft.fft(f.values)))
     assert g.l2() <= np.max(np.abs(mult)) * f.l2() * (1 + 1e-12)
-    with pytest.raises(DomainError):
-        vr_sup([mult[None, :]], CyclicSignal(np.ones(256, dtype=complex)),
-               2.5)
+    # both stack forms refuse a signal on another grid
+    for stack in (mult[None, :], stacks[0]):
+        with pytest.raises(DomainError):
+            vr_sup([stack], CyclicSignal(np.ones(256, dtype=complex)), 2.5)
 
 
 def test_build_arc_multiplier_far_lambda_is_zero():
-    mult = build_arc_multiplier(1, [psi_floor_index(1) + 1], [(0.5,)], 512,
-                                BUMP)[0][0]
-    assert np.max(np.abs(mult)) == 0.0
+    stack = build_arc_multiplier(1, [psi_floor_index(1) + 1], [(0.5,)], 512,
+                                 BUMP)[0]
+    assert len(stack.support) == 0          # no arc in the ball
+    assert np.max(np.abs(_dense(stack))) == 0.0
 
 
 @settings(max_examples=40)
@@ -177,7 +188,7 @@ def test_arc_symbol_matches_dense_oracle(data):
     lambda_vec = data.draw(st.one_of(
         st.sampled_from(lambda_grid_for(s, 2)),
         st.tuples(st.floats(0.0, 1.0, exclude_max=True))))
-    got = build_arc_multiplier(s, [J], [lambda_vec], M, BUMP)[0][0]
+    got = _dense(build_arc_multiplier(s, [J], [lambda_vec], M, BUMP)[0])[0]
     want = dense.arc_multiplier(s, J, lambda_vec, BUMP, 1.5, M)
     assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -198,7 +209,71 @@ def test_grid_points_3k_plus_1_are_the_arc_centres(s):
         got = build_arc_multiplier(s, J_list, grid, M, BUMP, **window)[1::3]
         want = build_arc_multiplier(s, J_list, centres, M, BUMP, **window)
         assert len(got) == len(want)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(np.array_equal(_dense(g), _dense(w))
+                   for g, w in zip(got, want))
+
+
+def _dense_layout(s, J_list, grid, M, chi_a0):
+    # the stacks as dense (J, M) arrays, each row summed from full-grid
+    # arc_symbol calls over the arcs in the lambda ball
+    chi = ChiCutoff(s, a0=chi_a0)
+    khats = {}
+    out = []
+    for lv in grid:
+        stack = np.zeros((len(J_list), M), dtype=complex)
+        for A, Q in arithmetic.arc_pairs(s, 2):
+            offs = (float(torus_signed(lv[0] - A[0] / Q)),)
+            if abs(offs[0]) > arc_indicator_radius(s):
+                continue
+            for j, J in enumerate(J_list):
+                if (J, offs) not in khats:
+                    khats[J, offs] = multipliers._kernel_hat(
+                        BUMP, 1.5, J, s, offs, M)
+                if khats[J, offs] is not None:
+                    stack[j] += arc_symbol(A, Q, M, chi, khats[J, offs])
+        out.append(stack)
+    return out
+
+
+# the sweep's probe window at M = 4096 and the default window at M = 240 at
+# every level, and a wide window at s = 1 that wraps round Z/M
+@pytest.mark.parametrize("s,M,window", [
+    (s, M, window) for s in range(1, multipliers.S_CAP + 1)
+    for M, window in ((4096, "probe"), (240, "default"))] + [(1, 4096, "wide")])
+def test_support_stacks_are_the_dense_stacks_bit_for_bit(s, M, window):
+    J_list = harness.SCHEMAS["sweep"]["J_list"][1]
+    rho0 = harness.SCHEMAS["sweep"]["rho0"][1]
+    chi_a0 = {"probe": harness._chi_a0_for_radius(s, rho0 * 0.25 ** (s - 1)),
+              "default": DEFAULT_A0,
+              "wide": harness._chi_a0_for_radius(s, 0.45)}[window]
+    grid = lambda_grid_for(s, 2)
+    got = build_arc_multiplier(s, J_list, grid, M, BUMP, chi_a0=chi_a0)
+    want = _dense_layout(s, J_list, grid, M, chi_a0)
+    assert len(got) == len(want)
+    for stack, dense_stack in zip(got, want):
+        support = stack.support
+        assert stack.modulus == M
+        assert np.all(np.diff(support) > 0)
+        assert stack.values.shape == (len(J_list), len(support))
+        assert _dense(stack).tobytes() == dense_stack.tobytes()
+        off = np.ones(M, dtype=bool)
+        off[support] = False
+        assert not dense_stack[:, off].any()
+    if s == 1:
+        # the one level-1 window sits at b0 = 0: it wraps round Z/M
+        assert support[0] == 0 and support[-1] == M - 1
+
+
+def test_vr_sd_level_4_stacks_hold_a_fifth_of_the_dense_bytes():
+    cfg = harness.parse_config("", kind="sweep",
+                               overrides={"operator": "vr-sd"}).params
+    s, M = 4, cfg["M"]
+    probe = harness._chi_a0_for_radius(s, cfg["rho0"] * 0.25 ** (s - 1))
+    stacks = build_arc_multiplier(s, cfg["J_list"], lambda_grid_for(s, 2), M,
+                                  BUMP, chi_a0=probe)
+    held = sum(st.support.nbytes + st.values.nbytes for st in stacks)
+    dense_bytes = len(stacks) * len(cfg["J_list"]) * M * 16
+    assert held <= dense_bytes / 5
 
 
 def test_vr_s_operator_trivial_cases():
