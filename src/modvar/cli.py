@@ -2,8 +2,9 @@
 
 Exit codes: 0 clean run, 1 a one-line refusal, 2 a checked property failed.
 The refusal names its cause: "config error" (bad key, bad value, bad
-parameter range), "domain error" (a numerical precondition such as grid
-snapping fails) or "I/O error" (a file cannot be read or written).
+parameter range, a config file that is not UTF-8), "domain error" (a
+numerical precondition fails inside the work) or "I/O error" (a file cannot
+be read or written).
 MODVAR_JOBS overrides --jobs; either above the host's CPU count is refused.
 """
 
@@ -39,8 +40,12 @@ def main(argv=None):
     try:
         text = ""
         if args.config is not None:
-            with open(args.config) as fh:
-                text = fh.read()
+            with open(args.config, encoding="utf-8") as fh:
+                try:
+                    text = fh.read()
+                except UnicodeDecodeError as ex:
+                    raise harness.ConfigError("config file %s is not UTF-8 "
+                                              "text: %s" % (args.config, ex))
         overrides = {}
         for item in args.sets:
             if "=" not in item:

@@ -21,9 +21,9 @@ import numpy as np
 from . import arithmetic, averaging, polykit, systems, variation
 from . import multipliers
 from .bumpkit import SmoothBump, scaled_weight, make_psi_kernel, make_Psi
-from .bumpkit import export_profile_csv
+from .bumpkit import ChiCutoff, export_profile_csv, psi_floor_index
 from .signalkit import CyclicSignal, Signal, modulate, modulate_cyclic
-from .util import DomainError, e, stream
+from .util import DomainError, GridTooCoarseError, e, stream
 
 # chi_s width constant for the decay probes: the default window at s <= 4 is
 # nearly the whole circle (radius ~ 0.49), which cannot separate levels at
@@ -78,108 +78,93 @@ def _parse_ints(text):
     return _parse_list(text, _parse_int)
 
 
-def _parse_str(text):
-    return str(text).strip()
+# the lowest kernel scale j0 of the top level bounds J_list at every level
+_J_FLOOR = psi_floor_index(multipliers.S_CAP)
 
-
-# schema: kind -> {key: (parser, default or _REQUIRED)}
+# schema: kind -> {key: (parser, default or _REQUIRED, low, high)}.  low and
+# high bound the value and every list entry, None for no bound: an integer
+# lies in low..high, a float exceeds low and does not exceed high.
 SCHEMAS = {
     "bump-check": {
-        "eps0_list": (_parse_floats, (0.1, 0.25)),
-        "lam_list": (_parse_floats, (1.5, 2.0)),
-        "kmax": (_parse_int, 20),
-        "samples": (_parse_int, 2048),
+        "eps0_list": (_parse_floats, (0.1, 0.25), 0, 0.5),
+        "lam_list": (_parse_floats, (1.5, 2.0), 1, 2),
+        "kmax": (_parse_int, 20, 1, None),
+        "samples": (_parse_int, 2048, 1, None),
     },
     "weyl": {
-        "gauss_qmax": (_parse_int, 99),
-        "bound_qmax": (_parse_int, 100),
-        "fit_d": (_parse_int, 3),
-        "fit_qmax": (_parse_int, 64),
-        "min_exponent": (_parse_float, 0.2),
-        "envelope_slack": (_parse_float, 4.0),
+        "gauss_qmax": (_parse_int, 99, 1, None),
+        "bound_qmax": (_parse_int, 100, 1, None),
+        "fit_d": (_parse_int, 3, min(arithmetic.DECAY_QMAX),
+                  max(arithmetic.DECAY_QMAX)),
+        "fit_qmax": (_parse_int, 64, 2, max(arithmetic.DECAY_QMAX.values())),
+        "min_exponent": (_parse_float, 0.2, None, None),
+        "envelope_slack": (_parse_float, 4.0, 0, None),
     },
     "variation": {
-        "n_oracle": (_parse_int, 1000),
-        "max_len": (_parse_int, 12),
-        "r_list": (_parse_floats, (2.2, 2.5, 3.0, 4.0, 8.0)),
-        "oracle_tol": (_parse_float, 1e-9),
-        "n_jump": (_parse_int, 10000),
-        "jump_len": (_parse_int, 24),
+        "n_oracle": (_parse_int, 1000, 1, None),
+        "max_len": (_parse_int, 12, 2, variation.MAX_BRUTE_LENGTH),
+        "r_list": (_parse_floats, (2.2, 2.5, 3.0, 4.0, 8.0), 1, None),
+        "oracle_tol": (_parse_float, 1e-9, None, None),
+        "n_jump": (_parse_int, 10000, 1, None),
+        "jump_len": (_parse_int, 24, 4, variation.MAX_DP_LENGTH),
     },
     "chaining": {
-        "n_inst": (_parse_int, 1000),
-        "max_times": (_parse_int, 16),
-        "max_dim": (_parse_int, 16),
-        "telescope_tol": (_parse_float, 1e-12),
+        "n_inst": (_parse_int, 1000, 1, None),
+        "max_times": (_parse_int, 16, 2, variation.MAX_DP_LENGTH),
+        "max_dim": (_parse_int, 16, 1, None),
+        "telescope_tol": (_parse_float, 1e-12, None, None),
     },
     "converge": {
-        "eps0": (_parse_float, 0.1),
-        "n_top": (_parse_int, 100000),
-        "osc_tol": (_parse_float, 0.02),
-        "top_tol": (_parse_float, 0.02),
-        "res_pad": (_parse_float, 0.01),
-        "y0": (_parse_float, 0.3),
+        "eps0": (_parse_float, 0.1, 0, 0.5),
+        # the scan's time grid 2^7..2^16 must lie below n_top
+        "n_top": (_parse_int, 100000, 2 ** 16 + 1, None),
+        "osc_tol": (_parse_float, 0.02, None, None),
+        "top_tol": (_parse_float, 0.02, None, None),
+        "res_pad": (_parse_float, 0.01, None, None),
+        "y0": (_parse_float, 0.3, None, None),
     },
     "carleson": {
-        "eps0": (_parse_float, 0.25),
-        "n_cov": (_parse_int, 100),
-        "cov_len": (_parse_int, 48),
-        "cov_tol": (_parse_float, 1e-9),
-        "grid_len": (_parse_int, 64),
-        "grid_exact_tol": (_parse_float, 1e-12),
-        "theta_count": (_parse_int, 32),
-        "r": (_parse_float, 3.0),
-        "r_low": (_parse_float, 2.2),
-        "r_high": (_parse_float, 4.0),
-        "sizes": (_parse_ints, (1024, 4096, 16384)),
-        "batch": (_parse_int, 30),
-        "size_slack": (_parse_float, 1.5),
-        "envelope_slack": (_parse_float, 10.0),
+        "eps0": (_parse_float, 0.25, 0, 0.5),
+        "n_cov": (_parse_int, 100, 1, None),
+        "cov_len": (_parse_int, 48, 8, None),
+        "cov_tol": (_parse_float, 1e-9, None, None),
+        # the truncations 8..L/4 of a length L must not be empty
+        "grid_len": (_parse_int, 64, 32, None),
+        "grid_exact_tol": (_parse_float, 1e-12, None, None),
+        "theta_count": (_parse_int, 32, 2, None),
+        "r": (_parse_float, 3.0, 1, None),
+        # the r-growth envelope r/(r-2) needs r > 2
+        "r_low": (_parse_float, 2.2, 2, None),
+        "r_high": (_parse_float, 4.0, 2, None),
+        "sizes": (_parse_ints, (1024, 4096, 16384), 32, None),
+        "batch": (_parse_int, 30, 30, None),
+        "size_slack": (_parse_float, 1.5, None, None),
+        "envelope_slack": (_parse_float, 10.0, None, None),
     },
     "multiplier": {
-        "M": (_parse_int, 240),
-        "s_list": (_parse_ints, (1, 2)),
-        "J_list": (_parse_ints, (2, 3, 5)),
-        "r": (_parse_float, 3.0),
-        "tol": (_parse_float, 1e-8),
-        "n_draw": (_parse_int, 2),
-        "lam": (_parse_float, 1.5),
+        "M": (_parse_int, 240, 1, None),
+        "s_list": (_parse_ints, (1, 2), 1, multipliers.S_CAP),
+        "J_list": (_parse_ints, (2, 3, 5), _J_FLOOR, None),
+        "r": (_parse_float, 3.0, 1, None),
+        "tol": (_parse_float, 1e-8, None, None),
+        "n_draw": (_parse_int, 2, 1, None),
+        "lam": (_parse_float, 1.5, 1, 2),
     },
     "sweep": {
-        "operator": (_parse_str, _REQUIRED),
-        "batch": (_parse_int, 30),
-        "r": (_parse_float, 3.0),
-        "M": (_parse_int, multipliers.SUGGESTED_MODULUS),
-        "s_min": (_parse_int, 1),
-        "s_max": (_parse_int, 4),
-        "J_list": (_parse_ints, (2, 3, 5)),
-        "lam": (_parse_float, 1.5),
-        "eps0": (_parse_float, 0.25),
-        "rho0": (_parse_float, 0.125),
-        "seq_base": (_parse_int, 64),
+        # operator, s_min, s_max and rho0 are checked in _check_cross
+        "operator": (str.strip, _REQUIRED, None, None),
+        "batch": (_parse_int, 30, 30, None),
+        "r": (_parse_float, 3.0, 1, None),
+        "M": (_parse_int, multipliers.SUGGESTED_MODULUS, 1, None),
+        "s_min": (_parse_int, 1, None, None),
+        "s_max": (_parse_int, 4, None, None),
+        "J_list": (_parse_ints, (2, 3, 5), _J_FLOOR, None),
+        "lam": (_parse_float, 1.5, 1, 2),
+        "eps0": (_parse_float, 0.25, 0, 0.5),
+        "rho0": (_parse_float, 0.125, None, None),
+        "seq_base": (_parse_int, 64, None, None),
     },
 }
-
-# inclusive (low, high) bounds of integer keys and list entries, high None
-# for no cap; parse_config refuses a value outside them before any run
-_RANGES = {
-    "multiplier": {"s_list": (1, multipliers.S_CAP)},
-    "bump-check": {"samples": (1, None)},
-    "variation": {"n_oracle": (1, None), "n_jump": (1, None),
-                  "max_len": (2, variation.MAX_BRUTE_LENGTH),
-                  "jump_len": (4, variation.MAX_DP_LENGTH)},
-    "chaining": {"max_times": (2, variation.MAX_DP_LENGTH),
-                 "max_dim": (1, None)},
-    # the scan's time grid 2^7..2^16 must lie below n_top
-    "converge": {"n_top": (2 ** 16 + 1, None)},
-    "carleson": {"cov_len": (8, None), "theta_count": (2, None),
-                 "batch": (30, None)},
-    "sweep": {"M": (1, None), "batch": (30, None)},
-}
-
-# exclusive lower bounds of float keys and list entries, in every kind:
-# variation exponents r > 1, and r > 2 for carleson's envelope r/(r-2)
-_FLOORS = {"r": 1.0, "r_list": 1.0, "r_low": 2.0, "r_high": 2.0}
 
 SWEEP_OPERATORS = ("maximal-arc", "seqspace", "vr-sd")
 
@@ -233,41 +218,36 @@ def parse_config(text, kind=None, overrides=None):
     for key, val in entries.items():
         if key not in schema:
             raise ConfigError("unknown key %r for experiment %r" % (key, kind))
-        parser, _default = schema[key]
         try:
-            params[key] = parser(val)
+            params[key] = schema[key][0](val)
         except ConfigError as ex:
             raise ConfigError("key %r: %s" % (key, ex))
-    for key, (parser, default) in schema.items():
-        if key in params:
-            continue
-        if default is _REQUIRED:
+    for key, (_parser, default, lo, hi) in schema.items():
+        if key not in params and default is _REQUIRED:
             raise ConfigError("missing required key %r for experiment %r"
                               % (key, kind))
-        params[key] = default
-    for key, (lo, hi) in _RANGES.get(kind, {}).items():
-        vals = params[key]
+        vals = params.setdefault(key, default)
         for v in vals if isinstance(vals, tuple) else (vals,):
-            if v < lo or (hi is not None and v > hi):
-                raise ConfigError("%s must lie in %d..%s, got %d"
-                                  % (key, lo, "" if hi is None else hi, v))
-    for key, floor in _FLOORS.items():
-        vals = params.get(key, ())
-        for v in vals if isinstance(vals, tuple) else (vals,):
-            if not v > floor:
-                raise ConfigError("%s must exceed %g, got %r" % (key, floor, v))
+            exact = isinstance(v, int)
+            if (lo is not None and (v < lo if exact else v <= lo)
+                    or hi is not None and v > hi):
+                raise ConfigError("need %s%s%s, got %r" % (
+                    "" if lo is None else
+                    "%s %s " % (lo, "<=" if exact else "<"),
+                    key, "" if hi is None else " <= %s" % hi, v))
     _check_cross(kind, params)
     return ExperimentConfig(kind=kind, params=params)
 
 
 def _check_cross(kind, p):
-    """The refusals that tie keys of one kind together."""
+    """The refusals that tie keys of one kind together, and those the
+    schema bounds cannot state."""
+    if "J_list" in p and list(p["J_list"]) != sorted(set(p["J_list"])):
+        raise ConfigError("J_list must be strictly increasing, got %s"
+                          % ",".join(map(str, p["J_list"])))
     caps = arithmetic.DECAY_QMAX
-    if kind == "weyl" and p["fit_d"] not in caps:
-        raise ConfigError("fit_d must be one of %s, got %d"
-                          % (sorted(caps), p["fit_d"]))
-    if kind == "weyl" and not 2 <= p["fit_qmax"] <= caps[p["fit_d"]]:
-        raise ConfigError("need 2 <= fit_qmax <= %d for fit_d = %d, got %d"
+    if kind == "weyl" and p["fit_qmax"] > caps[p["fit_d"]]:
+        raise ConfigError("need fit_qmax <= %d for fit_d = %d, got %d"
                           % (caps[p["fit_d"]], p["fit_d"], p["fit_qmax"]))
     # every theta of the carleson grid must be a frequency of each length
     if kind == "carleson" and any(L % p["theta_count"] for L in
@@ -283,21 +263,35 @@ def _check_cross(kind, p):
     if not 1 <= s_min <= s_max <= multipliers.S_CAP:
         raise ConfigError("need 1 <= s_min <= s_max <= %d, got %d and %d"
                           % (multipliers.S_CAP, s_min, s_max))
-    if p["operator"] != "vr-sd":
-        return
+    vr_sd = p["operator"] == "vr-sd"
     # the MIN_MODULUS floor guards the lambda sup only
-    if p["M"] < multipliers.MIN_MODULUS:
+    if vr_sd and p["M"] < multipliers.MIN_MODULUS:
         raise ConfigError("M must be at least %d for operator vr-sd, got %d"
                           % (multipliers.MIN_MODULUS, p["M"]))
-    # the level-s window radius is rho0*4^(1-s); a subnormal radius has an
-    # infinite reciprocal, so its chi_a0 would be 0
+    if p["operator"] == "seqspace":     # it snaps no frequency to a grid
+        return
     for s in range(s_min, s_max + 1):
-        radius = p["rho0"] * 0.25 ** (s - 1)
-        if not (0.0 < radius < 0.5
-                and 0.0 < _chi_a0_for_radius(s, radius) < math.inf):
-            raise ConfigError("need 0 < rho0*4^(1-s) < 0.5 and a positive "
-                              "finite chi_a0 at every level s_min..s_max, "
-                              "got rho0 = %r" % p["rho0"])
+        a0 = PROBE_CHI_A0
+        if vr_sd:
+            # the level-s window radius is rho0*4^(1-s); a subnormal radius
+            # has an infinite reciprocal, so its chi_a0 would be 0
+            radius = p["rho0"] * 0.25 ** (s - 1)
+            a0 = _chi_a0_for_radius(s, radius) if 0.0 < radius < 0.5 else 0.0
+            if not 0.0 < a0 < math.inf:
+                raise ConfigError("need 0 < rho0*4^(1-s) < 0.5 and a "
+                                  "positive finite chi_a0 at every level "
+                                  "s_min..s_max, got rho0 = %r" % p["rho0"])
+        # every arc frequency B/Q of the level must snap to the M-grid
+        # within the radius of the window the run builds
+        radius = ChiCutoff(s, a0=a0).radius
+        for Q in sorted({Q for _A, Q in arithmetic.arc_pairs(s, 2)}):
+            for B in range(1, Q + 1):
+                try:
+                    multipliers.snap_to_grid(p["M"], B, Q, radius)
+                except GridTooCoarseError as ex:
+                    raise ConfigError("M = %d is too coarse%s: %s" % (
+                        p["M"], " for rho0 = %r" % p["rho0"] if vr_sd else "",
+                        ex))
 
 
 def default_config(kind):

@@ -1,7 +1,9 @@
 """Config parsing, exit codes, and reproducibility of the experiment runner."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -81,6 +83,17 @@ def test_cli_exit_one_on_unknown_sweep_operator(tmp_path):
 def test_cli_exit_one_on_missing_config_file(tmp_path):
     rc = cli.main(["variation", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 1
+
+
+def test_cli_exit_one_on_non_utf8_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    assert cli.main(["variation", "--config", str(cfgfile),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not UTF-8" in err
+    assert not out.exists()
 
 
 def test_cli_runs_small_variation(tmp_path):
@@ -355,6 +368,14 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     # every theta of the carleson grid must be a frequency of each length
     ("carleson", "sizes=1024,4096,16384,1000", "modvar.harness.SmoothBump"),
     ("carleson", "grid_len=60", "modvar.harness.SmoothBump"),
+    # a scale list is strictly increasing and starts at the kernel floor
+    ("multiplier", "J_list=5,3", "modvar.harness.SmoothBump"),
+    ("multiplier", "J_list=1", "modvar.harness.SmoothBump"),
+    ("sweep", "operator=vr-sd J_list=5,3", "modvar.harness.SmoothBump"),
+    ("sweep", "operator=vr-sd J_list=1", "modvar.harness.SmoothBump"),
+    # every arc frequency B/Q must snap to the M-grid within its window
+    ("sweep", "operator=vr-sd rho0=0.01", "modvar.harness.SmoothBump"),
+    ("sweep", "operator=maximal-arc M=4001", "modvar.harness.SmoothBump"),
 ])
 def test_config_ranges_refused_before_any_work(kind, setting, first_work,
                                                tmp_path, monkeypatch, capsys):
@@ -370,6 +391,77 @@ def test_config_ranges_refused_before_any_work(kind, setting, first_work,
     assert err.count("\n") == 1 and err.startswith("config error:")
     # the refusal names the key of the last setting
     assert setting.split()[-1].split("=")[0] in err
+
+
+_TOLERANCE = ("a tolerance: 0 asks for exactness, and a negative one just "
+              "fails its own check (exit 2)")
+_SLACK = ("a slack factor of a checked ratio: a value <= 0 just fails that "
+          "check (exit 2)")
+# the keys with no bound in SCHEMAS, each with the reason it has none
+_UNBOUNDED = {
+    ("weyl", "min_exponent"): "a floor on the fitted exponent: any real is "
+                              "a claim the fit can be checked against",
+    ("variation", "oracle_tol"): _TOLERANCE,
+    ("chaining", "telescope_tol"): _TOLERANCE,
+    ("converge", "osc_tol"): _TOLERANCE,
+    ("converge", "top_tol"): _TOLERANCE,
+    ("converge", "res_pad"): _TOLERANCE,
+    ("converge", "y0"): "a point of the circle R/Z: every real is one",
+    ("carleson", "cov_tol"): _TOLERANCE,
+    ("carleson", "grid_exact_tol"): _TOLERANCE,
+    ("carleson", "size_slack"): _SLACK,
+    ("carleson", "envelope_slack"): _SLACK,
+    ("multiplier", "tol"): _TOLERANCE,
+    ("sweep", "operator"): "_check_cross refuses a name outside "
+                           "SWEEP_OPERATORS",
+    ("sweep", "s_min"): "_check_cross: 1 <= s_min <= s_max <= S_CAP",
+    ("sweep", "s_max"): "_check_cross: 1 <= s_min <= s_max <= S_CAP",
+    ("sweep", "rho0"): "_check_cross: its range depends on the operator "
+                       "and the level range",
+    ("sweep", "seq_base"): "its floor depends on the level range, and "
+                           "seqspace_level refuses a short interval",
+}
+
+
+def _just_outside(parser, default, lo, hi):
+    """One raw value per bound of a key, each just outside that bound; a
+    list gets its default entries plus one bad entry."""
+    exact = parser in (harness._parse_int, harness._parse_ints)
+    bad = []
+    if lo is not None:
+        bad.append(lo - 1 if exact else lo)
+    if hi is not None:
+        bad.append(hi + 1 if exact else math.nextafter(hi, math.inf))
+    if isinstance(default, tuple):
+        return [", ".join(map(repr, default + (v,))) for v in bad]
+    return [repr(v) for v in bad]
+
+
+def test_every_bounded_key_refused_before_any_work(tmp_path, monkeypatch,
+                                                   capsys):
+    def runner(cfg, out, seed, jobs):
+        raise AssertionError("a runner was called")
+
+    for kind in harness._RUNNERS:
+        monkeypatch.setitem(harness._RUNNERS, kind, runner)
+    unbounded = set()
+    for kind, schema in SCHEMAS.items():
+        base = [kind, "--out", str(tmp_path / "out")]
+        if kind == "sweep":
+            base += ["--set", "operator=vr-sd"]
+        for key, (parser, default, lo, hi) in schema.items():
+            if lo is None and hi is None:
+                unbounded.add((kind, key))
+            for val in _just_outside(parser, default, lo, hi):
+                assert cli.main(base + ["--set", "%s=%s" % (key, val)]) == 1
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1, (kind, key, val)
+                assert re.match(r"config error: need [^,]*\b%s\b" % key, err)
+    assert unbounded == set(_UNBOUNDED)
+    assert not (tmp_path / "out").exists()
+    # integer bounds are inclusive, and so is a float's upper bound
+    cfg = parse_config("kind = converge\neps0 = 0.5\nn_top = 65537\n")
+    assert (cfg.get("eps0"), cfg.get("n_top")) == (0.5, 65537)
 
 
 _KEYS = sorted({key for schema in SCHEMAS.values() for key in schema}
