@@ -151,7 +151,7 @@ SCHEMAS = {
         "lam": (_parse_float, 1.5, 1, 2),
     },
     "sweep": {
-        # operator, s_min, s_max and rho0 are checked in _check_cross
+        # operator, s_min, s_max, rho0 and seq_base are checked in _check_cross
         "operator": (str.strip, _REQUIRED, None, None),
         "batch": (_parse_int, 30, 30, None),
         "r": (_parse_float, 3.0, 1, None),
@@ -268,9 +268,15 @@ def _check_cross(kind, p):
     if vr_sd and p["M"] < multipliers.MIN_MODULUS:
         raise ConfigError("M must be at least %d for operator vr-sd, got %d"
                           % (multipliers.MIN_MODULUS, p["M"]))
-    if p["operator"] == "seqspace":     # it snaps no frequency to a grid
-        return
     for s in range(s_min, s_max + 1):
+        if p["operator"] == "seqspace":
+            # it snaps no frequency to a grid; its interval seq_base*2^s
+            # must reach 1/(2 radius) of the level's probe window
+            need = math.ceil(1.0 / (2.0 * ChiCutoff(s, PROBE_CHI_A0).radius))
+            if p["seq_base"] * 2 ** s < need:
+                raise ConfigError("need seq_base*2^s >= %d at level %d, got "
+                                  "seq_base = %d" % (need, s, p["seq_base"]))
+            continue
         a0 = PROBE_CHI_A0
         if vr_sd:
             # the level-s window radius is rho0*4^(1-s); a subnormal radius
@@ -337,12 +343,29 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def theta_sup_variation(values, bump, trunc_list, theta_count, r):
+def theta_symbols(bump, L):
+    """The transforms on Z/L of the truncated weights phi_M at the
+    truncations _truncation_list(L): a read-only (K, L) array, built once
+    and shared by every theta_sup_variation call on that length."""
+    trunc = _truncation_list(L)
+    what = np.empty((len(trunc), L), dtype=complex)
+    for k, M in enumerate(trunc):
+        padded = np.zeros(L, dtype=complex)
+        padded[: M + 1] = scaled_weight(bump, M, np.arange(M + 1))
+        what[k] = np.fft.fft(padded)
+    what.flags.writeable = False
+    return what
+
+
+def theta_sup_variation(values, what, theta_count, r):
     """Pointwise sup over the theta grid of the r-variation in the truncation.
 
     A_M^theta f(x) = sum_n phi_M(n) e(-n theta) f(x - n) on Z/L, theta on the
     grid j/theta_count (which must divide L so every theta is a grid
-    frequency).  Returns the array sup_theta V^r_M(A f).
+    frequency), and what = theta_symbols(bump, L).  The modulation by
+    e(-n theta) shifts the transforms by j L / theta_count columns, read in
+    place as a multipliers.ShiftedStack.  Returns the array
+    sup_theta V^r_M(A f).
     """
     values = np.asarray(values, dtype=complex)
     L = len(values)
@@ -351,15 +374,7 @@ def theta_sup_variation(values, bump, trunc_list, theta_count, r):
         raise DomainError("theta grid %d must divide the length %d"
                           % (theta_count, L))
     step = L // theta_count
-    what = np.empty((len(trunc_list), L), dtype=complex)
-    for k, M in enumerate(trunc_list):
-        if M >= L:
-            raise DomainError("truncation %d must be below the length %d"
-                              % (M, L))
-        padded = np.zeros(L, dtype=complex)
-        padded[: M + 1] = scaled_weight(bump, M, np.arange(M + 1))
-        what[k] = np.fft.fft(padded)
-    return multipliers.vr_sup((np.roll(what, -j * step, axis=1)
+    return multipliers.vr_sup((multipliers.ShiftedStack(what, j * step)
                                for j in range(theta_count)),
                               CyclicSignal(values), r)
 
@@ -636,15 +651,14 @@ def _run_carleson(cfg, out, seed, jobs):
     # part 2: grid-aligned modulation leaves the theta-sup variation fixed
     L = cfg.get("grid_len")
     r = cfg.get("r")
-    trunc = _truncation_list(L)
     g = stream(seed, 7777)
     base = g.standard_normal(L) + 1j * g.standard_normal(L)
     shift = int(g.integers(1, cfg.get("theta_count")))
-    a1 = theta_sup_variation(base, bump, trunc, cfg.get("theta_count"), r)
+    what = theta_symbols(bump, L)
+    a1 = theta_sup_variation(base, what, cfg.get("theta_count"), r)
     modded = modulate_cyclic(CyclicSignal(base),
                              shift * (L // cfg.get("theta_count")))
-    a2 = theta_sup_variation(modded.values, bump, trunc,
-                             cfg.get("theta_count"), r)
+    a2 = theta_sup_variation(modded.values, what, cfg.get("theta_count"), r)
     grid_dev = float(np.max(np.abs(a1 - a2)))
     grid_ok = grid_dev <= cfg.get("grid_exact_tol")
 
@@ -655,10 +669,12 @@ def _run_carleson(cfg, out, seed, jobs):
     lo, hi = cfg.get("r_low"), cfg.get("r_high")
 
     def stats_at(L, r_val):
+        # one set of transforms per size, shared read-only by the draws
+        what = theta_symbols(bump, L)
+
         def one(d):
             f = _gauss(seed, d, L)
-            best = theta_sup_variation(f, bump, _truncation_list(L),
-                                       cfg.get("theta_count"), r_val)
+            best = theta_sup_variation(f, what, cfg.get("theta_count"), r_val)
             return float(np.linalg.norm(best) / np.linalg.norm(f))
         return _stats(_map_jobs(one, range(batch), jobs))
 

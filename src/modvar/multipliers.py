@@ -26,11 +26,16 @@ apply takes one draw through them with one batched inverse FFT
 (maximal_arc_ratio, vr_sup).  build_arc_multiplier stores each stack on its
 support (a SupportStack): the union of the window nonzeros of the arcs in
 its lambda ball, a few percent of Z/M for the sweep's narrow windows.
-vr_sup writes a support stack's values times the signal's transform into a
-zeroed (J, M) array before the inverse FFT.  The vr-sd stacks are
-build_arc_multiplier's on lambda_grid_for; the grid's points 3k+1 are the
-arc centres lambda = A/Q, where every offset vanishes and the kernel is
-the plain Psi, and the vr-s table is the sup over the stacks there alone.
+vr_sup takes that form and a dense stack read at a cyclic column offset (a
+ShiftedStack, as the theta grid of harness.theta_sup_variation reads its
+one set of truncation transforms).  It writes a stack's values times the
+signal's transform into one (J, M) buffer, zeroed off a support or filled
+by two slice products at an offset, and inverts the buffer in place, so
+no stack is copied or rolled and a call holds one buffer.  The vr-sd
+stacks are build_arc_multiplier's on lambda_grid_for; the grid's points
+3k+1 are the arc centres lambda = A/Q, where every offset vanishes and the
+kernel is the plain Psi, and the vr-s table is the sup over the stacks
+there alone.
 The sequence-space ratio follows the same pattern off the grid:
 seqspace_level builds the Weyl rows and the characters e(Bx/Q) once per
 level, and seqspace_ratio applies them to each coefficient draw.
@@ -171,6 +176,15 @@ class SupportStack(NamedTuple):
     modulus: int
     support: np.ndarray
     values: np.ndarray
+
+
+class ShiftedStack(NamedTuple):
+    """A dense (rows, modulus) stack read at a cyclic column offset: its
+    column k is values[:, (k + shift) % modulus], the columns of
+    np.roll(values, -shift, axis=1) without the copy."""
+
+    values: np.ndarray
+    shift: int
 
 
 def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
@@ -346,25 +360,34 @@ def seqspace_ratio(level, c) -> float:
 
 def vr_sup(stacks, f, r) -> np.ndarray:
     """Pointwise sup over the stacks of the r-variation across the rows of
-    each stack applied to f, each stack with one batched inverse FFT.
+    each stack applied to f.
 
     stacks is any iterable (a generator too) of symbol stacks in either
     form: build_arc_multiplier's SupportStacks, whose values times f's
-    transform are written into a zeroed (J, M) array, or dense (rows, M)
-    arrays, multiplied by f's transform whole.
+    transform are written into a zeroed (J, M) buffer, or ShiftedStacks,
+    dense stacks read at a cyclic column offset, whose shifted values times
+    f's transform fill the buffer with two slice products.  The buffer is
+    inverted in place, one batched inverse FFT per stack, and reused for
+    the next stack of the same row count, so a call holds one (rows, M)
+    buffer however many stacks it takes.
     """
     fhat = np.fft.fft(f.values)
-    best = np.zeros(f.modulus)
+    M = f.modulus
+    best = np.zeros(M)
+    spec = None
     for stack in stacks:
-        if isinstance(stack, SupportStack):
-            _check_grid(stack.modulus, f)
-            spec = np.zeros((len(stack.values), f.modulus), dtype=complex)
-            spec[:, stack.support] = stack.values * fhat[stack.support]
+        shifted = isinstance(stack, ShiftedStack)
+        _check_grid(stack.values.shape[-1] if shifted else stack.modulus, f)
+        if spec is None or len(spec) != len(stack.values):
+            spec = np.empty((len(stack.values), M), dtype=complex)
+        if shifted:
+            m = stack.shift % M
+            np.multiply(stack.values[:, m:], fhat[:M - m], out=spec[:, :M - m])
+            np.multiply(stack.values[:, :m], fhat[M - m:], out=spec[:, M - m:])
         else:
-            _check_grid(stack.shape[-1], f)
-            spec = stack * fhat
-        rows = np.fft.ifft(spec, axis=1)
-        del spec        # not held while the DP runs and the next stack is made
+            spec.fill(0.0)
+            spec[:, stack.support] = stack.values * fhat[stack.support]
+        rows = np.fft.ifft(spec, axis=1, out=spec)
         np.maximum(best, variation.vr_batch(rows, r), out=best)
     return best
 

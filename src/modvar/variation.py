@@ -13,13 +13,15 @@ group the sequences by shape and run each group as one batch, in blocks
 whose tables (n^2 gaps or 2^n chain sums per member) hold at most
 BATCH_BLOCK entries, or one member's own.  _vr_dp is the one dynamic
 program: vr_exact and jump_variation_check feed it the rows of a stacked
-gap tensor, vr_batch the |increments| of many scalar sequences at once.
-It returns the r-th power of the variation and leaves the 1/r root to its
-callers.  vr_batch takes the root as one vector pow, the per-sequence
-functions as one scalar pow per sequence.  numpy's vector pow gives the
-same bits per element whatever the shape of the batch or of the exponent,
-but the scalar (libm) pow need not match it, so the roots stay scalar
-where they were scalar and every output keeps its bytes.
+gap tensor, vr_batch the |increments| of many scalar sequences at once, in
+blocks of GAP_BLOCK // n columns, so that the DP's temporaries hold at most
+GAP_BLOCK entries for any number of sequences.  It returns the r-th power
+of the variation and leaves the 1/r root to its callers.  vr_batch takes
+the root as one vector pow, the per-sequence functions as one scalar pow
+per sequence.  numpy's vector pow gives the same bits per element whatever
+the shape of the batch or of the exponent, but the scalar (libm) pow need
+not match it, so the roots stay scalar where they were scalar and every
+output keeps its bytes.
 
 Jump counting asks for the longest chain of times whose consecutive values
 differ by at least tau.  A greedy scan is NOT maximal for this problem
@@ -54,7 +56,7 @@ from .util import DomainError
 MAX_DP_LENGTH = 4096
 MAX_BRUTE_LENGTH = 18
 COVER_RESOLUTION = 1e-6
-GAP_BLOCK = 1 << 16    # difference entries per block of rows in _gaps
+GAP_BLOCK = 1 << 16    # difference entries per block in _gaps and vr_batch
 BATCH_BLOCK = 1 << 20  # table entries per block of same-shape sequences
 
 
@@ -147,15 +149,25 @@ def vr_batch(values, r) -> np.ndarray:
     """r-variation of many scalar sequences at once.
 
     values has shape (n_times, n_sequences); returns one variation value per
-    column, from the DP of vr_exact run on all columns together.
+    column, from the DP of vr_exact run on blocks of GAP_BLOCK // n_times
+    columns, so its temporaries hold at most GAP_BLOCK entries however
+    many columns there are.  The columns are independent, so the blocks
+    give the bytes of one DP over all of them.
     """
     r = _check_r(r)
     vals = np.asarray(values)
     if vals.ndim != 2:
         raise DomainError("expected a (times x sequences) matrix")
-    if vals.shape[0] > MAX_DP_LENGTH:
+    n, cols = vals.shape
+    if n > MAX_DP_LENGTH:
         raise DomainError("sequence longer than %d; split the call" % MAX_DP_LENGTH)
-    powers = _vr_dp(lambda i: np.abs(vals[i] - vals[:i]), vals.shape, r)
+    step = GAP_BLOCK // max(1, n)
+    powers = np.empty(cols)
+    # one block at least, so that _vr_dp refuses an empty sequence
+    for a in range(0, max(1, cols), step):
+        blk = vals[:, a:a + step]
+        powers[a:a + step] = _vr_dp(lambda i: np.abs(blk[i] - blk[:i]),
+                                    blk.shape, r)
     return powers ** (1.0 / r)
 
 

@@ -6,12 +6,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modvar import arithmetic, cli, harness, multipliers
+from modvar.bumpkit import SmoothBump
 from modvar.harness import SCHEMAS, ConfigError, default_config, parse_config
 from modvar.util import GridTooCoarseError
 
@@ -376,6 +379,9 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     # every arc frequency B/Q must snap to the M-grid within its window
     ("sweep", "operator=vr-sd rho0=0.01", "modvar.harness.SmoothBump"),
     ("sweep", "operator=maximal-arc M=4001", "modvar.harness.SmoothBump"),
+    # each seqspace interval seq_base*2^s must reach its level's floor
+    ("sweep", "operator=seqspace seq_base=10", "modvar.harness.SmoothBump"),
+    ("sweep", "operator=seqspace seq_base=0", "modvar.harness.SmoothBump"),
 ])
 def test_config_ranges_refused_before_any_work(kind, setting, first_work,
                                                tmp_path, monkeypatch, capsys):
@@ -391,6 +397,25 @@ def test_config_ranges_refused_before_any_work(kind, setting, first_work,
     assert err.count("\n") == 1 and err.startswith("config error:")
     # the refusal names the key of the last setting
     assert setting.split()[-1].split("=")[0] in err
+
+
+def test_theta_sup_variation_runs_in_a_fixed_working_set():
+    # the transforms are built beforehand; one call then holds the signal's
+    # transform, one (K, L) spectrum inverted in place and the DP's column
+    # blocks, not a rolled copy of the stack per theta
+    L = 16384
+    what = harness.theta_symbols(SmoothBump(0.25), L)
+    K = len(what)
+    assert K == len(harness._truncation_list(L))
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=L) + 1j * rng.normal(size=L)
+    tracemalloc.start()
+    try:
+        harness.theta_sup_variation(f, what, 8, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * K * L * 16
 
 
 _TOLERANCE = ("a tolerance: 0 asks for exactness, and a negative one just "
@@ -418,8 +443,8 @@ _UNBOUNDED = {
     ("sweep", "s_max"): "_check_cross: 1 <= s_min <= s_max <= S_CAP",
     ("sweep", "rho0"): "_check_cross: its range depends on the operator "
                        "and the level range",
-    ("sweep", "seq_base"): "its floor depends on the level range, and "
-                           "seqspace_level refuses a short interval",
+    ("sweep", "seq_base"): "_check_cross: seq_base*2^s reaches the "
+                           "level-s interval floor at every level",
 }
 
 

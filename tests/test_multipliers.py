@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modvar import arithmetic, dense, harness, multipliers
+from modvar import arithmetic, dense, harness, multipliers, variation
 from modvar.bumpkit import (DEFAULT_A0, ChiCutoff, SmoothBump, make_Psi,
                             psi_floor_index)
 from modvar.multipliers import (
     MIN_MODULUS,
+    ShiftedStack,
     arc_indicator_radius,
     arc_symbol,
     arc_symbols,
@@ -164,9 +165,22 @@ def test_arc_multiplier_apply_parseval():
     g = CyclicSignal(np.fft.ifft(mult * np.fft.fft(f.values)))
     assert g.l2() <= np.max(np.abs(mult)) * f.l2() * (1 + 1e-12)
     # both stack forms refuse a signal on another grid
-    for stack in (mult[None, :], stacks[0]):
+    for stack in (ShiftedStack(mult[None, :], 0), stacks[0]):
         with pytest.raises(DomainError):
             vr_sup([stack], CyclicSignal(np.ones(256, dtype=complex)), 2.5)
+
+
+@pytest.mark.parametrize("shift", [0, 700, 1023])
+def test_shifted_stack_is_the_rolled_stack_bit_for_bit(shift):
+    # a ShiftedStack applies like np.roll(values, -shift, axis=1) applied
+    # whole: the same products, inverse FFTs and DP, so the same bytes
+    rng = np.random.default_rng(shift)
+    values = rng.normal(size=(5, 1024)) + 1j * rng.normal(size=(5, 1024))
+    f = CyclicSignal(rng.normal(size=1024) + 1j * rng.normal(size=1024))
+    rolled = np.roll(values, -shift, axis=1) * np.fft.fft(f.values)
+    want = variation.vr_batch(np.fft.ifft(rolled, axis=1), 3.0)
+    got = vr_sup([ShiftedStack(values, shift)], f, 3.0)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_build_arc_multiplier_far_lambda_is_zero():

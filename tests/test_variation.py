@@ -105,6 +105,19 @@ def test_vr_batch_matches_columnwise(rng):
                                          rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [2.2, 3.0, 4.0])
+def test_vr_batch_column_blocks_keep_the_bytes(r):
+    # several GAP_BLOCK // n column blocks and a partial last one give
+    # each column the bytes of its own one-column DP
+    n = 10
+    rng = np.random.default_rng(int(10 * r))
+    cols = 3 * (variation.GAP_BLOCK // n) + 7
+    vals = rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols))
+    got = vr_batch(vals, r)
+    want = np.concatenate([vr_batch(vals[:, [c]], r) for c in range(cols)])
+    assert got.tobytes() == want.tobytes()
+
+
 def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
