@@ -17,6 +17,7 @@ gcd(A_2, ..., A_d, B, Q) = 1 with B included.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,15 +64,7 @@ def weyl_rows(Q: int, As) -> np.ndarray:
 
 def _coprime_vectors(Q, m):
     """All A in [1, Q]^m with gcd(A_1, ..., A_m, Q) = 1, lexicographic."""
-    def rec(prefix, g):
-        if len(prefix) == m:
-            if g == 1:
-                yield tuple(prefix)
-            return
-        for a in range(1, Q + 1):
-            yield from rec(prefix + [a], math.gcd(g, a))
-
-    yield from rec([], Q)
+    return (A for A in _all_vectors(Q, m) if math.gcd(*A, Q) == 1)
 
 
 def arc_pairs(s: int, d: int):
@@ -85,11 +78,8 @@ def arc_pairs(s: int, d: int):
         raise DomainError("s must be at least 1")
     if d < 2:
         raise DomainError("degree must be at least 2")
-    pairs = []
-    for Q in range(2 ** (s - 1), 2 ** s):
-        for A in _coprime_vectors(Q, d - 1):
-            pairs.append((A, Q))
-    return pairs
+    return [(A, Q) for Q in range(2 ** (s - 1), 2 ** s)
+            for A in _coprime_vectors(Q, d - 1)]
 
 
 @dataclass(frozen=True)
@@ -105,11 +95,9 @@ class DecayFit:
     constant: float          # max over Q of max|S| * Q^exponent
 
     def to_csv(self, path):
-        rows = []
-        for q, m, am in zip(self.Q, self.max_abs, self.argmax):
-            rows.append((q, m, "A=" + ":".join(str(x) for x in am[:-1])
-                         + ";B=" + str(am[-1])))
-        write_csv(path, ("Q", "max_abs_S", "argmax"), rows)
+        write_csv(path, ("Q", "max_abs_S", "argmax"), [
+            (q, m, "A=%s;B=%d" % (":".join(map(str, am[:-1])), am[-1]))
+            for q, m, am in zip(self.Q, self.max_abs, self.argmax)])
 
 
 def weyl_decay_fit(d: int, Qmax: int) -> DecayFit:
@@ -158,9 +146,4 @@ def weyl_decay_fit(d: int, Qmax: int) -> DecayFit:
 
 def _all_vectors(Q, m):
     """All A in [1, Q]^m, lexicographic."""
-    if m == 0:
-        yield ()
-        return
-    for a in range(1, Q + 1):
-        for rest in _all_vectors(Q, m - 1):
-            yield (a,) + rest
+    return itertools.product(range(1, Q + 1), repeat=m)

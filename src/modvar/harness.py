@@ -380,13 +380,9 @@ def theta_sup_variation(values, what, theta_count, r):
 
 
 def _truncation_list(L):
-    # lacunary truncations 8, 16, ... up to L/4
-    out = []
-    M = 8
-    while M <= L // 4:
-        out.append(M)
-        M *= 2
-    return out
+    # lacunary truncations 8, 16, ... up to L/4: 8 * 2^k <= L // 4 for
+    # 2^k <= L // 32
+    return [8 << k for k in range((L // 32).bit_length())]
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +514,7 @@ def _run_variation(cfg, out, seed, jobs):
 
 
 def _run_chaining(cfg, out, seed, jobs):
-    worst_ratio = 0.0
-    worst_tel = 0.0
-    failures = 0
+    seqs = []
     for i in range(cfg.get("n_inst")):
         g = stream(seed, i)
         n = int(g.integers(2, cfg.get("max_times") + 1))
@@ -529,15 +523,17 @@ def _run_chaining(cfg, out, seed, jobs):
         # so that every instance keeps its seeded values and chaining.json
         # its bytes
         g.uniform(0.0, 10.0, n)
-        vals = g.standard_normal((n, dim)) + 1j * g.standard_normal((n, dim))
-        try:
-            cover = variation.build_chaining_cover(vals)
-            worst_ratio = max(worst_ratio,
-                              variation.verify_cover(cover, vals))
-            worst_tel = max(worst_tel,
-                            variation.chaining_telescope_check(cover, vals))
-        except AssertionError:
-            failures += 1
+        seqs.append(g.standard_normal((n, dim))
+                    + 1j * g.standard_normal((n, dim)))
+    worst_ratio = worst_tel = 0.0
+    try:
+        cover = variation.build_chaining_cover(seqs)
+        worst_ratio = variation.verify_cover(cover, seqs)
+        worst_tel = variation.chaining_telescope_check(cover, seqs)
+        failures = 0
+    except AssertionError:
+        # one batch: a broken invariant leaves no instance verified
+        failures = len(seqs)
     ok = (failures == 0 and worst_ratio <= 3.0 + 1e-9
           and worst_tel <= cfg.get("telescope_tol"))
     summary = {
@@ -552,14 +548,11 @@ def _run_chaining(cfg, out, seed, jobs):
 def _converge_poly_grid():
     # 25 linear + 25 higher-class phases (alternating pure-quadratic and
     # quadratic-plus-cubic), all coefficients spread over (0, 1)
-    polys = [polykit.Poly.linear((2 * i + 1) / 50.0) for i in range(25)]
-    for i in range(25):
-        lead = (2 * i + 1) / 50.0
-        if i % 2 == 0:
-            polys.append(polykit.Poly.vanish2((lead,)))
-        else:
-            polys.append(polykit.Poly.vanish2((lead, (i + 1) / 64.0)))
-    return polys
+    leads = [(2 * i + 1) / 50.0 for i in range(25)]
+    return ([polykit.Poly.linear(a) for a in leads]
+            + [polykit.Poly.vanish2((a,) if i % 2 == 0
+                                    else (a, (i + 1) / 64.0))
+               for i, a in enumerate(leads)])
 
 
 def _run_converge(cfg, out, seed, jobs):
@@ -762,10 +755,8 @@ def _run_multiplier(cfg, out, seed, jobs):
 
 def _nonincreasing_within_se(points):
     """points: list of (mean, max, se); adjacent means may rise by <= 1 SE."""
-    for (m0, _x0, s0), (m1, _x1, s1) in zip(points, points[1:]):
-        if m1 - m0 > math.hypot(s0, s1):
-            return False
-    return True
+    return not any(m1 - m0 > math.hypot(s0, s1)
+                   for (m0, _x0, s0), (m1, _x1, s1) in zip(points, points[1:]))
 
 
 def sweep_norm_ratio(config, seed, jobs):

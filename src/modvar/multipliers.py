@@ -46,6 +46,7 @@ means the forward DFT convention stated in signalkit (numpy's fft).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -258,12 +259,8 @@ def lambda_grid_for(s: int, d: int):
     half = arc_indicator_radius(s) / 2.0
     pts = []
     for A, Q in arithmetic.arc_pairs(int(s), int(d)):
-        center = [a / Q for a in A]
-        choices = [(c - half, c, c + half) for c in center]
-        stack = [[]]
-        for trio in choices:
-            stack = [p + [x] for p in stack for x in trio]
-        pts.extend(tuple(np.mod(p, 1.0)) for p in stack)
+        choices = [(a / Q - half, a / Q, a / Q + half) for a in A]
+        pts.extend(tuple(np.mod(p, 1.0)) for p in itertools.product(*choices))
     return pts
 
 

@@ -75,17 +75,9 @@ class Poly:
 
 def _dyadic_parts(p: Poly):
     """(numerators scaled to the common denominator 2^E, E)."""
-    nums = []
-    E = 0
-    parts = []
-    for c in p.coeffs:
-        num, den = float(c).as_integer_ratio()
-        e = den.bit_length() - 1
-        parts.append((num, e))
-        E = max(E, e)
-    for num, e in parts:
-        nums.append(num << (E - e))
-    return nums, E
+    parts = [float(c).as_integer_ratio() for c in p.coeffs]
+    E = max((den.bit_length() - 1 for _num, den in parts), default=0)
+    return [num << (E + 1 - den.bit_length()) for num, den in parts], E
 
 
 def phase_range(p: Poly, n0: int, N: int) -> np.ndarray:

@@ -138,7 +138,8 @@ def ww_scan(sys, f, omega, P_grid, N_grid, bump: SmoothBump) -> ScanTable:
     Every P must be tagged linear or vanish2 (the two classes the pointwise
     convergence statement covers).  Oscillation is the max |difference| over
     adjacent time pairs in the second half of the time grid.  One orbit
-    serves every P, and one phase range every average of a P.
+    serves every P, one phase range every average of a P, and one weight
+    array per time every P.
     """
     polys = tuple(P_grid)
     for p in polys:
@@ -150,21 +151,18 @@ def ww_scan(sys, f, omega, P_grid, N_grid, bump: SmoothBump) -> ScanTable:
     n_max = max(times)
     track = np.asarray(f(sys.orbit_array(omega, 0, n_max + 1)), dtype=complex)
     m_all = np.arange(n_max + 1)
+    weights = {N: scaled_weight(bump, N, m_all[: N + 1]) for N in times}
     values, rough = {}, {}
     for i, p in enumerate(polys):
         chars = e(polykit.phase_range(p, 0, n_max + 1))
         rough[i] = averaging.rough_average((chars, track))
         modulated = chars * track
         for N in times:
-            w = scaled_weight(bump, N, m_all[: N + 1])
-            values[(i, N)] = complex(np.sum(w * modulated[: N + 1]))
-    oscillation = {}
+            values[(i, N)] = complex(np.sum(weights[N] * modulated[: N + 1]))
     tail = times[len(times) // 2:]
-    for i in range(len(polys)):
-        osc = 0.0
-        for Na, Nb in zip(tail, tail[1:]):
-            osc = max(osc, abs(values[(i, Nb)] - values[(i, Na)]))
-        oscillation[i] = osc
+    oscillation = {i: max([abs(values[(i, Nb)] - values[(i, Na)])
+                           for Na, Nb in zip(tail, tail[1:])], default=0.0)
+                   for i in range(len(polys))}
     return ScanTable(polys=polys, times=times, values=values,
                      oscillation=oscillation, rough=rough)
 

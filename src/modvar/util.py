@@ -56,10 +56,6 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, (float, np.floating, complex, np.complexfloating)):
-                    cells.append(format_float(v))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(format_float(v) if isinstance(v, (
+                float, np.floating, complex, np.complexfloating)) else str(v)
+                for v in row) + "\n")

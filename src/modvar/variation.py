@@ -7,21 +7,21 @@ brute-force enumerator over all subsequences serves as an oracle at small
 lengths.  A sequence is a 1-d array of scalars or an (n, dim) array of
 vectors, and vector-valued sequences use l2 increments throughout.
 
-vr_exact, vr_brute and jump_variation_check take a list of sequences and
-return one result per sequence; one sequence is a one-element list.  They
-group the sequences by shape and run each group as one batch, in blocks
-whose tables (n^2 gaps or 2^n chain sums per member) hold at most
-BATCH_BLOCK entries, or one member's own.  _vr_dp is the one dynamic
-program: vr_exact and jump_variation_check feed it the rows of a stacked
-gap tensor, vr_batch the |increments| of many scalar sequences at once, in
-blocks of GAP_BLOCK // n columns, so that the DP's temporaries hold at most
-GAP_BLOCK entries for any number of sequences.  It returns the r-th power
-of the variation and leaves the 1/r root to its callers.  vr_batch takes
-the root as one vector pow, the per-sequence functions as one scalar pow
-per sequence.  numpy's vector pow gives the same bits per element whatever
-the shape of the batch or of the exponent, but the scalar (libm) pow need
-not match it, so the roots stay scalar where they were scalar and every
-output keeps its bytes.
+vr_exact, vr_brute, jump_variation_check and the cover functions take a
+list of sequences; one sequence is a one-element list.  They group the
+sequences by shape (the cover by length alone, zero-padding the dims) and
+run each group as one batch, in blocks whose tables (n^2 gaps or 2^n chain
+sums per member) hold at most BATCH_BLOCK entries, or one member's own.
+_vr_dp is the one dynamic program: vr_exact and jump_variation_check feed
+it the rows of a stacked gap tensor, vr_batch the |increments| of many
+scalar sequences at once, in blocks of GAP_BLOCK // n columns, so that the
+DP's temporaries hold at most GAP_BLOCK entries for any number of
+sequences.  It returns the r-th power of the variation and leaves the 1/r
+root to its callers.  vr_batch takes the root as one vector pow, the
+per-sequence functions as one scalar pow per sequence.  numpy's vector pow
+gives the same bits per element whatever the shape of the batch or of the
+exponent, but the scalar (libm) pow need not match it, so the roots stay
+scalar where they were scalar and every output keeps its bytes.
 
 Jump counting asks for the longest chain of times whose consecutive values
 differ by at least tau.  A greedy scan is NOT maximal for this problem
@@ -31,11 +31,14 @@ O(n^2) dynamic program as the variation norm.
 
 The chaining cover organizes the sequence values into greedy 2^-v nets at
 dyadic resolutions, each center pointing at a parent in the next coarser
-net; telescoping the parent chain reconstructs every value exactly.
+net; telescoping the parent chain reconstructs every value exactly.  A
+cover is a centre mask and a parent time per (sequence, level) row, and a
+block is one loop over its times on all its rows, so beside its gaps it
+holds a few (rows, n) arrays.
 
 Every l2 gap of the DPs and the cover comes from ``_gaps``: one n x n gap
 matrix per sequence, or one (n, n, B) tensor per block of B sequences of
-one shape, built with the axis path of np.linalg.norm; the DPs, the nets,
+one dim, built with the axis path of np.linalg.norm; the DPs, the nets,
 the parent links and the cover checks index it.  vr_brute computes its own
 gaps with the same formula.  A gap matrix holds 8 n^2 bytes, so every
 function that builds one refuses sequences longer than MAX_DP_LENGTH.  The
@@ -47,7 +50,7 @@ move output bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +60,7 @@ MAX_DP_LENGTH = 4096
 MAX_BRUTE_LENGTH = 18
 COVER_RESOLUTION = 1e-6
 GAP_BLOCK = 1 << 16    # difference entries per block in _gaps and vr_batch
-BATCH_BLOCK = 1 << 20  # table entries per block of same-shape sequences
+BATCH_BLOCK = 1 << 20  # table entries per block of sequences
 
 
 def _as_value_matrix(seq):
@@ -77,9 +80,10 @@ def _check_r(r):
     return r
 
 
-def _gaps(vals):
+def _gaps(vals, out=None):
     """The l2 gaps |vals[i] - vals[j]| of a value matrix (n, dim), shape
-    (n, n), or of a stack of B value matrices (n, B, dim), shape (n, n, B).
+    (n, n), or of a stack of B value matrices (n, B, dim), shape (n, n, B);
+    written into out if given.
 
     Row i equals np.linalg.norm(vals[i] - vals, axis=-1) bit for bit.  Rows
     are built in blocks of at most GAP_BLOCK difference entries, so the
@@ -88,7 +92,7 @@ def _gaps(vals):
     n = len(vals)
     if n > MAX_DP_LENGTH:
         raise DomainError("sequence longer than %d; split the call" % MAX_DP_LENGTH)
-    G = np.empty((n,) + vals.shape[:-1])
+    G = np.empty((n,) + vals.shape[:-1]) if out is None else out
     step = max(1, GAP_BLOCK // max(1, vals.size))
     for a in range(0, n, step):
         G[a:a + step] = np.linalg.norm(vals[a:a + step, None] - vals[None],
@@ -96,23 +100,30 @@ def _gaps(vals):
     return G
 
 
-def _blocks(seqs, cost):
-    """The sequences grouped by shape, in blocks; yields (indices, stack).
+def _blocks(seqs, cost, key=np.shape):
+    """The sequences grouped by key(value matrix), in blocks; yields
+    (indices, dims, stack).
 
-    indices are the block's positions in seqs and stack their value
-    matrices as one (n, members, dim) array.  cost(n) counts the table
-    entries one member of length n needs, so a block holds at most
-    BATCH_BLOCK // cost(n) members, and at least one.
+    indices are the block's positions in seqs, ordered by dim, dims their
+    dims, and stack their value matrices as one (n, members, dim) array,
+    zero-padded to the largest dim where key=len lets dims mix.  cost(n)
+    counts the table entries one member of length n needs, so a block
+    holds at most BATCH_BLOCK // cost(n) members, and at least one.
     """
     mats = [_as_value_matrix(s) for s in seqs]
     classes = {}
-    for k, m in enumerate(mats):
-        classes.setdefault(m.shape, []).append(k)
-    for (n, _dim), idx in classes.items():
+    for k in sorted(range(len(mats)), key=lambda k: mats[k].shape[1]):
+        classes.setdefault(key(mats[k]), []).append(k)
+    for idx in classes.values():
+        n = len(mats[idx[0]])
         step = max(1, BATCH_BLOCK // max(1, cost(n)))
         for a in range(0, len(idx), step):
             block = idx[a:a + step]
-            yield block, np.stack([mats[k] for k in block], axis=1)
+            dims = [mats[k].shape[1] for k in block]
+            stack = np.zeros((n, len(block), dims[-1]), dtype=complex)
+            for j, k in enumerate(block):
+                stack[:, j, :dims[j]] = mats[k]
+            yield block, dims, stack
 
 
 def _vr_dp(gaps, shape, r):
@@ -137,7 +148,7 @@ def vr_exact(seqs, r) -> list:
     """Exact r-variation of each sequence, O(n^2) each; one float apiece."""
     r = _check_r(r)
     out = [None] * len(seqs)
-    for idx, vals in _blocks(seqs, lambda n: n * n):
+    for idx, _dims, vals in _blocks(seqs, lambda n: n * n):
         G = _gaps(vals)
         powers = _vr_dp(lambda i: G[i, :i], G.shape[1:], r)
         for k, p in zip(idx, powers):
@@ -182,7 +193,7 @@ def vr_brute(seqs, r) -> list:
     """
     r = _check_r(r)
     out = [None] * len(seqs)
-    for idx, vals in _blocks(seqs, lambda n: 1 << n):
+    for idx, _dims, vals in _blocks(seqs, lambda n: 1 << n):
         n = len(vals)
         if n == 0:
             raise DomainError("empty sequence has no variation")
@@ -238,7 +249,7 @@ def jump_variation_check(seqs, tau, r) -> list:
     taus = np.array([_check_tau(t) for t in np.broadcast_to(tau, len(seqs))])
     rs = np.array([_check_r(x) for x in np.broadcast_to(r, len(seqs))])
     out = [None] * len(seqs)
-    for idx, vals in _blocks(seqs, lambda n: n * n):
+    for idx, _dims, vals in _blocks(seqs, lambda n: n * n):
         G = _gaps(vals)
         jumps = _chain_dp(G, taus[idx]).tolist()
         powers = _vr_dp(lambda i: G[i, :i], G.shape[1:], rs[idx])
@@ -249,104 +260,136 @@ def jump_variation_check(seqs, tau, r) -> list:
     return out
 
 
-@dataclass
-class ChainingCover:
-    """Greedy dyadic nets over the values of a sequence, with parent links.
+class ChainingCover(NamedTuple):
+    """Greedy dyadic nets over many sequences, with parent links, as arrays.
 
-    levels[v] lists center indices of the 2^-v net; parent[(v, i)] is the
-    minimal-time center of the (v-1)-net whose 2^(1-v) ball meets the 2^-v
-    ball of center i.
+    Row r is the 2^-v net of sequence seq[r] at v = levels[r]; a sequence's
+    rows run from its v_min up to its v_max.  Per block of _blocks(key=len),
+    centres[k] (rows, n) marks each row's centre times and parent[k] gives
+    each centre the minimal-time centre of the row before within 3 * 2^-v
+    (-1 off the centres and at v_min).
     """
 
-    levels: dict
-    parent: dict
-    v_min: int
-    v_max: int
-
-    def radius(self, v):
-        return 2.0 ** (-v)
+    seq: np.ndarray
+    levels: np.ndarray
+    centres: tuple
+    parent: tuple
 
 
-def build_chaining_cover(seq, resolution=COVER_RESOLUTION) -> ChainingCover:
+def _length_gaps(dims, vals):
+    """The gaps (B, n, n) of a block of _blocks(key=len): each run of one
+    dim gets _gaps of its own entries of the zero-padded vals."""
+    G = np.empty((len(vals),) + vals.shape[:-1])
+    for d in sorted(set(dims)):
+        run = slice(dims.index(d), len(dims) - dims[::-1].index(d))
+        _gaps(vals[:, run, :d], out=G[:, :, run])
+    return G.transpose(2, 0, 1)
+
+
+def _cover_blocks(cover, seqs):
+    """Per block: (dims, vals, member, levels, below, centres, parent), with
+    member[r] row r's sequence in the block and below[r] whether row r - 1
+    is its coarser net."""
+    ends = np.cumsum([len(m) for m in cover.centres])
+    for (_idx, dims, vals), end, mask, par in zip(
+            _blocks(seqs, lambda n: n * n, key=len), ends, cover.centres,
+            cover.parent):
+        seq = cover.seq[end - len(mask):end]
+        below = np.r_[False, seq[1:] == seq[:-1]]
+        yield (dims, vals, np.cumsum(~below) - 1,
+               cover.levels[end - len(mask):end], below, mask, par)
+
+
+def build_chaining_cover(seqs, resolution=COVER_RESOLUTION) -> ChainingCover:
     """Nets at radii 2^-v from one covering everything down to the floor.
 
-    Centers are chosen greedily in time order: the first element not within
-    2^-v of an existing center becomes one.
+    Centres are chosen greedily in time order: the first element not within
+    2^-v of an existing centre becomes one.  A block is one loop over its
+    times on all its rows: the gaps from time t extend every net and make t
+    the parent of the finer rows' points it is the first centre near.
     """
-    vals = _as_value_matrix(seq)
-    n = len(vals)
-    if n == 0:
-        raise DomainError("cannot cover an empty sequence")
-    if not np.isfinite(vals).all():
-        raise DomainError("cannot cover non-finite values")
-    G = _gaps(vals)
-    diam = float(G.max())
-    if diam == 0.0:
-        return ChainingCover({0: (0,)}, {}, 0, 0)
-    v_min = int(math.floor(-math.log2(diam)))
-    v_max = int(math.floor(-math.log2(resolution * diam)))
-    v_max = max(v_max, v_min)
-
-    levels = {}
-    for v in range(v_min, v_max + 1):
-        rad = 2.0 ** (-v)
-        covered = np.zeros(n, dtype=bool)   # within rad of an earlier center
-        centers = []
-        for i in range(n):
-            if not covered[i]:
-                centers.append(i)
-                covered |= G[i] <= rad
-        levels[v] = tuple(centers)
-
-    parent = {}
-    for v in range(v_min + 1, v_max + 1):
-        rad = 2.0 ** (-v)
-        coarse = list(levels[v - 1])
-        near = G[list(levels[v])][:, coarse] <= 3.0 * rad
-        if not near.any(axis=1).all():
-            raise AssertionError("cover invariant broken: no parent")
-        # argmax finds the first hit, the minimal-time center
-        for i, k in zip(levels[v], near.argmax(axis=1)):
-            parent[(v, i)] = coarse[k]
-    return ChainingCover(levels, parent, v_min, v_max)
+    seq, levels, centres, parent = [], [], [], []
+    for idx, dims, vals in _blocks(seqs, lambda n: n * n, key=len):
+        if len(vals) == 0:
+            raise DomainError("cannot cover an empty sequence")
+        if not np.isfinite(vals).all():
+            raise DomainError("cannot cover non-finite values")
+        G = _length_gaps(dims, vals)
+        diam = G.max(axis=(1, 2)).tolist()  # a constant sequence: one net
+        lo = [math.floor(-math.log2(d)) if d else 0 for d in diam]
+        hi = [max(a, math.floor(-math.log2(resolution * d))) if d else 0
+              for a, d in zip(lo, diam)]
+        member = np.repeat(np.arange(len(diam)), np.subtract(hi, lo) + 1)
+        lev = [v for a, b in zip(lo, hi) for v in range(a, b + 1)]
+        rad = np.ldexp(1.0, -np.array(lev))[:, None]
+        finer = member[1:] == member[:-1]   # row r + 1 lies below row r
+        covered = np.zeros((len(lev), len(vals)), dtype=bool)
+        mask, par = np.zeros_like(covered), np.full(covered.shape, -1)
+        for t in range(len(vals)):
+            g = G[member, t]
+            mask[:, t] = new = ~covered[:, t]
+            covered |= new[:, None] & (g <= rad)
+            hit = (finer & new[:-1])[:, None] & (g[1:] <= 3.0 * rad[1:])
+            par[1:][hit & (par[1:] < 0)] = t
+        del G                           # before the next block's gaps
+        par[~mask] = -1
+        seq += np.asarray(idx)[member].tolist()
+        levels += lev
+        centres.append(mask)
+        parent.append(par)
+    return ChainingCover(np.array(seq, dtype=int), np.array(levels, dtype=int),
+                         tuple(centres), tuple(parent))
 
 
-def verify_cover(cover: ChainingCover, seq):
+def verify_cover(cover: ChainingCover, seqs):
     """Assert every stated cover invariant; returns the increment-bound max.
 
-    Checks: every element within 2^-v of a center at each level; parents
+    Checks: every element within 2^-v of a centre at each level; parents
     exist, live one level up, and sit within 3 * 2^-v.
     """
-    G = _gaps(_as_value_matrix(seq))
     worst = 0.0
-    for v, centers in cover.levels.items():
-        rad = cover.radius(v)
-        uncovered = np.flatnonzero(G[:, list(centers)].min(axis=1) > rad + 1e-12)
-        if len(uncovered):
+    for dims, vals, member, lev, below, mask, par in _cover_blocks(cover,
+                                                                  seqs):
+        G = _length_gaps(dims, vals)
+        rad = np.ldexp(1.0, -lev)
+        near = np.full(mask.shape, np.inf)      # gap to the nearest centre
+        for t in range(len(vals)):
+            np.minimum(near, G[member, t], out=near, where=mask[:, t, None])
+        bad = np.argwhere(near > rad[:, None] + 1e-12)
+        if len(bad):
             raise AssertionError("point %d uncovered at level %d"
-                                 % (uncovered[0], v))
-        if v == cover.v_min:
-            continue
-        for i in centers:
-            p = cover.parent[(v, i)]
-            if p not in cover.levels[v - 1]:
-                raise AssertionError("parent not a center one level up")
-            nu = G[i, p]
-            if nu > 3.0 * rad + 1e-12:
-                raise AssertionError("increment bound broken at level %d" % v)
-            worst = max(worst, nu / rad)
+                                 % (bad[0, 1], lev[bad[0, 0]]))
+        r, t = np.nonzero(mask & below[:, None])
+        p = par[r, t]
+        if not ((p >= 0) & mask[r - 1, p]).all():
+            raise AssertionError("parent not a center one level up")
+        nu = G[member[r], t, p]
+        del G                           # before the next block's gaps
+        broken = np.flatnonzero(nu > 3.0 * rad[r] + 1e-12)
+        if len(broken):
+            raise AssertionError("increment bound broken at level %d"
+                                 % lev[r[broken[0]]])
+        worst = max(worst, float(np.max(nu / rad[r], initial=0.0)))
     return worst
 
 
-def chaining_telescope_check(cover: ChainingCover, seq) -> float:
-    """Max deviation of value(t) from ancestor value plus telescoped steps."""
-    vals = _as_value_matrix(seq)
-    leaves = np.array(cover.levels[cover.v_max])
-    node = leaves
-    total = np.zeros((len(leaves), vals.shape[1]), dtype=complex)
-    for v in range(cover.v_max, cover.v_min, -1):
-        p = np.array([cover.parent[(v, i)] for i in node.tolist()])
-        total += vals[node] - vals[p]
-        node = p
-    dev = vals[node] + total - vals[leaves]
-    return float(np.sqrt(np.max((dev.real ** 2 + dev.imag ** 2).sum(axis=1))))
+def chaining_telescope_check(cover: ChainingCover, seqs) -> float:
+    """Max deviation of value(t) from ancestor value plus telescoped steps,
+    the steps added from v_max down and each deviation reduced over its own
+    dim."""
+    worst = 0.0
+    for dims, vals, member, _lev, below, mask, par in _cover_blocks(cover,
+                                                                   seqs):
+        row, leaf = np.nonzero(mask & ~np.r_[below[1:], False][:, None])
+        b, node = member[row], leaf.copy()
+        total = np.zeros((len(leaf), vals.shape[2]), dtype=complex)
+        while (step := below[row]).any():
+            p = par[row[step], node[step]]
+            total[step] += vals[node[step], b[step]] - vals[p, b[step]]
+            node[step] = p
+            row[step] -= 1
+        dev = vals[node, b] + total - vals[leaf, b]
+        sq, dim = dev.real ** 2 + dev.imag ** 2, np.array(dims)[b]
+        for d in set(dims):
+            worst = max(worst, float(np.max(sq[dim == d, :d].sum(axis=1))))
+    return float(np.sqrt(worst))

@@ -1,5 +1,6 @@
 """Config parsing, exit codes, and reproducibility of the experiment runner."""
 
+import hashlib
 import json
 import math
 import os
@@ -119,6 +120,29 @@ def test_cli_reproducible_outputs(tmp_path):
     assert cli.main(args + ["--out", str(b)]) == 0
     for name in sorted(os.listdir(a)):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, digests", [
+    (["chaining", "--set", "n_inst=300", "--seed", "2026"],
+     {"chaining.json": "ecb4847e7a11b4854bb0d42aa676e4cc"
+                       "8b3496d013daa49aeef2d1bc8284b5a7"}),
+    (["chaining", "--set", "n_inst=300", "--seed", "20260819"],
+     {"chaining.json": "5901897faf23fd0e66dcd88a654582ad"
+                       "910c9107eb1a5dc8209ae59d377b1ca6"}),
+    (["converge", "--seed", "20260819"],
+     {"converge.json": "e2ba966dd37b7144c6fd94dbfddd6d83"
+                       "bdc36f3f93fa769847ecdd82117297da",
+      "converge_scan.csv": "5680519bcaf36c4b2f116043b46a8175"
+                           "49e268f0d365db981032cfb1ebe068a0"}),
+])
+def test_chaining_and_converge_bytes_pinned(tmp_path, argv, digests):
+    # the bytes that the one-cover-per-call chaining code and the
+    # per-(P, N) scan weights of commit 6da8ceb wrote, with numpy's AVX-512
+    # dispatch on and off alike
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    for name, want in digests.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == want, name
 
 
 def test_cli_seed_changes_outputs(tmp_path):

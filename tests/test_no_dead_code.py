@@ -40,8 +40,9 @@ ALLOWED = {
     "main(argv)": "tests and perfbench/run.py call cli.main with an "
                   "argument list; the console script passes none",
     "build_chaining_cover(resolution)": "tests build covers at coarse "
-                                        "resolutions so the loop oracle "
-                                        "and the two-point case stay small",
+                                        "resolutions so the loop oracle, "
+                                        "the two-point case and the "
+                                        "4096-long memory case stay small",
     "torus_dist(y)": "tests measure distances between two phases",
     "CircleRotation(alpha)": "tests set the angle of the rotation",
     "CircleRotation(scaled)": "tests set the 120-bit angle directly",

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from modvar import cli, variation
 from modvar.util import DomainError
 from modvar.variation import (
-    ChainingCover,
     _as_value_matrix,
     _gaps,
     build_chaining_cover,
@@ -225,46 +225,84 @@ def test_vec_sequence_validation():
     assert v.dtype == complex and v.tolist() == [[1.0], [2.0]]
 
 
+def _nets(cover, k):
+    """Sequence k's nets in the loop oracle's form: (levels, parent, v_min,
+    v_max), with levels[v] the centre times and parent[(v, i)] the parent
+    time of centre i.  Checks that parent is -1 off the centres and at
+    v_min."""
+    sizes = [len(m) for m in cover.centres]
+    start = np.cumsum([0] + sizes)
+    rows = np.flatnonzero(cover.seq == k)
+    blk = int(np.searchsorted(start, rows[0], side="right")) - 1
+    mask = cover.centres[blk][rows - start[blk]]
+    par = cover.parent[blk][rows - start[blk]]
+    assert (par[~mask] == -1).all() and (par[0] == -1).all()
+    v = cover.levels[rows].tolist()
+    assert v == list(range(v[0], v[-1] + 1))
+    levels = {lv: tuple(np.flatnonzero(m).tolist()) for lv, m in zip(v, mask)}
+    parent = {(lv, i): int(p[i]) for lv, m, p in zip(v[1:], mask[1:], par[1:])
+              for i in np.flatnonzero(m).tolist()}
+    return levels, parent, v[0], v[-1]
+
+
 def test_cover_degenerate_cases():
-    cov = build_chaining_cover(np.zeros((1, 2)))
-    assert (cov.v_min, cov.v_max) == (0, 0)
-    assert cov.levels == {0: (0,)}
-    cov = build_chaining_cover(np.ones((3, 2)))
-    assert (cov.v_min, cov.v_max) == (0, 0)
-    assert cov.levels == {0: (0,)}
+    seqs = [np.zeros((1, 2)), np.ones((3, 2)), [5.0]]
+    cov = build_chaining_cover(seqs)
+    for k in range(3):
+        assert _nets(cov, k) == ({0: (0,)}, {}, 0, 0)
+    assert verify_cover(cov, seqs) == 0.0
+    assert chaining_telescope_check(cov, seqs) == 0.0
     with pytest.raises(DomainError):
-        build_chaining_cover(np.zeros((0, 1)))
+        build_chaining_cover([np.zeros((0, 1))])
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError, match="non-finite"):
-            build_chaining_cover([0.0, bad])
+            build_chaining_cover([[0.0, bad]])
 
 
 def test_cover_two_points():
     v = np.array([[0.0], [1.0]])
-    cov = build_chaining_cover(v, resolution=0.25)
+    cov = build_chaining_cover([v], resolution=0.25)
+    levels, _parent, v_min, v_max = _nets(cov, 0)
     # at radius 1 (v = 0) one center suffices; by radius 1/4 both are centers
-    assert cov.v_min == 0
-    assert len(cov.levels[cov.v_max]) == 2
-    assert verify_cover(cov, v) <= 3.0
-    assert chaining_telescope_check(cov, v) <= 1e-12
+    assert v_min == 0
+    assert len(levels[v_max]) == 2
+    assert verify_cover(cov, [v]) <= 3.0
+    assert chaining_telescope_check(cov, [v]) <= 1e-12
 
 
 def test_cover_random_invariants(rng):
+    seqs = []
     for _ in range(10):
         n = int(rng.integers(2, 17))
         dim = int(rng.integers(1, 5))
-        vals = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10)
-        cov = build_chaining_cover(vals, resolution=1e-3)
-        worst = verify_cover(cov, vals)
-        assert worst <= 3.0
-        assert chaining_telescope_check(cov, vals) <= 1e-12
-        # every level's centers are pairwise separated by more than its radius
-        for v, centers in cov.levels.items():
-            rad = cov.radius(v)
+        seqs.append(rng.normal(size=(n, dim)) * rng.uniform(0.1, 10))
+    cov = build_chaining_cover(seqs, resolution=1e-3)
+    assert verify_cover(cov, seqs) <= 3.0
+    assert chaining_telescope_check(cov, seqs) <= 1e-12
+    # every level's centers are pairwise separated by more than its radius
+    for k, vals in enumerate(seqs):
+        for v, centers in _nets(cov, k)[0].items():
             for a in range(len(centers)):
                 for b in range(a + 1, len(centers)):
                     gap = vals[centers[a]] - vals[centers[b]]
-                    assert np.linalg.norm(gap) > rad
+                    assert np.linalg.norm(gap) > 2.0 ** -v
+
+
+def test_cover_batch_holds_one_block_of_gaps(rng):
+    # two sequences of the longest length: each is a block of its own, so
+    # the peak holds one gap matrix, where stacking them would hold two; a
+    # coarse resolution keeps the loops over the 4096 times short
+    seqs = [rng.normal(size=variation.MAX_DP_LENGTH) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        cover = build_chaining_cover(seqs, resolution=0.25)
+        assert verify_cover(cover, seqs) <= 3.0
+        assert chaining_telescope_check(cover, seqs) <= 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = 8 * variation.MAX_DP_LENGTH ** 2
+    assert one < peak < 1.25 * one
 
 
 @settings(max_examples=200)
@@ -291,7 +329,7 @@ def test_gap_matrix_refuses_overlong_sequences():
     with pytest.raises(DomainError, match="longer than"):
         jump_count(np.zeros(4097), 1.0)
     with pytest.raises(DomainError, match="longer than"):
-        build_chaining_cover(np.zeros(4097))
+        build_chaining_cover([np.zeros(4097)])
 
 
 def _near(x, t):
@@ -299,31 +337,65 @@ def _near(x, t):
     return abs(x - t) <= max(1e-9 * t, 1e-12)
 
 
-@settings(max_examples=150)
-@given(_complex_rows(12, 4, st.floats(-4.0, 4.0)),
-       st.sampled_from([1e-6, 1e-3, 0.25]))
-def test_cover_matches_loop_oracle(vals, resolution):
+def _oracle_nets(vals, resolution):
+    """The loop oracle's nets of vals, or None when a gap or the diameter
+    sits so close to a radius that the oracle's sums may round across it."""
     levels, parent, v_min, v_max, diam = oracles.chaining_cover_loops(
         vals, resolution)
     if diam > 0.0:
         for t in (diam, resolution * diam):
-            assume(not _near(t, 2.0 ** round(math.log2(t))))
+            if _near(t, 2.0 ** round(math.log2(t))):
+                return None
         rads = 2.0 ** -np.arange(v_min, v_max + 1.0)
         for g in np.linalg.norm(vals[:, None] - vals[None, :], axis=2).flat:
-            assume(not any(_near(g, t) for t in np.concatenate([rads, 3 * rads])))
-    cover = build_chaining_cover(vals, resolution=resolution)
-    assert cover.levels == levels
-    assert cover.parent == parent
-    assert (cover.v_min, cover.v_max) == (v_min, v_max)
-    assert verify_cover(cover, vals) <= 3.0
+            if any(_near(g, t) for t in np.concatenate([rads, 3 * rads])):
+                return None
+    return levels, parent, v_min, v_max
+
+
+@settings(max_examples=150)
+@given(_complex_rows(12, 4, st.floats(-4.0, 4.0)),
+       st.sampled_from([1e-6, 1e-3, 0.25]))
+def test_cover_matches_loop_oracle(vals, resolution):
+    want = _oracle_nets(vals, resolution)
+    assume(want is not None)
+    cover = build_chaining_cover([vals], resolution=resolution)
+    assert _nets(cover, 0) == want
+    assert verify_cover(cover, [vals]) <= 3.0
 
     # a removed center is itself the first point left uncovered
-    v = cover.v_max
-    if len(cover.levels[v]) > 1:
-        c = cover.levels[v][-1]
-        broken = ChainingCover(dict(cover.levels), cover.parent,
-                               cover.v_min, cover.v_max)
-        broken.levels[v] = cover.levels[v][:-1]
+    levels, _parent, _v_min, v = want
+    if len(levels[v]) > 1:
+        c = levels[v][-1]
+        mask = cover.centres[0].copy()
+        mask[-1, c] = False             # the last row is the v_max net
+        broken = cover._replace(centres=(mask,))
         with pytest.raises(AssertionError,
                            match="point %d uncovered at level %d$" % (c, v)):
-            verify_cover(broken, vals)
+            verify_cover(broken, [vals])
+
+
+@st.composite
+def _cover_batches(draw):
+    """1-6 sequences of mixed lengths and dims, in random order, among
+    them a constant sequence and a length-1 sequence."""
+    part = st.floats(-4.0, 4.0)
+    seqs = [draw(_complex_rows(12, 4, part))
+            for _ in range(draw(st.integers(0, 4)))]
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    seqs.append(np.full((n, dim), complex(draw(part), draw(part))))
+    seqs.append(draw(_complex_rows(1, 4, part)))
+    return draw(st.permutations(seqs))
+
+
+@settings(max_examples=100)
+@given(_cover_batches(), st.sampled_from([1e-6, 1e-3, 0.25]))
+def test_cover_batch_matches_loop_oracle(seqs, resolution):
+    wants = [_oracle_nets(vals, resolution) for vals in seqs]
+    assume(None not in wants)
+    cover = build_chaining_cover(seqs, resolution=resolution)
+    assert len(cover.levels) == sum(w[3] - w[2] + 1 for w in wants)
+    for k, want in enumerate(wants):
+        assert _nets(cover, k) == want
+    assert verify_cover(cover, seqs) <= 3.0
+    assert chaining_telescope_check(cover, seqs) <= 1e-12
