@@ -1,10 +1,10 @@
 """argparse front end: one subcommand per named experiment.
 
 Exit codes: 0 clean run, 1 a one-line refusal, 2 a checked property failed.
-The refusal names its cause: "config error" (bad key, bad value, bad
-parameter range, a config file that is not UTF-8), "domain error" (a
-numerical precondition fails inside the work) or "I/O error" (a file cannot
-be read or written).
+The refusal names its cause: "config error" (a command line argparse cannot
+parse, bad key, bad value, bad parameter range, a config file that is not
+UTF-8), "domain error" (a numerical precondition fails inside the work) or
+"I/O error" (a file cannot be read or written).
 MODVAR_JOBS overrides --jobs; either above the host's CPU count is refused.
 """
 
@@ -15,14 +15,21 @@ from . import harness
 from .util import DomainError
 
 
+def _refuse(message):
+    # every parser's error hook: exit 1 and one line, not argparse's usage
+    raise harness.ConfigError(message)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="modvar",
         description="numerical experiments for modulated-average variation",
     )
+    parser.error = _refuse
     sub = parser.add_subparsers(dest="command", required=True, metavar="KIND")
     for kind in sorted(harness.SCHEMAS):
         p = sub.add_parser(kind, help="run the %s experiment" % kind)
+        p.error = _refuse
         p.add_argument("--config", default=None, metavar="PATH",
                        help="key = value config file")
         p.add_argument("--set", action="append", default=[], dest="sets",
@@ -36,8 +43,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         text = ""
         if args.config is not None:
             with open(args.config, encoding="utf-8") as fh:

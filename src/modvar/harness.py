@@ -347,14 +347,9 @@ def theta_symbols(bump, L):
     """The transforms on Z/L of the truncated weights phi_M at the
     truncations _truncation_list(L): a read-only (K, L) array, built once
     and shared by every theta_sup_variation call on that length."""
-    trunc = _truncation_list(L)
-    what = np.empty((len(trunc), L), dtype=complex)
-    for k, M in enumerate(trunc):
-        padded = np.zeros(L, dtype=complex)
-        padded[: M + 1] = scaled_weight(bump, M, np.arange(M + 1))
-        what[k] = np.fft.fft(padded)
-    what.flags.writeable = False
-    return what
+    return multipliers.kernel_transforms(
+        [(0, scaled_weight(bump, M, np.arange(M + 1)))
+         for M in _truncation_list(L)], L)
 
 
 def theta_sup_variation(values, what, theta_count, r):
@@ -367,16 +362,15 @@ def theta_sup_variation(values, what, theta_count, r):
     place as a multipliers.ShiftedStack.  Returns the array
     sup_theta V^r_M(A f).
     """
-    values = np.asarray(values, dtype=complex)
-    L = len(values)
+    f = CyclicSignal(values)
+    L = f.modulus
     theta_count = int(theta_count)
     if L % theta_count:
         raise DomainError("theta grid %d must divide the length %d"
                           % (theta_count, L))
     step = L // theta_count
     return multipliers.vr_sup((multipliers.ShiftedStack(what, j * step)
-                               for j in range(theta_count)),
-                              CyclicSignal(values), r)
+                               for j in range(theta_count)), f, r)
 
 
 def _truncation_list(L):

@@ -17,25 +17,25 @@ sixteenth of the chi_s radius (choose M divisible by the lcm of the Q
 range to keep offsets zero, e.g. 6720 for everything up to Q = 16).
 
 The inner sum over B is the arc symbol, and arc_symbol is its only
-implementation.  Each term lives on the nonzeros of one chi_s window, and
-arc_symbol adds it there alone.  No symbol depends on the signal, so every
-operator here runs in two steps: a builder makes the symbols once per level
-(arc_symbols for the plain windows as dense (arcs, M) rows,
-build_arc_multiplier for the (J, M) stacks, both from arc_symbol), and an
-apply takes one draw through them with one batched inverse FFT
-(maximal_arc_ratio, vr_sup).  build_arc_multiplier stores each stack on its
-support (a SupportStack): the union of the window nonzeros of the arcs in
-its lambda ball, a few percent of Z/M for the sweep's narrow windows.
-vr_sup takes that form and a dense stack read at a cyclic column offset (a
-ShiftedStack, as the theta grid of harness.theta_sup_variation reads its
-one set of truncation transforms).  It writes a stack's values times the
-signal's transform into one (J, M) buffer, zeroed off a support or filled
-by two slice products at an offset, and inverts the buffer in place, so
-no stack is copied or rolled and a call holds one buffer.  The vr-sd
-stacks are build_arc_multiplier's on lambda_grid_for; the grid's points
-3k+1 are the arc centres lambda = A/Q, where every offset vanishes and the
-kernel is the plain Psi, and the vr-s table is the sup over the stacks
-there alone.
+implementation: it adds each term on the nonzeros of its chi_s window
+alone.  No symbol depends on the signal, so every operator is a builder,
+run once per level, and an apply, one batched inverse FFT per draw:
+arc_symbols' dense (arcs, M) rows with maximal_arc_ratio, and for each
+variation operator (vr-s, vr-sd, carleson's theta sup and vrd_operator) a
+stack builder with vr_sup.  kernel_transforms is the one wrap-and-transform
+of kernels on Z into rows on Z/M: of _kernel_hat's modulated Psi, of
+harness.theta_symbols' truncated weights, and of vrd_operator's modulated
+Psi_k on a grid as long as the full convolution, where the cyclic
+convolution of the zero-padded signal is the one on Z.
+build_arc_multiplier stores each stack on its support (a SupportStack),
+the window nonzeros of the arcs in its lambda ball.  vr_sup takes that
+form and a ShiftedStack, a dense stack read at a cyclic column offset (the
+theta grid reads one set of truncation transforms at many, vrd_operator
+each stack at 0).  It writes the values times the signal's transform into
+one reused (J, M) buffer and inverts it in place, so no stack is copied or
+rolled.  The vr-sd stacks are build_arc_multiplier's on lambda_grid_for;
+its points 3k+1 are the arc centres A/Q, where every offset vanishes, and
+the vr-s table is the sup over their stacks alone.
 The sequence-space ratio follows the same pattern off the grid:
 seqspace_level builds the Weyl rows and the characters e(Bx/Q) once per
 level, and seqspace_ratio applies them to each coefficient draw.
@@ -56,7 +56,7 @@ import numpy as np
 from . import arithmetic, polykit, variation
 from .bumpkit import DEFAULT_A0, ChiCutoff, SmoothBump, make_Psi, \
     psi_floor_index
-from .signalkit import Signal, convolve
+from .signalkit import CyclicSignal, Signal
 from .util import DomainError, GridTooCoarseError, e, torus_signed, write_csv
 
 S_CAP = 4
@@ -120,6 +120,22 @@ def snap_to_grid(M: int, B: int, Q: int, radius: float):
     return b0, offset
 
 
+def kernel_transforms(kernels, M) -> np.ndarray:
+    """The DFTs on Z/M of kernels given as (n0, values) on Z, as the rows
+    of a read-only (K, M) array: each is wrapped round Z/M (values added at
+    (n0 + i) mod M) and transformed in place.  Refuses a kernel longer
+    than M, which the wrap would fold onto itself."""
+    out = np.zeros((len(kernels), M), dtype=complex)
+    for row, (n0, vals) in zip(out, kernels):
+        if len(vals) > M:
+            raise DomainError("kernel support %d exceeds the grid modulus %d"
+                              % (len(vals), M))
+        np.add.at(row, (n0 + np.arange(len(vals))) % M, vals)
+        np.fft.fft(row, out=row)
+    out.flags.writeable = False
+    return out
+
+
 def _kernel_hat(bump, lam, J, s, mu, M):
     """DFT on Z/M of the gated, modulated partial-sum kernel.
 
@@ -128,19 +144,11 @@ def _kernel_hat(bump, lam, J, s, mu, M):
     """
     if not kernel_gate(mu, J):
         return None
-    ker = make_Psi(bump, lam, J, s_floor=s)
-    n0, vals = ker.at_integers()
-    if len(vals) > M:
-        raise DomainError(
-            "kernel support %d exceeds the grid modulus %d" % (len(vals), M)
-        )
+    n0, vals = make_Psi(bump, lam, J, s_floor=s).at_integers()
     if any(m != 0.0 for m in mu):
         p = polykit.Poly.vanish2(mu)
         vals = vals * e(-polykit.phase_range(p, n0, len(vals)))
-    padded = np.zeros(M, dtype=complex)
-    idx = (n0 + np.arange(len(vals))) % M
-    np.add.at(padded, idx, vals)
-    return np.fft.fft(padded)
+    return kernel_transforms([(n0, vals)], M)[0]
 
 
 def arc_symbol(A, Q, M, chi, khat=None, support=None) -> np.ndarray:
@@ -284,10 +292,10 @@ def maximal_arc_ratio(symbols, f) -> float:
     Each row of symbols (from arc_symbols) filters f; the sup of |g| over
     the rows is measured in l2 and normalized by ||f||_2.
     """
+    _check_grid(symbols.shape[-1], f)
     norm = f.l2()
     if norm == 0.0:
         return 0.0
-    _check_grid(symbols.shape[-1], f)
     g = np.fft.ifft(symbols * np.fft.fft(f.values), axis=1)
     return float(np.linalg.norm(np.abs(g).max(axis=0)) / norm)
 
@@ -359,14 +367,12 @@ def vr_sup(stacks, f, r) -> np.ndarray:
     """Pointwise sup over the stacks of the r-variation across the rows of
     each stack applied to f.
 
-    stacks is any iterable (a generator too) of symbol stacks in either
-    form: build_arc_multiplier's SupportStacks, whose values times f's
-    transform are written into a zeroed (J, M) buffer, or ShiftedStacks,
-    dense stacks read at a cyclic column offset, whose shifted values times
-    f's transform fill the buffer with two slice products.  The buffer is
-    inverted in place, one batched inverse FFT per stack, and reused for
-    the next stack of the same row count, so a call holds one (rows, M)
-    buffer however many stacks it takes.
+    stacks is any iterable (a generator too) of SupportStacks, whose values
+    times f's transform are written into a zeroed (J, M) buffer, or
+    ShiftedStacks, whose shifted values times f's transform fill it with two
+    slice products.  The buffer is inverted in place, one batched inverse
+    FFT per stack, and reused for the next stack of the same row count, so
+    a call holds one (rows, M) buffer however many stacks it takes.
     """
     fhat = np.fft.fft(f.values)
     M = f.modulus
@@ -392,31 +398,22 @@ def vr_sup(stacks, f, r) -> np.ndarray:
 def vrd_operator(f: Signal, bump: SmoothBump, lam, P_grid, k_list, r) -> Signal:
     """Time-domain variation operator over modulated partial-sum kernels.
 
-    Per x: sup over P (the zero polynomial always included) of the exact
-    r-variation of the sequence k -> sum_n Psi_k(n) e(P(n)) f(x - n).
+    Per x on the full convolution support against the longest kernel: sup
+    over P (the zero polynomial always included) of the exact r-variation
+    of k -> sum_n Psi_k(n) e(P(n)) f(x - n).  f is zero-padded to that
+    support's length, where the cyclic convolution is the one on Z, and
+    each P gives vr_sup one stack of kernel_transforms.
     """
     k_list = _scales(k_list)
-    polys = [polykit.Poly.zero()]
-    for p in P_grid:
-        if p.degree > 0 or any(c != 0.0 for c in p.coeffs):
-            polys.append(p)
-    kernels = {k: make_Psi(bump, lam, k).at_integers() for k in k_list}
-    # common output support: full convolution against the longest kernel
-    n0_max, vals_max = kernels[k_list[-1]]
-    out_start = f.support_start + n0_max
-    out_len = len(f) + len(vals_max) - 1
-    best = np.zeros(out_len)
-    for p in polys:
-        rows = np.zeros((len(k_list), out_len), dtype=complex)
-        for i, k in enumerate(k_list):
-            n0, vals = kernels[k]
-            mod = vals * e(polykit.phase_range(p, n0, len(vals)))
-            conv = convolve(f, Signal(n0, mod))
-            lead = conv.support_start - out_start
-            rows[i, lead: lead + len(conv)] = conv.values
-        if len(k_list) >= 2:
-            np.maximum(best, variation.vr_batch(rows, r), out=best)
-    return Signal(out_start, best)
+    polys = [polykit.Poly.zero(), *P_grid]   # a repeat changes no sup
+    kernels = [make_Psi(bump, lam, k).at_integers() for k in k_list]
+    n0_max, vals_max = kernels[-1]
+    M = len(f) + len(vals_max) - 1
+    padded = CyclicSignal(np.pad(f.values, (0, M - len(f))))
+    stacks = (ShiftedStack(kernel_transforms(
+        [(n0 - n0_max, vals * e(polykit.phase_range(p, n0, len(vals))))
+         for n0, vals in kernels], M), 0) for p in polys)
+    return Signal(f.support_start + n0_max, vr_sup(stacks, padded, r))
 
 
 def ratio_table_csv(path, rows):

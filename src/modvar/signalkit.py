@@ -10,8 +10,9 @@ so Parseval reads ||f||^2 = (1/M) sum_b |fhat(b)|^2.  modulate() takes its
 phases n * theta mod 1 from polykit.phase_range of the linear polynomial
 theta n, which reduces them exactly in integer arithmetic (the float theta
 is a dyadic rational), so it is exact for every representable frequency.
-convolve() is numpy's direct full convolution with the supports added; the
-package's signals are short, so no FFT path is needed.
+convolve() is numpy's direct full convolution with the supports added, for
+the short averaging kernels; multipliers.vrd_operator convolves through
+FFTs instead, on a zero-padded grid as long as the full convolution.
 """
 
 from __future__ import annotations

@@ -100,6 +100,33 @@ def test_cli_exit_one_on_non_utf8_config_file(tmp_path, capsys):
     assert not out.exists()
 
 
+# what argparse cannot parse is a config error: exit 1 and one line, not
+# its usage text and exit 2 (which means a checked property failed)
+@pytest.mark.parametrize("argv,cause", [
+    (["weyl", "--jobs", "abc"], "--jobs"),
+    (["weyl", "--seed", "abc"], "--seed"),
+    ([], "KIND"),
+    (["weyl", "--bogus"], "--bogus"),
+    (["no-such-kind"], "no-such-kind"),
+])
+def test_cli_parse_errors_exit_one_with_one_line(argv, cause, tmp_path,
+                                                  capsys):
+    out = tmp_path / "out"
+    assert cli.main(argv + (["--out", str(out)] if argv else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert cause in err
+    assert not out.exists()
+
+
+def test_cli_help_exits_zero(capsys):
+    for argv in (["--help"], ["weyl", "--help"]):
+        with pytest.raises(SystemExit) as ex:
+            cli.main(argv)
+        assert ex.value.code == 0
+        assert "usage: modvar" in capsys.readouterr().out
+
+
 def test_cli_runs_small_variation(tmp_path):
     rc = cli.main(["variation", "--set", "n_oracle=40", "--set", "max_len=7",
                    "--set", "n_jump=100", "--set", "jump_len=10",
@@ -342,6 +369,11 @@ def test_multiplier_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
                             monkeypatch)
     assert sorted(outs[0]) == ["multiplier.json"]
     assert outs[0] == outs[1]
+    # the experiment's tol (1e-8) cannot see a slip at the ulp scale; every
+    # error reads below 1e-15 here
+    errors = json.loads(outs[0]["multiplier.json"])["errors"]
+    assert sorted(errors) == ["vr_s", "vr_sd", "vrd"]
+    assert all(err <= 1e-14 for err in errors.values())
 
 
 def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modvar import arithmetic, dense, harness, multipliers, variation
+from modvar import arithmetic, dense, harness, multipliers, polykit, variation
 from modvar.bumpkit import (DEFAULT_A0, ChiCutoff, SmoothBump, make_Psi,
                             psi_floor_index)
 from modvar.multipliers import (
@@ -18,6 +18,7 @@ from modvar.multipliers import (
     arc_symbols,
     build_arc_multiplier,
     kernel_gate,
+    kernel_transforms,
     lambda_grid_for,
     maximal_arc_ratio,
     seqspace_freqs,
@@ -45,6 +46,14 @@ def _dense(stack):
 def test_maximal_arc_ratio_zero_signal():
     f = CyclicSignal(np.zeros(256, dtype=complex))
     assert maximal_arc_ratio(arc_symbols(1, 256), f) == 0.0
+
+
+def test_maximal_arc_ratio_checks_the_grid_before_the_norm():
+    # a zero signal on the wrong modulus is refused like a nonzero one
+    symbols = arc_symbols(1, 256)
+    for vals in (np.zeros(128, dtype=complex), np.ones(128, dtype=complex)):
+        with pytest.raises(DomainError, match="symbol grid"):
+            maximal_arc_ratio(symbols, CyclicSignal(vals))
 
 
 def test_maximal_arc_ratio_point_mass_near_one():
@@ -346,6 +355,28 @@ def test_level_build_makes_one_chi_table_and_one_kernel_per_key(monkeypatch):
     assert len(khat_keys) == len(set(khat_keys)) == 3 * len(J_list)
 
 
+# kernels that wrap round Z/M from below and from above, one that fills it
+@pytest.mark.parametrize("n0,length", [(-3, 10), (12, 10), (5, 16), (0, 1)])
+def test_kernel_transforms_match_the_dense_dft(n0, length):
+    M = 16
+    rng = np.random.default_rng(length + abs(n0))
+    kernels = [(n0, rng.normal(size=length) + 1j * rng.normal(size=length)),
+               (0, rng.normal(size=3))]
+    got = kernel_transforms(kernels, M)
+    assert got.shape == (2, M)
+    for row, (k0, vals) in zip(got, kernels):
+        np.testing.assert_allclose(row, dense.dft_column(vals, k0, M),
+                                   rtol=0, atol=1e-12)
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 0.0
+
+
+def test_kernel_transforms_refuse_a_kernel_longer_than_the_grid():
+    with pytest.raises(DomainError, match="exceeds the grid modulus 16"):
+        kernel_transforms([(0, np.ones(16)), (-2, np.ones(17))], 16)
+
+
 def test_vrd_operator_guards_and_single_scale():
     f = Signal(0, np.ones(8, dtype=complex))
     out = vrd_operator(f, BUMP, 1.5, [], [3], 2.5)
@@ -378,3 +409,19 @@ def test_vrd_operator_matches_dfs_oracle():
         want = oracles.vr_dfs(seq, r)
         got = out.values[x - out.support_start]
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_vrd_operator_with_polynomials_matches_nested_loops():
+    # a linear and a vanish2 phase and a signal off the origin: the output
+    # sits on the full convolution support against the longest kernel
+    rng = np.random.default_rng(23)
+    f = Signal(-4, rng.normal(size=9) + 1j * rng.normal(size=9))
+    grid = [polykit.Poly.linear(0.1), polykit.Poly.vanish2((0.3,))]
+    k_list = [1, 2, 3]
+    out = vrd_operator(f, BUMP, 1.5, grid, k_list, 2.5)
+    n0, longest = make_Psi(BUMP, 1.5, k_list[-1]).at_integers()
+    assert out.support_start == f.support_start + n0
+    assert len(out) == len(f) + len(longest) - 1
+    want = dense.vrd(f, BUMP, 1.5, grid, k_list, 2.5,
+                     range(out.support_start, out.support_start + len(out)))
+    np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-12)
