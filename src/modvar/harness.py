@@ -128,15 +128,15 @@ SCHEMAS = {
         "n_cov": (_parse_int, 100, 1, None),
         "cov_len": (_parse_int, 48, 8, None),
         "cov_tol": (_parse_float, 1e-9, None, None),
-        # the truncations 8..L/4 of a length L must not be empty
-        "grid_len": (_parse_int, 64, 32, None),
+        # a variation needs two truncations 8..L/4 of each length L
+        "grid_len": (_parse_int, 64, 64, None),
         "grid_exact_tol": (_parse_float, 1e-12, None, None),
         "theta_count": (_parse_int, 32, 2, None),
         "r": (_parse_float, 3.0, 1, None),
         # the r-growth envelope r/(r-2) needs r > 2
         "r_low": (_parse_float, 2.2, 2, None),
         "r_high": (_parse_float, 4.0, 2, None),
-        "sizes": (_parse_ints, (1024, 4096, 16384), 32, None),
+        "sizes": (_parse_ints, (1024, 4096, 16384), 64, None),
         "batch": (_parse_int, 30, 30, None),
         "size_slack": (_parse_float, 1.5, None, None),
         "envelope_slack": (_parse_float, 10.0, None, None),
@@ -245,6 +245,11 @@ def _check_cross(kind, p):
     if "J_list" in p and list(p["J_list"]) != sorted(set(p["J_list"])):
         raise ConfigError("J_list must be strictly increasing, got %s"
                           % ",".join(map(str, p["J_list"])))
+    # a variation across one scale is identically 0
+    one_scale = "J_list" in p and len(p["J_list"]) < 2
+    if one_scale and (kind == "multiplier" or p.get("operator") == "vr-sd"):
+        raise ConfigError("J_list needs at least two scales, got %s"
+                          % ",".join(map(str, p["J_list"])))
     caps = arithmetic.DECAY_QMAX
     if kind == "weyl" and p["fit_qmax"] > caps[p["fit_d"]]:
         raise ConfigError("need fit_qmax <= %d for fit_d = %d, got %d"
@@ -344,12 +349,12 @@ def _write_json(path, payload):
 
 
 def theta_symbols(bump, L):
-    """The transforms on Z/L of the truncated weights phi_M at the
-    truncations _truncation_list(L): a read-only (K, L) array, built once
-    and shared by every theta_sup_variation call on that length."""
+    """The anchored transforms on Z/L of the truncated weights phi_M at
+    the truncations _truncation_list(L): a read-only (K - 1, L) array,
+    built once and shared by every theta_sup_variation call on a length."""
     return multipliers.kernel_transforms(
         [(0, scaled_weight(bump, M, np.arange(M + 1)))
-         for M in _truncation_list(L)], L)
+         for M in _truncation_list(L)], L, anchored=True)
 
 
 def theta_sup_variation(values, what, theta_count, r):

@@ -23,19 +23,19 @@ run once per level, and an apply, one batched inverse FFT per draw:
 arc_symbols' dense (arcs, M) rows with maximal_arc_ratio, and for each
 variation operator (vr-s, vr-sd, carleson's theta sup and vrd_operator) a
 stack builder with vr_sup.  kernel_transforms is the one wrap-and-transform
-of kernels on Z into rows on Z/M: of _kernel_hat's modulated Psi, of
-harness.theta_symbols' truncated weights, and of vrd_operator's modulated
-Psi_k on a grid as long as the full convolution, where the cyclic
-convolution of the zero-padded signal is the one on Z.
+of kernels on Z into rows on Z/M, for _kernel_hat, harness.theta_symbols
+and vrd_operator.  The variation reads only row differences, so every
+stack is built anchored: rows 1.. minus row 0, subtracted in place.
 build_arc_multiplier stores each stack on its support (a SupportStack),
 the window nonzeros of the arcs in its lambda ball.  vr_sup takes that
 form and a ShiftedStack, a dense stack read at a cyclic column offset (the
 theta grid reads one set of truncation transforms at many, vrd_operator
 each stack at 0).  It writes the values times the signal's transform into
-one reused (J, M) buffer and inverts it in place, so no stack is copied or
-rolled.  The vr-sd stacks are build_arc_multiplier's on lambda_grid_for;
-its points 3k+1 are the arc centres A/Q, where every offset vanishes, and
-the vr-s table is the sup over their stacks alone.
+rows 1.. of one buffer whose row 0 stays zero, inverts them in place and
+takes one 1/r root per call, so no stack is copied or rolled.  The vr-sd
+stacks are build_arc_multiplier's on lambda_grid_for; its points 3k+1 are
+the arc centres A/Q, where every offset vanishes, and the vr-s table is
+the sup over their stacks alone.
 The sequence-space ratio follows the same pattern off the grid:
 seqspace_level builds the Weyl rows and the characters e(Bx/Q) once per
 level, and seqspace_ratio applies them to each coefficient draw.
@@ -120,11 +120,12 @@ def snap_to_grid(M: int, B: int, Q: int, radius: float):
     return b0, offset
 
 
-def kernel_transforms(kernels, M) -> np.ndarray:
+def kernel_transforms(kernels, M, anchored=False) -> np.ndarray:
     """The DFTs on Z/M of kernels given as (n0, values) on Z, as the rows
     of a read-only (K, M) array: each is wrapped round Z/M (values added at
-    (n0 + i) mod M) and transformed in place.  Refuses a kernel longer
-    than M, which the wrap would fold onto itself."""
+    (n0 + i) mod M) and transformed in place; anchored=True anchors them
+    (see vr_sup).  Refuses a kernel longer than M, which the wrap would
+    fold onto itself."""
     out = np.zeros((len(kernels), M), dtype=complex)
     for row, (n0, vals) in zip(out, kernels):
         if len(vals) > M:
@@ -132,6 +133,9 @@ def kernel_transforms(kernels, M) -> np.ndarray:
                               % (len(vals), M))
         np.add.at(row, (n0 + np.arange(len(vals))) % M, vals)
         np.fft.fft(row, out=row)
+    if anchored:
+        out[1:] -= out[0]
+        out = out[1:]
     out.flags.writeable = False
     return out
 
@@ -178,9 +182,9 @@ def arc_symbol(A, Q, M, chi, khat=None, support=None) -> np.ndarray:
 
 
 class SupportStack(NamedTuple):
-    """A (J, modulus) multiplier stack stored on its support: the sorted
-    indices into Z/modulus off which every row vanishes, and the (J,
-    len(support)) values there."""
+    """An anchored multiplier stack stored on its support: the sorted
+    indices into Z/modulus off which every row vanishes, and the (J - 1,
+    len(support)) anchored values there."""
 
     modulus: int
     support: np.ndarray
@@ -188,9 +192,9 @@ class SupportStack(NamedTuple):
 
 
 class ShiftedStack(NamedTuple):
-    """A dense (rows, modulus) stack read at a cyclic column offset: its
-    column k is values[:, (k + shift) % modulus], the columns of
-    np.roll(values, -shift, axis=1) without the copy."""
+    """An anchored dense stack read at a cyclic column offset: its column k
+    is values[:, (k + shift) % modulus], the columns of np.roll(values,
+    -shift, axis=1) without the copy."""
 
     values: np.ndarray
     shift: int
@@ -203,7 +207,7 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
 
     A stack's support is the union of the chi_s window nonzeros of the arcs
     in lambda_vec's ball, and each arc's symbol is summed there alone, so
-    scattered into zeros a stack is the dense (J, M) array bit for bit.
+    scattered into zeros a stack is the anchored dense array bit for bit.
     The level's window, its checks and the arcs in each lambda_vec's ball
     are found once; one kernel transform is made per distinct (J, offsets).
     The kernel scale floor and gate use DEFAULT_A0; chi_a0 governs only the
@@ -245,16 +249,20 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
             mask |= covered[Q]
         support = np.flatnonzero(mask)
         stacks.append(SupportStack(M, support, np.zeros(
-            (len(J_list), len(support)), dtype=complex)))
+            (len(J_list) - 1, len(support)), dtype=complex)))
+    heads = [np.zeros(len(st.support), dtype=complex) for st in stacks]
     for j, J in enumerate(J_list):
         khats = {}      # one scale's kernel transforms alive at a time
-        for stack, arcs in zip(stacks, hits):
+        for stack, head, arcs in zip(stacks, heads, hits):
+            row = stack.values[j - 1] if j else head    # row 0: build only
             for A, Q, offs in arcs:
                 if offs not in khats:
                     khats[offs] = _kernel_hat(bump, lam, J, chi.s, offs, M)
                 if khats[offs] is not None:
-                    stack.values[j] += arc_symbol(A, Q, M, chi, khats[offs],
-                                                  stack.support)
+                    row += arc_symbol(A, Q, M, chi, khats[offs],
+                                      stack.support)
+            if j:
+                row -= head
     return stacks
 
 
@@ -367,12 +375,13 @@ def vr_sup(stacks, f, r) -> np.ndarray:
     """Pointwise sup over the stacks of the r-variation across the rows of
     each stack applied to f.
 
-    stacks is any iterable (a generator too) of SupportStacks, whose values
-    times f's transform are written into a zeroed (J, M) buffer, or
-    ShiftedStacks, whose shifted values times f's transform fill it with two
-    slice products.  The buffer is inverted in place, one batched inverse
-    FFT per stack, and reused for the next stack of the same row count, so
-    a call holds one (rows, M) buffer however many stacks it takes.
+    stacks is any iterable (a generator too) of anchored stacks of n rows:
+    SupportStacks, whose values times f's transform fill rows 1.. of a
+    zeroed (n, M) buffer, or ShiftedStacks, whose shifted values fill them
+    with two slice products.  Rows 1.. are inverted in place, vr_batch runs
+    on all n rows, and the buffer is reused for the next stack of the same
+    row count.  A one-row stack has variation 0.  The max is kept on the
+    r-th powers and the call takes one 1/r root.
     """
     fhat = np.fft.fft(f.values)
     M = f.modulus
@@ -381,18 +390,21 @@ def vr_sup(stacks, f, r) -> np.ndarray:
     for stack in stacks:
         shifted = isinstance(stack, ShiftedStack)
         _check_grid(stack.values.shape[-1] if shifted else stack.modulus, f)
-        if spec is None or len(spec) != len(stack.values):
-            spec = np.empty((len(stack.values), M), dtype=complex)
+        if len(stack.values) == 0:
+            continue
+        if spec is None or len(spec) != len(stack.values) + 1:
+            spec = np.zeros((len(stack.values) + 1, M), dtype=complex)
+        rows = spec[1:]
         if shifted:
             m = stack.shift % M
-            np.multiply(stack.values[:, m:], fhat[:M - m], out=spec[:, :M - m])
-            np.multiply(stack.values[:, :m], fhat[M - m:], out=spec[:, M - m:])
+            np.multiply(stack.values[:, m:], fhat[:M - m], out=rows[:, :M - m])
+            np.multiply(stack.values[:, :m], fhat[M - m:], out=rows[:, M - m:])
         else:
-            spec.fill(0.0)
-            spec[:, stack.support] = stack.values * fhat[stack.support]
-        rows = np.fft.ifft(spec, axis=1, out=spec)
-        np.maximum(best, variation.vr_batch(rows, r), out=best)
-    return best
+            rows.fill(0.0)
+            rows[:, stack.support] = stack.values * fhat[stack.support]
+        np.fft.ifft(rows, axis=1, out=rows)
+        np.maximum(best, variation.vr_batch(spec, r), out=best)
+    return best ** (1.0 / r)
 
 
 def vrd_operator(f: Signal, bump: SmoothBump, lam, P_grid, k_list, r) -> Signal:
@@ -402,7 +414,7 @@ def vrd_operator(f: Signal, bump: SmoothBump, lam, P_grid, k_list, r) -> Signal:
     over P (the zero polynomial always included) of the exact r-variation
     of k -> sum_n Psi_k(n) e(P(n)) f(x - n).  f is zero-padded to that
     support's length, where the cyclic convolution is the one on Z, and
-    each P gives vr_sup one stack of kernel_transforms.
+    each P gives vr_sup one anchored stack of kernel_transforms.
     """
     k_list = _scales(k_list)
     polys = [polykit.Poly.zero(), *P_grid]   # a repeat changes no sup
@@ -412,7 +424,7 @@ def vrd_operator(f: Signal, bump: SmoothBump, lam, P_grid, k_list, r) -> Signal:
     padded = CyclicSignal(np.pad(f.values, (0, M - len(f))))
     stacks = (ShiftedStack(kernel_transforms(
         [(n0 - n0_max, vals * e(polykit.phase_range(p, n0, len(vals))))
-         for n0, vals in kernels], M), 0) for p in polys)
+         for n0, vals in kernels], M, anchored=True), 0) for p in polys)
     return Signal(f.support_start + n0_max, vr_sup(stacks, padded, r))
 
 

@@ -16,12 +16,9 @@ _vr_dp is the one dynamic program: vr_exact and jump_variation_check feed
 it the rows of a stacked gap tensor, vr_batch the |increments| of many
 scalar sequences at once, in blocks of GAP_BLOCK // n columns, so that the
 DP's temporaries hold at most GAP_BLOCK entries for any number of
-sequences.  It returns the r-th power of the variation and leaves the 1/r
-root to its callers.  vr_batch takes the root as one vector pow, the
-per-sequence functions as one scalar pow per sequence.  numpy's vector pow
-gives the same bits per element whatever the shape of the batch or of the
-exponent, but the scalar (libm) pow need not match it, so the roots stay
-scalar where they were scalar and every output keeps its bytes.
+sequences.  It returns the r-th power of the variation, and so does
+vr_batch: the per-sequence functions take one scalar root per sequence,
+multipliers.vr_sup one vector root of the max over its batches.
 
 Jump counting asks for the longest chain of times whose consecutive values
 differ by at least tau.  A greedy scan is NOT maximal for this problem
@@ -157,13 +154,13 @@ def vr_exact(seqs, r) -> list:
 
 
 def vr_batch(values, r) -> np.ndarray:
-    """r-variation of many scalar sequences at once.
+    """The r-th power of the r-variation of many scalar sequences at once.
 
-    values has shape (n_times, n_sequences); returns one variation value per
-    column, from the DP of vr_exact run on blocks of GAP_BLOCK // n_times
-    columns, so its temporaries hold at most GAP_BLOCK entries however
-    many columns there are.  The columns are independent, so the blocks
-    give the bytes of one DP over all of them.
+    values has shape (n_times, n_sequences); returns one power per column,
+    from the DP of vr_exact run on blocks of GAP_BLOCK // n_times columns,
+    so its temporaries hold at most GAP_BLOCK entries however many columns
+    there are.  The columns are independent, so the blocks give the bytes
+    of one DP over all of them.  The caller takes the 1/r root.
     """
     r = _check_r(r)
     vals = np.asarray(values)
@@ -179,7 +176,7 @@ def vr_batch(values, r) -> np.ndarray:
         blk = vals[:, a:a + step]
         powers[a:a + step] = _vr_dp(lambda i: np.abs(blk[i] - blk[:i]),
                                     blk.shape, r)
-    return powers ** (1.0 / r)
+    return powers
 
 
 def vr_brute(seqs, r) -> list:

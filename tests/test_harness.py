@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modvar import arithmetic, cli, harness, multipliers
+from modvar import arithmetic, cli, harness, multipliers, variation
 from modvar.bumpkit import SmoothBump
 from modvar.harness import SCHEMAS, ConfigError, default_config, parse_config
 from modvar.util import GridTooCoarseError
@@ -427,11 +427,17 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     # every theta of the carleson grid must be a frequency of each length
     ("carleson", "sizes=1024,4096,16384,1000", "modvar.harness.SmoothBump"),
     ("carleson", "grid_len=60", "modvar.harness.SmoothBump"),
+    # a length below 64 has one truncation, so every variation is 0
+    ("carleson", "sizes=32", "modvar.harness.stream"),
+    ("carleson", "grid_len=32", "modvar.harness.stream"),
     # a scale list is strictly increasing and starts at the kernel floor
     ("multiplier", "J_list=5,3", "modvar.harness.SmoothBump"),
     ("multiplier", "J_list=1", "modvar.harness.SmoothBump"),
     ("sweep", "operator=vr-sd J_list=5,3", "modvar.harness.SmoothBump"),
     ("sweep", "operator=vr-sd J_list=1", "modvar.harness.SmoothBump"),
+    # a variation across one scale is identically 0
+    ("multiplier", "J_list=9", "modvar.harness.SmoothBump"),
+    ("sweep", "operator=vr-sd J_list=9", "modvar.harness.SmoothBump"),
     # every arc frequency B/Q must snap to the M-grid within its window
     ("sweep", "operator=vr-sd rho0=0.01", "modvar.harness.SmoothBump"),
     ("sweep", "operator=maximal-arc M=4001", "modvar.harness.SmoothBump"),
@@ -456,13 +462,14 @@ def test_config_ranges_refused_before_any_work(kind, setting, first_work,
 
 
 def test_theta_sup_variation_runs_in_a_fixed_working_set():
-    # the transforms are built beforehand; one call then holds the signal's
-    # transform, one (K, L) spectrum inverted in place and the DP's column
-    # blocks, not a rolled copy of the stack per theta
+    # the anchored (K - 1, L) transforms are built beforehand; one call
+    # then holds the signal's transform, one (K, L) spectrum whose rows 1..
+    # are inverted in place and the DP's column blocks, not a rolled copy
+    # of the stack per theta
     L = 16384
     what = harness.theta_symbols(SmoothBump(0.25), L)
-    K = len(what)
-    assert K == len(harness._truncation_list(L))
+    K = len(harness._truncation_list(L))
+    assert what.shape == (K - 1, L)
     rng = np.random.default_rng(5)
     f = rng.normal(size=L) + 1j * rng.normal(size=L)
     tracemalloc.start()
@@ -472,6 +479,34 @@ def test_theta_sup_variation_runs_in_a_fixed_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * K * L * 16
+
+
+def test_variation_operators_pass_vr_batch_every_row(monkeypatch):
+    # the stacks are anchored, but carleson's theta sup and the vr-sd apply
+    # still hand variation.vr_batch the full n-row matrix, the zero row
+    # included, so a count of DP cells taken from its argument sees all of
+    # their work
+    shapes = []
+    vr_batch = variation.vr_batch
+
+    def recorded(values, r):
+        shapes.append(np.shape(values))
+        return vr_batch(values, r)
+
+    monkeypatch.setattr(variation, "vr_batch", recorded)
+    L, theta_count = 256, 8
+    f = np.random.default_rng(5).normal(size=L) + 0j
+    harness.theta_sup_variation(f, harness.theta_symbols(SmoothBump(0.25), L),
+                                theta_count, 3.0)
+    K = len(harness._truncation_list(L))
+    assert K > 1 and shapes == [(K, L)] * theta_count
+    shapes.clear()
+    cfg = parse_config("", kind="sweep",
+                       overrides={"operator": "vr-sd", "s_max": "1"})
+    harness.sweep_norm_ratio(cfg, 5, 1)
+    n_stacks = len(multipliers.lambda_grid_for(1, 2))
+    assert shapes == ([(len(cfg.get("J_list")), cfg.get("M"))]
+                      * n_stacks * cfg.get("batch"))
 
 
 _TOLERANCE = ("a tolerance: 0 asks for exactness, and a negative one just "

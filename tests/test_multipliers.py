@@ -13,6 +13,7 @@ from modvar.bumpkit import (DEFAULT_A0, ChiCutoff, SmoothBump, make_Psi,
 from modvar.multipliers import (
     MIN_MODULUS,
     ShiftedStack,
+    SupportStack,
     arc_indicator_radius,
     arc_symbol,
     arc_symbols,
@@ -37,10 +38,16 @@ BUMP = SmoothBump(0.25)
 
 
 def _dense(stack):
-    """A SupportStack scattered into zeros: its dense (J, M) array."""
+    """A SupportStack scattered into zeros: its dense anchored (J - 1, M)
+    array."""
     out = np.zeros((len(stack.values), stack.modulus), dtype=complex)
     out[:, stack.support] = stack.values
     return out
+
+
+def _anchored(rows):
+    """Rows 1.. of a (J, M) stack minus its row 0."""
+    return rows[1:] - rows[0]
 
 
 def test_maximal_arc_ratio_zero_signal():
@@ -168,7 +175,8 @@ def test_build_arc_multiplier_guards():
 def test_arc_multiplier_apply_parseval():
     rng = np.random.default_rng(11)
     j0 = psi_floor_index(1)
-    stacks = build_arc_multiplier(1, [j0 + 2], [(0.0,)], 512, BUMP)
+    # the one anchored row: the multiplier at j0 + 2 minus the one at j0
+    stacks = build_arc_multiplier(1, [j0, j0 + 2], [(0.0,)], 512, BUMP)
     mult = _dense(stacks[0])[0]
     f = CyclicSignal(rng.normal(size=512) + 1j * rng.normal(size=512))
     g = CyclicSignal(np.fft.ifft(mult * np.fft.fft(f.values)))
@@ -182,19 +190,65 @@ def test_arc_multiplier_apply_parseval():
 @pytest.mark.parametrize("shift", [0, 700, 1023])
 def test_shifted_stack_is_the_rolled_stack_bit_for_bit(shift):
     # a ShiftedStack applies like np.roll(values, -shift, axis=1) applied
-    # whole: the same products, inverse FFTs and DP, so the same bytes
+    # whole below a zero row: the same products, inverse FFTs and DP, so
+    # the same bytes
     rng = np.random.default_rng(shift)
-    values = rng.normal(size=(5, 1024)) + 1j * rng.normal(size=(5, 1024))
+    rows = rng.normal(size=(5, 1024)) + 1j * rng.normal(size=(5, 1024))
+    values = _anchored(rows)
     f = CyclicSignal(rng.normal(size=1024) + 1j * rng.normal(size=1024))
     rolled = np.roll(values, -shift, axis=1) * np.fft.fft(f.values)
-    want = variation.vr_batch(np.fft.ifft(rolled, axis=1), 3.0)
+    spec = np.zeros_like(rows)
+    spec[1:] = np.fft.ifft(rolled, axis=1)
+    want = variation.vr_batch(spec, 3.0) ** (1.0 / 3.0)
     got = vr_sup([ShiftedStack(values, shift)], f, 3.0)
     assert got.tobytes() == want.tobytes()
 
 
+@st.composite
+def _anchored_stack(draw, M, rows=None):
+    """A random stack of rows on Z/M in anchored form, a SupportStack on a
+    random support or a ShiftedStack at a random shift, with its dense
+    un-anchored (rows, M) array as vr_sup reads it (the shift applied)."""
+    rows = draw(st.integers(1, 6)) if rows is None else rows
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    full = rng.normal(size=(rows, M)) + 1j * rng.normal(size=(rows, M))
+    if draw(st.booleans()):
+        support = np.array(sorted(draw(st.sets(st.integers(0, M - 1)))),
+                           dtype=int)
+        held = np.zeros_like(full)
+        held[:, support] = full[:, support]
+        return SupportStack(M, support, _anchored(full)[:, support]), held
+    shift = draw(st.integers(0, 2 * M))
+    return (ShiftedStack(_anchored(full), shift),
+            np.roll(full, -shift, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vr_sup_on_anchored_stacks_matches_the_exact_oracle(data):
+    # vr_sup on the anchored stacks against the max over the stacks of
+    # vr_exact on the columns of the un-anchored np.fft.ifft(S * fhat); a
+    # one-row stack has no anchored rows and variation exactly 0
+    M = data.draw(st.integers(16, 64))
+    r = data.draw(st.floats(1.0, 8.0, exclude_min=True))
+    one_row = data.draw(_anchored_stack(M, rows=1))
+    drawn = data.draw(st.lists(_anchored_stack(M), min_size=1, max_size=4))
+    cases = drawn + [one_row]
+    rng = np.random.default_rng(M)
+    f = CyclicSignal(rng.normal(size=M) + 1j * rng.normal(size=M))
+    fhat = np.fft.fft(f.values)
+    want = np.zeros(M)
+    for _stack, held in cases:
+        cols = np.fft.ifft(held * fhat, axis=1)
+        np.maximum(want, variation.vr_exact(list(cols.T), r), out=want)
+    got = vr_sup([stack for stack, _held in cases], f, r)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert not vr_sup([one_row[0]], f, r).any()
+
+
 def test_build_arc_multiplier_far_lambda_is_zero():
-    stack = build_arc_multiplier(1, [psi_floor_index(1) + 1], [(0.5,)], 512,
-                                 BUMP)[0]
+    j0 = psi_floor_index(1)
+    stack = build_arc_multiplier(1, [j0 + 1, j0 + 2], [(0.5,)], 512, BUMP)[0]
     assert len(stack.support) == 0          # no arc in the ball
     assert np.max(np.abs(_dense(stack))) == 0.0
 
@@ -211,8 +265,11 @@ def test_arc_symbol_matches_dense_oracle(data):
     lambda_vec = data.draw(st.one_of(
         st.sampled_from(lambda_grid_for(s, 2)),
         st.tuples(st.floats(0.0, 1.0, exclude_max=True))))
-    got = _dense(build_arc_multiplier(s, [J], [lambda_vec], M, BUMP)[0])[0]
-    want = dense.arc_multiplier(s, J, lambda_vec, BUMP, 1.5, M)
+    got = _dense(build_arc_multiplier(s, [J, J + 1], [lambda_vec], M,
+                                      BUMP)[0])
+    want = _anchored(np.array([dense.arc_multiplier(s, K, lambda_vec, BUMP,
+                                                    1.5, M)
+                               for K in (J, J + 1)]))
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
@@ -237,8 +294,9 @@ def test_grid_points_3k_plus_1_are_the_arc_centres(s):
 
 
 def _dense_layout(s, J_list, grid, M, chi_a0):
-    # the stacks as dense (J, M) arrays, each row summed from full-grid
-    # arc_symbol calls over the arcs in the lambda ball
+    # the stacks as dense anchored (J - 1, M) arrays, each row of the
+    # (J, M) stack summed from full-grid arc_symbol calls over the arcs in
+    # the lambda ball
     chi = ChiCutoff(s, a0=chi_a0)
     khats = {}
     out = []
@@ -254,7 +312,7 @@ def _dense_layout(s, J_list, grid, M, chi_a0):
                         BUMP, 1.5, J, s, offs, M)
                 if khats[J, offs] is not None:
                     stack[j] += arc_symbol(A, Q, M, chi, khats[J, offs])
-        out.append(stack)
+        out.append(_anchored(stack))
     return out
 
 
@@ -277,7 +335,7 @@ def test_support_stacks_are_the_dense_stacks_bit_for_bit(s, M, window):
         support = stack.support
         assert stack.modulus == M
         assert np.all(np.diff(support) > 0)
-        assert stack.values.shape == (len(J_list), len(support))
+        assert stack.values.shape == (len(J_list) - 1, len(support))
         assert _dense(stack).tobytes() == dense_stack.tobytes()
         off = np.ones(M, dtype=bool)
         off[support] = False
