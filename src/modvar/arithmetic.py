@@ -5,10 +5,11 @@ The normalized Weyl sum at a rational frequency tuple is
     S(A/Q, B/Q) = (1/Q) sum_{r=1..Q} e(-(A_2 r^2 + ... + A_d r^d + r B) / Q).
 
 Phase numerators are reduced mod Q in integer arithmetic before any float
-enters, so each term's phase is exact.  For degree 2 and odd Q with
-gcd(A, Q) = 1 the modulus is exactly Q^(-1/2) (Gauss sums); the even-Q
-anomaly (|S| = 1 at Q = 2, A = B = 1: r^2 + r is always even) is why decay
-statements carry a constant.
+enters, so each term's phase is exact: weyl_rows sums rows of one residue
+table per coefficient and gathers e(-k/Q) from one table per modulus.  For
+degree 2 and odd Q with gcd(A, Q) = 1 the modulus is exactly Q^(-1/2)
+(Gauss sums); the even-Q anomaly (|S| = 1 at Q = 2, A = B = 1: r^2 + r is
+always even) is why decay statements carry a constant.
 
 Enumeration distinguishes two coprimality conventions that look alike:
 arcs require gcd(A_2, ..., A_d, Q) = 1, while the decay supremum runs over
@@ -17,8 +18,6 @@ gcd(A_2, ..., A_d, B, Q) = 1 with B included.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,37 +33,45 @@ def weyl_row(Q: int, A) -> np.ndarray:
     return weyl_rows(Q, [A])[0]
 
 
-def weyl_rows(Q: int, As) -> np.ndarray:
-    """S(A/Q, B/Q) for B = 1..Q and every A in As, in one 2-D FFT.
+def weyl_rows(Q: int, As, tables=None) -> np.ndarray:
+    """S(A/Q, B/Q) for B = 1..Q and every A in As (a (k, m) int array or k
+    length-m vectors), in one 2-D FFT.
 
-    With v_r = e(-(sum_j A_j r^j)/Q) accumulated per residue class of r,
-    S(., B/Q) is (1/Q) times the DFT of v at frequency B.  Row k of the
-    result belongs to As[k]; column i holds B = i + 1.
+    With v_c = e(-(A_2 c^2 + ... + A_d c^d)/Q) per residue c of r, S(., B/Q)
+    is (1/Q) times the DFT of v at B.  v gathers the sums of rows of the
+    residue tables from the phase table, both from _weyl_tables(Q, m),
+    given or built here.  Row k belongs to As[k]; column i holds B = i + 1.
     """
     Q = int(Q)
-    As = [tuple(int(a) for a in A) for A in As]
-    m = len(As[0]) if As else 0
-    if any(len(A) != m for A in As):
+    try:
+        A = np.asarray(As, dtype=np.int64) % Q
+    except ValueError:      # ragged
         raise DomainError("all coefficient vectors need the same length")
-    r = np.arange(1, Q + 1, dtype=np.int64)
-    num = np.zeros((len(As), Q), dtype=np.int64)
-    rpow = r % Q
-    for j in range(m):
-        rpow = (rpow * r) % Q
-        coeff = np.array([A[j] % Q for A in As], dtype=np.int64)[:, None]
-        num = (num + coeff * rpow) % Q
-    v = np.zeros((len(As), Q), dtype=complex)
-    v[:, r % Q] += e(-num.astype(float) / Q)    # r % Q is a permutation
-    rows = np.fft.fft(v, axis=1) / Q   # column b: frequency b (b = 0 is B = Q)
-    out = np.empty_like(rows)
-    out[:, : Q - 1] = rows[:, 1:]
-    out[:, Q - 1] = rows[:, 0]
-    return out
+    residues, phases = tables or _weyl_tables(Q, A.shape[1])
+    num = np.zeros((len(A), Q), dtype=np.int64)
+    for table, coeff in zip(residues, A.T):
+        num += table[coeff]
+    rows = np.fft.fft(phases[num], axis=1) / Q
+    return np.roll(rows, -1, axis=1)   # column b held frequency b, B = Q at 0
+
+
+def _weyl_tables(Q, m):
+    """Per modulus Q: the residue table (a c^j) mod Q, a, c = 0..Q-1, of
+    each j = 2..m+1, and the phase table, which holds the bits of
+    e(-(k mod Q)/Q) at k = 0..(m+1)Q-1, so that a sum of m residues indexes
+    it unreduced."""
+    c = np.arange(Q, dtype=np.int64)
+    residues, cpow = [], c
+    for _ in range(m):
+        cpow = cpow * c % Q
+        residues.append(c[:, None] * cpow % Q)
+    return residues, np.tile(e(-c.astype(float) / Q), m + 1)
 
 
 def _coprime_vectors(Q, m):
-    """All A in [1, Q]^m with gcd(A_1, ..., A_m, Q) = 1, lexicographic."""
-    return (A for A in _all_vectors(Q, m) if math.gcd(*A, Q) == 1)
+    """The rows A of _all_vectors(Q, m) with gcd(A_1, ..., A_m, Q) = 1."""
+    A = _all_vectors(Q, m)
+    return A[np.gcd(np.gcd.reduce(A, axis=1), Q) == 1]
 
 
 def arc_pairs(s: int, d: int):
@@ -78,8 +85,8 @@ def arc_pairs(s: int, d: int):
         raise DomainError("s must be at least 1")
     if d < 2:
         raise DomainError("degree must be at least 2")
-    return [(A, Q) for Q in range(2 ** (s - 1), 2 ** s)
-            for A in _coprime_vectors(Q, d - 1)]
+    return [(tuple(A), Q) for Q in range(2 ** (s - 1), 2 ** s)
+            for A in _coprime_vectors(Q, d - 1).tolist()]
 
 
 @dataclass(frozen=True)
@@ -114,22 +121,25 @@ def weyl_decay_fit(d: int, Qmax: int) -> DecayFit:
         )
     Qs, maxima, argmaxima = [], [], []
     for Q in range(1, Qmax + 1):
-        Bs = np.arange(1, Q + 1)
+        vectors = _all_vectors(Q, d - 1)
+        tables = _weyl_tables(Q, d - 1)
+        # row g: -inf where gcd(g, B, Q) > 1, g the gcd of A's entries
+        g = np.arange(Q + 1)[:, None]
+        masked = np.where(np.gcd(g, np.gcd(g[1:, 0], Q)) != 1, -np.inf, 0.0)
+        gA = np.gcd.reduce(vectors, axis=1)
         best, best_arg = -1.0, None
-        vectors = list(_all_vectors(Q, d - 1))
         # blocks of at most ROW_BLOCK entries run as fast as one batch per Q;
         # a multi-MB batch leaves the process about 1 MB more resident
         step = max(1, ROW_BLOCK // Q)
         for k in range(0, len(vectors), step):
-            As = vectors[k:k + step]
-            gA = np.array([math.gcd(*A, Q) for A in As])[:, None]
-            rows = np.abs(weyl_rows(Q, As))
-            rows[np.gcd(np.gcd(Bs, gA), Q) != 1] = -1.0
+            rows = np.abs(weyl_rows(Q, vectors[k:k + step], tables))
+            rows += masked[gA[k:k + step]]
             # row-major argmax and a strict > across blocks keep the
             # tie-break: the first A in lexicographic order, then first B
             a, b = divmod(int(np.argmax(rows)), Q)
             if rows[a, b] > best:
-                best, best_arg = float(rows[a, b]), As[a] + (int(Bs[b]),)
+                best = float(rows[a, b])
+                best_arg = tuple(vectors[k + a].tolist()) + (b + 1,)
         Qs.append(Q)
         maxima.append(best)
         argmaxima.append(best_arg)
@@ -145,5 +155,5 @@ def weyl_decay_fit(d: int, Qmax: int) -> DecayFit:
 
 
 def _all_vectors(Q, m):
-    """All A in [1, Q]^m, lexicographic."""
-    return itertools.product(range(1, Q + 1), repeat=m)
+    """All A in [1, Q]^m, lexicographic: a (Q^m, m) int array."""
+    return np.indices((Q,) * m, dtype=np.int64).reshape(m, -1).T + 1

@@ -22,7 +22,7 @@ from . import arithmetic, averaging, polykit, systems, variation
 from . import multipliers
 from .bumpkit import SmoothBump, scaled_weight, make_psi_kernel, make_Psi
 from .bumpkit import ChiCutoff, export_profile_csv, psi_floor_index
-from .signalkit import CyclicSignal, Signal, modulate, modulate_cyclic
+from .signalkit import CyclicSignal, Signal, l2, modulate, modulate_cyclic
 from .util import DomainError, GridTooCoarseError, e, stream
 
 # chi_s width constant for the decay probes: the default window at s <= 4 is
@@ -167,6 +167,11 @@ SCHEMAS = {
 }
 
 SWEEP_OPERATORS = ("maximal-arc", "seqspace", "vr-sd")
+# the sweep keys each operator ignores, refused when set explicitly
+_VR_SD_ONLY = {"r", "J_list", "lam", "eps0", "rho0"}
+_SWEEP_UNREAD = {"maximal-arc": _VR_SD_ONLY | {"seq_base"},
+                "seqspace": _VR_SD_ONLY | {"M"},
+                "vr-sd": {"seq_base"}}
 
 
 @dataclass(frozen=True)
@@ -235,13 +240,13 @@ def parse_config(text, kind=None, overrides=None):
                     "" if lo is None else
                     "%s %s " % (lo, "<=" if exact else "<"),
                     key, "" if hi is None else " <= %s" % hi, v))
-    _check_cross(kind, params)
+    _check_cross(kind, params, set(entries))
     return ExperimentConfig(kind=kind, params=params)
 
 
-def _check_cross(kind, p):
+def _check_cross(kind, p, given):
     """The refusals that tie keys of one kind together, and those the
-    schema bounds cannot state."""
+    schema bounds cannot state; given holds the keys set explicitly."""
     if "J_list" in p and list(p["J_list"]) != sorted(set(p["J_list"])):
         raise ConfigError("J_list must be strictly increasing, got %s"
                           % ",".join(map(str, p["J_list"])))
@@ -264,6 +269,10 @@ def _check_cross(kind, p):
     if p["operator"] not in SWEEP_OPERATORS:
         raise ConfigError("unknown operator %r (known: %s)"
                           % (p["operator"], ", ".join(SWEEP_OPERATORS)))
+    unread = sorted(given & _SWEEP_UNREAD[p["operator"]])
+    if unread:
+        raise ConfigError("operator %s does not read %s"
+                          % (p["operator"], ", ".join(unread)))
     s_min, s_max = p["s_min"], p["s_max"]
     if not 1 <= s_min <= s_max <= multipliers.S_CAP:
         raise ConfigError("need 1 <= s_min <= s_max <= %d, got %d and %d"
@@ -329,10 +338,8 @@ def _gauss(seed, draw, n):
 
 def _stats(vals):
     a = np.asarray(vals, dtype=float)
-    mean = float(np.mean(a))
-    mx = float(np.max(a))
     se = float(np.std(a, ddof=1) / math.sqrt(len(a))) if len(a) > 1 else 0.0
-    return mean, mx, se
+    return float(np.mean(a)), float(np.max(a)), se
 
 
 def _json_default(obj):
@@ -440,23 +447,20 @@ def _run_bump_check(cfg, out, seed, jobs):
 
 
 def _run_weyl(cfg, out, seed, jobs):
-    gauss_worst = 0.0
-    for Q in range(1, cfg.get("gauss_qmax") + 1, 2):
-        target = Q ** -0.5
-        rows = np.abs(arithmetic.weyl_rows(
-            Q, arithmetic._coprime_vectors(Q, 1)))
-        gauss_worst = max(gauss_worst, float(np.max(np.abs(rows - target))))
-    gauss_ok = gauss_worst <= 1e-10
-
-    bound_worst = 0.0
-    for Q in range(1, cfg.get("bound_qmax") + 1):
-        Bs = np.arange(1, Q + 1)
-        cap = math.sqrt(2.0) * Q ** -0.5
-        As = list(arithmetic._all_vectors(Q, 1))
-        gA = np.array([math.gcd(A[0], Q) for A in As])[:, None]
-        mask = np.gcd(np.gcd(Bs, gA), Q) == 1
+    gauss_qmax, bound_qmax = cfg.get("gauss_qmax"), cfg.get("bound_qmax")
+    gauss_worst = bound_worst = 0.0
+    for Q in range(1, max(gauss_qmax, bound_qmax) + 1):
+        As = arithmetic._all_vectors(Q, 1)
         rows = np.abs(arithmetic.weyl_rows(Q, As))
-        bound_worst = max(bound_worst, float(np.max(rows[mask])) - cap)
+        if Q % 2 and Q <= gauss_qmax:
+            gauss = rows[np.gcd(As[:, 0], Q) == 1]
+            gauss_worst = max(gauss_worst,
+                              float(np.max(np.abs(gauss - Q ** -0.5))))
+        if Q <= bound_qmax:
+            mask = np.gcd(As, np.gcd(np.arange(1, Q + 1), Q)) == 1
+            bound_worst = max(bound_worst, float(np.max(rows[mask]))
+                              - math.sqrt(2.0) * Q ** -0.5)
+    gauss_ok = gauss_worst <= 1e-10
     bound_ok = bound_worst <= 1e-12
 
     fit = arithmetic.weyl_decay_fit(cfg.get("fit_d"), cfg.get("fit_qmax"))
@@ -667,7 +671,7 @@ def _run_carleson(cfg, out, seed, jobs):
         def one(d):
             f = _gauss(seed, d, L)
             best = theta_sup_variation(f, what, cfg.get("theta_count"), r_val)
-            return float(np.linalg.norm(best) / np.linalg.norm(f))
+            return l2(best) / l2(f)
         return _stats(_map_jobs(one, range(batch), jobs))
 
     per_size = [stats_at(L, r) for L in sizes]
@@ -818,8 +822,7 @@ def sweep_norm_ratio(config, seed, jobs):
                 at_centres = multipliers.vr_sup(centres, f, r)
                 best = np.maximum(at_centres,
                                   multipliers.vr_sup(rest, f, r))
-                return tuple(float(np.linalg.norm(g) / f.l2())
-                             for g in (best, at_centres))
+                return tuple(l2(g) / f.l2() for g in (best, at_centres))
         vals = _map_jobs(lambda d: ratios(_gauss(seed, d, n)),
                          range(batch), jobs)
         for table_rows, table_points, col in zip(rows, points, zip(*vals)):

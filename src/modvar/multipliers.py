@@ -56,7 +56,7 @@ import numpy as np
 from . import arithmetic, polykit, variation
 from .bumpkit import DEFAULT_A0, ChiCutoff, SmoothBump, make_Psi, \
     psi_floor_index
-from .signalkit import CyclicSignal, Signal
+from .signalkit import CyclicSignal, Signal, l2
 from .util import DomainError, GridTooCoarseError, e, torus_signed, write_csv
 
 S_CAP = 4
@@ -305,7 +305,7 @@ def maximal_arc_ratio(symbols, f) -> float:
     if norm == 0.0:
         return 0.0
     g = np.fft.ifft(symbols * np.fft.fft(f.values), axis=1)
-    return float(np.linalg.norm(np.abs(g).max(axis=0)) / norm)
+    return l2(np.abs(g).max(axis=0)) / norm
 
 
 def seqspace_freqs(s: int):
@@ -356,7 +356,7 @@ def seqspace_ratio(level, c) -> float:
     if c.shape != (n_freqs,):
         raise DomainError("coefficient vector must align with the %d level "
                           "frequencies" % n_freqs)
-    cnorm = float(np.linalg.norm(c))
+    cnorm = l2(c)
     if cnorm == 0.0:
         return 0.0
     best = np.zeros(length)
@@ -368,7 +368,7 @@ def seqspace_ratio(level, c) -> float:
                 continue
             F += coeff * char
         np.maximum(best, np.abs(F), out=best)
-    return float(np.linalg.norm(best) / (math.sqrt(length) * cnorm))
+    return l2(best) / (math.sqrt(length) * cnorm)
 
 
 def vr_sup(stacks, f, r) -> np.ndarray:

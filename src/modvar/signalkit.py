@@ -1,5 +1,5 @@
-"""Finite complex signals on Z and Z/M: DFT conventions, modulation and
-convolution.
+"""Finite complex signals on Z and Z/M: DFT conventions, l2 norms,
+modulation and convolution.
 
 Conventions fixed here and used everywhere else:
 
@@ -23,6 +23,15 @@ from . import polykit
 from .util import DomainError, e
 
 
+def l2(values) -> float:
+    """The l2 norm of a whole array, the root of numpy's own pairwise sum of
+    squared magnitudes: np.linalg.norm hands 1-d input to BLAS dot, whose
+    bits depend on the BLAS thread count above 10,000 entries."""
+    v = np.asarray(values)
+    sq = v.real * v.real + v.imag * v.imag if np.iscomplexobj(v) else v * v
+    return float(np.sqrt(np.sum(sq)))
+
+
 class Signal:
     """Finitely supported complex signal on Z."""
 
@@ -36,7 +45,7 @@ class Signal:
         return len(self.values)
 
     def l2(self):
-        return float(np.linalg.norm(self.values))
+        return l2(self.values)
 
 
 class CyclicSignal:
@@ -55,7 +64,7 @@ class CyclicSignal:
         return len(self.values)
 
     def l2(self):
-        return float(np.linalg.norm(self.values))
+        return l2(self.values)
 
 
 def modulate(f: Signal, theta) -> Signal:

@@ -14,8 +14,9 @@ run each group as one batch, in blocks whose tables (n^2 gaps or 2^n chain
 sums per member) hold at most BATCH_BLOCK entries, or one member's own.
 _vr_dp is the one dynamic program: vr_exact and jump_variation_check feed
 it the rows of a stacked gap tensor, vr_batch the |increments| of many
-scalar sequences at once, in blocks of GAP_BLOCK // n columns, so that the
-DP's temporaries hold at most GAP_BLOCK entries for any number of
+anchored scalar sequences (row 0 zero, its links |x_i|^r taken in one pass
+before the DP over rows 1..), in blocks of GAP_BLOCK // n columns, so that
+the DP's temporaries hold at most GAP_BLOCK entries for any number of
 sequences.  It returns the r-th power of the variation, and so does
 vr_batch: the per-sequence functions take one scalar root per sequence,
 multipliers.vr_sup one vector root of the max over its batches.
@@ -113,7 +114,9 @@ def _blocks(seqs, cost, key=np.shape):
         classes.setdefault(key(mats[k]), []).append(k)
     for idx in classes.values():
         n = len(mats[idx[0]])
-        step = max(1, BATCH_BLOCK // max(1, cost(n)))
+        if n == 0:
+            raise DomainError("empty sequence: no variation, jump or cover")
+        step = max(1, BATCH_BLOCK // cost(n))
         for a in range(0, len(idx), step):
             block = idx[a:a + step]
             dims = [mats[k].shape[1] for k in block]
@@ -123,22 +126,20 @@ def _blocks(seqs, cost, key=np.shape):
             yield block, dims, stack
 
 
-def _vr_dp(gaps, shape, r):
+def _vr_dp(gaps, D, r):
     """The r-th power of the r-variation by dynamic programming; D[i] is the
     best chain ending at i.
 
-    gaps(i) returns the gaps from entry i to entries 0..i-1, an array of
-    shape (i,) + shape[1:]; the DP runs on every column of shape at once,
-    with r one exponent or one per column.  Every chain's last link comes
-    from some earlier end, so maximizing over predecessors is exhaustive.
-    The caller takes the 1/r root.
+    D[i] holds on entry the best chain ending at i from outside D: 0, or
+    the link from vr_batch's anchor.  gaps(i) returns the gaps from entry i
+    to entries 0..i-1, an array of shape (i,) + D.shape[1:]; the DP runs on
+    every column of D at once, with r one exponent or one per column.
+    Every chain's last link comes from some earlier end, so maximizing over
+    predecessors is exhaustive.  The caller takes the 1/r root.
     """
-    if shape[0] == 0:
-        raise DomainError("empty sequence has no variation")
-    D = np.zeros(shape)
-    for i in range(1, shape[0]):
-        D[i] = (D[:i] + gaps(i) ** r).max(axis=0)
-    return D.max(axis=0)
+    for i in range(1, len(D)):
+        np.maximum(D[i], (D[:i] + gaps(i) ** r).max(axis=0), out=D[i])
+    return D.max(axis=0, initial=0.0)
 
 
 def vr_exact(seqs, r) -> list:
@@ -147,20 +148,23 @@ def vr_exact(seqs, r) -> list:
     out = [None] * len(seqs)
     for idx, _dims, vals in _blocks(seqs, lambda n: n * n):
         G = _gaps(vals)
-        powers = _vr_dp(lambda i: G[i, :i], G.shape[1:], r)
+        powers = _vr_dp(lambda i: G[i, :i], np.zeros(G.shape[1:]), r)
         for k, p in zip(idx, powers):
             out[k] = float(p ** (1.0 / r))
     return out
 
 
 def vr_batch(values, r) -> np.ndarray:
-    """The r-th power of the r-variation of many scalar sequences at once.
+    """The r-th power of the r-variation of many anchored scalar sequences.
 
-    values has shape (n_times, n_sequences); returns one power per column,
-    from the DP of vr_exact run on blocks of GAP_BLOCK // n_times columns,
-    so its temporaries hold at most GAP_BLOCK entries however many columns
-    there are.  The columns are independent, so the blocks give the bytes
-    of one DP over all of them.  The caller takes the 1/r root.
+    values is (n_times, n_sequences) with row 0 zero, as in every stack of
+    multipliers.vr_sup; a nonzero row 0 is refused.  The links from row 0
+    are |x_i|^r, taken in one pass, and the DP of vr_exact runs on rows 1..
+    alone: bit for bit the DP over all n rows, as x - 0 differs from x at
+    most in the sign of a zero, which abs drops, and 0 + g = g.  It runs on
+    blocks of GAP_BLOCK // n_times columns, so its temporaries hold at most
+    GAP_BLOCK entries; the columns are independent, so the blocks give the
+    bytes of one DP over all of them.  The caller takes the 1/r root.
     """
     r = _check_r(r)
     vals = np.asarray(values)
@@ -169,13 +173,20 @@ def vr_batch(values, r) -> np.ndarray:
     n, cols = vals.shape
     if n > MAX_DP_LENGTH:
         raise DomainError("sequence longer than %d; split the call" % MAX_DP_LENGTH)
-    step = GAP_BLOCK // max(1, n)
+    if n == 0 or np.any(vals[0]):
+        raise DomainError("vr_batch takes anchored columns: a zero row 0")
+    step = GAP_BLOCK // n
     powers = np.empty(cols)
-    # one block at least, so that _vr_dp refuses an empty sequence
-    for a in range(0, max(1, cols), step):
-        blk = vals[:, a:a + step]
+    for a in range(0, cols, step):
+        blk = vals[1:, a:a + step]
+        # D[0] = 0 is the anchor's chain, D[1:] starts as the link from it:
+        # one (n, columns) buffer, as the DP over all rows allocated (n - 1
+        # rows moved glibc's mmap threshold, and with it about 9 MB of a
+        # later time-side pass onto the heap)
+        D = np.zeros((n, blk.shape[1]))
+        np.power(np.abs(blk, out=D[1:]), r, out=D[1:])
         powers[a:a + step] = _vr_dp(lambda i: np.abs(blk[i] - blk[:i]),
-                                    blk.shape, r)
+                                    D[1:], r)
     return powers
 
 
@@ -192,8 +203,6 @@ def vr_brute(seqs, r) -> list:
     out = [None] * len(seqs)
     for idx, _dims, vals in _blocks(seqs, lambda n: 1 << n):
         n = len(vals)
-        if n == 0:
-            raise DomainError("empty sequence has no variation")
         if n > MAX_BRUTE_LENGTH:
             raise DomainError("brute-force variation refuses length %d > %d"
                               % (n, MAX_BRUTE_LENGTH))
@@ -249,7 +258,7 @@ def jump_variation_check(seqs, tau, r) -> list:
     for idx, _dims, vals in _blocks(seqs, lambda n: n * n):
         G = _gaps(vals)
         jumps = _chain_dp(G, taus[idx]).tolist()
-        powers = _vr_dp(lambda i: G[i, :i], G.shape[1:], rs[idx])
+        powers = _vr_dp(lambda i: G[i, :i], np.zeros(G.shape[1:]), rs[idx])
         for k, K, p in zip(idx, jumps, powers):
             tau_k, r_k = float(taus[k]), float(rs[k])
             slack = float(p ** (1.0 / r_k)) - tau_k * K ** (1.0 / r_k)
@@ -307,8 +316,6 @@ def build_chaining_cover(seqs, resolution=COVER_RESOLUTION) -> ChainingCover:
     """
     seq, levels, centres, parent = [], [], [], []
     for idx, dims, vals in _blocks(seqs, lambda n: n * n, key=len):
-        if len(vals) == 0:
-            raise DomainError("cannot cover an empty sequence")
         if not np.isfinite(vals).all():
             raise DomainError("cannot cover non-finite values")
         G = _length_gaps(dims, vals)

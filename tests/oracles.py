@@ -124,6 +124,37 @@ def weyl_direct(Q, A, B, d):
     return total / Q
 
 
+def weyl_decay_loops(d, Qmax, weyl_row):
+    """The fields of a decay fit by a row-by-row loop.
+
+    For each Q = 1..Qmax it takes |weyl_row(Q, A)| for every A in [1, Q]^(d-1)
+    in lexicographic order, keeps B only where math.gcd(*A, B, Q) == 1 and
+    the first strict maximum, then fits log max|S| against log Q by least
+    squares.  weyl_row is passed in, so this file stays free of modvar.
+    """
+    Qs = tuple(range(1, Qmax + 1))
+    maxima, argmax = [], []
+    for Q in Qs:
+        best, best_arg = -1.0, None
+        for A in itertools.product(range(1, Q + 1), repeat=d - 1):
+            row = np.abs(weyl_row(Q, A))
+            for B in range(1, Q + 1):
+                if math.gcd(*A, B, Q) == 1 and row[B - 1] > best:
+                    best, best_arg = float(row[B - 1]), A + (B,)
+        maxima.append(best)
+        argmax.append(best_arg)
+    logQ = np.log(np.array(Qs, dtype=float))
+    logS = np.log(np.array(maxima))
+    slope, intercept = np.polyfit(logQ, logS, 1)
+    c = -float(slope)
+    resid = logS - (slope * logQ + intercept)
+    const = np.max(np.array(maxima) * np.array(Qs, dtype=float) ** c)
+    return {"d": d, "Q": Qs, "max_abs": tuple(maxima),
+            "argmax": tuple(argmax), "exponent": c,
+            "residuals": tuple(float(x) for x in resid),
+            "constant": float(const)}
+
+
 def _squarefree_divisors(Q):
     primes = []
     q = Q

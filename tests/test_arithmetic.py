@@ -1,5 +1,6 @@
 """Complete exponential sums, frequency enumeration, and the decay fit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,24 +74,33 @@ def test_weyl_rows_match_single_rows_and_direct_sums(Q, m, data):
         assert abs(row[B - 1] - oracles.weyl_direct(Q, A, B, m + 1)) <= 1e-12
 
 
+@pytest.mark.parametrize("Q", [1, 2, 3, 12, 64])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_weyl_rows_take_an_int_array_or_tuples(Q, m):
+    # one set of bytes for a (k, m) int array, a list of tuples and one
+    # weyl_row per vector, with coefficients beyond [0, Q) reduced mod Q
+    As = np.random.default_rng(Q * m).integers(-3 * Q, 3 * Q + 1, (9, m))
+    rows = weyl_rows(Q, As)
+    assert rows.shape == (9, Q)
+    assert rows.tobytes() == weyl_rows(Q, [tuple(A) for A in As.tolist()]
+                                       ).tobytes()
+    assert rows.tobytes() == np.array([weyl_row(Q, A) for A in As]).tobytes()
+
+
 def test_weyl_rows_refuses_mixed_degrees():
     with pytest.raises(DomainError):
         weyl_rows(5, [(1,), (1, 2)])
 
 
 @pytest.mark.parametrize("block", [arithmetic.ROW_BLOCK, 7])
-@pytest.mark.parametrize("d,Qmax", [(2, 12), (3, 8)])
+@pytest.mark.parametrize("d,Qmax", [(2, 12), (3, 8), (2, 30), (3, 16)])
 def test_decay_fit_matches_per_row_loop(d, Qmax, block, monkeypatch):
-    monkeypatch.setattr(arithmetic, "ROW_BLOCK", block)   # 7: many blocks
+    # the int-array enumeration, the gcd table and the blocks (7: many per
+    # Q) keep every field of the row-by-row loop, the tie-break included
+    monkeypatch.setattr(arithmetic, "ROW_BLOCK", block)
     fit = weyl_decay_fit(d, Qmax)
-    for Q, got_max, got_arg in zip(fit.Q, fit.max_abs, fit.argmax):
-        best, best_arg = -1.0, None
-        for A in arithmetic._all_vectors(Q, d - 1):
-            row = np.abs(weyl_row(Q, A))
-            for B in range(1, Q + 1):
-                if math.gcd(*A, B, Q) == 1 and row[B - 1] > best:
-                    best, best_arg = float(row[B - 1]), A + (B,)
-        assert (got_max, got_arg) == (best, best_arg)
+    assert dataclasses.asdict(fit) == oracles.weyl_decay_loops(d, Qmax,
+                                                               weyl_row)
 
 
 def test_freq_point_reduces_components():

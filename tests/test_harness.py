@@ -300,13 +300,14 @@ def test_sweep_builds_symbols_once_per_level(operator, monkeypatch):
         return weyl_row(Q, A)
 
     monkeypatch.setattr(arithmetic, "weyl_row", counted)
-    # the lambda sup keeps the MIN_MODULUS floor
-    M = multipliers.MIN_MODULUS if operator == "vr-sd" else 240
+    # the lambda sup keeps the MIN_MODULUS floor, and seqspace reads no M
+    M = {"vr-sd": "M = %d\n" % multipliers.MIN_MODULUS,
+         "maximal-arc": "M = 240\n"}.get(operator, "")
     counts = []
     for batch in (30, 60):
         calls.clear()
         cfg = parse_config("kind = sweep\noperator = %s\ns_max = 2\n"
-                           "batch = %d\nM = %d\n" % (operator, batch, M))
+                           "batch = %d\n%s" % (operator, batch, M))
         harness.sweep_norm_ratio(cfg, 1, 1)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
@@ -444,6 +445,17 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     # each seqspace interval seq_base*2^s must reach its level's floor
     ("sweep", "operator=seqspace seq_base=10", "modvar.harness.SmoothBump"),
     ("sweep", "operator=seqspace seq_base=0", "modvar.harness.SmoothBump"),
+    # a sweep key the chosen operator does not read is refused when set,
+    # even at its default value
+    *[("sweep", "operator=%s %s" % (op, setting),
+       "modvar.harness.SmoothBump")
+      for op in ("maximal-arc", "seqspace")
+      for setting in ("r=3", "J_list=2,3,5", "lam=1.5", "eps0=0.25",
+                      "rho0=0.125")],
+    ("sweep", "operator=maximal-arc J_list=9 r=50 rho0=7 s_max=1 seq_base=64",
+     "modvar.harness.SmoothBump"),
+    ("sweep", "operator=seqspace M=6720", "modvar.harness.SmoothBump"),
+    ("sweep", "operator=vr-sd seq_base=64", "modvar.harness.SmoothBump"),
 ])
 def test_config_ranges_refused_before_any_work(kind, setting, first_work,
                                                tmp_path, monkeypatch, capsys):
@@ -624,18 +636,44 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_cli_runs_without_importing_scipy(tmp_path):
-    # a fresh interpreter: the test process itself may have loaded scipy
+def _child_env(**extra):
+    """The environment of a fresh interpreter that imports this modvar."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env.pop("MODVAR_JOBS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # a fresh interpreter: the test process itself may have loaded scipy
     done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN,
-                           str(tmp_path)], env=env, capture_output=True,
-                          text=True, timeout=300)
+                           str(tmp_path)], env=_child_env(),
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert sorted(os.listdir(tmp_path)) == [
         "bump_check.json", "bump_profile.csv", "carleson.csv",
         "carleson.json"]
+
+
+def test_carleson_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # np.linalg.norm of a 1-d array longer than 10,000 entries runs BLAS
+    # dot, which splits its sum across the BLAS threads; the ratios of a
+    # 10,240-point size are taken with signalkit.l2, so one BLAS thread and
+    # two give the same bytes
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = subprocess.run(
+            [sys.executable, "-m", "modvar.cli", "carleson", "--set",
+             "sizes=10240", "--set", "theta_count=2", "--set", "n_cov=1",
+             "--seed", "5", "--out", str(out)],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outs.append({n: (out / n).read_bytes()
+                     for n in sorted(os.listdir(out))})
+    assert sorted(outs[0]) == ["carleson.csv", "carleson.json"]
+    assert outs[0] == outs[1]

@@ -81,7 +81,9 @@ def _complex_rows(draw, max_n, max_dim, part):
 @settings(max_examples=200)
 @given(_complex_rows(10, 4, _part), st.floats(1.0, 8.0, exclude_min=True))
 def test_batch_exact_and_brute_variation_agree(cols, r):
-    # vr_batch returns the r-th powers; the caller takes the root
+    # vr_batch takes anchored columns and returns the r-th powers; the
+    # caller takes the root
+    cols = cols - cols[0]
     got = vr_batch(cols, r) ** (1.0 / r)
     assert got.shape == (cols.shape[1],)
     want = vr_exact(list(cols.T), r)
@@ -101,6 +103,7 @@ def test_vector_variation_matches_dfs(rng):
 
 def test_vr_batch_matches_columnwise(rng):
     vals = rng.normal(size=(10, 7))
+    vals -= vals[0]     # anchored
     got = vr_batch(vals, 2.2)
     assert got.tolist() == pytest.approx(
         [v ** 2.2 for v in vr_exact(list(vals.T), 2.2)], rel=1e-12)
@@ -114,9 +117,52 @@ def test_vr_batch_column_blocks_keep_the_bytes(r):
     rng = np.random.default_rng(int(10 * r))
     cols = 3 * (variation.GAP_BLOCK // n) + 7
     vals = rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols))
+    vals -= vals[0]     # anchored
     got = vr_batch(vals, r)
     want = np.concatenate([vr_batch(vals[:, [c]], r) for c in range(cols)])
     assert got.tobytes() == want.tobytes()
+
+
+def _all_rows_vr_batch(vals, r):
+    """The DP over all n rows, the zero row included, as vr_batch ran
+    before it took anchored columns: each end's best chain is the max over
+    every earlier end of its chain plus the powered gap, and the answer is
+    the max over the ends.  The powers are taken on arrays, as vr_batch
+    takes them: numpy's scalar and vector pow may differ in the last bit."""
+    D = np.zeros(vals.shape)
+    for i in range(1, len(vals)):
+        D[i] = (D[:i] + np.abs(vals[i] - vals[:i]) ** r).max(axis=0)
+    return D.max(axis=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("r", [2.2, 3.0])
+def test_vr_batch_matches_nested_loop_dp_bit_for_bit(n, r):
+    # the links from the anchor, taken in one pass, and the DP over rows
+    # 1.. give the bytes of the DP over all rows, also on signed zeros,
+    # infinities and nans
+    rng = np.random.default_rng(n)
+    cols = 40
+    vals = rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols))
+    vals[0] = complex(-0.0, 0.0) if n % 2 else 0.0
+    if n > 1:
+        vals[1:, :4] = 0.0
+        vals[1:, 4:8] = complex(-0.0, -0.0)
+        vals[-1, 8] = complex(np.inf, 1.0)
+        vals[1, 9] = complex(np.nan, 0.0)
+        vals[n // 2 + 1:, 10] = complex(-np.inf, np.inf)
+    with np.errstate(invalid="ignore"):     # inf - inf
+        want = _all_rows_vr_batch(vals, r)
+        assert vr_batch(vals, r).tobytes() == want.tobytes()
+
+
+def test_vr_batch_refuses_unanchored_columns():
+    vals = np.zeros((3, 5), dtype=complex)
+    vals[0, 4] = 1e-300
+    with pytest.raises(DomainError, match="anchored"):
+        vr_batch(vals, 3.0)
+    with pytest.raises(DomainError, match="anchored"):
+        vr_batch(np.zeros((0, 5)), 3.0)
 
 
 def _bits(values):
