@@ -26,8 +26,7 @@ def modulated_weights(bump: SmoothBump, M: int, p: polykit.Poly) -> signalkit.Si
     M = int(M)
     if M < 1:
         raise DomainError("scale M must be a positive integer")
-    n = np.arange(M + 1)
-    w = scaled_weight(bump, M, n)
+    w = scaled_weight(bump, M)
     return signalkit.Signal(0, w * e(polykit.phase_range(p, 0, M + 1)))
 
 
@@ -55,7 +54,7 @@ def orbit_average(terms, bump: SmoothBump) -> complex:
     terms of orbit_terms at N."""
     chars, vals = terms
     N = len(chars) - 1
-    w = scaled_weight(bump, N, np.arange(N + 1)) * chars
+    w = scaled_weight(bump, N) * chars
     return complex(np.sum(w * vals))
 
 

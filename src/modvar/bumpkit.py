@@ -147,12 +147,13 @@ def _simpson(y, h):
     return float(total)
 
 
-def scaled_weight(bump: SmoothBump, N: int, n):
-    """phi_N(n) = phi(n/N) / N, vectorized in n."""
+def scaled_weight(bump: SmoothBump, N: int):
+    """phi_N(n) = phi(n/N) / N at n = 0..N, as an array (phi vanishes past
+    1, so phi_N is zero beyond N)."""
     N = int(N)
     if N < 1:
         raise DomainError("scale N must be a positive integer")
-    return bump(np.asarray(n, dtype=float) / N) / N
+    return bump(np.arange(N + 1, dtype=float) / N) / N
 
 
 class Kernel:

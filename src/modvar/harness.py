@@ -22,7 +22,7 @@ from . import arithmetic, averaging, polykit, systems, variation
 from . import multipliers
 from .bumpkit import SmoothBump, scaled_weight, make_psi_kernel, make_Psi
 from .bumpkit import ChiCutoff, export_profile_csv, psi_floor_index
-from .signalkit import CyclicSignal, Signal, l2, modulate, modulate_cyclic
+from .signalkit import Signal, l2, modulate, modulate_cyclic
 from .util import DomainError, GridTooCoarseError, e, stream
 
 # chi_s width constant for the decay probes: the default window at s <= 4 is
@@ -360,7 +360,7 @@ def theta_symbols(bump, L):
     the truncations _truncation_list(L): a read-only (K - 1, L) array,
     built once and shared by every theta_sup_variation call on a length."""
     return multipliers.kernel_transforms(
-        [(0, scaled_weight(bump, M, np.arange(M + 1)))
+        [(0, scaled_weight(bump, M))
          for M in _truncation_list(L)], L, anchored=True)
 
 
@@ -374,15 +374,14 @@ def theta_sup_variation(values, what, theta_count, r):
     place as a multipliers.ShiftedStack.  Returns the array
     sup_theta V^r_M(A f).
     """
-    f = CyclicSignal(values)
-    L = f.modulus
+    L = len(values)
     theta_count = int(theta_count)
     if L % theta_count:
         raise DomainError("theta grid %d must divide the length %d"
                           % (theta_count, L))
     step = L // theta_count
     return multipliers.vr_sup((multipliers.ShiftedStack(what, j * step)
-                               for j in range(theta_count)), f, r)
+                               for j in range(theta_count)), values, r)
 
 
 def _truncation_list(L):
@@ -442,8 +441,7 @@ def _run_bump_check(cfg, out, seed, jobs):
         }
     export_profile_csv(bump, os.path.join(out, "bump_profile.csv"))
     summary["ok"] = ok
-    _write_json(os.path.join(out, "bump_check.json"), summary)
-    return ok, summary
+    return {"bump_check": summary}
 
 
 def _run_weyl(cfg, out, seed, jobs):
@@ -468,17 +466,14 @@ def _run_weyl(cfg, out, seed, jobs):
     resid_above = float(np.max(np.asarray(fit.residuals)))
     fit_ok = (fit.exponent >= cfg.get("min_exponent")
               and resid_above <= math.log(cfg.get("envelope_slack")))
-    ok = gauss_ok and bound_ok and fit_ok
-    summary = {
+    return {"weyl": {
         "gauss": {"worst_abs_error": gauss_worst, "ok": gauss_ok},
         "bound": {"worst_excess": bound_worst, "ok": bound_ok},
         "fit": {"d": fit.d, "exponent": fit.exponent,
                 "constant": fit.constant, "max_residual_above": resid_above,
                 "ok": fit_ok},
-        "ok": ok,
-    }
-    _write_json(os.path.join(out, "weyl.json"), summary)
-    return ok, summary
+        "ok": gauss_ok and bound_ok and fit_ok,
+    }}
 
 
 def _run_variation(cfg, out, seed, jobs):
@@ -504,16 +499,13 @@ def _run_variation(cfg, out, seed, jobs):
     min_slack = min(slack for _held, slack in checks)
     violations = sum(not held for held, _slack in checks)
     jump_ok = violations == 0
-    ok = oracle_ok and jump_ok
-    summary = {
+    return {"variation": {
         "oracle": {"n": cfg.get("n_oracle"), "worst_error": worst,
                    "tol": tol, "ok": oracle_ok},
         "jump": {"n": cfg.get("n_jump"), "min_slack": min_slack,
                  "violations": violations, "ok": jump_ok},
-        "ok": ok,
-    }
-    _write_json(os.path.join(out, "variation.json"), summary)
-    return ok, summary
+        "ok": oracle_ok and jump_ok,
+    }}
 
 
 def _run_chaining(cfg, out, seed, jobs):
@@ -539,13 +531,11 @@ def _run_chaining(cfg, out, seed, jobs):
         failures = len(seqs)
     ok = (failures == 0 and worst_ratio <= 3.0 + 1e-9
           and worst_tel <= cfg.get("telescope_tol"))
-    summary = {
+    return {"chaining": {
         "n": cfg.get("n_inst"), "failures": failures,
         "worst_increment_ratio": worst_ratio,
         "worst_telescope": worst_tel, "ok": ok,
-    }
-    _write_json(os.path.join(out, "chaining.json"), summary)
-    return ok, summary
+    }}
 
 
 def _converge_poly_grid():
@@ -606,8 +596,7 @@ def _run_converge(cfg, out, seed, jobs):
     c_rough = abs(averaging.rough_average(sk) - e(y0))
     c_ok = c_res <= res_tol and c_rough <= pad
 
-    ok = a_ok and b_ok and c_ok
-    summary = {
+    return {"converge": {
         "scan": {"max_oscillation": osc_max, "max_top_abs": top_max,
                  "rough_top_abs": rough_max, "times": times, "ok": a_ok},
         "rotation": {"resonant_error": b_res, "generic_abs": abs(v_gen),
@@ -616,10 +605,8 @@ def _run_converge(cfg, out, seed, jobs):
                      "ok": b_ok},
         "skew": {"resonant_error": c_res, "rough_resonant_error": c_rough,
                  "tol": res_tol, "ok": c_ok},
-        "ok": ok,
-    }
-    _write_json(os.path.join(out, "converge.json"), summary)
-    return ok, summary
+        "ok": a_ok and b_ok and c_ok,
+    }}
 
 
 def _run_carleson(cfg, out, seed, jobs):
@@ -652,9 +639,8 @@ def _run_carleson(cfg, out, seed, jobs):
     shift = int(g.integers(1, cfg.get("theta_count")))
     what = theta_symbols(bump, L)
     a1 = theta_sup_variation(base, what, cfg.get("theta_count"), r)
-    modded = modulate_cyclic(CyclicSignal(base),
-                             shift * (L // cfg.get("theta_count")))
-    a2 = theta_sup_variation(modded.values, what, cfg.get("theta_count"), r)
+    modded = modulate_cyclic(base, shift * (L // cfg.get("theta_count")))
+    a2 = theta_sup_variation(modded, what, cfg.get("theta_count"), r)
     grid_dev = float(np.max(np.abs(a1 - a2)))
     grid_ok = grid_dev <= cfg.get("grid_exact_tol")
 
@@ -685,8 +671,7 @@ def _run_carleson(cfg, out, seed, jobs):
     size_ok = per_size[-1][0] <= cfg.get("size_slack") * per_size[0][0]
     env_ok = m_lo / m_hi <= cap
 
-    ok = cov_ok and grid_ok and size_ok and env_ok
-    summary = {
+    return {"carleson": {
         "covariance": {"worst": worst_cov, "tol": cfg.get("cov_tol"),
                        "ok": cov_ok},
         "grid_invariance": {"deviation": grid_dev, "ok": grid_ok},
@@ -696,10 +681,8 @@ def _run_carleson(cfg, out, seed, jobs):
                            "slack": cfg.get("size_slack"), "ok": size_ok},
         "r_envelope": {"mean_low": m_lo, "mean_high": m_hi,
                        "growth": m_lo / m_hi, "cap": cap, "ok": env_ok},
-        "ok": ok,
-    }
-    _write_json(os.path.join(out, "carleson.json"), summary)
-    return ok, summary
+        "ok": cov_ok and grid_ok and size_ok and env_ok,
+    }}
 
 
 def _run_multiplier(cfg, out, seed, jobs):
@@ -726,11 +709,10 @@ def _run_multiplier(cfg, out, seed, jobs):
                            for lv in lgrid])
 
         def draw_errors(draw):
-            f = CyclicSignal(_gauss(seed, 100 * s + draw, M))
+            f = _gauss(seed, 100 * s + draw, M)
             return tuple(
                 float(np.max(np.abs(multipliers.vr_sup(stacks, f, r)
-                                    - dense.variation_sup(want, f.values,
-                                                          r))))
+                                    - dense.variation_sup(want, f, r))))
                 for stacks, want in zip(built, oracle))
 
         for err_s, err_sd in _map_jobs(draw_errors, range(cfg.get("n_draw")),
@@ -746,10 +728,8 @@ def _run_multiplier(cfg, out, seed, jobs):
                      range(got.support_start, got.support_start + len(got)))
     errs["vrd"] = float(np.max(np.abs(got.values - want)))
 
-    ok = all(v <= tol for v in errs.values())
-    summary = {"errors": errs, "tol": tol, "M": M, "ok": ok}
-    _write_json(os.path.join(out, "multiplier.json"), summary)
-    return ok, summary
+    return {"multiplier": {"errors": errs, "tol": tol, "M": M,
+                           "ok": all(v <= tol for v in errs.values())}}
 
 
 # ---------------------------------------------------------------------------
@@ -762,19 +742,17 @@ def _nonincreasing_within_se(points):
                    for (m0, _x0, s0), (m1, _x1, s1) in zip(points, points[1:]))
 
 
-def sweep_norm_ratio(config, seed, jobs):
+def _run_sweep(cfg, out, seed, jobs):
     """Batched l2 norm-ratio sweep for one named operator.
 
-    Returns one record {operator, rows, points, checks, ok} per table the
-    run writes, the operator's own first; rows are the CSV layout of
-    ratio_table_csv.  The vr-sd run also returns the vr-s record: the same
-    operator at the arc centres lambda = A/Q alone, its stats reported and
-    nothing asserted.  Draws are paired across parameter points
-    (same signals per draw index) so the decay comparisons are
-    low-variance.  seed fixes the draws and jobs the worker threads; the
-    records do not depend on jobs.
+    Writes sweep_<table>.csv (the layout of ratio_table_csv) and returns
+    one payload {operator, points, checks, ok} per table, the operator's own
+    first.  The vr-sd run also writes the vr-s table: the same operator at
+    the arc centres lambda = A/Q alone, its stats reported and nothing
+    asserted.  Draws are paired across parameter points (same signals per
+    draw index) so the decay comparisons are low-variance.  seed fixes the
+    draws and jobs the worker threads; the tables do not depend on jobs.
     """
-    cfg = config
     kind = cfg.get("operator")
     tables = [kind] + (["vr-s"] if kind == "vr-sd" else [])
     batch = cfg.get("batch")
@@ -782,8 +760,7 @@ def sweep_norm_ratio(config, seed, jobs):
     M = cfg.get("M")
     bump = SmoothBump(cfg.get("eps0"))
     lam = cfg.get("lam")
-    rows = [[] for _ in tables]
-    points = [[] for _ in tables]
+    levels, stats = [], []      # per level: (s, r, size, batch), table stats
 
     J_list = list(cfg.get("J_list"))
     for s in range(cfg.get("s_min"), cfg.get("s_max") + 1):
@@ -801,8 +778,7 @@ def sweep_norm_ratio(config, seed, jobs):
             symbols = multipliers.arc_symbols(s, M, chi_a0=PROBE_CHI_A0)
 
             def ratios(v):
-                return (multipliers.maximal_arc_ratio(symbols,
-                                                      CyclicSignal(v)),)
+                return (multipliers.maximal_arc_ratio(symbols, v),)
         else:
             # quartered window schedule: level-s arc frequencies sit at
             # spacing >= Q^-2 ~ 4^-s, so radius rho0*4^(1-s) keeps distinct
@@ -818,44 +794,29 @@ def sweep_norm_ratio(config, seed, jobs):
             rest = [st for i, st in enumerate(stacks) if i % 3 != 1]
 
             def ratios(v):
-                f = CyclicSignal(v)
-                at_centres = multipliers.vr_sup(centres, f, r)
+                at_centres = multipliers.vr_sup(centres, v, r)
                 best = np.maximum(at_centres,
-                                  multipliers.vr_sup(rest, f, r))
-                return tuple(l2(g) / f.l2() for g in (best, at_centres))
+                                  multipliers.vr_sup(rest, v, r))
+                return tuple(l2(g) / l2(v) for g in (best, at_centres))
         vals = _map_jobs(lambda d: ratios(_gauss(seed, d, n)),
                          range(batch), jobs)
-        for table_rows, table_points, col in zip(rows, points, zip(*vals)):
-            stats = _stats(col)
-            table_points.append(stats)
-            table_rows.append((s, r if kind == "vr-sd" else 0.0, size,
-                               batch) + stats)
+        levels.append((s, r if kind == "vr-sd" else 0.0, size, batch))
+        stats.append([_stats(col) for col in zip(*vals)])
 
-    records = []
-    for name, table_rows, table_points in zip(tables, rows, points):
+    payloads = {}
+    for name, points in zip(tables, zip(*stats)):
+        stem = "sweep_" + name.replace("-", "_")
+        multipliers.ratio_table_csv(os.path.join(out, stem + ".csv"),
+                                    [lv + p for lv, p in zip(levels, points)])
         # only the operator's own table claims decay in s: the vr-s levels
         # are telescoping pieces with no per-level claim
-        checks = ({"nonincreasing_in_s":
-                   _nonincreasing_within_se(table_points)}
+        checks = ({"nonincreasing_in_s": _nonincreasing_within_se(points)}
                   if name == kind else {})
-        records.append({"operator": name, "rows": table_rows,
-                        "points": [{"mean": m, "max": x, "stderr": s}
-                                   for m, x, s in table_points],
-                        "checks": checks, "ok": all(checks.values())})
-    return records
-
-
-def _run_sweep(cfg, out, seed, jobs):
-    payloads = []
-    for record in sweep_norm_ratio(cfg, seed, jobs):
-        name = "sweep_%s" % record["operator"].replace("-", "_")
-        multipliers.ratio_table_csv(os.path.join(out, name + ".csv"),
-                                    record["rows"])
-        payloads.append({k: v for k, v in record.items() if k != "rows"})
-        _write_json(os.path.join(out, name + ".json"), payloads[-1])
-    # the summary is the operator's own record: the vr-s record of a vr-sd
-    # run asserts nothing
-    return payloads[0]["ok"], payloads[0]
+        payloads[stem] = {"operator": name, "checks": checks,
+                          "ok": all(checks.values()),
+                          "points": [{"mean": m, "max": x, "stderr": se}
+                                     for m, x, se in points]}
+    return payloads
 
 
 _RUNNERS = {
@@ -875,7 +836,9 @@ def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
 
     Configuration problems raise ConfigError (the CLI maps them to code 1),
     among them jobs (or MODVAR_JOBS) outside 1..os.cpu_count().  Result
-    files land in out_dir.
+    files land in out_dir: a runner writes its CSV tables and returns
+    {file stem: payload}, its summary first, and this is the one writer of
+    each <stem>.json.  The summary's ok is the run's verdict.
     """
     if config.kind not in _RUNNERS:
         raise ConfigError("unknown experiment kind %r" % (config.kind,))
@@ -890,7 +853,11 @@ def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
         raise ConfigError("jobs %d exceeds the %d CPUs of this host"
                           % (jobs, cpus))
     os.makedirs(out_dir, exist_ok=True)
-    ok, summary = _RUNNERS[config.kind](config, out_dir, int(seed), jobs)
+    payloads = _RUNNERS[config.kind](config, out_dir, int(seed), jobs)
+    for stem, payload in payloads.items():
+        _write_json(os.path.join(out_dir, stem + ".json"), payload)
+    summary = next(iter(payloads.values()))
+    ok = summary["ok"]
     flat = {k: v for k, v in summary.items() if not isinstance(v, dict)}
     print("[%s] %s %s" % (config.kind, "ok" if ok else "FAIL",
                           json.dumps(flat, sort_keys=True,

@@ -56,7 +56,7 @@ import numpy as np
 from . import arithmetic, polykit, variation
 from .bumpkit import DEFAULT_A0, ChiCutoff, SmoothBump, make_Psi, \
     psi_floor_index
-from .signalkit import CyclicSignal, Signal, l2
+from .signalkit import Signal, l2
 from .util import DomainError, GridTooCoarseError, e, torus_signed, write_csv
 
 S_CAP = 4
@@ -281,9 +281,11 @@ def lambda_grid_for(s: int, d: int):
 
 
 def _check_grid(M, f):
-    if M != f.modulus:
-        raise DomainError("signal modulus %d != symbol grid %d"
-                          % (f.modulus, M))
+    """The one check of a signal f on Z/M: a nonempty 1-d array of M
+    values."""
+    if M < 1 or np.shape(f) != (M,):
+        raise DomainError("signal of shape %s is not on the symbol grid %d"
+                          % (np.shape(f), M))
 
 
 def arc_symbols(s: int, M: int, chi_a0=DEFAULT_A0) -> np.ndarray:
@@ -295,16 +297,16 @@ def arc_symbols(s: int, M: int, chi_a0=DEFAULT_A0) -> np.ndarray:
 
 
 def maximal_arc_ratio(symbols, f) -> float:
-    """l2 ratio of the arc-maximal function against f.
+    """l2 ratio of the arc-maximal function against the signal f on Z/M.
 
     Each row of symbols (from arc_symbols) filters f; the sup of |g| over
     the rows is measured in l2 and normalized by ||f||_2.
     """
     _check_grid(symbols.shape[-1], f)
-    norm = f.l2()
+    norm = l2(f)
     if norm == 0.0:
         return 0.0
-    g = np.fft.ifft(symbols * np.fft.fft(f.values), axis=1)
+    g = np.fft.ifft(symbols * np.fft.fft(f), axis=1)
     return l2(np.abs(g).max(axis=0)) / norm
 
 
@@ -363,17 +365,14 @@ def seqspace_ratio(level, c) -> float:
     for srow, idx, chars in arcs:
         F = np.zeros(length, dtype=complex)
         for w, i, char in zip(srow, idx, chars):
-            coeff = c[i] * w
-            if coeff == 0.0:
-                continue
-            F += coeff * char
+            F += c[i] * w * char
         np.maximum(best, np.abs(F), out=best)
     return l2(best) / (math.sqrt(length) * cnorm)
 
 
 def vr_sup(stacks, f, r) -> np.ndarray:
     """Pointwise sup over the stacks of the r-variation across the rows of
-    each stack applied to f.
+    each stack applied to the signal f on Z/M, as a 1-d array.
 
     stacks is any iterable (a generator too) of anchored stacks of n rows:
     SupportStacks, whose values times f's transform fill rows 1.. of a
@@ -383,8 +382,9 @@ def vr_sup(stacks, f, r) -> np.ndarray:
     row count.  A one-row stack has variation 0.  The max is kept on the
     r-th powers and the call takes one 1/r root.
     """
-    fhat = np.fft.fft(f.values)
-    M = f.modulus
+    _check_grid(np.size(f), f)      # a nonempty 1-d array, stacks or none
+    fhat = np.fft.fft(f)
+    M = len(f)
     best = np.zeros(M)
     spec = None
     for stack in stacks:
@@ -421,7 +421,7 @@ def vrd_operator(f: Signal, bump: SmoothBump, lam, P_grid, k_list, r) -> Signal:
     kernels = [make_Psi(bump, lam, k).at_integers() for k in k_list]
     n0_max, vals_max = kernels[-1]
     M = len(f) + len(vals_max) - 1
-    padded = CyclicSignal(np.pad(f.values, (0, M - len(f))))
+    padded = np.pad(f.values, (0, M - len(f)))
     stacks = (ShiftedStack(kernel_transforms(
         [(n0 - n0_max, vals * e(polykit.phase_range(p, n0, len(vals))))
          for n0, vals in kernels], M, anchored=True), 0) for p in polys)

@@ -52,13 +52,6 @@ class Poly:
             if not math.isfinite(c):
                 raise DomainError("coefficients must be finite")
 
-    @property
-    def degree(self):
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[j] != 0.0:
-                return j
-        return 0
-
     @staticmethod
     def linear(theta):
         return Poly((0.0, theta), "linear")

@@ -1,5 +1,6 @@
 """Finite complex signals on Z and Z/M: DFT conventions, l2 norms,
-modulation and convolution.
+modulation and convolution.  A signal on Z is a Signal (its values and the
+start of its support); a signal on Z/M is a plain 1-d array of M values.
 
 Conventions fixed here and used everywhere else:
 
@@ -44,28 +45,6 @@ class Signal:
     def __len__(self):
         return len(self.values)
 
-    def l2(self):
-        return l2(self.values)
-
-
-class CyclicSignal:
-    """Complex signal on Z/M."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=complex)
-        if self.values.ndim != 1 or len(self.values) == 0:
-            raise DomainError("cyclic signal needs a nonempty 1-d value array")
-
-    @property
-    def modulus(self):
-        return len(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def l2(self):
-        return l2(self.values)
-
 
 def modulate(f: Signal, theta) -> Signal:
     """Pointwise multiplication by e(n * theta)."""
@@ -74,11 +53,12 @@ def modulate(f: Signal, theta) -> Signal:
     return Signal(f.support_start, f.values * e(ph))
 
 
-def modulate_cyclic(f: CyclicSignal, b: int) -> CyclicSignal:
-    """Multiplication by e(n * b / M) on Z/M (an exact grid frequency)."""
-    M = f.modulus
+def modulate_cyclic(f, b: int) -> np.ndarray:
+    """Multiplication of the signal f on Z/M, a 1-d array, by e(n * b / M)
+    (an exact grid frequency)."""
+    M = len(f)
     ph = (np.arange(M, dtype=np.int64) * (int(b) % M)) % M
-    return CyclicSignal(f.values * e(ph / M))
+    return f * e(ph / M)
 
 
 def convolve(f: Signal, k: Signal) -> Signal:

@@ -62,14 +62,16 @@ class ZShift:
         return int(omega) + int(n0) + np.arange(int(N), dtype=np.int64)
 
 
-class CircleRotation:
-    """x -> x + alpha mod 1."""
+class _Angled:
+    """A system moved by one angle, stored as alpha_scaled = alpha * 2^120:
+    set as a float alpha, as the 120-bit integer scaled, or else the class's
+    DEFAULT_ANGLE."""
 
     def __init__(self, alpha=None, scaled=None):
         if scaled is not None:
             self.alpha_scaled = int(scaled) % SCALE
         elif alpha is None:
-            self.alpha_scaled = ALPHA_ROTATION
+            self.alpha_scaled = self.DEFAULT_ANGLE
         else:
             self.alpha_scaled = _to_scaled(alpha)
 
@@ -78,28 +80,24 @@ class CircleRotation:
         """Nearest-float image of the stored angle."""
         return self.alpha_scaled / SCALE
 
+
+class CircleRotation(_Angled):
+    """x -> x + alpha mod 1."""
+
+    DEFAULT_ANGLE = ALPHA_ROTATION
+
     def orbit_array(self, omega, n0, N):
         return polykit._mod1_range([_to_scaled(omega), self.alpha_scaled],
                                    PREC_BITS, n0, N)
 
 
-class SkewProduct:
+class SkewProduct(_Angled):
     """(x, y) -> (x + alpha, y + 2x + alpha) on the 2-torus.
 
     Second coordinate of T^n: y + 2 n x + n^2 alpha (exact formula).
     """
 
-    def __init__(self, alpha=None, scaled=None):
-        if scaled is not None:
-            self.alpha_scaled = int(scaled) % SCALE
-        elif alpha is None:
-            self.alpha_scaled = ALPHA_SKEW
-        else:
-            self.alpha_scaled = _to_scaled(alpha)
-
-    @property
-    def alpha(self):
-        return self.alpha_scaled / SCALE
+    DEFAULT_ANGLE = ALPHA_SKEW
 
     def orbit_array(self, omega, n0, N):
         x, y = omega
@@ -150,8 +148,7 @@ def ww_scan(sys, f, omega, P_grid, N_grid, bump: SmoothBump) -> ScanTable:
         raise DomainError("empty time grid")
     n_max = max(times)
     track = np.asarray(f(sys.orbit_array(omega, 0, n_max + 1)), dtype=complex)
-    m_all = np.arange(n_max + 1)
-    weights = {N: scaled_weight(bump, N, m_all[: N + 1]) for N in times}
+    weights = {N: scaled_weight(bump, N) for N in times}
     values, rough = {}, {}
     for i, p in enumerate(polys):
         chars = e(polykit.phase_range(p, 0, n_max + 1))

@@ -44,18 +44,10 @@ def stream(seed: int, draw: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, draw]))
 
 
-def format_float(x) -> str:
-    """Canonical 17-significant-digit text form used in all CSV output."""
-    if isinstance(x, complex) or isinstance(x, np.complexfloating):
-        return "%.17g%+.17gj" % (x.real, x.imag)
-    return "%.17g" % x
-
-
 def write_csv(path, header, rows):
     """Deterministic CSV writer: fixed header, '%.17g' floats, '\\n' endings."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_float(v) if isinstance(v, (
-                float, np.floating, complex, np.complexfloating)) else str(v)
-                for v in row) + "\n")
+            fh.write(",".join("%.17g" % v if isinstance(v, (
+                float, np.floating)) else str(v) for v in row) + "\n")

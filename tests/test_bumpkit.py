@@ -47,9 +47,12 @@ def test_bump_derivative_bounds_up_to_order_four(eps0):
 
 
 def test_scaled_weight_values(bump):
-    assert scaled_weight(bump, 100, 150) == 0.0
-    assert scaled_weight(bump, 100, 50) == pytest.approx(0.01)
-    total = sum(scaled_weight(bump, 1000, n) for n in range(0, 2001))
+    w = scaled_weight(bump, 100)
+    assert len(w) == 101
+    assert w[50] == pytest.approx(0.01)
+    # phi vanishes past 1, so phi_N(n) = 0 for every n > N
+    assert bump(1.5) == 0.0
+    total = sum(scaled_weight(bump, 1000))
     assert abs(total - 1.0) <= 0.25 + 10.0 / 1000
 
 

@@ -149,6 +149,52 @@ def test_cli_reproducible_outputs(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# every kind at a small config: the exact files it writes to --out, and
+# the stem of its summary, the first payload, whose ok the status line reads
+_SMALL_RUNS = [
+    (["bump-check", "kmax=2", "samples=64"], "bump_check",
+     ["bump_check.json", "bump_profile.csv"]),
+    (["weyl", "gauss_qmax=9", "bound_qmax=10", "fit_d=2", "fit_qmax=30"],
+     "weyl", ["weyl.json", "weyl_decay.csv"]),
+    (["variation", "n_oracle=20", "max_len=6", "n_jump=20", "jump_len=8"],
+     "variation", ["variation.json"]),
+    (["chaining", "n_inst=8", "max_times=6"], "chaining", ["chaining.json"]),
+    (["converge", "n_top=65537"], "converge",
+     ["converge.json", "converge_scan.csv"]),
+    (["carleson", "n_cov=5", "theta_count=8", "sizes=1024"], "carleson",
+     ["carleson.csv", "carleson.json"]),
+    (["multiplier", "s_list=1", "n_draw=1"], "multiplier",
+     ["multiplier.json"]),
+    (["sweep", "operator=maximal-arc", "s_max=1"], "sweep_maximal_arc",
+     ["sweep_maximal_arc.csv", "sweep_maximal_arc.json"]),
+    (["sweep", "operator=seqspace", "s_max=1"], "sweep_seqspace",
+     ["sweep_seqspace.csv", "sweep_seqspace.json"]),
+    # the vr-sd run writes the vr-s table too, and no sweep.json
+    (["sweep", "operator=vr-sd", "s_max=1"], "sweep_vr_sd",
+     ["sweep_vr_s.csv", "sweep_vr_s.json", "sweep_vr_sd.csv",
+      "sweep_vr_sd.json"]),
+]
+
+
+@pytest.mark.parametrize("run, summary, names", _SMALL_RUNS,
+                         ids=[" ".join(r[0][:2]) for r in _SMALL_RUNS])
+def test_each_kind_writes_exactly_its_files(run, summary, names, tmp_path,
+                                            capsys):
+    argv = [run[0], "--seed", "3", "--out", str(tmp_path)]
+    for item in run[1:]:
+        argv += ["--set", item]
+    rc = cli.main(argv)
+    assert rc in (0, 2)
+    assert sorted(os.listdir(tmp_path)) == names
+    payload = json.loads((tmp_path / (summary + ".json")).read_text())
+    kind, verdict, flat = capsys.readouterr().out.splitlines()[-1].split(
+        " ", 2)
+    assert (kind, verdict) == ("[%s]" % run[0], "ok" if rc == 0 else "FAIL")
+    assert payload["ok"] is (rc == 0)
+    assert json.loads(flat) == {k: v for k, v in payload.items()
+                                if not isinstance(v, dict)}
+
+
 @pytest.mark.parametrize("argv, digests", [
     (["chaining", "--set", "n_inst=300", "--seed", "2026"],
      {"chaining.json": "ecb4847e7a11b4854bb0d42aa676e4cc"
@@ -233,7 +279,7 @@ def test_jobs_above_cpu_count_refused_before_any_work(tmp_path, monkeypatch,
 
     def runner(cfg, out, seed, jobs):
         ran.append(jobs)
-        return True, {}
+        return {"carleson": {"ok": True}}
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
     monkeypatch.setitem(harness._RUNNERS, "carleson", runner)
@@ -276,7 +322,8 @@ def test_summary_line_prints_json_booleans(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("operator", harness.SWEEP_OPERATORS)
-def test_sweep_level_range_checked_before_any_draw(operator, monkeypatch):
+def test_sweep_level_range_checked_before_any_draw(operator, monkeypatch,
+                                                   tmp_path):
     def draw(*args, **kwargs):
         raise AssertionError("a draw ran before the level check")
 
@@ -285,11 +332,12 @@ def test_sweep_level_range_checked_before_any_draw(operator, monkeypatch):
         with pytest.raises(ConfigError, match="s_min <= s_max"):
             cfg = parse_config("kind = sweep\noperator = %s\ns_min = %d\n"
                                "s_max = %d\n" % (operator, s_min, s_max))
-            harness.sweep_norm_ratio(cfg, 1, 1)
+            harness.run(cfg, out_dir=str(tmp_path))
 
 
 @pytest.mark.parametrize("operator", harness.SWEEP_OPERATORS)
-def test_sweep_builds_symbols_once_per_level(operator, monkeypatch):
+def test_sweep_builds_symbols_once_per_level(operator, monkeypatch,
+                                             tmp_path):
     # no symbol depends on the draw, so the Weyl rows behind the symbols
     # are computed per level: their count must not grow with the batch
     calls = []
@@ -308,7 +356,7 @@ def test_sweep_builds_symbols_once_per_level(operator, monkeypatch):
         calls.clear()
         cfg = parse_config("kind = sweep\noperator = %s\ns_max = 2\n"
                            "batch = %d\n%s" % (operator, batch, M))
-        harness.sweep_norm_ratio(cfg, 1, 1)
+        harness.run(cfg, out_dir=str(tmp_path), seed=1)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -493,7 +541,7 @@ def test_theta_sup_variation_runs_in_a_fixed_working_set():
     assert peak <= 3 * K * L * 16
 
 
-def test_variation_operators_pass_vr_batch_every_row(monkeypatch):
+def test_variation_operators_pass_vr_batch_every_row(monkeypatch, tmp_path):
     # the stacks are anchored, but carleson's theta sup and the vr-sd apply
     # still hand variation.vr_batch the full n-row matrix, the zero row
     # included, so a count of DP cells taken from its argument sees all of
@@ -515,7 +563,7 @@ def test_variation_operators_pass_vr_batch_every_row(monkeypatch):
     shapes.clear()
     cfg = parse_config("", kind="sweep",
                        overrides={"operator": "vr-sd", "s_max": "1"})
-    harness.sweep_norm_ratio(cfg, 5, 1)
+    harness.run(cfg, out_dir=str(tmp_path), seed=5)
     n_stacks = len(multipliers.lambda_grid_for(1, 2))
     assert shapes == ([(len(cfg.get("J_list")), cfg.get("M"))]
                       * n_stacks * cfg.get("batch"))

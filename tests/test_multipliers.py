@@ -29,7 +29,7 @@ from modvar.multipliers import (
     vr_sup,
     vrd_operator,
 )
-from modvar.signalkit import CyclicSignal, Signal
+from modvar.signalkit import Signal, l2
 from modvar.util import DomainError, GridTooCoarseError, e, torus_signed
 
 import oracles
@@ -51,7 +51,7 @@ def _anchored(rows):
 
 
 def test_maximal_arc_ratio_zero_signal():
-    f = CyclicSignal(np.zeros(256, dtype=complex))
+    f = np.zeros(256, dtype=complex)
     assert maximal_arc_ratio(arc_symbols(1, 256), f) == 0.0
 
 
@@ -60,13 +60,35 @@ def test_maximal_arc_ratio_checks_the_grid_before_the_norm():
     symbols = arc_symbols(1, 256)
     for vals in (np.zeros(128, dtype=complex), np.ones(128, dtype=complex)):
         with pytest.raises(DomainError, match="symbol grid"):
-            maximal_arc_ratio(symbols, CyclicSignal(vals))
+            maximal_arc_ratio(symbols, vals)
+
+
+_OFF_GRID = {"2-d": np.ones((256, 2), dtype=complex),
+             "empty": np.zeros(0, dtype=complex),
+             "wrong length": np.ones(128, dtype=complex)}
+
+
+@pytest.mark.parametrize("case", sorted(_OFF_GRID))
+def test_signals_on_z_mod_m_are_1d_arrays_on_the_grid(case):
+    # a signal on Z/M is a plain array: vr_sup and maximal_arc_ratio refuse
+    # a 2-d or empty one, and one whose length is not the symbols' modulus
+    f = _OFF_GRID[case]
+    j0 = psi_floor_index(1)
+    stacks = build_arc_multiplier(1, [j0, j0 + 1], [(0.0,)], 256, BUMP)
+    with pytest.raises(DomainError, match="symbol grid"):
+        maximal_arc_ratio(arc_symbols(1, 256), f)
+    for given in (stacks, [ShiftedStack(_dense(stacks[0]), 0)]):
+        with pytest.raises(DomainError, match="symbol grid"):
+            vr_sup(given, f, 2.5)
+    if case != "wrong length":      # with no stack there is no grid to miss
+        with pytest.raises(DomainError, match="symbol grid"):
+            vr_sup([], f, 2.5)
 
 
 def test_maximal_arc_ratio_point_mass_near_one():
     vals = np.zeros(512, dtype=complex)
     vals[0] = 1.0
-    ratio = maximal_arc_ratio(arc_symbols(1, 512), CyclicSignal(vals))
+    ratio = maximal_arc_ratio(arc_symbols(1, 512), vals)
     assert ratio <= 1.0 + 1e-12
     assert ratio > 0.9
 
@@ -75,11 +97,11 @@ def test_maximal_arc_ratio_level_one_is_plain_window():
     # level 1 has the single arc at frequency 0 with unit weight, so the
     # operator reduces to the chi window filter
     rng = np.random.default_rng(7)
-    f = CyclicSignal(rng.normal(size=512) + 1j * rng.normal(size=512))
+    f = rng.normal(size=512) + 1j * rng.normal(size=512)
     chi = ChiCutoff(1)
-    fhat = np.fft.fft(f.values)
+    fhat = np.fft.fft(f)
     g = np.fft.ifft(chi(np.arange(512) / 512) * fhat)
-    want = float(np.linalg.norm(np.abs(g)) / f.l2())
+    want = float(np.linalg.norm(np.abs(g)) / l2(f))
     assert maximal_arc_ratio(arc_symbols(1, 512), f) == pytest.approx(
         want, abs=1e-12)
 
@@ -89,7 +111,7 @@ def test_maximal_arc_ratio_tone_outside_all_windows():
     # 5/6 sits farther than 2 * radius from each, so the output vanishes
     M = 4096
     b = round(5 * M / 6)
-    f = CyclicSignal(e(np.arange(M) * b / M))
+    f = e(np.arange(M) * b / M)
     assert maximal_arc_ratio(arc_symbols(2, M, chi_a0=0.1), f) < 1e-10
 
 
@@ -100,7 +122,7 @@ def test_maximal_arc_ratio_rejects_bad_level():
         arc_symbols(5, 64)
     with pytest.raises(DomainError):       # symbols built for another grid
         maximal_arc_ratio(arc_symbols(1, 128),
-                          CyclicSignal(np.ones(64, dtype=complex)))
+                          np.ones(64, dtype=complex))
 
 
 def test_seqspace_freqs_level_two():
@@ -178,13 +200,13 @@ def test_arc_multiplier_apply_parseval():
     # the one anchored row: the multiplier at j0 + 2 minus the one at j0
     stacks = build_arc_multiplier(1, [j0, j0 + 2], [(0.0,)], 512, BUMP)
     mult = _dense(stacks[0])[0]
-    f = CyclicSignal(rng.normal(size=512) + 1j * rng.normal(size=512))
-    g = CyclicSignal(np.fft.ifft(mult * np.fft.fft(f.values)))
-    assert g.l2() <= np.max(np.abs(mult)) * f.l2() * (1 + 1e-12)
+    f = rng.normal(size=512) + 1j * rng.normal(size=512)
+    g = np.fft.ifft(mult * np.fft.fft(f))
+    assert l2(g) <= np.max(np.abs(mult)) * l2(f) * (1 + 1e-12)
     # both stack forms refuse a signal on another grid
     for stack in (ShiftedStack(mult[None, :], 0), stacks[0]):
         with pytest.raises(DomainError):
-            vr_sup([stack], CyclicSignal(np.ones(256, dtype=complex)), 2.5)
+            vr_sup([stack], np.ones(256, dtype=complex), 2.5)
 
 
 @pytest.mark.parametrize("shift", [0, 700, 1023])
@@ -195,8 +217,8 @@ def test_shifted_stack_is_the_rolled_stack_bit_for_bit(shift):
     rng = np.random.default_rng(shift)
     rows = rng.normal(size=(5, 1024)) + 1j * rng.normal(size=(5, 1024))
     values = _anchored(rows)
-    f = CyclicSignal(rng.normal(size=1024) + 1j * rng.normal(size=1024))
-    rolled = np.roll(values, -shift, axis=1) * np.fft.fft(f.values)
+    f = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+    rolled = np.roll(values, -shift, axis=1) * np.fft.fft(f)
     spec = np.zeros_like(rows)
     spec[1:] = np.fft.ifft(rolled, axis=1)
     want = variation.vr_batch(spec, 3.0) ** (1.0 / 3.0)
@@ -235,8 +257,8 @@ def test_vr_sup_on_anchored_stacks_matches_the_exact_oracle(data):
     drawn = data.draw(st.lists(_anchored_stack(M), min_size=1, max_size=4))
     cases = drawn + [one_row]
     rng = np.random.default_rng(M)
-    f = CyclicSignal(rng.normal(size=M) + 1j * rng.normal(size=M))
-    fhat = np.fft.fft(f.values)
+    f = rng.normal(size=M) + 1j * rng.normal(size=M)
+    fhat = np.fft.fft(f)
     want = np.zeros(M)
     for _stack, held in cases:
         cols = np.fft.ifft(held * fhat, axis=1)
@@ -362,12 +384,12 @@ def test_vr_s_operator_trivial_cases():
     rng = np.random.default_rng(3)
     j0 = psi_floor_index(1)
     centres = lambda_grid_for(1, 2)[1::3]
-    f = CyclicSignal(rng.normal(size=256) + 0j)
+    f = rng.normal(size=256) + 0j
     single = vr_sup(build_arc_multiplier(1, [j0], centres, 256, BUMP),
                     f, 2.5)
     assert np.max(single) == 0.0              # one scale has no variation
     zero = vr_sup(build_arc_multiplier(1, [j0, j0 + 1], centres, 256, BUMP),
-                  CyclicSignal(np.zeros(256, dtype=complex)), 2.5)
+                  np.zeros(256, dtype=complex), 2.5)
     assert np.max(zero) == 0.0
     for s, J_list in ((1, [j0 + 1, j0]), (1, [j0 - 1, j0]), (1, []),
                       (0, [j0, j0 + 1]), (5, [j0, j0 + 1])):
@@ -377,7 +399,7 @@ def test_vr_s_operator_trivial_cases():
 
 def test_vr_sd_operator_far_grid_vanishes():
     rng = np.random.default_rng(5)
-    f = CyclicSignal(rng.normal(size=512) + 0j)
+    f = rng.normal(size=512) + 0j
     j0 = psi_floor_index(1)
     far = build_arc_multiplier(1, [j0, j0 + 1, j0 + 2], [(0.5,)], 512, BUMP)
     assert np.max(vr_sup(far, f, 2.5)) == 0.0

@@ -44,10 +44,6 @@ ALLOWED = {
                                         "the two-point case and the "
                                         "4096-long memory case stay small",
     "torus_dist(y)": "tests measure distances between two phases",
-    "CircleRotation(alpha)": "tests set the angle of the rotation",
-    "CircleRotation(scaled)": "tests set the 120-bit angle directly",
-    "SkewProduct(alpha)": "tests set the angle of the skew product",
-    "SkewProduct(scaled)": "tests set the 120-bit angle directly",
     "obs_const(c)": "tests use constant observables other than 1",
 }
 
