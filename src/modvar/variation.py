@@ -34,15 +34,15 @@ cover is a centre mask and a parent time per (sequence, level) row, and a
 block is one loop over its times on all its rows, so beside its gaps it
 holds a few (rows, n) arrays.
 
-Every l2 gap of the DPs and the cover comes from ``_gaps``: one n x n gap
-matrix per sequence, or one (n, n, B) tensor per block of B sequences of
-one dim, built with the axis path of np.linalg.norm; the DPs, the nets,
-the parent links and the cover checks index it.  vr_brute computes its own
-gaps with the same formula.  A gap matrix holds 8 n^2 bytes, so every
-function that builds one refuses sequences longer than MAX_DP_LENGTH.  The
-squares inside norm underflow for gaps below about 1e-154 (vr_batch, on
-np.abs, does not); this is left as is because switching to np.abs would
-move output bytes.
+Every l2 gap of the DPs and the cover comes from one kernel, ``_gaps``:
+one n x n gap matrix per sequence, or one (n, n, B) tensor per block of B
+sequences, summed from squared differences of real planes with correctly
+rounded operations only, so its bits do not depend on numpy's SIMD
+dispatch and a zero-padded dim adds exact zeros.  vr_brute roots its own
+sums over dims of re * re + im * im.  A gap matrix holds 8 n^2 bytes, so
+every function that builds one refuses sequences longer than MAX_DP_LENGTH.
+The squares underflow for gaps below about 1e-154, in the DPs and vr_brute
+alike; vr_batch, on np.abs, does not.
 """
 
 from __future__ import annotations
@@ -78,24 +78,30 @@ def _check_r(r):
     return r
 
 
-def _gaps(vals, out=None):
+def _gaps(vals):
     """The l2 gaps |vals[i] - vals[j]| of a value matrix (n, dim), shape
-    (n, n), or of a stack of B value matrices (n, B, dim), shape (n, n, B);
-    written into out if given.
+    (n, n), or of a stack of B value matrices (n, B, dim), shape (n, n, B).
 
-    Row i equals np.linalg.norm(vals[i] - vals, axis=-1) bit for bit.  Rows
-    are built in blocks of at most GAP_BLOCK difference entries, so the
-    transient stays small next to the gaps themselves.
+    Per block of rows of at most GAP_BLOCK difference entries, t * t of the
+    differences t of each real plane re_0, im_0, re_1, ... is added in that
+    order into a zeroed G, and one sqrt takes the roots: correctly rounded
+    steps only, and a member's zero-padded dims add exact zeros.
     """
     n = len(vals)
     if n > MAX_DP_LENGTH:
         raise DomainError("sequence longer than %d; split the call" % MAX_DP_LENGTH)
-    G = np.empty((n,) + vals.shape[:-1]) if out is None else out
-    step = max(1, GAP_BLOCK // max(1, vals.size))
+    # complex as float pairs: the last axis reads re_0, im_0, re_1, ...
+    planes = np.moveaxis(np.ascontiguousarray(vals).view(float), -1, 0).copy()
+    G = np.zeros((n,) + vals.shape[:-1])
+    step = max(1, GAP_BLOCK // max(1, G[:1].size))
+    t = np.empty((min(step, n),) + G.shape[1:])
     for a in range(0, n, step):
-        G[a:a + step] = np.linalg.norm(vals[a:a + step, None] - vals[None],
-                                       axis=-1)
-    return G
+        blk = G[a:a + step]
+        tb = t[:len(blk)]
+        for p in planes:
+            np.subtract(p[a:a + step, None], p[None], out=tb)
+            blk += np.multiply(tb, tb, out=tb)
+    return np.sqrt(G, out=G)
 
 
 def _blocks(seqs, cost, key=np.shape):
@@ -206,7 +212,8 @@ def vr_brute(seqs, r) -> list:
         if n > MAX_BRUTE_LENGTH:
             raise DomainError("brute-force variation refuses length %d > %d"
                               % (n, MAX_BRUTE_LENGTH))
-        dist_pow = np.linalg.norm(vals[:, None] - vals[None], axis=-1) ** r
+        d = vals[:, None] - vals[None]
+        dist_pow = np.sqrt((d.real * d.real + d.imag * d.imag).sum(-1)) ** r
         sums = np.zeros((1 << n, len(idx)))
         top = np.zeros(1 << n, dtype=int)    # top[m]: the top index of mask m
         for h in range(n):
@@ -282,16 +289,6 @@ class ChainingCover(NamedTuple):
     parent: tuple
 
 
-def _length_gaps(dims, vals):
-    """The gaps (B, n, n) of a block of _blocks(key=len): each run of one
-    dim gets _gaps of its own entries of the zero-padded vals."""
-    G = np.empty((len(vals),) + vals.shape[:-1])
-    for d in sorted(set(dims)):
-        run = slice(dims.index(d), len(dims) - dims[::-1].index(d))
-        _gaps(vals[:, run, :d], out=G[:, :, run])
-    return G.transpose(2, 0, 1)
-
-
 def _cover_blocks(cover, seqs):
     """Per block: (dims, vals, member, levels, below, centres, parent), with
     member[r] row r's sequence in the block and below[r] whether row r - 1
@@ -315,10 +312,10 @@ def build_chaining_cover(seqs, resolution=COVER_RESOLUTION) -> ChainingCover:
     the parent of the finer rows' points it is the first centre near.
     """
     seq, levels, centres, parent = [], [], [], []
-    for idx, dims, vals in _blocks(seqs, lambda n: n * n, key=len):
+    for idx, _dims, vals in _blocks(seqs, lambda n: n * n, key=len):
         if not np.isfinite(vals).all():
             raise DomainError("cannot cover non-finite values")
-        G = _length_gaps(dims, vals)
+        G = _gaps(vals).transpose(2, 0, 1)
         diam = G.max(axis=(1, 2)).tolist()  # a constant sequence: one net
         lo = [math.floor(-math.log2(d)) if d else 0 for d in diam]
         hi = [max(a, math.floor(-math.log2(resolution * d))) if d else 0
@@ -352,9 +349,9 @@ def verify_cover(cover: ChainingCover, seqs):
     exist, live one level up, and sit within 3 * 2^-v.
     """
     worst = 0.0
-    for dims, vals, member, lev, below, mask, par in _cover_blocks(cover,
-                                                                  seqs):
-        G = _length_gaps(dims, vals)
+    for _dims, vals, member, lev, below, mask, par in _cover_blocks(cover,
+                                                                   seqs):
+        G = _gaps(vals).transpose(2, 0, 1)
         rad = np.ldexp(1.0, -lev)
         near = np.full(mask.shape, np.inf)      # gap to the nearest centre
         for t in range(len(vals)):

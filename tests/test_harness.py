@@ -19,6 +19,8 @@ from modvar.bumpkit import SmoothBump
 from modvar.harness import SCHEMAS, ConfigError, default_config, parse_config
 from modvar.util import GridTooCoarseError
 
+from test_variation import VARIATION_PIN
+
 
 def test_parse_config_round_trip():
     cfg = parse_config("kind = variation\nn_oracle = 10\nmax_len = 6\n")
@@ -195,23 +197,30 @@ def test_each_kind_writes_exactly_its_files(run, summary, names, tmp_path,
                                 if not isinstance(v, dict)}
 
 
-@pytest.mark.parametrize("argv, digests", [
+# the bytes that the one-cover-per-call chaining code and the per-(P, N)
+# scan weights of commit 6da8ceb wrote.  The chaining pins hold down to
+# numpy's X86_V2 dispatch: the cover's gaps take correctly rounded steps
+# only, and the seed-20260819 digest is what the earlier norm-based gaps
+# wrote at X86_V2.  The converge pins hold at X86_V3 and above only: numpy
+# contracts the complex products of its orbit averages with FMA from X86_V3
+# up, and at X86_V2 converge.json hashes to 4b6dd4ec...
+_PINNED_RUNS = [
     (["chaining", "--set", "n_inst=300", "--seed", "2026"],
      {"chaining.json": "ecb4847e7a11b4854bb0d42aa676e4cc"
                        "8b3496d013daa49aeef2d1bc8284b5a7"}),
     (["chaining", "--set", "n_inst=300", "--seed", "20260819"],
-     {"chaining.json": "5901897faf23fd0e66dcd88a654582ad"
-                       "910c9107eb1a5dc8209ae59d377b1ca6"}),
+     {"chaining.json": "deb4c0930a7f164ab0590de449bbad25"
+                       "7fbed6b1eb29c87c2ed2a1c8521f05c4"}),
     (["converge", "--seed", "20260819"],
      {"converge.json": "e2ba966dd37b7144c6fd94dbfddd6d83"
                        "bdc36f3f93fa769847ecdd82117297da",
       "converge_scan.csv": "5680519bcaf36c4b2f116043b46a8175"
                            "49e268f0d365db981032cfb1ebe068a0"}),
-])
+]
+
+
+@pytest.mark.parametrize("argv, digests", _PINNED_RUNS)
 def test_chaining_and_converge_bytes_pinned(tmp_path, argv, digests):
-    # the bytes that the one-cover-per-call chaining code and the
-    # per-(P, N) scan weights of commit 6da8ceb wrote, with numpy's AVX-512
-    # dispatch on and off alike
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     for name, want in digests.items():
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -704,6 +713,62 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     assert sorted(os.listdir(tmp_path)) == [
         "bump_check.json", "bump_profile.csv", "carleson.csv",
         "carleson.json"]
+
+
+_DISPATCH_RUN = r"""
+import hashlib, json, os, sys
+import numpy as np
+from modvar import cli
+from modvar.variation import _gaps
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+rng = np.random.default_rng(11)
+gaps = hashlib.sha256()
+for dim in (1, 3):
+    vals = rng.normal(size=(300, dim)) + 1j * rng.normal(size=(300, dim))
+    vals[:30] *= 1e-155     # tiny gaps: squares in the subnormal range
+    gaps.update(_gaps(vals).tobytes())
+files = []
+for k, argv in enumerate(runs):
+    d = os.path.join(out, str(k))
+    assert cli.main(argv + ["--out", d]) == 0, argv
+    files.append({n: hashlib.sha256(open(os.path.join(d, n), "rb").read())
+                  .hexdigest() for n in sorted(os.listdir(d))})
+print(json.dumps({"gaps": gaps.hexdigest(), "files": files}))
+"""
+
+# numpy's SIMD dispatch levels, lowered only in the children; on a host
+# without AVX-512 numpy warns that it cannot disable what it lacks, and
+# runs at the level the host has
+_DISPATCH_LEVELS = {
+    "native": None,
+    "AVX-512 off": "X86_V4 AVX512_ICL AVX512_SPR",
+    "X86_V2": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+}
+
+
+def test_gaps_and_pins_hold_at_every_dispatch_level(tmp_path):
+    # the gap kernel takes correctly rounded steps only, so its bytes, the
+    # chaining pins and the variation pin do not depend on the dispatch
+    pinned = [run for run in _PINNED_RUNS if run[0][0] == "chaining"]
+    pinned.append(VARIATION_PIN)
+    gaps = {}
+    for level, disabled in _DISPATCH_LEVELS.items():
+        env = _child_env()
+        env.pop("NPY_ENABLE_CPU_FEATURES", None)
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        done = subprocess.run(
+            [sys.executable, "-c", _DISPATCH_RUN, str(tmp_path / level),
+             json.dumps([argv for argv, _ in pinned])],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout.splitlines()[-1])
+        gaps[level] = got["gaps"]
+        for (argv, digests), files in zip(pinned, got["files"]):
+            for name, want in digests.items():
+                assert files[name] == want, (level, argv, name)
+    assert len(set(gaps.values())) == 1, gaps
 
 
 def test_carleson_bytes_do_not_depend_on_blas_threads(tmp_path):

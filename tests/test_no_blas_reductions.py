@@ -6,7 +6,10 @@ output file with it.  np.linalg.norm without ``axis=`` hands its input to
 BLAS dot, and so do np.dot, np.vdot, np.matmul, the ``.dot`` method and the
 ``@`` operator.  The scan fails on each of them in src/modvar: a whole-array
 norm is signalkit.l2, and np.linalg.norm with an axis reduces in numpy.
-A plain ast scan, so it costs milliseconds.
+A second scan refuses np.linalg.norm with an axis too: numpy contracts its
+conj(x) * x with FMA from its X86_V3 dispatch up, so its bits depend on
+the host.
+Plain ast scans, so they cost milliseconds.
 """
 
 import ast
@@ -41,6 +44,27 @@ def _blas_reductions(source):
             if name in _BLAS_CALLS or name == "norm" and not axis:
                 found.append((node.lineno, name))
     return found
+
+
+def _norm_calls(source):
+    """The lines of every norm call the source makes, axis or not."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _called(node.func) == "norm"]
+
+
+def test_package_calls_no_norm():
+    found = {path.name: _norm_calls(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}, (
+        "np.linalg.norm sums conj(x) * x, which numpy contracts with FMA "
+        "from its X86_V3 dispatch up, so its bits depend on the host: take "
+        "l2 gaps from variation._gaps and whole-array norms from signalkit.l2")
+
+
+def test_norm_guard_sees_norm_with_an_axis():
+    assert _norm_calls("np.linalg.norm(x, axis=-1)\n"
+                       "from numpy.linalg import norm\n"
+                       "norm(x, None, 1)\nl2(x)\n") == [1, 3]
 
 
 def test_package_makes_no_blas_reduction():

@@ -62,9 +62,9 @@ def test_dp_matches_brute_and_dfs(rng, r):
         assert v_dp == pytest.approx(oracles.vr_dfs(seq, r), abs=1e-10)
 
 
-# parts are 0 or at least 1e-6 in size: below about 1e-154 the squares in
-# np.linalg.norm underflow, which vr_exact and vr_brute use and vr_batch
-# (np.abs) does not
+# parts are 0 or at least 1e-6 in size: below gaps of about 1e-154 the
+# squares underflow, in the gaps of vr_exact and of vr_brute alike, and
+# vr_batch (np.abs) does not
 _part = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
 
 
@@ -210,15 +210,20 @@ def test_list_api_refuses_bad_members():
     assert vr_exact([], 2.5) == vr_brute([], 2.5) == []
 
 
+# the bytes that the one-sequence-per-call code of commit 0269fae wrote,
+# with numpy's AVX-512 pow and with its dispatch off (libm pow) alike, and
+# down to X86_V2 dispatch (test_harness checks that level in a child)
+VARIATION_PIN = (["variation", "--set", "n_oracle=50", "--set", "n_jump=500",
+                  "--seed", "5"],
+                 {"variation.json": "2b03c9be42ec8d9e46335c791f69b909"
+                                    "38638c96772c17b13e62d0fc8292cbc5"})
+
+
 def test_variation_json_bytes_pinned(tmp_path):
-    # the bytes that the one-sequence-per-call code of commit 0269fae wrote,
-    # with numpy's AVX-512 pow and with its dispatch off (libm pow) alike
-    argv = ["variation", "--set", "n_oracle=50", "--set", "n_jump=500",
-            "--seed", "5", "--out", str(tmp_path)]
-    assert cli.main(argv) == 0
+    argv, digests = VARIATION_PIN
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "variation.json").read_bytes())
-    assert digest.hexdigest() == ("2b03c9be42ec8d9e46335c791f69b909"
-                                  "38638c96772c17b13e62d0fc8292cbc5")
+    assert digest.hexdigest() == digests["variation.json"]
 
 
 def test_jump_count_alternating():
@@ -352,24 +357,53 @@ def test_cover_batch_holds_one_block_of_gaps(rng):
     assert one < peak < 1.25 * one
 
 
-@settings(max_examples=200)
-@given(_complex_rows(24, 16, st.floats(-1e6, 1e6)))
-def test_gap_matrix_rows_match_norm_bitwise(vals):
-    G = _gaps(vals)
+def _plain_gaps(vals):
+    """The gap matrix of an (n, dim) value matrix by plain sums: per row, 0
+    plus dr * dr, then di * di, of each dim in turn, then the root."""
+    G = np.zeros((len(vals), len(vals)))
     for i in range(len(vals)):
-        want = np.linalg.norm(vals[i] - vals[:i], axis=1)
-        assert G[i, :i].tobytes() == want.tobytes()
+        for d in range(vals.shape[1]):
+            dr = vals[i, d].real - vals[:, d].real
+            di = vals[i, d].imag - vals[:, d].imag
+            G[i] = G[i] + dr * dr
+            G[i] = G[i] + di * di
+    return np.sqrt(G)
+
+
+def _check_gap_matrix(vals):
+    G = _gaps(vals)
+    assert G.tobytes() == _plain_gaps(vals).tobytes()
+    # np.linalg.norm sums conj(x) * x, which numpy contracts with FMA from
+    # its X86_V3 dispatch up: the same gaps up to rounding, and up to the
+    # squares' subnormal rounding below gaps of about 1e-154
+    want = np.linalg.norm(vals[:, None] - vals[None], axis=-1)
+    np.testing.assert_allclose(G, want, rtol=1e-15, atol=1e-160)
     # the cover's diameter and parent links read either triangle
     assert G.tobytes() == G.T.copy().tobytes()
     assert not np.any(np.diag(G))
 
 
-def test_gap_matrix_built_in_blocks_matches_norm_rows(rng):
+@settings(max_examples=200)
+@given(_complex_rows(24, 16, st.floats(-1e6, 1e6)))
+def test_gap_matrix_rows_match_plain_sums_bitwise(vals):
+    _check_gap_matrix(vals)
+
+
+def test_gap_matrix_built_in_blocks_matches_plain_rows(rng):
     vals = rng.normal(size=(300, 3)) + 1j * rng.normal(size=(300, 3))
-    G = _gaps(vals)   # 900 difference entries per row: several blocks
-    for i in range(len(vals)):
-        want = np.linalg.norm(vals[i] - vals, axis=1)
-        assert G[i].tobytes() == want.tobytes()
+    _check_gap_matrix(vals)     # blocks of GAP_BLOCK // 300 = 218 rows
+
+
+def test_zero_padded_block_keeps_each_members_gaps(rng):
+    # the cover stacks dims 1 and 3 of one length into one block padded to
+    # dim 3: the padding adds exact zeros, so each member's gaps are its own
+    seqs = [rng.normal(size=(40, dim)) + 1j * rng.normal(size=(40, dim))
+            for dim in (3, 1, 3, 1)]
+    [(idx, dims, vals)] = variation._blocks(seqs, lambda n: n * n, key=len)
+    assert dims == [1, 1, 3, 3] and vals.shape == (40, 4, 3)
+    G = _gaps(vals)
+    for j, k in enumerate(idx):
+        assert G[:, :, j].tobytes() == _gaps(seqs[k]).tobytes()
 
 
 def test_gap_matrix_refuses_overlong_sequences():
