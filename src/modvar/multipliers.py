@@ -19,23 +19,23 @@ range to keep offsets zero, e.g. 6720 for everything up to Q = 16).
 The inner sum over B is the arc symbol, and arc_symbol is its only
 implementation: it adds each term on the nonzeros of its chi_s window
 alone.  No symbol depends on the signal, so every operator is a builder,
-run once per level, and an apply, one batched inverse FFT per draw:
-arc_symbols' dense (arcs, M) rows with maximal_arc_ratio, and for each
-variation operator (vr-s, vr-sd, carleson's theta sup and vrd_operator) a
-stack builder with vr_sup.  kernel_transforms is the one wrap-and-transform
-of kernels on Z into rows on Z/M, for _kernel_hat, harness.theta_symbols
-and vrd_operator.  The variation reads only row differences, so every
-stack is built anchored: rows 1.. minus row 0, subtracted in place.
-build_arc_multiplier stores each stack on its support (a SupportStack),
-the window nonzeros of the arcs in its lambda ball.  vr_sup takes that
-form and a ShiftedStack, a dense stack read at a cyclic column offset (the
-theta grid reads one set of truncation transforms at many, vrd_operator
-each stack at 0).  It writes the values times the signal's transform into
-rows 1.. of one buffer whose row 0 stays zero, inverts them in place and
-takes one 1/r root per call, so no stack is copied or rolled.  The vr-sd
-stacks are build_arc_multiplier's on lambda_grid_for; its points 3k+1 are
-the arc centres A/Q, where every offset vanishes, and the vr-s table is
-the sup over their stacks alone.
+run once per level, and an apply per draw: arc_symbols with
+maximal_arc_ratio, and for each variation operator (vr-s, vr-sd,
+carleson's theta sup and vrd_operator) a stack builder with vr_sup.
+kernel_transforms is the one wrap-and-transform of kernels on Z into rows
+on Z/M, for _kernel_hat, harness.theta_symbols and vrd_operator.  The arc
+builders store SupportStacks on the windows of each Q (_window_support),
+arc_symbols one per Q and build_arc_multiplier one per lambda, and
+_invert_on_support applies them: the values times the signal's transform,
+scattered into a zeroed buffer and inverted in place.  The variation reads
+only row differences, so its stacks are anchored (rows 1.. minus row 0),
+and vr_sup fills rows 1.. of a buffer whose row 0 stays zero and takes one
+1/r root per call.  It also reads a ShiftedStack, a dense stack at a
+cyclic column offset (the theta grid reads one set of truncation
+transforms at many, vrd_operator each stack at 0), so no stack is copied
+or rolled.  The vr-sd stacks are build_arc_multiplier's on
+lambda_grid_for; its points 3k+1 are the arc centres A/Q, where every
+offset vanishes, and the vr-s table is the sup over their stacks alone.
 The sequence-space ratio follows the same pattern off the grid:
 seqspace_level builds the Weyl rows and the characters e(Bx/Q) once per
 level, and seqspace_ratio applies them to each coefficient draw.
@@ -155,10 +155,19 @@ def _kernel_hat(bump, lam, J, s, mu, M):
     return kernel_transforms([(n0, vals)], M)[0]
 
 
-def arc_symbol(A, Q, M, chi, khat=None, support=None) -> np.ndarray:
+def _window_support(M, Q, chi) -> np.ndarray:
+    """The sorted union on Z/M of the chi window nonzeros of every B/Q,
+    B = 1..Q: every arc symbol of denominator Q vanishes off it."""
+    mask = np.zeros(M, dtype=bool)
+    for B in range(1, Q + 1):
+        mask[chi.window(M, snap_to_grid(M, B, Q, chi.radius)[0])[0]] = True
+    return np.flatnonzero(mask)
+
+
+def arc_symbol(A, Q, M, chi, support, khat=None) -> np.ndarray:
     """sum over B = 1..Q of S(A/Q, B/Q) * K_hat(. - b_B) * chi(. - b_B) on
-    support, a sorted array of indices into Z/M (None: all of Z/M) that
-    holds every nonzero of the arc's windows.
+    support, a sorted array of indices into Z/M that holds every nonzero of
+    the arc's windows (np.arange(M): all of Z/M).
 
     b_B is the grid index of B/Q (snap_to_grid against the chi radius).
     Each term is added on its window's nonzeros only; off them it is zero,
@@ -166,25 +175,21 @@ def arc_symbol(A, Q, M, chi, khat=None, support=None) -> np.ndarray:
     khat=None stands for K_hat = 1: the plain window symbol of the arc.
     """
     srow = arithmetic.weyl_row(Q, A)
-    place = np.arange(M)        # grid index -> position in the result
-    if support is not None:
-        place[support] = np.arange(len(support))
-    acc = np.zeros(M if support is None else len(support), dtype=complex)
+    place = np.zeros(M, dtype=np.intp)     # grid index -> result position
+    place[support] = np.arange(len(support))
+    acc = np.zeros(len(support), dtype=complex)
     for B in range(1, Q + 1):
         b0, _off = snap_to_grid(M, B, Q, chi.radius)
         idx, window = chi.window(M, b0)
-        at = place[idx]
-        if khat is None:
-            acc[at] += srow[B - 1] * window
-        else:
-            acc[at] += srow[B - 1] * khat[idx - b0] * window
+        w = srow[B - 1] if khat is None else srow[B - 1] * khat[idx - b0]
+        acc[place[idx]] += w * window
     return acc
 
 
 class SupportStack(NamedTuple):
-    """An anchored multiplier stack stored on its support: the sorted
-    indices into Z/modulus off which every row vanishes, and the (J - 1,
-    len(support)) anchored values there."""
+    """Rows on Z/modulus stored on their support: the sorted indices off
+    which every row vanishes, and the (rows, len(support)) values there,
+    anchored (see vr_sup) for build_arc_multiplier, not for arc_symbols."""
 
     modulus: int
     support: np.ndarray
@@ -233,20 +238,13 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
                          for lv, a in zip(lambda_vec, A))
             if all(abs(o) <= ball for o in offs):
                 hits[-1].append((A, Q, offs))
-    # the windows of an arc depend on its Q alone: covered[Q] marks them
-    covered = {}
-    for arcs in hits:
-        for _A, Q, _offs in arcs:
-            if Q not in covered:
-                covered[Q] = np.zeros(M, dtype=bool)
-                for B in range(1, Q + 1):
-                    b0, _off = snap_to_grid(M, B, Q, chi.radius)
-                    covered[Q][chi.window(M, b0)[0]] = True
+    covered = {Q: _window_support(M, Q, chi)
+               for Q in {Q for arcs in hits for _A, Q, _offs in arcs}}
     stacks = []
     for arcs in hits:
         mask = np.zeros(M, dtype=bool)
         for _A, Q, _offs in arcs:
-            mask |= covered[Q]
+            mask[covered[Q]] = True
         support = np.flatnonzero(mask)
         stacks.append(SupportStack(M, support, np.zeros(
             (len(J_list) - 1, len(support)), dtype=complex)))
@@ -259,8 +257,8 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
                 if offs not in khats:
                     khats[offs] = _kernel_hat(bump, lam, J, chi.s, offs, M)
                 if khats[offs] is not None:
-                    row += arc_symbol(A, Q, M, chi, khats[offs],
-                                      stack.support)
+                    row += arc_symbol(A, Q, M, chi, stack.support,
+                                      khats[offs])
             if j:
                 row -= head
     return stacks
@@ -288,26 +286,42 @@ def _check_grid(M, f):
                           % (np.shape(f), M))
 
 
-def arc_symbols(s: int, M: int, chi_a0=DEFAULT_A0) -> np.ndarray:
-    """One window symbol per level-s arc, in arc_pairs order: an (arcs, M)
-    array for maximal_arc_ratio."""
+def arc_symbols(s: int, M: int, chi_a0=DEFAULT_A0):
+    """The level-s window symbols for maximal_arc_ratio: one SupportStack
+    per denominator Q, on the union of the windows of every B/Q, whose rows
+    are the symbols of Q's arcs in arc_pairs order."""
     chi = _level_chi(s, chi_a0)
-    return np.array([arc_symbol(A, Q, int(M), chi)
-                     for A, Q in arithmetic.arc_pairs(chi.s, 2)])
+    M = int(M)
+    stacks = []
+    for Q, arcs in itertools.groupby(arithmetic.arc_pairs(chi.s, 2),
+                                     key=lambda arc: arc[1]):
+        support = _window_support(M, Q, chi)
+        stacks.append(SupportStack(M, support, np.array(
+            [arc_symbol(A, Q, M, chi, support) for A, _Q in arcs])))
+    return stacks
+
+
+def _invert_on_support(stack, fhat, rows):
+    """Invert stack's rows times fhat, scattered into zeros, in rows."""
+    rows.fill(0.0)
+    rows[:, stack.support] = stack.values * fhat[stack.support]
+    return np.fft.ifft(rows, axis=1, out=rows)
 
 
 def maximal_arc_ratio(symbols, f) -> float:
-    """l2 ratio of the arc-maximal function against the signal f on Z/M.
-
-    Each row of symbols (from arc_symbols) filters f; the sup of |g| over
-    the rows is measured in l2 and normalized by ||f||_2.
-    """
-    _check_grid(symbols.shape[-1], f)
+    """l2 ratio of the arc-maximal function against the signal f on Z/M:
+    the sup of |g| over the rows of the stacks from arc_symbols, each row
+    filtering f, in l2 over ||f||_2; one stack at a time in one buffer."""
+    _check_grid(np.size(f), f)      # a nonempty 1-d array, stacks or none
+    fhat, best = np.fft.fft(f), np.zeros(len(f))
+    buf = np.empty((max([len(st.values) for st in symbols] + [0]), len(f)),
+                   dtype=complex)
+    for stack in symbols:
+        _check_grid(stack.modulus, f)
+        g = _invert_on_support(stack, fhat, buf[:len(stack.values)])
+        np.maximum(best, np.abs(g).max(axis=0), out=best)
     norm = l2(f)
-    if norm == 0.0:
-        return 0.0
-    g = np.fft.ifft(symbols * np.fft.fft(f), axis=1)
-    return l2(np.abs(g).max(axis=0)) / norm
+    return l2(best) / norm if norm else 0.0
 
 
 def seqspace_freqs(s: int):
@@ -374,13 +388,10 @@ def vr_sup(stacks, f, r) -> np.ndarray:
     """Pointwise sup over the stacks of the r-variation across the rows of
     each stack applied to the signal f on Z/M, as a 1-d array.
 
-    stacks is any iterable (a generator too) of anchored stacks of n rows:
-    SupportStacks, whose values times f's transform fill rows 1.. of a
-    zeroed (n, M) buffer, or ShiftedStacks, whose shifted values fill them
-    with two slice products.  Rows 1.. are inverted in place, vr_batch runs
-    on all n rows, and the buffer is reused for the next stack of the same
-    row count.  A one-row stack has variation 0.  The max is kept on the
-    r-th powers and the call takes one 1/r root.
+    stacks is any iterable (a generator too) of anchored SupportStacks or
+    ShiftedStacks of n rows; each fills rows 1.. of one (n, M) buffer, reused
+    while n stays, and vr_batch runs on all n rows.  A one-row stack has
+    variation 0.  The max is kept on the r-th powers.
     """
     _check_grid(np.size(f), f)      # a nonempty 1-d array, stacks or none
     fhat = np.fft.fft(f)
@@ -399,10 +410,9 @@ def vr_sup(stacks, f, r) -> np.ndarray:
             m = stack.shift % M
             np.multiply(stack.values[:, m:], fhat[:M - m], out=rows[:, :M - m])
             np.multiply(stack.values[:, :m], fhat[M - m:], out=rows[:, M - m:])
+            np.fft.ifft(rows, axis=1, out=rows)
         else:
-            rows.fill(0.0)
-            rows[:, stack.support] = stack.values * fhat[stack.support]
-        np.fft.ifft(rows, axis=1, out=rows)
+            _invert_on_support(stack, fhat, rows)
         np.maximum(best, variation.vr_batch(spec, r), out=best)
     return best ** (1.0 / r)
 

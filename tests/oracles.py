@@ -43,6 +43,28 @@ def vr_dfs(seq, r):
     return best ** (1.0 / r) if best > 0 else 0.0
 
 
+def theta_sup_variation_sums(f, weights, theta_count, r, js=None):
+    """sup over theta = j/theta_count, j in js (default: every j), of the
+    r-variation over the truncations M of A_M^theta f(x) = sum_{n=0..M}
+    phi_M(n) e(-n theta) f((x - n) mod L), each term summed directly and
+    each variation found by vr_dfs.  weights holds phi_M at n = 0..M per
+    truncation, in order, so this file stays free of modvar."""
+    f = np.asarray(f, dtype=complex)
+    L = len(f)
+    x = np.arange(L)
+    best = np.zeros(L)
+    for j in range(theta_count) if js is None else js:
+        sums = np.zeros((len(weights), L), dtype=complex)
+        for k, w in enumerate(weights):
+            for n, wn in enumerate(w):
+                char = cmath.exp(-2j * cmath.pi * ((n * j) % theta_count)
+                                 / theta_count)
+                sums[k] += wn * char * f[(x - n) % L]
+        for i in range(L):
+            best[i] = max(best[i], vr_dfs(sums[:, i], r))
+    return best
+
+
 def jumps_dfs(seq, tau):
     """Number of jumps in the longest chain with every gap >= tau."""
     seq = [complex(x) for x in seq]

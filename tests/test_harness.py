@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modvar import arithmetic, cli, harness, multipliers, variation
-from modvar.bumpkit import SmoothBump
+from modvar.bumpkit import SmoothBump, scaled_weight
 from modvar.harness import SCHEMAS, ConfigError, default_config, parse_config
 from modvar.util import GridTooCoarseError
 
+import oracles
 from test_variation import VARIATION_PIN
 
 
@@ -203,7 +204,11 @@ def test_each_kind_writes_exactly_its_files(run, summary, names, tmp_path,
 # only, and the seed-20260819 digest is what the earlier norm-based gaps
 # wrote at X86_V2.  The converge pins hold at X86_V3 and above only: numpy
 # contracts the complex products of its orbit averages with FMA from X86_V3
-# up, and at X86_V2 converge.json hashes to 4b6dd4ec...
+# up, and at X86_V2 converge.json hashes to 4b6dd4ec...  The maximal-arc
+# sweep pins, the bytes of the dense (arcs, M) symbols of commit 3a2ba9e,
+# hold at X86_V3 and above only as well: its spectrum products and the abs
+# of its inverse transforms move at X86_V2, where sweep_maximal_arc.csv
+# hashes to 2290e404...
 _PINNED_RUNS = [
     (["chaining", "--set", "n_inst=300", "--seed", "2026"],
      {"chaining.json": "ecb4847e7a11b4854bb0d42aa676e4cc"
@@ -216,6 +221,11 @@ _PINNED_RUNS = [
                        "bdc36f3f93fa769847ecdd82117297da",
       "converge_scan.csv": "5680519bcaf36c4b2f116043b46a8175"
                            "49e268f0d365db981032cfb1ebe068a0"}),
+    (["sweep", "--set", "operator=maximal-arc", "--seed", "2026"],
+     {"sweep_maximal_arc.csv": "4fc080444de2eee949904ed91c423"
+                               "0f73914381f57d558c865d50671ccce93e0",
+      "sweep_maximal_arc.json": "cc2b9dab71e3f736da088e255a7af2c3"
+                                "cfc191f1edcb8acc2cd7de695239b819"}),
 ]
 
 
@@ -550,6 +560,34 @@ def test_theta_sup_variation_runs_in_a_fixed_working_set():
     assert peak <= 3 * K * L * 16
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_theta_sup_variation_matches_direct_sums(data):
+    # carleson's theta sup against direct sums over n, the exhaustive
+    # r-variation per x and the max over theta; the lacunary truncations
+    # 8, 16, ... up to L/4 are listed here, not taken from the harness
+    L = data.draw(st.sampled_from((64, 128, 256)))
+    theta_count = data.draw(st.sampled_from(
+        [t for t in (1, 2, 4, 8, 16) if L % t == 0]))
+    r = data.draw(st.floats(1.0, 8.0, exclude_min=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    f = rng.normal(size=L) + 1j * rng.normal(size=L)
+    bump = SmoothBump(0.25)
+    weights = [scaled_weight(bump, M) for M in (8, 16, 32, 64) if M <= L // 4]
+    what = harness.theta_symbols(bump, L)
+    want = oracles.theta_sup_variation_sums(f, weights, theta_count, r)
+    got = harness.theta_sup_variation(f, what, theta_count, r)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # the grid j/theta_count is closed under theta -> -theta, so the sup
+    # cannot see the sign of theta; theta = 1/theta_count alone can
+    if theta_count > 2:
+        one = multipliers.vr_sup(
+            [multipliers.ShiftedStack(what, L // theta_count)], f, r)
+        want = oracles.theta_sup_variation_sums(f, weights, theta_count, r,
+                                                js=[1])
+        np.testing.assert_allclose(one, want, rtol=1e-12, atol=0)
+
+
 def test_variation_operators_pass_vr_batch_every_row(monkeypatch, tmp_path):
     # the stacks are anchored, but carleson's theta sup and the vr-sd apply
     # still hand variation.vr_batch the full n-row matrix, the zero row
@@ -748,7 +786,8 @@ _DISPATCH_LEVELS = {
 
 def test_gaps_and_pins_hold_at_every_dispatch_level(tmp_path):
     # the gap kernel takes correctly rounded steps only, so its bytes, the
-    # chaining pins and the variation pin do not depend on the dispatch
+    # chaining pins and the variation pin do not depend on the dispatch; the
+    # converge and maximal-arc pins hold at X86_V3 and above only
     pinned = [run for run in _PINNED_RUNS if run[0][0] == "chaining"]
     pinned.append(VARIATION_PIN)
     gaps = {}

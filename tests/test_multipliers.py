@@ -1,5 +1,7 @@
 """Arc multipliers, maximal/variation operators, and their guard rails."""
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +85,8 @@ def test_signals_on_z_mod_m_are_1d_arrays_on_the_grid(case):
     if case != "wrong length":      # with no stack there is no grid to miss
         with pytest.raises(DomainError, match="symbol grid"):
             vr_sup([], f, 2.5)
+        with pytest.raises(DomainError, match="symbol grid"):
+            maximal_arc_ratio([], f)
 
 
 def test_maximal_arc_ratio_point_mass_near_one():
@@ -123,6 +127,50 @@ def test_maximal_arc_ratio_rejects_bad_level():
     with pytest.raises(DomainError):       # symbols built for another grid
         maximal_arc_ratio(arc_symbols(1, 128),
                           np.ones(64, dtype=complex))
+
+
+def _dense_arc_ratio(s, M, chi_a0, f):
+    # the dense (arcs, M) symbols from full-grid arc_symbol calls, one per
+    # arc, and the arc-maximal ratio taken over all of them in one product
+    chi = ChiCutoff(s, a0=chi_a0)
+    dense_rows = np.array([arc_symbol(A, Q, M, chi, np.arange(M))
+                           for A, Q in arithmetic.arc_pairs(s, 2)])
+    g = np.fft.ifft(dense_rows * np.fft.fft(f), axis=1)
+    return l2(np.abs(g).max(axis=0)) / l2(f)
+
+
+# the sweep's probe window on M = 6720 at every level; on M = 360, where
+# each Q's windows cover part of Z/M and the one at B/Q = 1 wraps round it;
+# and default windows that cover all of Z/240
+@pytest.mark.parametrize("s,M,chi_a0", [
+    (s, 6720, harness.PROBE_CHI_A0) for s in range(1, multipliers.S_CAP + 1)]
+    + [(3, 360, harness.PROBE_CHI_A0), (2, 240, DEFAULT_A0)])
+def test_maximal_arc_ratio_on_supports_is_the_dense_ratio_bit_for_bit(
+        s, M, chi_a0):
+    rng = np.random.default_rng(s * M)
+    f = rng.normal(size=M) + 1j * rng.normal(size=M)
+    symbols = arc_symbols(s, M, chi_a0=chi_a0)
+    assert [len(st.values) for st in symbols] == [
+        len(list(arcs)) for _Q, arcs in itertools.groupby(
+            arithmetic.arc_pairs(s, 2), key=lambda arc: arc[1])]
+    assert maximal_arc_ratio(symbols, f) == _dense_arc_ratio(s, M, chi_a0, f)
+
+
+def test_maximal_arc_ratio_runs_in_a_small_working_set():
+    # level 4 on M = 6720 keeps its symbols on the windows of each Q and
+    # applies one Q's stack at a time: dense (54, 6720) symbols with their
+    # product, inverse and abs took 18 MB
+    M = 6720
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=M) + 1j * rng.normal(size=M)
+    tracemalloc.start()
+    try:
+        symbols = arc_symbols(4, M, chi_a0=harness.PROBE_CHI_A0)
+        maximal_arc_ratio(symbols, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_seqspace_freqs_level_two():
@@ -333,7 +381,8 @@ def _dense_layout(s, J_list, grid, M, chi_a0):
                     khats[J, offs] = multipliers._kernel_hat(
                         BUMP, 1.5, J, s, offs, M)
                 if khats[J, offs] is not None:
-                    stack[j] += arc_symbol(A, Q, M, chi, khats[J, offs])
+                    stack[j] += arc_symbol(A, Q, M, chi, np.arange(M),
+                                           khats[J, offs])
         out.append(_anchored(stack))
     return out
 
