@@ -1,7 +1,7 @@
 """Dense oracles for the multiplier experiment: no FFT anywhere.
 
 Each function recomputes a production object of multipliers by direct
-summation: Weyl sums one (A, B, Q) at a time through weyl_sum, chi windows
+summation: Weyl sums one (Q, A, B) at a time through weyl_sum, chi windows
 point by point, kernel transforms and applies as O(M^2) sums, variation by
 one vr_exact call over all points of a stack, and vrd_operator as a nested
 loop over positions, phases, scales and kernel taps, each phase through the
@@ -12,8 +12,6 @@ those off them.  The multiplier experiment and the tests compare the
 production code against these; no other experiment imports this module.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import arithmetic, multipliers, polykit, variation
@@ -21,44 +19,19 @@ from .bumpkit import ChiCutoff, make_Psi
 from .util import DomainError, e
 
 
-@dataclass(frozen=True)
-class FreqPoint:
-    """Rational frequency data (A_2..A_d, B, Q), components reduced to [1, Q]."""
-
-    Q: int
-    A: tuple
-    B: int
-
-    def __post_init__(self):
-        Q = int(self.Q)
-        if Q < 1:
-            raise DomainError("modulus Q must be positive")
-        A = tuple(((int(a) - 1) % Q) + 1 for a in self.A)
-        B = ((int(self.B) - 1) % Q) + 1
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-
-    @property
-    def degree(self):
-        return len(self.A) + 1
-
-
-def weyl_sum(fp: FreqPoint, d: int) -> complex:
-    """S(A/Q, B/Q) of one frequency point, with exact integer phase
-    reduction (arithmetic.weyl_rows computes whole rows by FFT)."""
-    d = int(d)
-    if d != fp.degree:
-        raise DomainError(
-            "degree %d does not match the %d coefficients stored" % (d, len(fp.A))
-        )
-    Q = fp.Q
+def weyl_sum(Q, A, B) -> complex:
+    """S(A/Q, B/Q) for A = (A_2..A_d), each component read mod Q, with
+    exact integer phase reduction (arithmetic.weyl_rows computes whole rows
+    by FFT)."""
+    Q = int(Q)
+    if Q < 1:
+        raise DomainError("modulus Q must be positive")
     r = np.arange(1, Q + 1, dtype=np.int64)
-    num = (r * (fp.B % Q)) % Q
+    num = (r * (int(B) % Q)) % Q
     rpow = r % Q
-    for a in fp.A:
+    for a in A:
         rpow = (rpow * r) % Q       # now r^j mod Q for the degree of a
-        num = (num + (a % Q) * rpow) % Q
+        num = (num + (int(a) % Q) * rpow) % Q
     return complex(np.mean(e(-num.astype(float) / Q)))
 
 
@@ -88,7 +61,7 @@ def arc_sum(A, Q, khat, chi, M):
     acc = np.zeros(M, dtype=complex)
     for B in range(1, Q + 1):
         b0 = int(round(M * B / float(Q))) % M
-        w = weyl_sum(FreqPoint(Q=Q, A=A, B=B), len(A) + 1)
+        w = weyl_sum(Q, A, B)
         window = np.array([chi((b - b0) / M) for b in range(M)])
         acc += w * np.roll(khat, b0) * window
     return acc

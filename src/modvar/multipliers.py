@@ -24,18 +24,18 @@ maximal_arc_ratio, and for each variation operator (vr-s, vr-sd,
 carleson's theta sup and vrd_operator) a stack builder with vr_sup.
 kernel_transforms is the one wrap-and-transform of kernels on Z into rows
 on Z/M, for _kernel_hat, harness.theta_symbols and vrd_operator.  The arc
-builders store SupportStacks on the windows of each Q (_window_support),
-arc_symbols one per Q and build_arc_multiplier one per lambda, and
-_invert_on_support applies them: the values times the signal's transform,
-scattered into a zeroed buffer and inverted in place.  The variation reads
-only row differences, so its stacks are anchored (rows 1.. minus row 0),
-and vr_sup fills rows 1.. of a buffer whose row 0 stays zero and takes one
-1/r root per call.  It also reads a ShiftedStack, a dense stack at a
-cyclic column offset (the theta grid reads one set of truncation
-transforms at many, vrd_operator each stack at 0), so no stack is copied
-or rolled.  The vr-sd stacks are build_arc_multiplier's on
-lambda_grid_for; its points 3k+1 are the arc centres A/Q, where every
-offset vanishes, and the vr-s table is the sup over their stacks alone.
+builders store SupportStacks on the windows of each Q (_window_support):
+arc_symbols one per Q, build_arc_multiplier one per lambda on those of the
+one arc whose ball holds it, if any.  The variation reads only row
+differences, so its stacks are anchored (rows 1.. minus row 0); vr_sup
+also reads a ShiftedStack, a dense stack at a cyclic column offset (the
+theta grid reads one set of truncation transforms at many, vrd_operator
+each stack at 0), so no stack is copied or rolled.  _filtered is the one
+apply: each stack's rows times the signal's transform, in rows 1.. of one
+buffer whose row 0 stays zero, inverted in place.  The vr-sd stacks are
+build_arc_multiplier's on lambda_grid_for; its points 3k+1 are the arc
+centres A/Q, where every offset vanishes, and the vr-s table is the sup
+over their stacks alone.
 The sequence-space ratio follows the same pattern off the grid:
 seqspace_level builds the Weyl rows and the characters e(Bx/Q) once per
 level, and seqspace_ratio applies them to each coefficient draw.
@@ -210,10 +210,11 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
     """Per lambda_vec in lambda_grid, the SupportStack of the level-s
     multiplier at the scales J_list on Z/M.
 
-    A stack's support is the union of the chi_s window nonzeros of the arcs
-    in lambda_vec's ball, and each arc's symbol is summed there alone, so
-    scattered into zeros a stack is the anchored dense array bit for bit.
-    The level's window, its checks and the arcs in each lambda_vec's ball
+    A stack's support is the chi_s window nonzeros of the arc in
+    lambda_vec's ball (empty if none: distinct level-s arcs lie 4^-s apart
+    or more, so no ball meets another), and its symbol is summed there
+    alone, so scattered into zeros a stack is the anchored dense array bit
+    for bit.  The level's window, its checks and the arc of each lambda_vec
     are found once; one kernel transform is made per distinct (J, offsets).
     The kernel scale floor and gate use DEFAULT_A0; chi_a0 governs only the
     chi_s window width, so narrow-window probes keep the kernel floor
@@ -229,7 +230,7 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
         raise DomainError("scale J=%d is below the level floor j0=%d"
                           % (J_list[0], j0))
     ball = arc_indicator_radius(chi.s)
-    hits = []           # per lambda_vec: the arcs in its ball, with offsets
+    hits = []           # per lambda_vec: the one arc in its ball, if any
     for lambda_vec in lambda_grid:
         lambda_vec = tuple(float(x) for x in lambda_vec)
         hits.append([])
@@ -238,14 +239,12 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
                          for lv, a in zip(lambda_vec, A))
             if all(abs(o) <= ball for o in offs):
                 hits[-1].append((A, Q, offs))
+                break
     covered = {Q: _window_support(M, Q, chi)
                for Q in {Q for arcs in hits for _A, Q, _offs in arcs}}
     stacks = []
     for arcs in hits:
-        mask = np.zeros(M, dtype=bool)
-        for _A, Q, _offs in arcs:
-            mask[covered[Q]] = True
-        support = np.flatnonzero(mask)
+        support = covered[arcs[0][1]] if arcs else np.zeros(0, dtype=np.intp)
         stacks.append(SupportStack(M, support, np.zeros(
             (len(J_list) - 1, len(support)), dtype=complex)))
     heads = [np.zeros(len(st.support), dtype=complex) for st in stacks]
@@ -301,25 +300,42 @@ def arc_symbols(s: int, M: int, chi_a0=DEFAULT_A0):
     return stacks
 
 
-def _invert_on_support(stack, fhat, rows):
-    """Invert stack's rows times fhat, scattered into zeros, in rows."""
-    rows.fill(0.0)
-    rows[:, stack.support] = stack.values * fhat[stack.support]
-    return np.fft.ifft(rows, axis=1, out=rows)
+def _filtered(stacks, f):
+    """Per stack of n rows, its rows times the transform of the signal f on
+    Z/M, inverted in place in rows 1.. of one buffer whose row 0 stays zero,
+    yielded as a view of n + 1 rows.  The buffer is replaced only when a
+    stack has more rows."""
+    _check_grid(np.size(f), f)      # a nonempty 1-d array, stacks or none
+    fhat, M = np.fft.fft(f), len(f)
+    buf = np.zeros((0, M), dtype=complex)
+    for stack in stacks:
+        shifted = isinstance(stack, ShiftedStack)
+        _check_grid(stack.values.shape[-1] if shifted else stack.modulus, f)
+        n = len(stack.values)
+        if n >= len(buf):
+            buf = np.zeros((n + 1, M), dtype=complex)
+        rows = buf[1:n + 1]
+        if shifted:
+            m = stack.shift % M
+            np.multiply(stack.values[:, m:], fhat[:M - m], out=rows[:, :M - m])
+            np.multiply(stack.values[:, :m], fhat[M - m:], out=rows[:, M - m:])
+        else:
+            rows.fill(0.0)
+            rows[:, stack.support] = stack.values * fhat[stack.support]
+        np.fft.ifft(rows, axis=1, out=rows)
+        yield buf[:n + 1]
 
 
 def maximal_arc_ratio(symbols, f) -> float:
     """l2 ratio of the arc-maximal function against the signal f on Z/M:
     the sup of |g| over the rows of the stacks from arc_symbols, each row
-    filtering f, in l2 over ||f||_2; one stack at a time in one buffer."""
-    _check_grid(np.size(f), f)      # a nonempty 1-d array, stacks or none
-    fhat, best = np.fft.fft(f), np.zeros(len(f))
-    buf = np.empty((max([len(st.values) for st in symbols] + [0]), len(f)),
-                   dtype=complex)
-    for stack in symbols:
-        _check_grid(stack.modulus, f)
-        g = _invert_on_support(stack, fhat, buf[:len(stack.values)])
-        np.maximum(best, np.abs(g).max(axis=0), out=best)
+    filtering f, in l2 over ||f||_2; one stack at a time in one buffer,
+    the largest first so that it is allocated once (grown stack by stack,
+    it took 30 times the page faults in a maximal-arc sweep)."""
+    best = np.zeros(np.size(f))
+    by_rows = sorted(symbols, key=lambda st: len(st.values), reverse=True)
+    for spec in _filtered(by_rows, f):
+        np.maximum(best, np.abs(spec[1:]).max(axis=0), out=best)
     norm = l2(f)
     return l2(best) / norm if norm else 0.0
 
@@ -389,30 +405,11 @@ def vr_sup(stacks, f, r) -> np.ndarray:
     each stack applied to the signal f on Z/M, as a 1-d array.
 
     stacks is any iterable (a generator too) of anchored SupportStacks or
-    ShiftedStacks of n rows; each fills rows 1.. of one (n, M) buffer, reused
-    while n stays, and vr_batch runs on all n rows.  A one-row stack has
-    variation 0.  The max is kept on the r-th powers.
+    ShiftedStacks, applied by _filtered; vr_batch runs on each view, row 0
+    included, and the max is kept on the r-th powers.
     """
-    _check_grid(np.size(f), f)      # a nonempty 1-d array, stacks or none
-    fhat = np.fft.fft(f)
-    M = len(f)
-    best = np.zeros(M)
-    spec = None
-    for stack in stacks:
-        shifted = isinstance(stack, ShiftedStack)
-        _check_grid(stack.values.shape[-1] if shifted else stack.modulus, f)
-        if len(stack.values) == 0:
-            continue
-        if spec is None or len(spec) != len(stack.values) + 1:
-            spec = np.zeros((len(stack.values) + 1, M), dtype=complex)
-        rows = spec[1:]
-        if shifted:
-            m = stack.shift % M
-            np.multiply(stack.values[:, m:], fhat[:M - m], out=rows[:, :M - m])
-            np.multiply(stack.values[:, :m], fhat[M - m:], out=rows[:, M - m:])
-            np.fft.ifft(rows, axis=1, out=rows)
-        else:
-            _invert_on_support(stack, fhat, rows)
+    best = np.zeros(np.size(f))
+    for spec in _filtered(stacks, f):
         np.maximum(best, variation.vr_batch(spec, r), out=best)
     return best ** (1.0 / r)
 

@@ -16,28 +16,28 @@ from modvar.arithmetic import (
     weyl_row,
     weyl_rows,
 )
-from modvar.dense import FreqPoint, weyl_sum
+from modvar.dense import weyl_sum
 from modvar.util import DomainError
 
 import oracles
 
 
 def test_weyl_sum_trivial_modulus():
-    assert weyl_sum(FreqPoint(1, (1,), 1), 2) == pytest.approx(1.0)
+    assert weyl_sum(1, (1,), 1) == pytest.approx(1.0)
 
 
 def test_weyl_sum_classic_gauss_q3():
-    s = weyl_sum(FreqPoint(3, (1,), 3), 2)
+    s = weyl_sum(3, (1,), 3)
     assert abs(s) == pytest.approx(3 ** -0.5, abs=1e-12)
 
 
 def test_weyl_sum_even_modulus_full_weight():
     # Q=2: r*B + r^2 is always even, so every phase vanishes
-    assert weyl_sum(FreqPoint(2, (1,), 1), 2) == pytest.approx(1.0, abs=1e-15)
+    assert weyl_sum(2, (1,), 1) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_weyl_sum_q4_half_weight():
-    s = weyl_sum(FreqPoint(4, (1,), 4), 2)
+    s = weyl_sum(4, (1,), 4)
     assert s == pytest.approx(0.5 - 0.5j, abs=1e-12)
     assert abs(s) == pytest.approx(2 ** -0.5, abs=1e-12)
 
@@ -49,7 +49,7 @@ def test_weyl_sum_q4_half_weight():
     (9, (2, 4, 1), 5, 4),
 ])
 def test_weyl_sum_matches_direct_oracle(Q, A, B, d):
-    got = weyl_sum(FreqPoint(Q, A, B), d)
+    got = weyl_sum(Q, A, B)
     want = oracles.weyl_direct(Q, A, B, d)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -58,7 +58,7 @@ def test_weyl_row_matches_columnwise_sums():
     Q, A = 11, (4, 2)
     row = weyl_row(Q, A)
     for i, B in enumerate(range(1, Q + 1)):
-        assert row[i] == pytest.approx(weyl_sum(FreqPoint(Q, A, B), 3), abs=1e-12)
+        assert row[i] == pytest.approx(weyl_sum(Q, A, B), abs=1e-12)
 
 
 @settings(max_examples=40)
@@ -103,57 +103,51 @@ def test_decay_fit_matches_per_row_loop(d, Qmax, block, monkeypatch):
                                                                weyl_row)
 
 
-def test_freq_point_reduces_components():
-    fp = FreqPoint(6, (0, -1), 13)
-    assert fp.A == (6, 5)
-    assert fp.B == 1
-    assert fp.degree == 3
+def test_weyl_sum_reduces_components():
+    # A and B are read mod Q: (0, -1) and 13 are (6, 5) and 1 mod 6
+    assert weyl_sum(6, (0, -1), 13) == weyl_sum(6, (6, 5), 1)
+    assert weyl_sum(6, (0, -1), 13) == weyl_sum(6, (0, 5), 7)
 
 
 def test_freq_point_coprimality_flags():
-    # the two conventions read the reduced components: the arc condition
-    # gcd(A, Q) = 1 leaves B out, the joint one gcd(A, B, Q) = 1 takes it in
-    def joint(fp):
-        return math.gcd(*fp.A, fp.B, fp.Q) == 1
+    # the two conventions on a frequency point (Q, A, B) of reduced
+    # components: the arc condition gcd(A, Q) = 1 leaves B out, the joint
+    # one gcd(A, B, Q) = 1 takes it in
+    def joint(Q, A, B):
+        return math.gcd(*A, B, Q) == 1
 
-    def arc(fp):
-        return math.gcd(*fp.A, fp.Q) == 1
+    def arc(Q, A, B):
+        return math.gcd(*A, Q) == 1
 
-    assert joint(FreqPoint(6, (8,), 9))        # A = 2, B = 3: gcd 1
-    assert not joint(FreqPoint(6, (2,), -2))   # A = 2, B = 4: gcd 2
-    assert arc(FreqPoint(6, (-1,), 4))         # A = 5
-    assert not arc(FreqPoint(6, (9,), 1))      # A = 3: gcd(3, 6) = 3
-    assert joint(FreqPoint(6, (9,), 1)) and not arc(FreqPoint(6, (9,), 1))
+    assert joint(6, (2,), 3)
+    assert not joint(6, (2,), 4)
+    assert arc(6, (5,), 4)
+    assert not arc(6, (3,), 1)
+    assert joint(6, (3,), 1) and not arc(6, (3,), 1)
 
 
-def test_freq_point_rejects_bad_modulus():
+def test_weyl_sum_rejects_bad_modulus():
     with pytest.raises(DomainError):
-        FreqPoint(0, (1,), 1)
-
-
-def test_weyl_sum_rejects_degree_mismatch():
-    with pytest.raises(DomainError):
-        weyl_sum(FreqPoint(5, (1,), 2), 3)
+        weyl_sum(0, (1,), 1)
 
 
 def _freq_points(s, d):
     # the arc sums visit every B = 1..Q of every arc (A, Q)
-    return [FreqPoint(Q, A, B) for A, Q in arc_pairs(s, d)
-            for B in range(1, Q + 1)]
+    return [(Q, A, B) for A, Q in arc_pairs(s, d) for B in range(1, Q + 1)]
 
 
 def test_enumerate_level_one_single_point():
     assert arc_pairs(1, 2) == [((1,), 1)]
-    assert _freq_points(1, 2) == [FreqPoint(1, (1,), 1)]
+    assert _freq_points(1, 2) == [(1, (1,), 1)]
 
 
 def test_enumerate_level_two_degree_two():
     pts = _freq_points(2, 2)
     assert len(pts) == 8
     # Q=2 admits only A=(1,); Q=3 admits A=(1,) and A=(2,)
-    assert {(p.Q, p.A) for p in pts} == {(2, (1,)), (3, (1,)), (3, (2,))}
-    for p in pts:
-        assert math.gcd(*p.A, p.Q) == 1
+    assert {(Q, A) for Q, A, _B in pts} == {(2, (1,)), (3, (1,)), (3, (2,))}
+    for Q, A, _B in pts:
+        assert math.gcd(*A, Q) == 1
 
 
 def test_arc_pairs_level_two():

@@ -208,7 +208,10 @@ def test_each_kind_writes_exactly_its_files(run, summary, names, tmp_path,
 # sweep pins, the bytes of the dense (arcs, M) symbols of commit 3a2ba9e,
 # hold at X86_V3 and above only as well: its spectrum products and the abs
 # of its inverse transforms move at X86_V2, where sweep_maximal_arc.csv
-# hashes to 2290e404...
+# hashes to 2290e404...  The multiplier pins, the bytes of the union-mask
+# arc stacks and two apply loops of commit 864c0fc, hold at X86_V3 and
+# above only as well: at X86_V2 multiplier.json hashes to e07b9b0e... (seed
+# 2026) and 28b12434... (seed 20260819)
 _PINNED_RUNS = [
     (["chaining", "--set", "n_inst=300", "--seed", "2026"],
      {"chaining.json": "ecb4847e7a11b4854bb0d42aa676e4cc"
@@ -226,6 +229,12 @@ _PINNED_RUNS = [
                                "0f73914381f57d558c865d50671ccce93e0",
       "sweep_maximal_arc.json": "cc2b9dab71e3f736da088e255a7af2c3"
                                 "cfc191f1edcb8acc2cd7de695239b819"}),
+    (["multiplier", "--seed", "2026"],
+     {"multiplier.json": "efa1f90ce64fdecc98ac5eae7febc68d"
+                         "a7f4af6256d8d66622319a29c3cefe84"}),
+    (["multiplier", "--seed", "20260819"],
+     {"multiplier.json": "6b07451b0b4e1faa42f6c9856c11bad3"
+                         "362db6665320cfcc6690b6f160877487"}),
 ]
 
 

@@ -316,6 +316,43 @@ def test_vr_sup_on_anchored_stacks_matches_the_exact_oracle(data):
     assert not vr_sup([one_row[0]], f, r).any()
 
 
+def test_vr_sup_over_mixed_row_counts_is_the_max_of_single_calls():
+    # interleaved SupportStacks and ShiftedStacks of 1, 3, 2 and 4 rows: the
+    # buffer grows, then the 2-row SupportStack reuses rows the 3-row
+    # ShiftedStack filled everywhere; r = 2 makes the root a sqrt, which is
+    # monotone, so the max over single calls is the same bytes
+    M = 64
+    rng = np.random.default_rng(7)
+
+    def values(n):
+        return rng.normal(size=(n, M)) + 1j * rng.normal(size=(n, M))
+
+    support = np.flatnonzero(rng.random(M) < 0.5)
+    stacks = [SupportStack(M, support, values(1)[:, support]),
+              ShiftedStack(values(3), 5),
+              SupportStack(M, support, values(2)[:, support]),
+              ShiftedStack(values(4), M + 9)]
+    f = rng.normal(size=M) + 1j * rng.normal(size=M)
+    want = np.zeros(M)
+    for stack in stacks:
+        np.maximum(want, vr_sup([stack], f, 2.0), out=want)
+    assert vr_sup(stacks, f, 2.0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("s", range(1, multipliers.S_CAP + 1))
+def test_distinct_arc_balls_are_disjoint(s, d):
+    # build_arc_multiplier keeps the first arc whose ball holds lambda_vec:
+    # distinct arc centres lie more than two ball radii apart on the torus
+    # (max over coordinates), so no lambda_vec has a second arc
+    centres = np.array([[a / Q for a in A]
+                        for A, Q in arithmetic.arc_pairs(s, d)])
+    gaps = np.abs(centres[:, None, :] - centres[None, :, :]) % 1.0
+    dist = np.minimum(gaps, 1.0 - gaps).max(axis=2)
+    np.fill_diagonal(dist, np.inf)
+    assert dist.min() > 2 * arc_indicator_radius(s)
+
+
 def test_build_arc_multiplier_far_lambda_is_zero():
     j0 = psi_floor_index(1)
     stack = build_arc_multiplier(1, [j0 + 1, j0 + 2], [(0.5,)], 512, BUMP)[0]

@@ -26,6 +26,9 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "modvar"
 
+_ANGLE = ("harness runs the default angles; tests build orbits at dyadic "
+          "angles and from raw 120-bit integers for the exact orbit oracles")
+
 # name (Class.member for methods and fields; name(param), Class(param) or
 # Class.method(param) for a parameter) -> why it stays although no package
 # code names or passes it
@@ -45,6 +48,10 @@ ALLOWED = {
                                         "4096-long memory case stay small",
     "torus_dist(y)": "tests measure distances between two phases",
     "obs_const(c)": "tests use constant observables other than 1",
+    "CircleRotation(alpha)": _ANGLE,
+    "CircleRotation(scaled)": _ANGLE,
+    "SkewProduct(alpha)": _ANGLE,
+    "SkewProduct(scaled)": _ANGLE,
 }
 
 
@@ -164,11 +171,27 @@ def _callee(node):
     return func.attr if isinstance(func, ast.Attribute) else None
 
 
+def _constructor(cls, classes):
+    """The __init__ of a class: its own, or else the one it inherits from a
+    private base among classes (the top-level classes of its module)."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            return item
+    for base in cls.bases:
+        if (isinstance(base, ast.Name) and not _public(base.id)
+                and base.id in classes):
+            found = _constructor(classes[base.id], classes)
+            if found is not None:
+                return found
+    return None
+
+
 def _defaulted(tree):
     """(key, callee name, parameter, position or None, where) of each
     defaulted parameter of a public top-level function or public method or
-    __init__ of a top-level class; position counts the arguments a call
-    writes (no self), None for a keyword-only parameter."""
+    constructor of a top-level class (an __init__ inherited from a private
+    base counts as the public class's own); position counts the arguments a
+    call writes (no self), None for a keyword-only parameter."""
     def params(fn, key, callee, skip):
         args = fn.args
         pos = (args.posonlyargs + args.args)[skip:]
@@ -179,21 +202,24 @@ def _defaulted(tree):
             if d is not None:
                 yield key + "(%s)" % a.arg, callee, a.arg, None, fn.lineno
 
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and _public(node.name):
             yield from params(node, node.name, node.name, 0)
         if isinstance(node, ast.ClassDef) and _public(node.name):
+            init = _constructor(node, classes)
+            if init is not None:
+                yield from params(init, node.name, node.name, 1)
             for item in node.body:
-                if not isinstance(item, ast.FunctionDef):
+                if not (isinstance(item, ast.FunctionDef)
+                        and _public(item.name)):
                     continue
                 static = any(isinstance(d, ast.Name)
                              and d.id == "staticmethod"
                              for d in item.decorator_list)
-                if item.name == "__init__":
-                    yield from params(item, node.name, node.name, 1)
-                elif _public(item.name):
-                    yield from params(item, node.name + "." + item.name,
-                                      item.name, 0 if static else 1)
+                yield from params(item, node.name + "." + item.name,
+                                  item.name, 0 if static else 1)
 
 
 def _unpassed(sources=None):
@@ -272,6 +298,14 @@ _PLANTED = {
     "count(allowed)": "def count(seq, tau=1.0, start=0, allowed=None):\n"
                       "    return seq\n\n\n"
                       "print(count([1], tau=2.0), count([1], 1.0, 0))\n",
+    # a defaulted parameter of a constructor inherited from a private base;
+    # alpha is passed through the public class
+    "Rotation(scaled)": "class _Angled:\n"
+                        "    def __init__(self, alpha=None, scaled=None):\n"
+                        "        self.alpha = alpha\n"
+                        "        self.scaled = scaled\n\n\n"
+                        "class Rotation(_Angled):\n    pass\n\n\n"
+                        "print(Rotation(alpha=0.5).alpha, Rotation().scaled)\n",
 }
 
 
