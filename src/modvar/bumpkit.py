@@ -187,12 +187,19 @@ class Kernel:
         return 0, self.fn(n.astype(float))
 
 
-def _psi_closed_form(bump: SmoothBump, lam: float):
-    def psi(t):
-        t = np.asarray(t, dtype=float)
-        return bump(t) - bump(t / lam) / lam
+def _lacunarity(lam):
+    """The one check of a lacunarity: 1 < lam <= 2."""
+    lam = float(lam)
+    if not (1.0 < lam <= 2.0):
+        raise DomainError("lacunarity lam must lie in (1, 2], got %r" % (lam,))
+    return lam
 
-    return psi
+
+def _sampled(bump, lam, k, fn):
+    """fn sampled at spacing bump.h * lam^k on [0, lam^(k+1)], as a Kernel."""
+    spacing = bump.h * lam ** k
+    t = np.arange(0.0, lam ** (k + 1) + 0.5 * spacing, spacing)
+    return Kernel(fn(t), spacing, fn)
 
 
 def make_psi_kernel(bump: SmoothBump, lam: float, k: int) -> Kernel:
@@ -201,22 +208,17 @@ def make_psi_kernel(bump: SmoothBump, lam: float, k: int) -> Kernel:
     Supported in [0, lam^(k+1)]; integrates to zero because both bump terms
     carry the same mass.
     """
-    lam = float(lam)
-    if not (1.0 < lam <= 2.0):
-        raise DomainError("lacunarity lam must lie in (1, 2], got %r" % (lam,))
+    lam = _lacunarity(lam)
     k = int(k)
     if k < 0:
         raise DomainError("scale index k must be nonnegative")
-    psi = _psi_closed_form(bump, lam)
     scale = lam ** k
 
     def fn(t):
-        return psi(np.asarray(t, dtype=float) / scale) / scale
+        t = np.asarray(t, dtype=float) / scale
+        return (bump(t) - bump(t / lam) / lam) / scale
 
-    spacing = bump.h * scale
-    hi = lam ** (k + 1)
-    t = np.arange(0.0, hi + 0.5 * spacing, spacing)
-    return Kernel(fn(t), spacing, fn)
+    return _sampled(bump, lam, k, fn)
 
 
 def psi_floor_index(s_floor) -> int:
@@ -233,9 +235,7 @@ def make_Psi(bump: SmoothBump, lam: float, k: int, s_floor=None) -> Kernel:
     The telescoped form is phi(./lam^j0)/lam^j0 - phi(./lam^(k+1))/lam^(k+1);
     tests compare it to the explicit sum of make_psi_kernel outputs.
     """
-    lam = float(lam)
-    if not (1.0 < lam <= 2.0):
-        raise DomainError("lacunarity lam must lie in (1, 2], got %r" % (lam,))
+    lam = _lacunarity(lam)
     k = int(k)
     j0 = psi_floor_index(s_floor)
     if k < j0:
@@ -249,9 +249,7 @@ def make_Psi(bump: SmoothBump, lam: float, k: int, s_floor=None) -> Kernel:
         t = np.asarray(t, dtype=float)
         return bump(t / a) / a - bump(t / b) / b
 
-    spacing = bump.h * lam ** k
-    t = np.arange(0.0, b + 0.5 * spacing, spacing)
-    return Kernel(fn(t), spacing, fn)
+    return _sampled(bump, lam, k, fn)
 
 
 class ChiCutoff:

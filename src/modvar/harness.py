@@ -70,24 +70,17 @@ def _parse_list(text, parse):
     return tuple(parse(p) for p in parts)
 
 
-def _parse_floats(text):
-    return _parse_list(text, _parse_float)
-
-
-def _parse_ints(text):
-    return _parse_list(text, _parse_int)
-
-
 # the lowest kernel scale j0 of the top level bounds J_list at every level
 _J_FLOOR = psi_floor_index(multipliers.S_CAP)
 
-# schema: kind -> {key: (parser, default or _REQUIRED, low, high)}.  low and
-# high bound the value and every list entry, None for no bound: an integer
-# lies in low..high, a float exceeds low and does not exceed high.
+# schema: kind -> {key: (parser, default or _REQUIRED, low, high)}.  A tuple
+# default makes a list key, each entry parsed by parser.  low and high bound
+# the value and every list entry, None for no bound: an integer lies in
+# low..high, a float exceeds low and does not exceed high.
 SCHEMAS = {
     "bump-check": {
-        "eps0_list": (_parse_floats, (0.1, 0.25), 0, 0.5),
-        "lam_list": (_parse_floats, (1.5, 2.0), 1, 2),
+        "eps0_list": (_parse_float, (0.1, 0.25), 0, 0.5),
+        "lam_list": (_parse_float, (1.5, 2.0), 1, 2),
         "kmax": (_parse_int, 20, 1, None),
         "samples": (_parse_int, 2048, 1, None),
     },
@@ -103,7 +96,7 @@ SCHEMAS = {
     "variation": {
         "n_oracle": (_parse_int, 1000, 1, None),
         "max_len": (_parse_int, 12, 2, variation.MAX_BRUTE_LENGTH),
-        "r_list": (_parse_floats, (2.2, 2.5, 3.0, 4.0, 8.0), 1, None),
+        "r_list": (_parse_float, (2.2, 2.5, 3.0, 4.0, 8.0), 1, None),
         "oracle_tol": (_parse_float, 1e-9, None, None),
         "n_jump": (_parse_int, 10000, 1, None),
         "jump_len": (_parse_int, 24, 4, variation.MAX_DP_LENGTH),
@@ -136,15 +129,15 @@ SCHEMAS = {
         # the r-growth envelope r/(r-2) needs r > 2
         "r_low": (_parse_float, 2.2, 2, None),
         "r_high": (_parse_float, 4.0, 2, None),
-        "sizes": (_parse_ints, (1024, 4096, 16384), 64, None),
+        "sizes": (_parse_int, (1024, 4096, 16384), 64, None),
         "batch": (_parse_int, 30, 30, None),
         "size_slack": (_parse_float, 1.5, None, None),
         "envelope_slack": (_parse_float, 10.0, None, None),
     },
     "multiplier": {
         "M": (_parse_int, 240, 1, None),
-        "s_list": (_parse_ints, (1, 2), 1, multipliers.S_CAP),
-        "J_list": (_parse_ints, (2, 3, 5), _J_FLOOR, None),
+        "s_list": (_parse_int, (1, 2), 1, multipliers.S_CAP),
+        "J_list": (_parse_int, (2, 3, 5), _J_FLOOR, None),
         "r": (_parse_float, 3.0, 1, None),
         "tol": (_parse_float, 1e-8, None, None),
         "n_draw": (_parse_int, 2, 1, None),
@@ -158,7 +151,7 @@ SCHEMAS = {
         "M": (_parse_int, multipliers.SUGGESTED_MODULUS, 1, None),
         "s_min": (_parse_int, 1, None, None),
         "s_max": (_parse_int, 4, None, None),
-        "J_list": (_parse_ints, (2, 3, 5), _J_FLOOR, None),
+        "J_list": (_parse_int, (2, 3, 5), _J_FLOOR, None),
         "lam": (_parse_float, 1.5, 1, 2),
         "eps0": (_parse_float, 0.25, 0, 0.5),
         "rho0": (_parse_float, 0.125, None, None),
@@ -223,8 +216,10 @@ def parse_config(text, kind=None, overrides=None):
     for key, val in entries.items():
         if key not in schema:
             raise ConfigError("unknown key %r for experiment %r" % (key, kind))
+        parse, default = schema[key][:2]
         try:
-            params[key] = schema[key][0](val)
+            params[key] = (_parse_list(val, parse)
+                           if isinstance(default, tuple) else parse(val))
         except ConfigError as ex:
             raise ConfigError("key %r: %s" % (key, ex))
     for key, (_parser, default, lo, hi) in schema.items():
@@ -348,13 +343,6 @@ def _json_default(obj):
     raise TypeError("not JSON serializable: %r" % (obj,))
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True,
-                  default=_json_default)
-        fh.write("\n")
-
-
 def theta_symbols(bump, L):
     """The anchored transforms on Z/L of the truncated weights phi_M at
     the truncations _truncation_list(L): a read-only (K - 1, L) array,
@@ -376,9 +364,9 @@ def theta_sup_variation(values, what, theta_count, r):
     """
     L = len(values)
     theta_count = int(theta_count)
-    if L % theta_count:
-        raise DomainError("theta grid %d must divide the length %d"
-                          % (theta_count, L))
+    if theta_count < 1 or L % theta_count:
+        raise DomainError("theta grid %d must be positive and divide the "
+                          "length %d" % (theta_count, L))
     step = L // theta_count
     return multipliers.vr_sup((multipliers.ShiftedStack(what, j * step)
                                for j in range(theta_count)), values, r)
@@ -842,10 +830,11 @@ def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
     """
     if config.kind not in _RUNNERS:
         raise ConfigError("unknown experiment kind %r" % (config.kind,))
+    source = "MODVAR_JOBS" if "MODVAR_JOBS" in os.environ else "jobs"
     try:
         jobs = _parse_int(os.environ.get("MODVAR_JOBS", jobs))
     except ConfigError as ex:
-        raise ConfigError("MODVAR_JOBS: %s" % ex)
+        raise ConfigError("%s: %s" % (source, ex))
     if jobs < 1:
         raise ConfigError("jobs must be a positive integer")
     cpus = os.cpu_count() or 1
@@ -855,7 +844,10 @@ def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
     os.makedirs(out_dir, exist_ok=True)
     payloads = _RUNNERS[config.kind](config, out_dir, int(seed), jobs)
     for stem, payload in payloads.items():
-        _write_json(os.path.join(out_dir, stem + ".json"), payload)
+        with open(os.path.join(out_dir, stem + ".json"), "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True,
+                      default=_json_default)
+            fh.write("\n")
     summary = next(iter(payloads.values()))
     ok = summary["ok"]
     flat = {k: v for k, v in summary.items() if not isinstance(v, dict)}

@@ -303,17 +303,16 @@ def arc_symbols(s: int, M: int, chi_a0=DEFAULT_A0):
 def _filtered(stacks, f):
     """Per stack of n rows, its rows times the transform of the signal f on
     Z/M, inverted in place in rows 1.. of one buffer whose row 0 stays zero,
-    yielded as a view of n + 1 rows.  The buffer is replaced only when a
-    stack has more rows."""
+    yielded as a view of n + 1 rows.  The stacks are listed first, so the
+    buffer, of 1 + most rows, is allocated once per call."""
     _check_grid(np.size(f), f)      # a nonempty 1-d array, stacks or none
-    fhat, M = np.fft.fft(f), len(f)
-    buf = np.zeros((0, M), dtype=complex)
+    fhat, M, stacks = np.fft.fft(f), len(f), list(stacks)
+    buf = np.zeros((1 + max((len(st.values) for st in stacks), default=0), M),
+                   dtype=complex)
     for stack in stacks:
         shifted = isinstance(stack, ShiftedStack)
         _check_grid(stack.values.shape[-1] if shifted else stack.modulus, f)
         n = len(stack.values)
-        if n >= len(buf):
-            buf = np.zeros((n + 1, M), dtype=complex)
         rows = buf[1:n + 1]
         if shifted:
             m = stack.shift % M
@@ -329,12 +328,10 @@ def _filtered(stacks, f):
 def maximal_arc_ratio(symbols, f) -> float:
     """l2 ratio of the arc-maximal function against the signal f on Z/M:
     the sup of |g| over the rows of the stacks from arc_symbols, each row
-    filtering f, in l2 over ||f||_2; one stack at a time in one buffer,
-    the largest first so that it is allocated once (grown stack by stack,
-    it took 30 times the page faults in a maximal-arc sweep)."""
+    filtering f, in l2 over ||f||_2; one stack at a time in _filtered's one
+    buffer."""
     best = np.zeros(np.size(f))
-    by_rows = sorted(symbols, key=lambda st: len(st.values), reverse=True)
-    for spec in _filtered(by_rows, f):
+    for spec in _filtered(symbols, f):
         np.maximum(best, np.abs(spec[1:]).max(axis=0), out=best)
     norm = l2(f)
     return l2(best) / norm if norm else 0.0
@@ -404,8 +401,8 @@ def vr_sup(stacks, f, r) -> np.ndarray:
     """Pointwise sup over the stacks of the r-variation across the rows of
     each stack applied to the signal f on Z/M, as a 1-d array.
 
-    stacks is any iterable (a generator too) of anchored SupportStacks or
-    ShiftedStacks, applied by _filtered; vr_batch runs on each view, row 0
+    stacks is any iterable of anchored SupportStacks or ShiftedStacks,
+    listed and applied by _filtered; vr_batch runs on each view, row 0
     included, and the max is kept on the r-th powers.
     """
     best = np.zeros(np.size(f))

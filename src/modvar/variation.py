@@ -12,20 +12,21 @@ list of sequences; one sequence is a one-element list.  They group the
 sequences by shape (the cover by length alone, zero-padding the dims) and
 run each group as one batch, in blocks whose tables (n^2 gaps or 2^n chain
 sums per member) hold at most BATCH_BLOCK entries, or one member's own.
-_vr_dp is the one dynamic program: vr_exact and jump_variation_check feed
-it the rows of a stacked gap tensor, vr_batch the |increments| of many
-anchored scalar sequences (row 0 zero, its links |x_i|^r taken in one pass
-before the DP over rows 1..), in blocks of GAP_BLOCK // n columns, so that
-the DP's temporaries hold at most GAP_BLOCK entries for any number of
-sequences.  It returns the r-th power of the variation, and so does
-vr_batch: the per-sequence functions take one scalar root per sequence,
-multipliers.vr_sup one vector root of the max over its batches.
+_vr_dp is the one dynamic program, a max-plus chain over the links its
+callers give: the r-th powers of the rows of a stacked gap tensor
+(vr_exact, jump_variation_check) or of the |increments| of many anchored
+scalar sequences (vr_batch: row 0 zero, its links |x_i|^r taken in one
+pass before the DP over rows 1.., in blocks of GAP_BLOCK // n columns, so
+the DP's temporaries hold at most GAP_BLOCK entries).  It returns the r-th
+power of the variation, and so does vr_batch: the per-sequence functions
+take one scalar root per sequence, multipliers.vr_sup one vector root of
+the max over its batches.
 
 Jump counting asks for the longest chain of times whose consecutive values
 differ by at least tau.  A greedy scan is NOT maximal for this problem
 (witness values [5, 0, 10] with tau 10: the greedy chain from the first
-element is empty, but 0 -> 10 jumps once), so the count uses the same
-O(n^2) dynamic program as the variation norm.
+element is empty, but 0 -> 10 jumps once), so the count runs the same
+dynamic program on links 1 (a gap of at least tau) or -inf, exactly.
 
 The chaining cover organizes the sequence values into greedy 2^-v nets at
 dyadic resolutions, each center pointing at a parent in the next coarser
@@ -73,8 +74,9 @@ def _as_value_matrix(seq):
 
 def _check_r(r):
     r = float(r)
-    if not (r > 1.0):
-        raise DomainError("variation exponent r must exceed 1, got %r" % (r,))
+    if not 1.0 < r < math.inf:
+        raise DomainError("variation exponent r must exceed 1 and be finite, "
+                          "got %r" % (r,))
     return r
 
 
@@ -132,19 +134,19 @@ def _blocks(seqs, cost, key=np.shape):
             yield block, dims, stack
 
 
-def _vr_dp(gaps, D, r):
-    """The r-th power of the r-variation by dynamic programming; D[i] is the
-    best chain ending at i.
+def _vr_dp(links, D):
+    """The best chain by max-plus dynamic programming; D[i] is the best
+    chain ending at i.
 
     D[i] holds on entry the best chain ending at i from outside D: 0, or
-    the link from vr_batch's anchor.  gaps(i) returns the gaps from entry i
-    to entries 0..i-1, an array of shape (i,) + D.shape[1:]; the DP runs on
-    every column of D at once, with r one exponent or one per column.
-    Every chain's last link comes from some earlier end, so maximizing over
-    predecessors is exhaustive.  The caller takes the 1/r root.
+    the link from vr_batch's anchor.  links(i) returns the links from entry
+    i to entries 0..i-1 (r-th powers of gaps, or a jump's 1 or -inf), an
+    array of shape (i,) + D.shape[1:]; the DP runs on every column of D at
+    once.  Every chain's last link comes from some earlier end, so
+    maximizing over predecessors is exhaustive.
     """
     for i in range(1, len(D)):
-        np.maximum(D[i], (D[:i] + gaps(i) ** r).max(axis=0), out=D[i])
+        np.maximum(D[i], (D[:i] + links(i)).max(axis=0), out=D[i])
     return D.max(axis=0, initial=0.0)
 
 
@@ -154,7 +156,7 @@ def vr_exact(seqs, r) -> list:
     out = [None] * len(seqs)
     for idx, _dims, vals in _blocks(seqs, lambda n: n * n):
         G = _gaps(vals)
-        powers = _vr_dp(lambda i: G[i, :i], np.zeros(G.shape[1:]), r)
+        powers = _vr_dp(lambda i: G[i, :i] ** r, np.zeros(G.shape[1:]))
         for k, p in zip(idx, powers):
             out[k] = float(p ** (1.0 / r))
     return out
@@ -191,8 +193,8 @@ def vr_batch(values, r) -> np.ndarray:
         # later time-side pass onto the heap)
         D = np.zeros((n, blk.shape[1]))
         np.power(np.abs(blk, out=D[1:]), r, out=D[1:])
-        powers[a:a + step] = _vr_dp(lambda i: np.abs(blk[i] - blk[:i]),
-                                    D[1:], r)
+        powers[a:a + step] = _vr_dp(
+            lambda i: np.abs(blk[i] - blk[:i]) ** r, D[1:])
     return powers
 
 
@@ -225,30 +227,24 @@ def vr_brute(seqs, r) -> list:
     return out
 
 
-def _chain_dp(G, tau):
-    """Longest chain (edge count) with consecutive gaps >= tau.
-
-    G is one gap matrix (n, n) or a stack (n, n, B), with tau one
-    threshold or one per column; returns one count per column.
-    """
-    far = G >= tau
-    best = np.zeros(G.shape[1:], dtype=int)
-    for i in range(1, len(G)):
-        best[i] = np.where(far[i, :i], best[:i] + 1, 0).max(axis=0)
-    return best.max(axis=0, initial=0)
-
-
 def _check_tau(tau):
     tau = float(tau)
-    if tau <= 0:
-        raise DomainError("jump threshold tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise DomainError("jump threshold tau must be positive and finite")
     return tau
+
+
+def _jumps(G, tau):
+    """The jump counts of a gap stack (n, n, B), tau one threshold or one
+    per column, as floats: _vr_dp on links 1 or -inf."""
+    return _vr_dp(lambda i: np.where(G[i, :i] >= tau, 1.0, -np.inf),
+                  np.zeros(G.shape[1:]))
 
 
 def jump_count(seq, tau) -> int:
     """Maximal K with times M_0 < ... < M_K, |a_{M_i} - a_{M_{i-1}}| >= tau."""
     tau = _check_tau(tau)
-    return int(_chain_dp(_gaps(_as_value_matrix(seq)), tau))
+    return int(_jumps(_gaps(_as_value_matrix(seq)[:, None]), tau)[0])
 
 
 def jump_variation_check(seqs, tau, r) -> list:
@@ -263,9 +259,9 @@ def jump_variation_check(seqs, tau, r) -> list:
     rs = np.array([_check_r(x) for x in np.broadcast_to(r, len(seqs))])
     out = [None] * len(seqs)
     for idx, _dims, vals in _blocks(seqs, lambda n: n * n):
-        G = _gaps(vals)
-        jumps = _chain_dp(G, taus[idx]).tolist()
-        powers = _vr_dp(lambda i: G[i, :i], np.zeros(G.shape[1:]), rs[idx])
+        G, r_blk = _gaps(vals), rs[idx]
+        jumps = _jumps(G, taus[idx]).tolist()
+        powers = _vr_dp(lambda i: G[i, :i] ** r_blk, np.zeros(G.shape[1:]))
         for k, K, p in zip(idx, jumps, powers):
             tau_k, r_k = float(taus[k]), float(rs[k])
             slack = float(p ** (1.0 / r_k)) - tau_k * K ** (1.0 / r_k)

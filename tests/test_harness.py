@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from modvar import arithmetic, cli, harness, multipliers, variation
 from modvar.bumpkit import SmoothBump, scaled_weight
 from modvar.harness import SCHEMAS, ConfigError, default_config, parse_config
-from modvar.util import GridTooCoarseError
+from modvar.util import DomainError, GridTooCoarseError
 
 import oracles
 from test_variation import VARIATION_PIN
@@ -211,7 +211,12 @@ def test_each_kind_writes_exactly_its_files(run, summary, names, tmp_path,
 # hashes to 2290e404...  The multiplier pins, the bytes of the union-mask
 # arc stacks and two apply loops of commit 864c0fc, hold at X86_V3 and
 # above only as well: at X86_V2 multiplier.json hashes to e07b9b0e... (seed
-# 2026) and 28b12434... (seed 20260819)
+# 2026) and 28b12434... (seed 20260819).  The bump-check, weyl and seqspace
+# sweep pins are the bytes of commit a2d2e1b.  bump_check.json,
+# bump_profile.csv and weyl.json hold down to X86_V2; weyl_decay.csv and
+# the default seqspace sweep (s_max 4) hold at X86_V3 and above only: at
+# X86_V2 weyl_decay.csv hashes to 9a02bab4..., sweep_seqspace.csv to
+# 9cb61666... and sweep_seqspace.json to 0b54640e...
 _PINNED_RUNS = [
     (["chaining", "--set", "n_inst=300", "--seed", "2026"],
      {"chaining.json": "ecb4847e7a11b4854bb0d42aa676e4cc"
@@ -235,6 +240,21 @@ _PINNED_RUNS = [
     (["multiplier", "--seed", "20260819"],
      {"multiplier.json": "6b07451b0b4e1faa42f6c9856c11bad3"
                          "362db6665320cfcc6690b6f160877487"}),
+    (["bump-check", "--seed", "2026"],
+     {"bump_check.json": "eae021f4ab465df86877b01dcbb14f50"
+                         "bf896780725581aee7d10c2841a0222d",
+      "bump_profile.csv": "91bf95f45cd828a349f7a54abfb59f85"
+                          "3c7dd73dd51133ce19e061e7b94e974c"}),
+    (["weyl", "--seed", "2026"],
+     {"weyl.json": "45a5af3c4251538b037e3bae688f48d2"
+                   "d64abe57c149a39d20db36a8c5222b92",
+      "weyl_decay.csv": "4bec60f54f69bef9af4016801bbc4e50"
+                        "f746d402fe418cfe884eb19e0b0b5035"}),
+    (["sweep", "--set", "operator=seqspace", "--seed", "2026"],
+     {"sweep_seqspace.csv": "1c6cea0cd4c4d80fec82a511299fa6c5"
+                            "25a0df5a34c8b9f157149a3ea36ae5e6",
+      "sweep_seqspace.json": "5471e68a0a6744dc67b6e1201d278839"
+                             "cee67c3d6fc44335928ae33cf422a129"}),
 ]
 
 
@@ -284,6 +304,19 @@ def test_cli_exit_one_on_non_integer_jobs_env(tmp_path, monkeypatch, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "MODVAR_JOBS" in err
+
+
+def test_non_integer_jobs_refusal_names_its_source(tmp_path, monkeypatch):
+    # the CLI's --jobs is type=int; harness.run takes any value
+    cfg = parse_config("kind = chaining\nn_inst = 2\n")
+    monkeypatch.delenv("MODVAR_JOBS", raising=False)
+    with pytest.raises(ConfigError, match=r"^jobs: expected an integer, "
+                                          r"got 'x'$"):
+        harness.run(cfg, out_dir=str(tmp_path), jobs="x")
+    monkeypatch.setenv("MODVAR_JOBS", "y")
+    with pytest.raises(ConfigError, match=r"^MODVAR_JOBS: expected an "
+                                          r"integer, got 'y'$"):
+        harness.run(cfg, out_dir=str(tmp_path), jobs="x")
 
 
 @pytest.mark.parametrize("argv", [
@@ -549,6 +582,15 @@ def test_config_ranges_refused_before_any_work(kind, setting, first_work,
     assert setting.split()[-1].split("=")[0] in err
 
 
+def test_theta_sup_variation_refuses_an_empty_theta_grid():
+    # theta_count 0 once raised ZeroDivisionError from L % 0
+    what = harness.theta_symbols(SmoothBump(0.25), 64)
+    for count in (0, -4):
+        with pytest.raises(DomainError, match="must be positive"):
+            harness.theta_sup_variation(np.ones(64, dtype=complex), what,
+                                        count, 3.0)
+
+
 def test_theta_sup_variation_runs_in_a_fixed_working_set():
     # the anchored (K - 1, L) transforms are built beforehand; one call
     # then holds the signal's transform, one (K, L) spectrum whose rows 1..
@@ -658,7 +700,7 @@ _UNBOUNDED = {
 def _just_outside(parser, default, lo, hi):
     """One raw value per bound of a key, each just outside that bound; a
     list gets its default entries plus one bad entry."""
-    exact = parser in (harness._parse_int, harness._parse_ints)
+    exact = parser is harness._parse_int
     bad = []
     if lo is not None:
         bad.append(lo - 1 if exact else lo)

@@ -1,11 +1,11 @@
 """Guard against library code that nothing in the package reaches.
 
-Every public module-level function, class and UPPER_CASE constant of
-src/modvar, every public method and property of a module-level class, and
-every public field such a class sets as ``self.NAME = ...`` or declares as
-an annotated class attribute (a dataclass field) must be read somewhere in
-the package outside its own definition, or be listed below with the reason
-it stays.  Only loads count.  A member counts as read only through an
+Every module-level function, class and UPPER_CASE constant of src/modvar,
+private ones included, every public method and property of a module-level
+class, and every public field such a class sets as ``self.NAME = ...`` or
+declares as an annotated class attribute (a dataclass field) must be read
+somewhere in the package outside its own definition, or be listed below
+with the reason it stays.  Only loads count.  A member counts as read only through an
 attribute (``obj.NAME``), so a local variable of the same name does not
 hide it; attribute chains rooted at a module imported from outside the
 package (``np.add.at``) name nothing of the package.
@@ -37,9 +37,9 @@ ALLOWED = {
     "obs_const": "tests of orbit_average and ww_scan use the constant "
                  "observable",
     "jump_count": "the public jump count; jump_variation_check runs its "
-                  "core _chain_dp on the gap matrix it shares with the "
-                  "variation DP, and the DFS-oracle tests check that core "
-                  "through jump_count",
+                  "core _jumps (the variation DP on links 1 or -inf) on the "
+                  "gap matrix it shares with the r-variation, and the "
+                  "DFS-oracle tests check that core through jump_count",
     "main(argv)": "tests and perfbench/run.py call cli.main with an "
                   "argument list; the console script passes none",
     "build_chaining_cover(resolution)": "tests build covers at coarse "
@@ -100,18 +100,16 @@ def _public(name):
 
 
 def _definitions(tree):
-    """(key, name, member, node) of each public top-level function, class
-    and UPPER_CASE constant, and of each public method, property, self.NAME
-    field or annotated class field of a top-level class; members are keyed
-    Class.member."""
+    """(key, name, member, node) of each top-level function, class and
+    UPPER_CASE constant, public or private, and of each public method,
+    property, self.NAME field or annotated class field of a top-level
+    class; members are keyed Class.member."""
     for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and _public(node.name)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name, False, node
         if isinstance(node, ast.Assign):
             for t in node.targets:
-                if (isinstance(t, ast.Name) and _public(t.id)
-                        and t.id.isupper()):
+                if isinstance(t, ast.Name) and t.id.isupper():
                     yield t.id, t.id, False, node
         if isinstance(node, ast.ClassDef):
             fields = {}
@@ -135,7 +133,7 @@ def _definitions(tree):
 
 
 def _unreached(sources=None):
-    """Public definitions whose name is read nowhere outside themselves.
+    """Definitions whose name is read nowhere outside themselves.
 
     sources: (file name, text) pairs, the package files by default.  A name
     is matched, not a binding, so a method counts as reached when anything
@@ -293,6 +291,12 @@ _PLANTED = {
                       "@dataclass\nclass Cover:\n    levels: dict\n"
                       "    diameter: float\n\n\n"
                       "print(Cover({}, 0.0).levels)\n",
+    # a private helper that nothing reads; _cached and _LIMIT are read
+    "_helper": "_LIMIT = 4\n\n\ndef _helper(x):\n    return x\n\n\n"
+               "def _cached(x):\n    return min(x, _LIMIT)\n\n\n"
+               "print(_cached(9))\n",
+    # a private constant that is only assigned
+    "_SCALE": "_SCALE = 2\n_BASE = 3\nprint(_BASE)\n",
     # a defaulted parameter no call passes; tau is passed by keyword,
     # start by position
     "count(allowed)": "def count(seq, tau=1.0, start=0, allowed=None):\n"

@@ -52,6 +52,33 @@ def test_variation_rejects_small_exponent():
         vr_exact([[0.0, 1.0]], 1.0)
 
 
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_vr_exact_refuses_non_finite_exponent(r):
+    # r = inf once gave [1.0] here, below the largest increment 2
+    with pytest.raises(DomainError, match="must exceed 1 and be finite"):
+        vr_exact([np.array([0.0, 2.0])], r)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_vr_brute_refuses_non_finite_exponent(r):
+    with pytest.raises(DomainError, match="must exceed 1 and be finite"):
+        vr_brute([np.array([0.0, 2.0])], r)
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan])
+def test_jump_count_refuses_non_finite_threshold(tau):
+    # tau = nan once counted 0 jumps
+    with pytest.raises(DomainError, match="positive and finite"):
+        jump_count([0.0, 1.0, 0.0], tau)
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan])
+def test_jump_variation_check_refuses_non_finite_threshold(tau):
+    # either value once reported (False, nan), a false violation
+    with pytest.raises(DomainError, match="positive and finite"):
+        jump_variation_check([[0.0, 1.0, 0.0, 2.0]], tau, 3.0)
+
+
 @pytest.mark.parametrize("r", [2.2, 2.5, 3.0, 8.0])
 def test_dp_matches_brute_and_dfs(rng, r):
     for _ in range(20):
