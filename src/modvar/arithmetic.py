@@ -43,6 +43,8 @@ def weyl_rows(Q: int, As, tables=None) -> np.ndarray:
     given or built here.  Row k belongs to As[k]; column i holds B = i + 1.
     """
     Q = int(Q)
+    if Q < 1:
+        raise DomainError("modulus Q must be positive")
     try:
         A = np.asarray(As, dtype=np.int64) % Q
     except ValueError:      # ragged

@@ -296,17 +296,16 @@ def _check_cross(kind, p, given):
                 raise ConfigError("need 0 < rho0*4^(1-s) < 0.5 and a "
                                   "positive finite chi_a0 at every level "
                                   "s_min..s_max, got rho0 = %r" % p["rho0"])
-        # every arc frequency B/Q of the level must snap to the M-grid
-        # within the radius of the window the run builds
+        # each B/Q, Q a denominator of the level's arcs, must snap to the
+        # M-grid within the radius of the window the run builds
         radius = ChiCutoff(s, a0=a0).radius
-        for Q in sorted({Q for _A, Q in arithmetic.arc_pairs(s, 2)}):
-            for B in range(1, Q + 1):
-                try:
+        try:
+            for Q in range(2 ** (s - 1), 2 ** s):
+                for B in range(1, Q + 1):
                     multipliers.snap_to_grid(p["M"], B, Q, radius)
-                except GridTooCoarseError as ex:
-                    raise ConfigError("M = %d is too coarse%s: %s" % (
-                        p["M"], " for rho0 = %r" % p["rho0"] if vr_sd else "",
-                        ex))
+        except GridTooCoarseError as ex:
+            raise ConfigError("M = %d is too coarse%s: %s" % (
+                p["M"], " for rho0 = %r" % p["rho0"] if vr_sd else "", ex))
 
 
 def default_config(kind):
@@ -326,21 +325,15 @@ def _map_jobs(fn, items, jobs):
     return [fn(x) for x in items]
 
 
-def _gauss(seed, draw, n):
-    g = stream(seed, draw)
-    return g.standard_normal(n) + 1j * g.standard_normal(n)
+def _gauss(g, shape):
+    """Complex normals of this shape from g, the real parts drawn first."""
+    return g.standard_normal(shape) + 1j * g.standard_normal(shape)
 
 
 def _stats(vals):
     a = np.asarray(vals, dtype=float)
     se = float(np.std(a, ddof=1) / math.sqrt(len(a))) if len(a) > 1 else 0.0
     return float(np.mean(a)), float(np.max(a)), se
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.bool_, np.integer, np.floating)):
-        return obj.item()
-    raise TypeError("not JSON serializable: %r" % (obj,))
 
 
 def theta_symbols(bump, L):
@@ -395,17 +388,16 @@ def _run_bump_check(cfg, out, seed, jobs):
             np.linspace(0.0, T, samples), np.linspace(1.0 - T, 1.0, samples),
         ])
         deriv = {}
-        deriv_ok = True
         for a in range(1, 5):
             sup = float(np.max(np.abs(bump.deriv(ts, order=a))))
             bound = bump.deriv_constants[a] * eps0 ** (-a)
-            deriv[a] = {"sup": sup, "bound": bound}
-            deriv_ok = deriv_ok and sup <= bound
+            deriv[str(a)] = {"sup": sup, "bound": bound}
+        deriv_ok = all(d["sup"] <= d["bound"] for d in deriv.values())
         ok = ok and l1_ok and deriv_ok
         summary["eps0"][str(eps0)] = {
             "l1_defect": bump.l1_defect, "l1_quadrature": est,
             "richardson": rich, "l1_ok": l1_ok,
-            "deriv": {str(a): v for a, v in deriv.items()},
+            "deriv": deriv,
             "deriv_ok": deriv_ok,
         }
     bump = SmoothBump(cfg.get("eps0_list")[0])
@@ -470,7 +462,7 @@ def _run_variation(cfg, out, seed, jobs):
     for i in range(cfg.get("n_oracle")):
         g = stream(seed, i)
         n = int(g.integers(2, cfg.get("max_len") + 1))
-        seqs.append(g.standard_normal(n) + 1j * g.standard_normal(n))
+        seqs.append(_gauss(g, n))
     worst = max(abs(dp - brute) for r in cfg.get("r_list")
                 for dp, brute in zip(variation.vr_exact(seqs, r),
                                      variation.vr_brute(seqs, r)))
@@ -480,7 +472,7 @@ def _run_variation(cfg, out, seed, jobs):
     for i in range(cfg.get("n_jump")):
         g = stream(seed, 10 ** 6 + i)
         n = int(g.integers(4, cfg.get("jump_len") + 1))
-        seqs.append(g.standard_normal(n) + 1j * g.standard_normal(n))
+        seqs.append(_gauss(g, n))
         taus.append(float(g.uniform(0.05, 2.0)))
         rs.append(float(g.uniform(2.1, 8.0)))
     checks = variation.jump_variation_check(seqs, taus, rs)
@@ -506,8 +498,7 @@ def _run_chaining(cfg, out, seed, jobs):
         # so that every instance keeps its seeded values and chaining.json
         # its bytes
         g.uniform(0.0, 10.0, n)
-        seqs.append(g.standard_normal((n, dim))
-                    + 1j * g.standard_normal((n, dim)))
+        seqs.append(_gauss(g, (n, dim)))
     worst_ratio = worst_tel = 0.0
     try:
         cover = variation.build_chaining_cover(seqs)
@@ -578,10 +569,11 @@ def _run_converge(cfg, out, seed, jobs):
     # scenario c: skew product, quadratic resonance at x = 1/2
     skew = systems.SkewProduct()
     y0 = cfg.get("y0")
+    char = complex(e(y0))
     sk = averaging.orbit_terms(skew, systems.obs_skew_char(1), (0.5, y0),
                                n_top, polykit.Poly.vanish2((-skew.alpha,)))
-    c_res = abs(averaging.orbit_average(sk, bump) - e(y0) * bump.mass)
-    c_rough = abs(averaging.rough_average(sk) - e(y0))
+    c_res = abs(averaging.orbit_average(sk, bump) - char * bump.mass)
+    c_rough = abs(averaging.rough_average(sk) - char)
     c_ok = c_res <= res_tol and c_rough <= pad
 
     return {"converge": {
@@ -607,7 +599,7 @@ def _run_carleson(cfg, out, seed, jobs):
         g = stream(seed, i)
         n = int(g.integers(8, cfg.get("cov_len") + 1))
         start = int(g.integers(-20, 21))
-        f = Signal(start, g.standard_normal(n) + 1j * g.standard_normal(n))
+        f = Signal(start, _gauss(g, n))
         theta = int(g.integers(0, 256)) / 256.0
         theta2 = int(g.integers(0, 256)) / 256.0
         lhs = averaging.conv_average(modulate(f, theta), bump, M_avg,
@@ -623,7 +615,7 @@ def _run_carleson(cfg, out, seed, jobs):
     L = cfg.get("grid_len")
     r = cfg.get("r")
     g = stream(seed, 7777)
-    base = g.standard_normal(L) + 1j * g.standard_normal(L)
+    base = _gauss(g, L)
     shift = int(g.integers(1, cfg.get("theta_count")))
     what = theta_symbols(bump, L)
     a1 = theta_sup_variation(base, what, cfg.get("theta_count"), r)
@@ -643,18 +635,16 @@ def _run_carleson(cfg, out, seed, jobs):
         what = theta_symbols(bump, L)
 
         def one(d):
-            f = _gauss(seed, d, L)
+            f = _gauss(stream(seed, d), L)
             best = theta_sup_variation(f, what, cfg.get("theta_count"), r_val)
             return l2(best) / l2(f)
         return _stats(_map_jobs(one, range(batch), jobs))
 
-    per_size = [stats_at(L, r) for L in sizes]
-    at_lo, at_hi = stats_at(sizes[0], lo), stats_at(sizes[0], hi)
-    rows = [(0, r, L, batch) + p for L, p in zip(sizes, per_size)]
-    rows += [(0, lo, sizes[0], batch) + at_lo,
-             (0, hi, sizes[0], batch) + at_hi]
-    multipliers.ratio_table_csv(os.path.join(out, "carleson.csv"), rows)
-    m_lo, m_hi = at_lo[0], at_hi[0]
+    runs = [(L, r) for L in sizes] + [(sizes[0], lo), (sizes[0], hi)]
+    stats = [stats_at(L, r_val) for L, r_val in runs]
+    multipliers.ratio_table_csv(os.path.join(out, "carleson.csv"), [
+        (0, r_val, L, batch) + st for (L, r_val), st in zip(runs, stats)])
+    per_size, m_lo, m_hi = stats[:-2], stats[-2][0], stats[-1][0]
     cap = cfg.get("envelope_slack") * (lo / (lo - 2.0)) / (hi / (hi - 2.0))
     size_ok = per_size[-1][0] <= cfg.get("size_slack") * per_size[0][0]
     env_ok = m_lo / m_hi <= cap
@@ -688,20 +678,19 @@ def _run_multiplier(cfg, out, seed, jobs):
         # vr_s at the arc centres (the points 3k+1 of the canonical grid),
         # vr_sd on the grid's first 3 points
         grid = multipliers.lambda_grid_for(s, 2)
-        built, oracle = [], []
-        for lgrid in (grid[1::3], grid[:3]):
-            built.append(multipliers.build_arc_multiplier(
-                s, J_list, lgrid, M, bump, lam=lam))
-            oracle.append([[dense.arc_multiplier(s, J, lv, bump, lam, M)
-                            for J in J_list]
-                           for lv in lgrid])
+        stacks = multipliers.build_arc_multiplier(s, J_list, grid, M, bump,
+                                                  lam=lam)
+        built = (stacks[1::3], stacks[:3])
+        oracle = [[[dense.arc_multiplier(s, J, lv, bump, lam, M)
+                    for J in J_list] for lv in lgrid]
+                  for lgrid in (grid[1::3], grid[:3])]
 
         def draw_errors(draw):
-            f = _gauss(seed, 100 * s + draw, M)
+            f = _gauss(stream(seed, 100 * s + draw), M)
             return tuple(
-                float(np.max(np.abs(multipliers.vr_sup(stacks, f, r)
+                float(np.max(np.abs(multipliers.vr_sup(picked, f, r)
                                     - dense.variation_sup(want, f, r))))
-                for stacks, want in zip(built, oracle))
+                for picked, want in zip(built, oracle))
 
         for err_s, err_sd in _map_jobs(draw_errors, range(cfg.get("n_draw")),
                                        jobs):
@@ -709,7 +698,7 @@ def _run_multiplier(cfg, out, seed, jobs):
             errs["vr_sd"] = max(errs["vr_sd"], err_sd)
 
     # vrd on a short line signal, nested-loop oracle
-    f = Signal(3, _gauss(seed, 9000, 48))
+    f = Signal(3, _gauss(stream(seed, 9000), 48))
     grid = [polykit.Poly.vanish2((0.3,)), polykit.Poly.linear(0.1)]
     got = multipliers.vrd_operator(f, bump, lam, grid, [1, 2, 3], r)
     want = dense.vrd(f, bump, lam, grid, [1, 2, 3], r,
@@ -747,10 +736,8 @@ def _run_sweep(cfg, out, seed, jobs):
     r = cfg.get("r")
     M = cfg.get("M")
     bump = SmoothBump(cfg.get("eps0"))
-    lam = cfg.get("lam")
     levels, stats = [], []      # per level: (s, r, size, batch), table stats
 
-    J_list = list(cfg.get("J_list"))
     for s in range(cfg.get("s_min"), cfg.get("s_max") + 1):
         # symbols depend on the level only: build once, apply per draw;
         # ratios(v) gives one ratio per table
@@ -773,8 +760,8 @@ def _run_sweep(cfg, out, seed, jobs):
             # arcs' windows disjoint and the sup probes per-arc decay
             probe = _chi_a0_for_radius(s, cfg.get("rho0") * 0.25 ** (s - 1))
             stacks = multipliers.build_arc_multiplier(
-                s, J_list, multipliers.lambda_grid_for(s, 2), M, bump,
-                lam=lam, chi_a0=probe)
+                s, cfg.get("J_list"), multipliers.lambda_grid_for(s, 2), M,
+                bump, lam=cfg.get("lam"), chi_a0=probe)
             # the grid's points 3k+1 are the arc centres: vr-s sups over
             # their stacks, vr-sd over every stack, so the max of the
             # centre sup with the sup over the rest is the vr-sd value
@@ -786,7 +773,7 @@ def _run_sweep(cfg, out, seed, jobs):
                 best = np.maximum(at_centres,
                                   multipliers.vr_sup(rest, v, r))
                 return tuple(l2(g) / l2(v) for g in (best, at_centres))
-        vals = _map_jobs(lambda d: ratios(_gauss(seed, d, n)),
+        vals = _map_jobs(lambda d: ratios(_gauss(stream(seed, d), n)),
                          range(batch), jobs)
         levels.append((s, r if kind == "vr-sd" else 0.0, size, batch))
         stats.append([_stats(col) for col in zip(*vals)])
@@ -845,13 +832,11 @@ def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
     payloads = _RUNNERS[config.kind](config, out_dir, int(seed), jobs)
     for stem, payload in payloads.items():
         with open(os.path.join(out_dir, stem + ".json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True,
-                      default=_json_default)
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     summary = next(iter(payloads.values()))
     ok = summary["ok"]
     flat = {k: v for k, v in summary.items() if not isinstance(v, dict)}
     print("[%s] %s %s" % (config.kind, "ok" if ok else "FAIL",
-                          json.dumps(flat, sort_keys=True,
-                                     default=_json_default)))
+                          json.dumps(flat, sort_keys=True)))
     return 0 if ok else 2

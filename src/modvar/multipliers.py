@@ -230,29 +230,30 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
         raise DomainError("scale J=%d is below the level floor j0=%d"
                           % (J_list[0], j0))
     ball = arc_indicator_radius(chi.s)
-    hits = []           # per lambda_vec: the one arc in its ball, if any
+    hits = []           # per lambda_vec: (A, Q, offsets) of its arc, or None
     for lambda_vec in lambda_grid:
         lambda_vec = tuple(float(x) for x in lambda_vec)
-        hits.append([])
+        hits.append(None)
         for A, Q in arithmetic.arc_pairs(chi.s, len(lambda_vec) + 1):
             offs = tuple(float(torus_signed(lv - a / Q))
                          for lv, a in zip(lambda_vec, A))
             if all(abs(o) <= ball for o in offs):
-                hits[-1].append((A, Q, offs))
+                hits[-1] = (A, Q, offs)
                 break
     covered = {Q: _window_support(M, Q, chi)
-               for Q in {Q for arcs in hits for _A, Q, _offs in arcs}}
+               for Q in {hit[1] for hit in hits if hit}}
     stacks = []
-    for arcs in hits:
-        support = covered[arcs[0][1]] if arcs else np.zeros(0, dtype=np.intp)
+    for hit in hits:
+        support = covered[hit[1]] if hit else np.zeros(0, dtype=np.intp)
         stacks.append(SupportStack(M, support, np.zeros(
             (len(J_list) - 1, len(support)), dtype=complex)))
     heads = [np.zeros(len(st.support), dtype=complex) for st in stacks]
     for j, J in enumerate(J_list):
         khats = {}      # one scale's kernel transforms alive at a time
-        for stack, head, arcs in zip(stacks, heads, hits):
+        for stack, head, hit in zip(stacks, heads, hits):
             row = stack.values[j - 1] if j else head    # row 0: build only
-            for A, Q, offs in arcs:
+            if hit:
+                A, Q, offs = hit
                 if offs not in khats:
                     khats[offs] = _kernel_hat(bump, lam, J, chi.s, offs, M)
                 if khats[offs] is not None:

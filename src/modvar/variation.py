@@ -35,15 +35,15 @@ cover is a centre mask and a parent time per (sequence, level) row, and a
 block is one loop over its times on all its rows, so beside its gaps it
 holds a few (rows, n) arrays.
 
-Every l2 gap of the DPs and the cover comes from one kernel, ``_gaps``:
-one n x n gap matrix per sequence, or one (n, n, B) tensor per block of B
-sequences, summed from squared differences of real planes with correctly
-rounded operations only, so its bits do not depend on numpy's SIMD
-dispatch and a zero-padded dim adds exact zeros.  vr_brute roots its own
-sums over dims of re * re + im * im.  A gap matrix holds 8 n^2 bytes, so
-every function that builds one refuses sequences longer than MAX_DP_LENGTH.
-The squares underflow for gaps below about 1e-154, in the DPs and vr_brute
-alike; vr_batch, on np.abs, does not.
+Every l2 gap of vr_exact, the jump count and the cover comes from one kernel,
+``_gaps``: one n x n gap matrix per sequence, or one (n, n, B) tensor per
+block of B sequences, summed from squared differences of real planes with
+correctly rounded operations only, so its bits do not depend on numpy's SIMD
+dispatch and a zero-padded dim adds exact zeros.  vr_brute roots its own sums
+over dims of re * re + im * im.  A gap matrix holds 8 n^2 bytes, so every
+function that builds one refuses sequences longer than MAX_DP_LENGTH.  The
+squares underflow for gaps below about 1e-154, in these DPs and vr_brute
+alike; vr_batch's complex np.abs does not, and its bits follow the dispatch.
 """
 
 from __future__ import annotations
@@ -252,8 +252,9 @@ def jump_variation_check(seqs, tau, r) -> list:
 
     tau and r are one value for every sequence or one per sequence.
     Returns one (holds, slack) per sequence, with slack = V^r - tau *
-    K^(1/r).  The inequality is an identity of definitions: a K-jump chain
-    is itself a subsequence with increment-power sum >= K * tau^r.
+    K^(1/r), which holds down to -1e-12 V^r (rounding).  The inequality
+    is an identity of definitions: a K-jump chain is itself a subsequence
+    with increment-power sum >= K * tau^r.
     """
     taus = np.array([_check_tau(t) for t in np.broadcast_to(tau, len(seqs))])
     rs = np.array([_check_r(x) for x in np.broadcast_to(r, len(seqs))])
@@ -264,8 +265,9 @@ def jump_variation_check(seqs, tau, r) -> list:
         powers = _vr_dp(lambda i: G[i, :i] ** r_blk, np.zeros(G.shape[1:]))
         for k, K, p in zip(idx, jumps, powers):
             tau_k, r_k = float(taus[k]), float(rs[k])
-            slack = float(p ** (1.0 / r_k)) - tau_k * K ** (1.0 / r_k)
-            out[k] = (slack >= -1e-12, slack)
+            vr = float(p ** (1.0 / r_k))
+            slack = vr - tau_k * K ** (1.0 / r_k)
+            out[k] = (slack >= -1e-12 * vr, slack)
     return out
 
 
@@ -341,8 +343,8 @@ def build_chaining_cover(seqs, resolution=COVER_RESOLUTION) -> ChainingCover:
 def verify_cover(cover: ChainingCover, seqs):
     """Assert every stated cover invariant; returns the increment-bound max.
 
-    Checks: every element within 2^-v of a centre at each level; parents
-    exist, live one level up, and sit within 3 * 2^-v.
+    Checks, each radius up to 1e-12 of itself: every element within 2^-v of
+    a centre at each level; parents exist, live one level up, within 3 * 2^-v.
     """
     worst = 0.0
     for _dims, vals, member, lev, below, mask, par in _cover_blocks(cover,
@@ -352,7 +354,7 @@ def verify_cover(cover: ChainingCover, seqs):
         near = np.full(mask.shape, np.inf)      # gap to the nearest centre
         for t in range(len(vals)):
             np.minimum(near, G[member, t], out=near, where=mask[:, t, None])
-        bad = np.argwhere(near > rad[:, None] + 1e-12)
+        bad = np.argwhere(near > rad[:, None] * (1.0 + 1e-12))
         if len(bad):
             raise AssertionError("point %d uncovered at level %d"
                                  % (bad[0, 1], lev[bad[0, 0]]))
@@ -362,7 +364,7 @@ def verify_cover(cover: ChainingCover, seqs):
             raise AssertionError("parent not a center one level up")
         nu = G[member[r], t, p]
         del G                           # before the next block's gaps
-        broken = np.flatnonzero(nu > 3.0 * rad[r] + 1e-12)
+        broken = np.flatnonzero(nu > 3.0 * rad[r] * (1.0 + 1e-12))
         if len(broken):
             raise AssertionError("increment bound broken at level %d"
                                  % lev[r[broken[0]]])

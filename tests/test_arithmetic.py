@@ -131,6 +131,14 @@ def test_weyl_sum_rejects_bad_modulus():
         weyl_sum(0, (1,), 1)
 
 
+@pytest.mark.parametrize("Q", [0, -3])
+def test_weyl_rows_rejects_bad_modulus(Q):
+    with pytest.raises(DomainError, match="modulus Q must be positive"):
+        weyl_row(Q, (1,))
+    with pytest.raises(DomainError, match="modulus Q must be positive"):
+        weyl_rows(Q, [(1,), (2,)])
+
+
 def _freq_points(s, d):
     # the arc sums visit every B = 1..Q of every arc (A, Q)
     return [(Q, A, B) for A, Q in arc_pairs(s, d) for B in range(1, Q + 1)]

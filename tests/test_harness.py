@@ -199,71 +199,84 @@ def test_each_kind_writes_exactly_its_files(run, summary, names, tmp_path,
 
 
 # the bytes that the one-cover-per-call chaining code and the per-(P, N)
-# scan weights of commit 6da8ceb wrote.  The chaining pins hold down to
-# numpy's X86_V2 dispatch: the cover's gaps take correctly rounded steps
-# only, and the seed-20260819 digest is what the earlier norm-based gaps
-# wrote at X86_V2.  The converge pins hold at X86_V3 and above only: numpy
-# contracts the complex products of its orbit averages with FMA from X86_V3
-# up, and at X86_V2 converge.json hashes to 4b6dd4ec...  The maximal-arc
-# sweep pins, the bytes of the dense (arcs, M) symbols of commit 3a2ba9e,
-# hold at X86_V3 and above only as well: its spectrum products and the abs
-# of its inverse transforms move at X86_V2, where sweep_maximal_arc.csv
-# hashes to 2290e404...  The multiplier pins, the bytes of the union-mask
-# arc stacks and two apply loops of commit 864c0fc, hold at X86_V3 and
-# above only as well: at X86_V2 multiplier.json hashes to e07b9b0e... (seed
-# 2026) and 28b12434... (seed 20260819).  The bump-check, weyl and seqspace
-# sweep pins are the bytes of commit a2d2e1b.  bump_check.json,
-# bump_profile.csv and weyl.json hold down to X86_V2; weyl_decay.csv and
-# the default seqspace sweep (s_max 4) hold at X86_V3 and above only: at
-# X86_V2 weyl_decay.csv hashes to 9a02bab4..., sweep_seqspace.csv to
-# 9cb61666... and sweep_seqspace.json to 0b54640e...
+# scan weights of commit 6da8ceb wrote, each run with its floor: the lowest
+# of numpy's x86-64 dispatch levels X86_V2 < X86_V3 < X86_V4 at which its
+# files keep these bytes.  The chaining pins hold down to X86_V2: the
+# cover's gaps take correctly rounded steps only, and the seed-20260819
+# digest is what the earlier norm-based gaps wrote at X86_V2.  numpy
+# contracts complex products and complex abs with FMA from X86_V3 up, so
+# the converge pins (orbit averages), the maximal-arc sweep pins (the bytes
+# of the dense (arcs, M) symbols of commit 3a2ba9e: spectrum products and
+# the abs of its inverse transforms) and the multiplier pins (the bytes of
+# the union-mask arc stacks and two apply loops of commit 864c0fc) move at
+# X86_V2, where converge.json hashes to 4b6dd4ec..., sweep_maximal_arc.csv
+# to 2290e404... and multiplier.json to e07b9b0e... (seed 2026) and
+# 28b12434... (seed 20260819).  The bump-check, weyl and seqspace sweep pins
+# are the bytes of commit a2d2e1b.  bump_check.json, bump_profile.csv and
+# weyl.json hold down to X86_V2; weyl_decay.csv and the default seqspace
+# sweep (s_max 4) move at X86_V2, where weyl_decay.csv hashes to
+# 9a02bab4..., sweep_seqspace.csv to 9cb61666... and sweep_seqspace.json to
+# 0b54640e...
 _PINNED_RUNS = [
     (["chaining", "--set", "n_inst=300", "--seed", "2026"],
      {"chaining.json": "ecb4847e7a11b4854bb0d42aa676e4cc"
-                       "8b3496d013daa49aeef2d1bc8284b5a7"}),
+                       "8b3496d013daa49aeef2d1bc8284b5a7"}, "X86_V2"),
     (["chaining", "--set", "n_inst=300", "--seed", "20260819"],
      {"chaining.json": "deb4c0930a7f164ab0590de449bbad25"
-                       "7fbed6b1eb29c87c2ed2a1c8521f05c4"}),
+                       "7fbed6b1eb29c87c2ed2a1c8521f05c4"}, "X86_V2"),
     (["converge", "--seed", "20260819"],
      {"converge.json": "e2ba966dd37b7144c6fd94dbfddd6d83"
                        "bdc36f3f93fa769847ecdd82117297da",
       "converge_scan.csv": "5680519bcaf36c4b2f116043b46a8175"
-                           "49e268f0d365db981032cfb1ebe068a0"}),
+                           "49e268f0d365db981032cfb1ebe068a0"}, "X86_V3"),
     (["sweep", "--set", "operator=maximal-arc", "--seed", "2026"],
      {"sweep_maximal_arc.csv": "4fc080444de2eee949904ed91c423"
                                "0f73914381f57d558c865d50671ccce93e0",
       "sweep_maximal_arc.json": "cc2b9dab71e3f736da088e255a7af2c3"
-                                "cfc191f1edcb8acc2cd7de695239b819"}),
+                                "cfc191f1edcb8acc2cd7de695239b819"},
+     "X86_V3"),
     (["multiplier", "--seed", "2026"],
      {"multiplier.json": "efa1f90ce64fdecc98ac5eae7febc68d"
-                         "a7f4af6256d8d66622319a29c3cefe84"}),
+                         "a7f4af6256d8d66622319a29c3cefe84"}, "X86_V3"),
     (["multiplier", "--seed", "20260819"],
      {"multiplier.json": "6b07451b0b4e1faa42f6c9856c11bad3"
-                         "362db6665320cfcc6690b6f160877487"}),
+                         "362db6665320cfcc6690b6f160877487"}, "X86_V3"),
     (["bump-check", "--seed", "2026"],
      {"bump_check.json": "eae021f4ab465df86877b01dcbb14f50"
                          "bf896780725581aee7d10c2841a0222d",
       "bump_profile.csv": "91bf95f45cd828a349f7a54abfb59f85"
-                          "3c7dd73dd51133ce19e061e7b94e974c"}),
+                          "3c7dd73dd51133ce19e061e7b94e974c"}, "X86_V2"),
     (["weyl", "--seed", "2026"],
      {"weyl.json": "45a5af3c4251538b037e3bae688f48d2"
                    "d64abe57c149a39d20db36a8c5222b92",
       "weyl_decay.csv": "4bec60f54f69bef9af4016801bbc4e50"
-                        "f746d402fe418cfe884eb19e0b0b5035"}),
+                        "f746d402fe418cfe884eb19e0b0b5035"}, "X86_V3"),
     (["sweep", "--set", "operator=seqspace", "--seed", "2026"],
      {"sweep_seqspace.csv": "1c6cea0cd4c4d80fec82a511299fa6c5"
                             "25a0df5a34c8b9f157149a3ea36ae5e6",
       "sweep_seqspace.json": "5471e68a0a6744dc67b6e1201d278839"
-                             "cee67c3d6fc44335928ae33cf422a129"}),
+                             "cee67c3d6fc44335928ae33cf422a129"}, "X86_V3"),
 ]
 
 
-@pytest.mark.parametrize("argv, digests", _PINNED_RUNS)
-def test_chaining_and_converge_bytes_pinned(tmp_path, argv, digests):
+def _dispatch_level():
+    """The highest x86-64 level that numpy dispatches to in this process."""
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+    return next((lv for lv in ("X86_V4", "X86_V3", "X86_V2")
+                 if features.get(lv)), "none of X86_V2..X86_V4")
+
+
+# ids by index alone: a run's floor is not part of its name
+@pytest.mark.parametrize("argv, digests, floor", _PINNED_RUNS,
+                         ids=["argv%d-digests%d" % (k, k)
+                              for k in range(len(_PINNED_RUNS))])
+def test_chaining_and_converge_bytes_pinned(tmp_path, argv, digests, floor):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     for name, want in digests.items():
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert got == want, name
+        assert got == want, (
+            "%s moved: its pin holds from numpy dispatch level %s up, and "
+            "numpy dispatches at %s here" % (name, floor, _dispatch_level()))
 
 
 def test_cli_seed_changes_outputs(tmp_path):
@@ -837,9 +850,9 @@ _DISPATCH_LEVELS = {
 
 def test_gaps_and_pins_hold_at_every_dispatch_level(tmp_path):
     # the gap kernel takes correctly rounded steps only, so its bytes, the
-    # chaining pins and the variation pin do not depend on the dispatch; the
-    # converge and maximal-arc pins hold at X86_V3 and above only
-    pinned = [run for run in _PINNED_RUNS if run[0][0] == "chaining"]
+    # pins of floor X86_V2 and the variation pin do not depend on the
+    # dispatch
+    pinned = [run[:2] for run in _PINNED_RUNS if run[2] == "X86_V2"]
     pinned.append(VARIATION_PIN)
     gaps = {}
     for level, disabled in _DISPATCH_LEVELS.items():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -294,6 +295,15 @@ def test_jump_variation_inequality_random(rng, r):
         assert slack >= -1e-12
 
 
+def test_jump_variation_check_holds_at_equality_at_every_scale():
+    # one jump of exactly tau makes both sides equal, and the root of the
+    # r-th power rounds below them (999999.9999999992 at 1e6): the margin
+    # is relative to V^r, so no scale reads it as a violation
+    for scale in (1e-6, 1.0, 1e6, 2.0 ** 60):
+        [(ok, slack)] = jump_variation_check([[0.0, scale]], scale, 3.0)
+        assert ok, (scale, slack)
+
+
 def test_vec_sequence_validation():
     for bad in (np.zeros((3, 2, 1)), 1.0):
         with pytest.raises(DomainError):
@@ -384,6 +394,61 @@ def test_cover_batch_holds_one_block_of_gaps(rng):
     assert one < peak < 1.25 * one
 
 
+def _cut_to_first_centres(cover):
+    """The cover of one sequence with every level cut to its first
+    centre."""
+    mask = np.zeros_like(cover.centres[0])
+    mask[np.arange(len(mask)), cover.centres[0].argmax(axis=1)] = True
+    return cover._replace(centres=(mask,))
+
+
+def test_verify_cover_refuses_a_cut_cover_at_small_scale(rng):
+    # every gap of these points lies below 1e-12, so an absolute margin
+    # beyond each radius accepted the cut cover, with increment ratio 0
+    vals = 1e-13 * (rng.normal(size=(12, 1)) + 1j * rng.normal(size=(12, 1)))
+    cover = build_chaining_cover([vals])
+    assert verify_cover(cover, [vals]) <= 3.0
+    with pytest.raises(AssertionError, match="uncovered"):
+        verify_cover(_cut_to_first_centres(cover), [vals])
+
+
+def _verdict(fn):
+    try:
+        return fn()
+    except AssertionError as ex:
+        return str(ex)
+
+
+@settings(max_examples=60)
+@given(_complex_rows(12, 3, st.integers(-64, 64).map(lambda i: i / 16.0)),
+       st.integers(-60, 60), st.sampled_from([2.5, 3.0, 4.0]))
+def test_verifiers_do_not_depend_on_scale(vals, k, r):
+    # dyadic values, many of them with gaps equal to a radius: scaling by
+    # 2^k scales every gap exactly (the squares stay far from underflow),
+    # so the cover shifts its levels by -k (a constant sequence keeps its
+    # one level 0), and every verdict and the increment ratio keep their
+    # bits
+    scaled = vals * 2.0 ** k
+    diam = float(np.max(_gaps(vals)))
+    shift = k if diam else 0
+    cover = build_chaining_cover([vals])
+    cover_k = build_chaining_cover([scaled])
+    assert (cover_k.levels == cover.levels - shift).all()
+    assert all((a == b).all() for a, b in zip(cover.centres, cover_k.centres))
+    assert verify_cover(cover_k, [scaled]) == verify_cover(cover, [vals])
+    cut = _verdict(lambda: verify_cover(_cut_to_first_centres(cover), [vals]))
+    cut_k = _verdict(lambda: verify_cover(_cut_to_first_centres(cover_k),
+                                          [scaled]))
+    if isinstance(cut, str):
+        cut = re.sub(r"level (-?\d+)$",
+                     lambda m: "level %d" % (int(m[1]) - shift), cut)
+    assert cut_k == cut
+    tau = diam or 1.0
+    [(ok, _)] = jump_variation_check([vals], tau, r)
+    [(ok_k, _)] = jump_variation_check([scaled], tau * 2.0 ** k, r)
+    assert ok and ok_k
+
+
 def _plain_gaps(vals):
     """The gap matrix of an (n, dim) value matrix by plain sums: per row, 0
     plus dr * dr, then di * di, of each dim in turn, then the root."""
@@ -441,7 +506,9 @@ def test_gap_matrix_refuses_overlong_sequences():
 
 
 def _near(x, t):
-    # verify_cover allows an absolute 1e-12 beyond each radius
+    # the oracle's norm-based gaps may round across a radius they sit
+    # this close to; verify_cover's margin, 1e-12 of each radius, lies
+    # inside the band
     return abs(x - t) <= max(1e-9 * t, 1e-12)
 
 
