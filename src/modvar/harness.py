@@ -32,11 +32,17 @@ from .util import DomainError, GridTooCoarseError, e, stream
 PROBE_CHI_A0 = 0.125
 
 
-def _chi_a0_for_radius(s, radius):
-    """The chi_a0 value whose level-s window has exactly this radius, for
-    a radius in (0, 0.5) (parse_config refuses a rho0 that leaves it, or
-    whose value here is not a positive finite float)."""
-    return s / (10.0 * math.log2(math.log2(1.0 / radius)))
+def _level_chi_a0(operator, rho0, s):
+    """The chi_a0 of a sweep's level-s window: PROBE_CHI_A0, or for vr-sd
+    the one of radius rho0*4^(1-s) (level-s arcs lie >= Q^-2 ~ 4^-s apart,
+    so their windows stay disjoint and the sup probes per-arc decay); 0.0
+    if that radius leaves (0, 0.5) or is subnormal (an infinite reciprocal),
+    which parse_config refuses."""
+    if operator != "vr-sd":
+        return PROBE_CHI_A0
+    radius = rho0 * 0.25 ** (s - 1)
+    return (s / (10.0 * math.log2(math.log2(1.0 / radius)))
+            if 0.0 < radius < 0.5 else 0.0)
 
 
 class ConfigError(Exception):
@@ -90,14 +96,11 @@ SCHEMAS = {
         "fit_d": (_parse_int, 3, min(arithmetic.DECAY_QMAX),
                   max(arithmetic.DECAY_QMAX)),
         "fit_qmax": (_parse_int, 64, 2, max(arithmetic.DECAY_QMAX.values())),
-        "min_exponent": (_parse_float, 0.2, None, None),
-        "envelope_slack": (_parse_float, 4.0, 0, None),
     },
     "variation": {
         "n_oracle": (_parse_int, 1000, 1, None),
         "max_len": (_parse_int, 12, 2, variation.MAX_BRUTE_LENGTH),
         "r_list": (_parse_float, (2.2, 2.5, 3.0, 4.0, 8.0), 1, None),
-        "oracle_tol": (_parse_float, 1e-9, None, None),
         "n_jump": (_parse_int, 10000, 1, None),
         "jump_len": (_parse_int, 24, 4, variation.MAX_DP_LENGTH),
     },
@@ -105,25 +108,19 @@ SCHEMAS = {
         "n_inst": (_parse_int, 1000, 1, None),
         "max_times": (_parse_int, 16, 2, variation.MAX_DP_LENGTH),
         "max_dim": (_parse_int, 16, 1, None),
-        "telescope_tol": (_parse_float, 1e-12, None, None),
     },
     "converge": {
         "eps0": (_parse_float, 0.1, 0, 0.5),
         # the scan's time grid 2^7..2^16 must lie below n_top
         "n_top": (_parse_int, 100000, 2 ** 16 + 1, None),
-        "osc_tol": (_parse_float, 0.02, None, None),
-        "top_tol": (_parse_float, 0.02, None, None),
-        "res_pad": (_parse_float, 0.01, None, None),
         "y0": (_parse_float, 0.3, None, None),
     },
     "carleson": {
         "eps0": (_parse_float, 0.25, 0, 0.5),
         "n_cov": (_parse_int, 100, 1, None),
         "cov_len": (_parse_int, 48, 8, None),
-        "cov_tol": (_parse_float, 1e-9, None, None),
         # a variation needs two truncations 8..L/4 of each length L
         "grid_len": (_parse_int, 64, 64, None),
-        "grid_exact_tol": (_parse_float, 1e-12, None, None),
         "theta_count": (_parse_int, 32, 2, None),
         "r": (_parse_float, 3.0, 1, None),
         # the r-growth envelope r/(r-2) needs r > 2
@@ -131,15 +128,12 @@ SCHEMAS = {
         "r_high": (_parse_float, 4.0, 2, None),
         "sizes": (_parse_int, (1024, 4096, 16384), 64, None),
         "batch": (_parse_int, 30, 30, None),
-        "size_slack": (_parse_float, 1.5, None, None),
-        "envelope_slack": (_parse_float, 10.0, None, None),
     },
     "multiplier": {
         "M": (_parse_int, 240, 1, None),
         "s_list": (_parse_int, (1, 2), 1, multipliers.S_CAP),
         "J_list": (_parse_int, (2, 3, 5), _J_FLOOR, None),
         "r": (_parse_float, 3.0, 1, None),
-        "tol": (_parse_float, 1e-8, None, None),
         "n_draw": (_parse_int, 2, 1, None),
         "lam": (_parse_float, 1.5, 1, 2),
     },
@@ -278,27 +272,20 @@ def _check_cross(kind, p, given):
         raise ConfigError("M must be at least %d for operator vr-sd, got %d"
                           % (multipliers.MIN_MODULUS, p["M"]))
     for s in range(s_min, s_max + 1):
+        a0 = _level_chi_a0(p["operator"], p["rho0"], s)
+        if not 0.0 < a0 < math.inf:
+            raise ConfigError("need 0 < rho0*4^(1-s) < 0.5 and a positive "
+                              "finite chi_a0 at every level s_min..s_max, "
+                              "got rho0 = %r" % p["rho0"])
+        radius = ChiCutoff(s, a0=a0).radius
         if p["operator"] == "seqspace":
-            # it snaps no frequency to a grid; its interval seq_base*2^s
-            # must reach 1/(2 radius) of the level's probe window
-            need = math.ceil(1.0 / (2.0 * ChiCutoff(s, PROBE_CHI_A0).radius))
+            need = multipliers._interval_floor(radius)
             if p["seq_base"] * 2 ** s < need:
                 raise ConfigError("need seq_base*2^s >= %d at level %d, got "
                                   "seq_base = %d" % (need, s, p["seq_base"]))
             continue
-        a0 = PROBE_CHI_A0
-        if vr_sd:
-            # the level-s window radius is rho0*4^(1-s); a subnormal radius
-            # has an infinite reciprocal, so its chi_a0 would be 0
-            radius = p["rho0"] * 0.25 ** (s - 1)
-            a0 = _chi_a0_for_radius(s, radius) if 0.0 < radius < 0.5 else 0.0
-            if not 0.0 < a0 < math.inf:
-                raise ConfigError("need 0 < rho0*4^(1-s) < 0.5 and a "
-                                  "positive finite chi_a0 at every level "
-                                  "s_min..s_max, got rho0 = %r" % p["rho0"])
         # each B/Q, Q a denominator of the level's arcs, must snap to the
         # M-grid within the radius of the window the run builds
-        radius = ChiCutoff(s, a0=a0).radius
         try:
             for Q in range(2 ** (s - 1), 2 ** s):
                 for B in range(1, Q + 1):
@@ -444,8 +431,7 @@ def _run_weyl(cfg, out, seed, jobs):
     fit = arithmetic.weyl_decay_fit(cfg.get("fit_d"), cfg.get("fit_qmax"))
     fit.to_csv(os.path.join(out, "weyl_decay.csv"))
     resid_above = float(np.max(np.asarray(fit.residuals)))
-    fit_ok = (fit.exponent >= cfg.get("min_exponent")
-              and resid_above <= math.log(cfg.get("envelope_slack")))
+    fit_ok = fit.exponent >= 0.2 and resid_above <= math.log(4.0)
     return {"weyl": {
         "gauss": {"worst_abs_error": gauss_worst, "ok": gauss_ok},
         "bound": {"worst_excess": bound_worst, "ok": bound_ok},
@@ -457,7 +443,7 @@ def _run_weyl(cfg, out, seed, jobs):
 
 
 def _run_variation(cfg, out, seed, jobs):
-    tol = cfg.get("oracle_tol")
+    tol = 1e-9
     seqs = []
     for i in range(cfg.get("n_oracle")):
         g = stream(seed, i)
@@ -508,8 +494,7 @@ def _run_chaining(cfg, out, seed, jobs):
     except AssertionError:
         # one batch: a broken invariant leaves no instance verified
         failures = len(seqs)
-    ok = (failures == 0 and worst_ratio <= 3.0 + 1e-9
-          and worst_tel <= cfg.get("telescope_tol"))
+    ok = failures == 0 and worst_ratio <= 3.0 + 1e-9 and worst_tel <= 1e-12
     return {"chaining": {
         "n": cfg.get("n_inst"), "failures": failures,
         "worst_increment_ratio": worst_ratio,
@@ -531,13 +516,13 @@ def _run_converge(cfg, out, seed, jobs):
     """Smoothed and rough (plain) averages along three systems at n_top.
 
     The smoothed averages converge to bump.mass times the limit of the
-    rough ones, so they get the tolerance eps0 + res_pad, and the rough
-    averages res_pad alone.
+    rough ones, so they get the tolerance eps0 + 0.01, and the rough
+    averages 0.01 alone.
     """
     eps0 = cfg.get("eps0")
     bump = SmoothBump(eps0)
     n_top = cfg.get("n_top")
-    pad, top_tol = cfg.get("res_pad"), cfg.get("top_tol")
+    pad = 0.01
 
     # scenario a: integer shift, window observable, polynomial grid
     times = [2 ** k for k in range(7, 17)] + [n_top]
@@ -548,8 +533,7 @@ def _run_converge(cfg, out, seed, jobs):
     top_max = max(abs(table.values[(i, n_top)])
                   for i in range(len(table.polys)))
     rough_max = max(abs(v) for v in table.rough.values())
-    a_ok = (osc_max <= cfg.get("osc_tol") and top_max <= top_tol
-            and rough_max <= top_tol)
+    a_ok = osc_max <= 0.02 and all(m <= 0.02 for m in (top_max, rough_max))
 
     # scenario b: rotation, character observable, resonant vs generic phase
     rot = systems.CircleRotation()
@@ -609,7 +593,8 @@ def _run_carleson(cfg, out, seed, jobs):
         assert lhs.support_start == rhs.support_start
         worst_cov = max(worst_cov,
                         float(np.max(np.abs(lhs.values - rhs.values))))
-    cov_ok = worst_cov <= cfg.get("cov_tol")
+    cov_tol = 1e-9
+    cov_ok = worst_cov <= cov_tol
 
     # part 2: grid-aligned modulation leaves the theta-sup variation fixed
     L = cfg.get("grid_len")
@@ -622,7 +607,7 @@ def _run_carleson(cfg, out, seed, jobs):
     modded = modulate_cyclic(base, shift * (L // cfg.get("theta_count")))
     a2 = theta_sup_variation(modded, what, cfg.get("theta_count"), r)
     grid_dev = float(np.max(np.abs(a1 - a2)))
-    grid_ok = grid_dev <= cfg.get("grid_exact_tol")
+    grid_ok = grid_dev <= 1e-12
 
     # parts 3-4: l2 ratio ||sup_theta V^r|| / ||f|| across sizes at r, then
     # paired draws at r_low and r_high on the smallest size for the
@@ -645,18 +630,18 @@ def _run_carleson(cfg, out, seed, jobs):
     multipliers.ratio_table_csv(os.path.join(out, "carleson.csv"), [
         (0, r_val, L, batch) + st for (L, r_val), st in zip(runs, stats)])
     per_size, m_lo, m_hi = stats[:-2], stats[-2][0], stats[-1][0]
-    cap = cfg.get("envelope_slack") * (lo / (lo - 2.0)) / (hi / (hi - 2.0))
-    size_ok = per_size[-1][0] <= cfg.get("size_slack") * per_size[0][0]
+    cap = 10.0 * (lo / (lo - 2.0)) / (hi / (hi - 2.0))
+    slack = 1.5
+    size_ok = per_size[-1][0] <= slack * per_size[0][0]
     env_ok = m_lo / m_hi <= cap
 
     return {"carleson": {
-        "covariance": {"worst": worst_cov, "tol": cfg.get("cov_tol"),
-                       "ok": cov_ok},
+        "covariance": {"worst": worst_cov, "tol": cov_tol, "ok": cov_ok},
         "grid_invariance": {"deviation": grid_dev, "ok": grid_ok},
         "sizes": {str(L): {"mean": m, "max": x, "stderr": s}
                   for L, (m, x, s) in zip(sizes, per_size)},
         "size_stability": {"ratio": per_size[-1][0] / per_size[0][0],
-                           "slack": cfg.get("size_slack"), "ok": size_ok},
+                           "slack": slack, "ok": size_ok},
         "r_envelope": {"mean_low": m_lo, "mean_high": m_hi,
                        "growth": m_lo / m_hi, "cap": cap, "ok": env_ok},
         "ok": cov_ok and grid_ok and size_ok and env_ok,
@@ -669,7 +654,7 @@ def _run_multiplier(cfg, out, seed, jobs):
     M = cfg.get("M")
     lam = cfg.get("lam")
     r = cfg.get("r")
-    tol = cfg.get("tol")
+    tol = 1e-8
     J_list = list(cfg.get("J_list"))
     bump = SmoothBump(0.25)
     errs = {"vr_s": 0.0, "vr_sd": 0.0, "vrd": 0.0}
@@ -742,26 +727,23 @@ def _run_sweep(cfg, out, seed, jobs):
         # symbols depend on the level only: build once, apply per draw;
         # ratios(v) gives one ratio per table
         size = n = M
+        a0 = _level_chi_a0(kind, cfg.get("rho0"), s)
         if kind == "seqspace":
             size = cfg.get("seq_base") * 2 ** s
-            level = multipliers.seqspace_level(s, size, chi_a0=PROBE_CHI_A0)
+            level = multipliers.seqspace_level(s, size, chi_a0=a0)
             n = level[0]
 
             def ratios(v):
                 return (multipliers.seqspace_ratio(level, v),)
         elif kind == "maximal-arc":
-            symbols = multipliers.arc_symbols(s, M, chi_a0=PROBE_CHI_A0)
+            symbols = multipliers.arc_symbols(s, M, chi_a0=a0)
 
             def ratios(v):
                 return (multipliers.maximal_arc_ratio(symbols, v),)
         else:
-            # quartered window schedule: level-s arc frequencies sit at
-            # spacing >= Q^-2 ~ 4^-s, so radius rho0*4^(1-s) keeps distinct
-            # arcs' windows disjoint and the sup probes per-arc decay
-            probe = _chi_a0_for_radius(s, cfg.get("rho0") * 0.25 ** (s - 1))
             stacks = multipliers.build_arc_multiplier(
                 s, cfg.get("J_list"), multipliers.lambda_grid_for(s, 2), M,
-                bump, lam=cfg.get("lam"), chi_a0=probe)
+                bump, lam=cfg.get("lam"), chi_a0=a0)
             # the grid's points 3k+1 are the arc centres: vr-s sups over
             # their stacks, vr-sd over every stack, so the max of the
             # centre sup with the sup over the rest is the vr-sd value

@@ -348,6 +348,11 @@ def seqspace_freqs(s: int):
     return tuple(sorted(out))
 
 
+def _interval_floor(radius):
+    """A level's least sequence-space interval: 1/(2 radius), rounded up."""
+    return math.ceil(1.0 / (2.0 * radius))
+
+
 def seqspace_level(s: int, length: int, chi_a0=DEFAULT_A0):
     """The level-s data of the sequence-space map on x = 0..length-1.
 
@@ -359,7 +364,7 @@ def seqspace_level(s: int, length: int, chi_a0=DEFAULT_A0):
     """
     chi = _level_chi(s, chi_a0)
     s, length = chi.s, int(length)
-    need = math.ceil(1.0 / (2.0 * chi.radius))
+    need = _interval_floor(chi.radius)
     if length < need:
         raise DomainError(
             "interval length %d below the level-%d floor %d" % (length, s, need)

@@ -114,7 +114,8 @@ def _blocks(seqs, cost, key=np.shape):
     dims, and stack their value matrices as one (n, members, dim) array,
     zero-padded to the largest dim where key=len lets dims mix.  cost(n)
     counts the table entries one member of length n needs, so a block
-    holds at most BATCH_BLOCK // cost(n) members, and at least one.
+    holds at most BATCH_BLOCK // cost(n) members, and at least one.  A
+    nan or inf value is refused here, the one finiteness check.
     """
     mats = [_as_value_matrix(s) for s in seqs]
     classes = {}
@@ -131,6 +132,9 @@ def _blocks(seqs, cost, key=np.shape):
             stack = np.zeros((n, len(block), dims[-1]), dtype=complex)
             for j, k in enumerate(block):
                 stack[:, j, :dims[j]] = mats[k]
+            if not np.isfinite(stack).all():
+                raise DomainError("non-finite values: no variation, jump "
+                                  "or cover")
             yield block, dims, stack
 
 
@@ -244,7 +248,8 @@ def _jumps(G, tau):
 def jump_count(seq, tau) -> int:
     """Maximal K with times M_0 < ... < M_K, |a_{M_i} - a_{M_{i-1}}| >= tau."""
     tau = _check_tau(tau)
-    return int(_jumps(_gaps(_as_value_matrix(seq)[:, None]), tau)[0])
+    [(_idx, _dims, vals)] = _blocks([seq], lambda n: n * n)
+    return int(_jumps(_gaps(vals), tau)[0])
 
 
 def jump_variation_check(seqs, tau, r) -> list:
@@ -256,6 +261,9 @@ def jump_variation_check(seqs, tau, r) -> list:
     is an identity of definitions: a K-jump chain is itself a subsequence
     with increment-power sum >= K * tau^r.
     """
+    if any(np.ndim(v) and len(v) != len(seqs) for v in (tau, r)):
+        raise DomainError("tau and r take one value or %d, got %d and %d"
+                          % (len(seqs), np.size(tau), np.size(r)))
     taus = np.array([_check_tau(t) for t in np.broadcast_to(tau, len(seqs))])
     rs = np.array([_check_r(x) for x in np.broadcast_to(r, len(seqs))])
     out = [None] * len(seqs)
@@ -311,8 +319,6 @@ def build_chaining_cover(seqs, resolution=COVER_RESOLUTION) -> ChainingCover:
     """
     seq, levels, centres, parent = [], [], [], []
     for idx, _dims, vals in _blocks(seqs, lambda n: n * n, key=len):
-        if not np.isfinite(vals).all():
-            raise DomainError("cannot cover non-finite values")
         G = _gaps(vals).transpose(2, 0, 1)
         diam = G.max(axis=(1, 2)).tolist()  # a constant sequence: one net
         lo = [math.floor(-math.log2(d)) if d else 0 for d in diam]

@@ -48,6 +48,26 @@ def test_parse_config_rejects_unknown_key():
         parse_config("kind = variation\nbogus = 1\n")
 
 
+# the verdict thresholds are fixed at their checks, so a config that names
+# one is refused as an unknown key, from a file and from --set alike
+@pytest.mark.parametrize("kind,key", [
+    ("weyl", "min_exponent"), ("weyl", "envelope_slack"),
+    ("variation", "oracle_tol"), ("chaining", "telescope_tol"),
+    ("converge", "osc_tol"), ("converge", "top_tol"), ("converge", "res_pad"),
+    ("carleson", "cov_tol"), ("carleson", "grid_exact_tol"),
+    ("carleson", "size_slack"), ("carleson", "envelope_slack"),
+    ("multiplier", "tol"),
+])
+def test_threshold_keys_refused(kind, key, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="unknown key %r" % key):
+        parse_config("%s = 1\n" % key, kind=kind)
+    out = tmp_path / "out"
+    assert cli.main([kind, "--set", "%s=1" % key, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert not out.exists()
+
+
 def test_parse_config_rejects_bad_value():
     with pytest.raises(ConfigError):
         parse_config("kind = variation\nn_oracle = soup\n")
@@ -333,7 +353,7 @@ def test_non_integer_jobs_refusal_names_its_source(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["variation", "--set", "oracle_tol=nan"],
+    ["converge", "--set", "y0=nan"],
     ["sweep", "--set", "operator=vr-sd", "--set", "r=inf"],
 ])
 def test_non_finite_floats_refused(argv, tmp_path, capsys):
@@ -385,9 +405,12 @@ def test_int_lists_reject_fractions(tmp_path):
     assert rc == 1
 
 
-def test_summary_line_prints_json_booleans(tmp_path, capsys):
-    # a zero tolerance fails the scan check, so ok prints as false
-    rc = cli.main(["converge", "--set", "n_top=65537", "--set", "top_tol=0",
+def test_summary_line_prints_json_booleans(tmp_path, capsys, monkeypatch):
+    # a wrong oracle fails the oracle check, so ok prints as false
+    monkeypatch.setattr(variation, "vr_brute",
+                        lambda seqs, r: [v + 1.0 for v in
+                                         variation.vr_exact(seqs, r)])
+    rc = cli.main(["variation", "--set", "n_oracle=5", "--set", "n_jump=5",
                    "--out", str(tmp_path)])
     assert rc == 2
     line = capsys.readouterr().out.strip().splitlines()[-1]
@@ -680,25 +703,9 @@ def test_variation_operators_pass_vr_batch_every_row(monkeypatch, tmp_path):
                       * n_stacks * cfg.get("batch"))
 
 
-_TOLERANCE = ("a tolerance: 0 asks for exactness, and a negative one just "
-              "fails its own check (exit 2)")
-_SLACK = ("a slack factor of a checked ratio: a value <= 0 just fails that "
-          "check (exit 2)")
 # the keys with no bound in SCHEMAS, each with the reason it has none
 _UNBOUNDED = {
-    ("weyl", "min_exponent"): "a floor on the fitted exponent: any real is "
-                              "a claim the fit can be checked against",
-    ("variation", "oracle_tol"): _TOLERANCE,
-    ("chaining", "telescope_tol"): _TOLERANCE,
-    ("converge", "osc_tol"): _TOLERANCE,
-    ("converge", "top_tol"): _TOLERANCE,
-    ("converge", "res_pad"): _TOLERANCE,
     ("converge", "y0"): "a point of the circle R/Z: every real is one",
-    ("carleson", "cov_tol"): _TOLERANCE,
-    ("carleson", "grid_exact_tol"): _TOLERANCE,
-    ("carleson", "size_slack"): _SLACK,
-    ("carleson", "envelope_slack"): _SLACK,
-    ("multiplier", "tol"): _TOLERANCE,
     ("sweep", "operator"): "_check_cross refuses a name outside "
                            "SWEEP_OPERATORS",
     ("sweep", "s_min"): "_check_cross: 1 <= s_min <= s_max <= S_CAP",

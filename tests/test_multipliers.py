@@ -391,7 +391,7 @@ def test_grid_points_3k_plus_1_are_the_arc_centres(s):
     # the sweep's default scales and probe window, and the default window
     J_list = harness.SCHEMAS["sweep"]["J_list"][1]
     rho0 = harness.SCHEMAS["sweep"]["rho0"][1]
-    probe = harness._chi_a0_for_radius(s, rho0 * 0.25 ** (s - 1))
+    probe = harness._level_chi_a0("vr-sd", rho0, s)
     for M, window in ((4096, {"chi_a0": probe}), (240, {})):
         got = build_arc_multiplier(s, J_list, grid, M, BUMP, **window)[1::3]
         want = build_arc_multiplier(s, J_list, centres, M, BUMP, **window)
@@ -432,9 +432,10 @@ def _dense_layout(s, J_list, grid, M, chi_a0):
 def test_support_stacks_are_the_dense_stacks_bit_for_bit(s, M, window):
     J_list = harness.SCHEMAS["sweep"]["J_list"][1]
     rho0 = harness.SCHEMAS["sweep"]["rho0"][1]
-    chi_a0 = {"probe": harness._chi_a0_for_radius(s, rho0 * 0.25 ** (s - 1)),
+    # wide: the level-1 vr-sd window of radius rho0 = 0.45
+    chi_a0 = {"probe": harness._level_chi_a0("vr-sd", rho0, s),
               "default": DEFAULT_A0,
-              "wide": harness._chi_a0_for_radius(s, 0.45)}[window]
+              "wide": harness._level_chi_a0("vr-sd", 0.45, 1)}[window]
     grid = lambda_grid_for(s, 2)
     got = build_arc_multiplier(s, J_list, grid, M, BUMP, chi_a0=chi_a0)
     want = _dense_layout(s, J_list, grid, M, chi_a0)
@@ -457,7 +458,7 @@ def test_vr_sd_level_4_stacks_hold_a_fifth_of_the_dense_bytes():
     cfg = harness.parse_config("", kind="sweep",
                                overrides={"operator": "vr-sd"}).params
     s, M = 4, cfg["M"]
-    probe = harness._chi_a0_for_radius(s, cfg["rho0"] * 0.25 ** (s - 1))
+    probe = harness._level_chi_a0("vr-sd", cfg["rho0"], s)
     stacks = build_arc_multiplier(s, cfg["J_list"], lambda_grid_for(s, 2), M,
                                   BUMP, chi_a0=probe)
     held = sum(st.support.nbytes + st.values.nbytes for st in stacks)

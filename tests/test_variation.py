@@ -80,6 +80,31 @@ def test_jump_variation_check_refuses_non_finite_threshold(tau):
         jump_variation_check([[0.0, 1.0, 0.0, 2.0]], tau, 3.0)
 
 
+# each once returned a number: jump_count 2 jumps over the nan entries,
+# vr_exact [nan] with a RuntimeWarning, jump_variation_check (True, inf)
+@pytest.mark.parametrize("run", [
+    lambda seq: jump_count(seq, 1.0),
+    lambda seq: vr_exact([[0.0, 1.0], seq], 3.0),
+    lambda seq: vr_brute([seq], 3.0),
+    lambda seq: jump_variation_check([seq, [0.0, 1.0]], 1.0, 3.0),
+], ids=["jump_count", "vr_exact", "vr_brute", "jump_variation_check"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.nan)])
+def test_variation_refuses_non_finite_values(run, bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        run([0.0, bad, 3.0, bad, 6.0])
+
+
+def test_jump_variation_check_refuses_wrong_length_lists():
+    seqs = [[0.0, 1.0], [0.0, 2.0]]
+    with pytest.raises(DomainError, match=r"one value or 2, got 3 and 1"):
+        jump_variation_check(seqs, [1.0, 1.0, 1.0], 3.0)
+    with pytest.raises(DomainError, match=r"one value or 2, got 1 and 1"):
+        jump_variation_check(seqs, 1.0, [3.0])
+    assert [held for held, _slack in
+            jump_variation_check(seqs, [1.0, 1.0], [3.0, 4.0])] == [True, True]
+
+
 @pytest.mark.parametrize("r", [2.2, 2.5, 3.0, 8.0])
 def test_dp_matches_brute_and_dfs(rng, r):
     for _ in range(20):
