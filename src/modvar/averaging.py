@@ -4,36 +4,35 @@ The smoothed average of a signal f at scale M with polynomial phase P is
 
     A_M^P f(x) = sum_n phi(n/M)/M * e(P(n)) * f(x - n),
 
-a discrete convolution against the modulated bump weights.  The dynamical
-variant replaces f(x - n) by an observable sampled along an orbit.  The
-rough variant drops the smooth weight in favour of the plain Birkhoff
-normalization (1/N) sum_{n=1..N}: it is the average the pointwise
-convergence theorem is about.  Both orbit averages read the terms
-e(P(m)) f(T^m omega) of one orbit_terms call.
+a discrete convolution against the weights, a kernel on Z from n = 0, so
+A_M^P f starts where f does.  The dynamical variant replaces f(x - n) by
+an observable sampled along an orbit.  The rough variant drops the smooth
+weight for the plain Birkhoff normalization (1/N) sum_{n=1..N}: it is the
+average the pointwise convergence theorem is about.  Both orbit averages
+read the terms e(P(m)) f(T^m omega) of one orbit_terms call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import polykit, signalkit
+from . import polykit
 from .bumpkit import SmoothBump, scaled_weight
+from .signalkit import Signal
 from .util import DomainError, e
 
 
-def modulated_weights(bump: SmoothBump, M: int, p: polykit.Poly) -> signalkit.Signal:
-    """The kernel phi(n/M)/M * e(P(n)) on n = 0..M as a Signal."""
-    M = int(M)
-    if M < 1:
-        raise DomainError("scale M must be a positive integer")
+def modulated_weights(bump: SmoothBump, M: int, p: polykit.Poly) -> np.ndarray:
+    """The kernel phi(n/M)/M * e(P(n)) on Z: its values at n = 0..M."""
     w = scaled_weight(bump, M)
-    return signalkit.Signal(0, w * e(polykit.phase_range(p, 0, M + 1)))
+    return w * e(polykit.phase_range(p, 0, len(w)))
 
 
-def conv_average(f: signalkit.Signal, bump: SmoothBump, M: int,
-                 p: polykit.Poly) -> signalkit.Signal:
+def conv_average(f: Signal, bump: SmoothBump, M: int,
+                 p: polykit.Poly) -> Signal:
     """A_M^P f as a Signal on the whole convolution support."""
-    return signalkit.convolve(f, modulated_weights(bump, M, p))
+    return Signal(f.support_start,
+                  np.convolve(f.values, modulated_weights(bump, M, p)))
 
 
 def orbit_terms(sys, f, omega, N: int, p: polykit.Poly):

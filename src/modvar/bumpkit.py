@@ -158,8 +158,8 @@ def scaled_weight(bump: SmoothBump, N: int):
 
 class Kernel:
     """A kernel sampled at t = i * spacing, i = 0..len - 1, with its
-    closed-form evaluator fn, so it can also be resampled exactly, e.g. on
-    the integers for discrete convolution.
+    closed-form evaluator fn, so it can also be resampled exactly on the
+    integers as a kernel on Z: the 1-d array of its values at n = 0, 1, ...
     """
 
     def __init__(self, values, spacing, fn):
@@ -182,9 +182,9 @@ class Kernel:
         return abs(complex(np.sum(self.values) * self.spacing))
 
     def at_integers(self):
-        """(0, values at the integers 0, 1, ... covering the support)."""
+        """The values at the integers 0, 1, ... covering the support."""
         n = np.arange(int(math.ceil(self.support[1])) + 1)
-        return 0, self.fn(n.astype(float))
+        return self.fn(n.astype(float))
 
 
 def _lacunarity(lam):

@@ -48,10 +48,10 @@ def eval_phase(p, n: int) -> float:
     return acc / mod
 
 
-def dft_column(values, n0, M):
-    """hat(b) = sum_n v(n) e(-n b / M) for values on n = n0, n0 + 1, ..."""
+def dft_column(values, M):
+    """hat(b) = sum_n v(n) e(-n b / M) for values on n = 0, 1, ..."""
     b = np.arange(M)
-    n = n0 + np.arange(len(values))
+    n = np.arange(len(values))
     return (np.asarray(values, dtype=complex)[None, :]
             * e(-(np.outer(b, n) % M) / M)).sum(axis=1)
 
@@ -87,11 +87,11 @@ def arc_multiplier(s, J, lambda_vec, bump, lam, M):
         if not multipliers.kernel_gate(tuple(offs), J):
             continue
         ker = make_Psi(bump, lam, J, s_floor=s)
-        n0, vals = ker.at_integers()
+        vals = ker.at_integers()
         phases = np.zeros(len(vals))
         for k, mu in enumerate(tuple(offs), start=2):
-            phases = phases + mu * (n0 + np.arange(len(vals))) ** k
-        khat = dft_column(vals * e(-(phases % 1.0)), n0, M)
+            phases = phases + mu * np.arange(len(vals)) ** k
+        khat = dft_column(vals * e(-(phases % 1.0)), M)
         total += arc_sum(A, Q, khat, chi, M)
     return total
 
@@ -100,8 +100,7 @@ def apply(symbol, fvals):
     """Inverse DFT of symbol * DFT(f), both by direct summation."""
     M = len(fvals)
     b = np.arange(M)
-    fhat = np.array([np.sum(fvals * e(-(n * b % M) / M)) for n in range(M)])
-    prod = symbol * fhat
+    prod = symbol * dft_column(fvals, M)
     return np.array([np.sum(prod * e((x * b % M) / M)) for x in range(M)]) / M
 
 
@@ -125,10 +124,8 @@ def vrd(f, bump, lam, P_grid, k_list, r, xs):
         for p in polys:
             vals = []
             for k in k_list:
-                n0, kv = kernels[k]
                 tot = 0.0 + 0j
-                for i, w in enumerate(kv):
-                    m = n0 + i
+                for m, w in enumerate(kernels[k]):
                     j = x - m
                     if f.support_start <= j < f.support_start + len(f):
                         tot += (w * e(eval_phase(p, m))

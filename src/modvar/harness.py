@@ -328,8 +328,8 @@ def theta_symbols(bump, L):
     the truncations _truncation_list(L): a read-only (K - 1, L) array,
     built once and shared by every theta_sup_variation call on a length."""
     return multipliers.kernel_transforms(
-        [(0, scaled_weight(bump, M))
-         for M in _truncation_list(L)], L, anchored=True)
+        [scaled_weight(bump, M) for M in _truncation_list(L)], L,
+        anchored=True)
 
 
 def theta_sup_variation(values, what, theta_count, r):

@@ -22,8 +22,8 @@ alone.  No symbol depends on the signal, so every operator is a builder,
 run once per level, and an apply per draw: arc_symbols with
 maximal_arc_ratio, and for each variation operator (vr-s, vr-sd,
 carleson's theta sup and vrd_operator) a stack builder with vr_sup.
-kernel_transforms is the one wrap-and-transform of kernels on Z into rows
-on Z/M, for _kernel_hat, harness.theta_symbols and vrd_operator.  The arc
+kernel_transforms, the one transform of kernels on Z (from n = 0) into rows
+on Z/M, serves _kernel_hat, harness.theta_symbols and vrd_operator.  The arc
 builders store SupportStacks on the windows of each Q (_window_support):
 arc_symbols one per Q, build_arc_multiplier one per lambda on those of the
 one arc whose ball holds it, if any.  The variation reads only row
@@ -105,8 +105,8 @@ def kernel_gate(mu, J) -> bool:
     return True
 
 
-def snap_to_grid(M: int, B: int, Q: int, radius: float):
-    """Nearest grid index to B/Q plus the torus offset; refuse coarse grids."""
+def snap_to_grid(M: int, B: int, Q: int, radius: float) -> int:
+    """Nearest grid index to B/Q; refuses an offset above radius / 16."""
     b0 = int(round(M * B / Q)) % M
     offset = abs(B / Q - b0 / M)
     offset = min(offset, 1.0 - offset)
@@ -117,21 +117,21 @@ def snap_to_grid(M: int, B: int, Q: int, radius: float):
             "increase M or pick it divisible by %d"
             % (B, Q, offset, M, radius / 16.0, lcm)
         )
-    return b0, offset
+    return b0
 
 
 def kernel_transforms(kernels, M, anchored=False) -> np.ndarray:
-    """The DFTs on Z/M of kernels given as (n0, values) on Z, as the rows
-    of a read-only (K, M) array: each is wrapped round Z/M (values added at
-    (n0 + i) mod M) and transformed in place; anchored=True anchors them
-    (see vr_sup).  Refuses a kernel longer than M, which the wrap would
-    fold onto itself."""
+    """The DFTs on Z/M of kernels on Z (each the array of its values at
+    n = 0, 1, ...), as the rows of a read-only (K, M) array: each is
+    zero-padded to M and transformed in place; anchored=True anchors them
+    (see vr_sup).  Refuses a kernel longer than M, which Z/M would fold
+    onto itself."""
     out = np.zeros((len(kernels), M), dtype=complex)
-    for row, (n0, vals) in zip(out, kernels):
+    for row, vals in zip(out, kernels):
         if len(vals) > M:
             raise DomainError("kernel support %d exceeds the grid modulus %d"
                               % (len(vals), M))
-        np.add.at(row, (n0 + np.arange(len(vals))) % M, vals)
+        row[:len(vals)] += vals
         np.fft.fft(row, out=row)
     if anchored:
         out[1:] -= out[0]
@@ -148,11 +148,11 @@ def _kernel_hat(bump, lam, J, s, mu, M):
     """
     if not kernel_gate(mu, J):
         return None
-    n0, vals = make_Psi(bump, lam, J, s_floor=s).at_integers()
+    vals = make_Psi(bump, lam, J, s_floor=s).at_integers()
     if any(m != 0.0 for m in mu):
         p = polykit.Poly.vanish2(mu)
-        vals = vals * e(-polykit.phase_range(p, n0, len(vals)))
-    return kernel_transforms([(n0, vals)], M)[0]
+        vals = vals * e(-polykit.phase_range(p, 0, len(vals)))
+    return kernel_transforms([vals], M)[0]
 
 
 def _window_support(M, Q, chi) -> np.ndarray:
@@ -160,7 +160,7 @@ def _window_support(M, Q, chi) -> np.ndarray:
     B = 1..Q: every arc symbol of denominator Q vanishes off it."""
     mask = np.zeros(M, dtype=bool)
     for B in range(1, Q + 1):
-        mask[chi.window(M, snap_to_grid(M, B, Q, chi.radius)[0])[0]] = True
+        mask[chi.window(M, snap_to_grid(M, B, Q, chi.radius))[0]] = True
     return np.flatnonzero(mask)
 
 
@@ -179,7 +179,7 @@ def arc_symbol(A, Q, M, chi, support, khat=None) -> np.ndarray:
     place[support] = np.arange(len(support))
     acc = np.zeros(len(support), dtype=complex)
     for B in range(1, Q + 1):
-        b0, _off = snap_to_grid(M, B, Q, chi.radius)
+        b0 = snap_to_grid(M, B, Q, chi.radius)
         idx, window = chi.window(M, b0)
         w = srow[B - 1] if khat is None else srow[B - 1] * khat[idx - b0]
         acc[place[idx]] += w * window
@@ -305,8 +305,11 @@ def _filtered(stacks, f):
     """Per stack of n rows, its rows times the transform of the signal f on
     Z/M, inverted in place in rows 1.. of one buffer whose row 0 stays zero,
     yielded as a view of n + 1 rows.  The stacks are listed first, so the
-    buffer, of 1 + most rows, is allocated once per call."""
+    buffer, of 1 + most rows, is allocated once per call; a signal with a
+    nan or inf value is refused once, before any stack."""
     _check_grid(np.size(f), f)      # a nonempty 1-d array, stacks or none
+    if not np.isfinite(f).all():
+        raise DomainError("non-finite signal values: no filtered rows")
     fhat, M, stacks = np.fft.fft(f), len(f), list(stacks)
     buf = np.zeros((1 + max((len(st.values) for st in stacks), default=0), M),
                    dtype=complex)
@@ -391,6 +394,8 @@ def seqspace_ratio(level, c) -> float:
     if c.shape != (n_freqs,):
         raise DomainError("coefficient vector must align with the %d level "
                           "frequencies" % n_freqs)
+    if not np.isfinite(c).all():
+        raise DomainError("non-finite coefficients: no sequence-space ratio")
     cnorm = l2(c)
     if cnorm == 0.0:
         return 0.0
@@ -429,13 +434,12 @@ def vrd_operator(f: Signal, bump: SmoothBump, lam, P_grid, k_list, r) -> Signal:
     k_list = _scales(k_list)
     polys = [polykit.Poly.zero(), *P_grid]   # a repeat changes no sup
     kernels = [make_Psi(bump, lam, k).at_integers() for k in k_list]
-    n0_max, vals_max = kernels[-1]
-    M = len(f) + len(vals_max) - 1
+    M = len(f) + len(kernels[-1]) - 1
     padded = np.pad(f.values, (0, M - len(f)))
     stacks = (ShiftedStack(kernel_transforms(
-        [(n0 - n0_max, vals * e(polykit.phase_range(p, n0, len(vals))))
-         for n0, vals in kernels], M, anchored=True), 0) for p in polys)
-    return Signal(f.support_start + n0_max, vr_sup(stacks, padded, r))
+        [vals * e(polykit.phase_range(p, 0, len(vals))) for vals in kernels],
+        M, anchored=True), 0) for p in polys)
+    return Signal(f.support_start, vr_sup(stacks, padded, r))
 
 
 def ratio_table_csv(path, rows):

@@ -1,6 +1,7 @@
-"""Finite complex signals on Z and Z/M: DFT conventions, l2 norms,
-modulation and convolution.  A signal on Z is a Signal (its values and the
-start of its support); a signal on Z/M is a plain 1-d array of M values.
+"""Finite complex signals on Z and Z/M: DFT conventions, l2 norms and
+modulation.  A signal on Z is a Signal (its values and the start of its
+support); a kernel on Z is the 1-d array of its values at n = 0, 1, ...,
+and a signal on Z/M is a plain 1-d array of M values.
 
 Conventions fixed here and used everywhere else:
 
@@ -11,9 +12,6 @@ so Parseval reads ||f||^2 = (1/M) sum_b |fhat(b)|^2.  modulate() takes its
 phases n * theta mod 1 from polykit.phase_range of the linear polynomial
 theta n, which reduces them exactly in integer arithmetic (the float theta
 is a dyadic rational), so it is exact for every representable frequency.
-convolve() is numpy's direct full convolution with the supports added, for
-the short averaging kernels; multipliers.vrd_operator convolves through
-FFTs instead, on a zero-padded grid as long as the full convolution.
 """
 
 from __future__ import annotations
@@ -59,9 +57,3 @@ def modulate_cyclic(f, b: int) -> np.ndarray:
     M = len(f)
     ph = (np.arange(M, dtype=np.int64) * (int(b) % M)) % M
     return f * e(ph / M)
-
-
-def convolve(f: Signal, k: Signal) -> Signal:
-    """(f * k)(x) = sum_n k(n) f(x - n), full support arithmetic."""
-    return Signal(f.support_start + k.support_start,
-                  np.convolve(f.values, k.values))

@@ -23,9 +23,8 @@ def test_modulated_weights_zero_phase():
     bump = SmoothBump(0.25)
     M = 8
     w = modulated_weights(bump, M, polykit.Poly.linear(0.0))
-    assert w.support_start == 0
-    assert len(w) == M + 1
-    assert np.array_equal(w.values, scaled_weight(bump, M) + 0j)
+    assert w.shape == (M + 1,)
+    assert np.array_equal(w, scaled_weight(bump, M) + 0j)
 
 
 def test_modulated_weights_carries_polynomial_phase():
@@ -35,7 +34,7 @@ def test_modulated_weights_carries_polynomial_phase():
     w = modulated_weights(bump, M, p)
     base = scaled_weight(bump, M)
     ph = np.array([(n % 4) / 4 for n in range(M + 1)])
-    assert np.max(np.abs(w.values - base * e(ph))) < 1e-14
+    assert np.max(np.abs(w - base * e(ph))) < 1e-14
 
 
 def test_conv_average_of_point_mass_recovers_weights():
@@ -46,7 +45,7 @@ def test_conv_average_of_point_mass_recovers_weights():
     out = conv_average(f, bump, M, p)
     w = modulated_weights(bump, M, p)
     assert out.support_start == 0
-    assert np.max(np.abs(out.values - w.values)) < 1e-15
+    assert np.max(np.abs(out.values - w)) < 1e-15
 
 
 def test_conv_average_matches_loop_oracle(rng):
@@ -56,7 +55,8 @@ def test_conv_average_matches_loop_oracle(rng):
     p = polykit.Poly.linear(0.375)
     out = conv_average(f, bump, M, p)
     k = modulated_weights(bump, M, p)
-    want = oracles.convolve_loops(f.values, k.values)
+    want = oracles.convolve_loops(f.values, k)
+    assert out.support_start == f.support_start
     assert np.max(np.abs(out.values - want)) < 1e-10
 
 

@@ -845,24 +845,26 @@ for k, argv in enumerate(runs):
 print(json.dumps({"gaps": gaps.hexdigest(), "files": files}))
 """
 
-# numpy's SIMD dispatch levels, lowered only in the children; on a host
-# without AVX-512 numpy warns that it cannot disable what it lacks, and
-# runs at the level the host has
+# numpy's SIMD dispatch levels, lowered only in the children, each with the
+# pin floors its child checks; on a host without AVX-512 numpy warns that
+# it cannot disable what it lacks, and runs at the level the host has
 _DISPATCH_LEVELS = {
-    "native": None,
-    "AVX-512 off": "X86_V4 AVX512_ICL AVX512_SPR",
-    "X86_V2": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+    "native": (None, ("X86_V2",)),
+    "AVX-512 off": ("X86_V4 AVX512_ICL AVX512_SPR", ("X86_V2", "X86_V3")),
+    "X86_V2": ("X86_V3 X86_V4 AVX512_ICL AVX512_SPR", ("X86_V2",)),
 }
 
 
 def test_gaps_and_pins_hold_at_every_dispatch_level(tmp_path):
     # the gap kernel takes correctly rounded steps only, so its bytes, the
     # pins of floor X86_V2 and the variation pin do not depend on the
-    # dispatch
-    pinned = [run[:2] for run in _PINNED_RUNS if run[2] == "X86_V2"]
-    pinned.append(VARIATION_PIN)
+    # dispatch; with AVX-512 off numpy dispatches at X86_V3, where the pins
+    # of that floor hold too (natively test_chaining_and_converge_bytes_pinned
+    # checks them all)
     gaps = {}
-    for level, disabled in _DISPATCH_LEVELS.items():
+    for level, (disabled, floors) in _DISPATCH_LEVELS.items():
+        pinned = [run[:2] for run in _PINNED_RUNS if run[2] in floors]
+        pinned.append(VARIATION_PIN)
         env = _child_env()
         env.pop("NPY_ENABLE_CPU_FEATURES", None)
         env.pop("NPY_DISABLE_CPU_FEATURES", None)

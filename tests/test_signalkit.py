@@ -1,9 +1,9 @@
-"""Signals, the DFT convention, modulation and convolution."""
+"""Signals, the DFT convention and modulation."""
 
 import numpy as np
 import pytest
 
-from modvar.signalkit import Signal, convolve, l2, modulate, modulate_cyclic
+from modvar.signalkit import Signal, l2, modulate, modulate_cyclic
 from modvar import dense, polykit
 from modvar.util import e
 
@@ -21,7 +21,7 @@ def _random_cyclic(rng, M):
 @pytest.mark.parametrize("M", [1, 2, 3, 8, 17, 64])
 def test_dft_matches_dense_oracle(rng, M):
     f = _random_cyclic(rng, M)
-    got = dense.dft_column(f, 0, M)
+    got = dense.dft_column(f, M)
     want = oracles.dft_dense(f)
     assert np.max(np.abs(got - want)) < 1e-9 * max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(np.fft.fft(f) - want)) < \
@@ -37,7 +37,7 @@ def test_dft_idft_roundtrip(rng):
 
 def test_dft_parseval(rng):
     f = _random_cyclic(rng, 53)
-    fhat = dense.dft_column(f, 0, 53)
+    fhat = dense.dft_column(f, 53)
     # sum |fhat|^2 = M * sum |f|^2 with the unnormalized forward transform
     assert np.sum(np.abs(fhat) ** 2) == pytest.approx(
         53 * np.sum(np.abs(f) ** 2), rel=1e-12)
@@ -46,7 +46,7 @@ def test_dft_parseval(rng):
 def test_dft_of_point_mass_is_flat():
     vals = np.zeros(16, dtype=complex)
     vals[0] = 1.0
-    fhat = dense.dft_column(vals, 0, 16)
+    fhat = dense.dft_column(vals, 16)
     assert np.max(np.abs(fhat - 1.0)) < 1e-12
 
 
@@ -91,12 +91,3 @@ def test_linear_phase_matches_fraction_oracle():
     got = polykit.phase_range(polykit.Poly.linear(theta), 100, 50)
     want = [oracles.phase_fraction([0.0, theta], n) for n in range(100, 150)]
     assert got.tolist() == want
-
-
-def test_convolve_matches_loop_oracle(rng):
-    f = Signal(-2, rng.normal(size=11) + 1j * rng.normal(size=11))
-    k = Signal(1, rng.normal(size=5) + 0j)
-    got = convolve(f, k)
-    want = oracles.convolve_loops(f.values, k.values)
-    assert got.support_start == f.support_start + k.support_start
-    assert np.max(np.abs(got.values - want)) < 1e-10
