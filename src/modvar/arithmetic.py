@@ -49,6 +49,8 @@ def weyl_rows(Q: int, As, tables=None) -> np.ndarray:
         A = np.asarray(As, dtype=np.int64) % Q
     except ValueError:      # ragged
         raise DomainError("all coefficient vectors need the same length")
+    if A.ndim != 2:
+        raise DomainError("coefficients must be k vectors of one length m")
     residues, phases = tables or _weyl_tables(Q, A.shape[1])
     num = np.zeros((len(A), Q), dtype=np.int64)
     for table, coeff in zip(residues, A.T):

@@ -537,16 +537,14 @@ def _run_converge(cfg, out, seed, jobs):
 
     # scenario b: rotation, character observable, resonant vs generic phase
     rot = systems.CircleRotation()
-    fchar = systems.obs_char(1)
     res_tol = eps0 + pad
-    res = averaging.orbit_terms(rot, fchar, 0.0, n_top,
-                                polykit.Poly.linear(1.0 - rot.alpha))
-    b_res = abs(averaging.orbit_average(res, bump) - bump.mass)
-    b_rough = abs(averaging.rough_average(res) - 1.0)
-    gen = averaging.orbit_terms(rot, fchar, 0.0, n_top,
-                                polykit.Poly.linear(0.25))
-    v_gen = averaging.orbit_average(gen, bump)
-    g_rough = abs(averaging.rough_average(gen))
+    rt = systems.ww_scan(rot, systems.obs_char(1), 0.0,
+                         [polykit.Poly.linear(1.0 - rot.alpha),
+                          polykit.Poly.linear(0.25)], [n_top], bump)
+    b_res = abs(rt.values[(0, n_top)] - bump.mass)
+    b_rough = abs(rt.rough[0] - 1.0)
+    v_gen = rt.values[(1, n_top)]
+    g_rough = abs(rt.rough[1])
     b_ok = (b_res <= res_tol and abs(v_gen) <= 0.01 and b_rough <= pad
             and g_rough <= 0.01)
 
@@ -554,10 +552,10 @@ def _run_converge(cfg, out, seed, jobs):
     skew = systems.SkewProduct()
     y0 = cfg.get("y0")
     char = complex(e(y0))
-    sk = averaging.orbit_terms(skew, systems.obs_skew_char(1), (0.5, y0),
-                               n_top, polykit.Poly.vanish2((-skew.alpha,)))
-    c_res = abs(averaging.orbit_average(sk, bump) - char * bump.mass)
-    c_rough = abs(averaging.rough_average(sk) - char)
+    st = systems.ww_scan(skew, systems.obs_skew_char(1), (0.5, y0),
+                         [polykit.Poly.vanish2((-skew.alpha,))], [n_top], bump)
+    c_res = abs(st.values[(0, n_top)] - char * bump.mass)
+    c_rough = abs(st.rough[0] - char)
     c_ok = c_res <= res_tol and c_rough <= pad
 
     return {"converge": {
@@ -792,13 +790,15 @@ def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
     """Execute one experiment; returns the exit code (0 ok, 2 check failed).
 
     Configuration problems raise ConfigError (the CLI maps them to code 1),
-    among them jobs (or MODVAR_JOBS) outside 1..os.cpu_count().  Result
-    files land in out_dir: a runner writes its CSV tables and returns
-    {file stem: payload}, its summary first, and this is the one writer of
-    each <stem>.json.  The summary's ok is the run's verdict.
+    among them a seed outside 0..2^64-1 and jobs (or MODVAR_JOBS) outside
+    1..os.cpu_count().  Result files land in out_dir: a runner writes its
+    CSV tables and returns {file stem: payload}, summary first, and this is
+    the one writer of each <stem>.json; the summary's ok is the verdict.
     """
     if config.kind not in _RUNNERS:
         raise ConfigError("unknown experiment kind %r" % (config.kind,))
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ConfigError("seed must lie in 0..2^64-1, got %d" % int(seed))
     source = "MODVAR_JOBS" if "MODVAR_JOBS" in os.environ else "jobs"
     try:
         jobs = _parse_int(os.environ.get("MODVAR_JOBS", jobs))

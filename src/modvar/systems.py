@@ -15,8 +15,8 @@ check it against exact scalar orbits that share none of this code.
 Defaults are sqrt(2) - 1 and sqrt(3) - 1, badly approximable numbers that
 keep desk-scale experiments away from accidental near-resonances.
 
-Observables are plain callables on coordinate arrays; builders for the
-indicator / character combinations used in experiments live at the bottom.
+ww_scan is the one smoothed and rough orbit average.  Observables are
+plain callables on coordinate arrays; their builders live at the bottom.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import averaging, polykit
+from . import polykit
 from .bumpkit import SmoothBump, scaled_weight
 from .util import DomainError, e, write_csv
 
@@ -130,14 +130,14 @@ class ScanTable:
 
 
 def ww_scan(sys, f, omega, P_grid, N_grid, bump: SmoothBump) -> ScanTable:
-    """Smoothed averages over all (P, N), tail Cauchy oscillation, and the
-    rough average (averaging.rough_average) at the last time.
+    """sum_{n<=N} phi(n/N)/N e(P(n)) f(T^n omega) for every (P, N), its
+    tail Cauchy oscillation (max |difference| over adjacent times in the
+    grid's second half), and the rough average (1/N) sum_{n=1..N} e(P(n))
+    f(T^n omega) at the last time N.  A term is (weight * e(P(n))) * f.
 
     Every P must be tagged linear or vanish2 (the two classes the pointwise
-    convergence statement covers).  Oscillation is the max |difference| over
-    adjacent time pairs in the second half of the time grid.  One orbit
-    serves every P, one phase range every average of a P, and one weight
-    array per time every P.
+    convergence statement covers), and every time must be at least 1.  One
+    orbit serves every P, and one phase range every time of a P.
     """
     polys = tuple(P_grid)
     for p in polys:
@@ -146,16 +146,18 @@ def ww_scan(sys, f, omega, P_grid, N_grid, bump: SmoothBump) -> ScanTable:
     times = tuple(N_grid)
     if not times:
         raise DomainError("empty time grid")
+    if min(times) < 1:
+        raise DomainError("scan times must be at least 1")
     n_max = max(times)
     track = np.asarray(f(sys.orbit_array(omega, 0, n_max + 1)), dtype=complex)
     weights = {N: scaled_weight(bump, N) for N in times}
     values, rough = {}, {}
     for i, p in enumerate(polys):
         chars = e(polykit.phase_range(p, 0, n_max + 1))
-        rough[i] = averaging.rough_average((chars, track))
-        modulated = chars * track
+        rough[i] = complex(np.mean(chars[1:] * track[1:]))
         for N in times:
-            values[(i, N)] = complex(np.sum(weights[N] * modulated[: N + 1]))
+            values[(i, N)] = complex(
+                np.sum(weights[N] * chars[:N + 1] * track[:N + 1]))
     tail = times[len(times) // 2:]
     oscillation = {i: max([abs(values[(i, Nb)] - values[(i, Na)])
                            for Na, Nb in zip(tail, tail[1:])], default=0.0)

@@ -38,10 +38,10 @@ def torus_signed(x):
 def stream(seed: int, draw: int) -> np.random.Generator:
     """Counter-based per-draw RNG stream.
 
-    Each (seed, draw) pair keys an independent Philox stream, so draw i is
-    the same whether draws run serially or in parallel.
+    Each (seed, draw) pair, both in 0..2^64-1, keys an independent Philox
+    stream, so draw i is the same whether draws run serially or in parallel.
     """
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, draw]))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, draw], np.uint64)))
 
 
 def write_csv(path, header, rows):

@@ -139,6 +139,21 @@ def test_weyl_rows_rejects_bad_modulus(Q):
         weyl_rows(Q, [(1,), (2,)])
 
 
+# coefficients that are not k vectors of one length m: a scalar A, no
+# vectors, one flat vector, a 3-d array, and a ragged list
+@pytest.mark.parametrize("call,message", [
+    (lambda: weyl_row(5, 2), "k vectors of one length m"),
+    (lambda: weyl_rows(5, []), "k vectors of one length m"),
+    (lambda: weyl_rows(5, [1, 2]), "k vectors of one length m"),
+    (lambda: weyl_rows(5, np.ones((2, 2, 1), dtype=int)),
+     "k vectors of one length m"),
+    (lambda: weyl_rows(5, [(1,), (1, 2)]), "the same length"),
+])
+def test_weyl_rows_rejects_coefficients_not_two_dimensional(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def _freq_points(s, d):
     # the arc sums visit every B = 1..Q of every arc (A, Q)
     return [(Q, A, B) for A, Q in arc_pairs(s, d) for B in range(1, Q + 1)]

@@ -1,19 +1,23 @@
-"""Smoothed and rough modulated averages and the orbits they run along."""
+"""Smoothed and rough modulated averages: the convolution averages of
+averaging, and the orbit averages of systems.ww_scan."""
 
 import numpy as np
 import pytest
 
 from modvar import polykit
-from modvar.averaging import (
-    conv_average,
-    modulated_weights,
-    orbit_average,
-    orbit_terms,
-    rough_average,
-)
+from modvar.averaging import conv_average, modulated_weights
 from modvar.bumpkit import SmoothBump, scaled_weight
 from modvar.signalkit import Signal
-from modvar.systems import CircleRotation, SkewProduct, ZShift, obs_char, obs_const, obs_indicator, obs_skew_char
+from modvar.systems import (
+    CircleRotation,
+    SkewProduct,
+    ZShift,
+    obs_char,
+    obs_const,
+    obs_indicator,
+    obs_skew_char,
+    ww_scan,
+)
 from modvar.util import DomainError, e
 
 import oracles
@@ -64,33 +68,34 @@ def test_orbit_average_constant_is_weight_mass():
     z = ZShift()
     bump = SmoothBump(0.25)
     M = 200
-    terms = orbit_terms(z, obs_const(1.0), 0, M, polykit.Poly.linear(0.0))
-    got = orbit_average(terms, bump)
+    table = ww_scan(z, obs_const(1.0), 0, [polykit.Poly.linear(0.0)], [M],
+                    bump)
     w = scaled_weight(bump, M)
-    assert got == pytest.approx(np.sum(w), abs=1e-12)
+    assert table.values[(0, M)] == pytest.approx(np.sum(w), abs=1e-12)
 
 
 def test_orbit_average_indicator_counts_window():
     z = ZShift()
     bump = SmoothBump(0.25)
     M = 1000
-    terms = orbit_terms(z, obs_indicator(0, 100), 0, M,
-                        polykit.Poly.linear(0.0))
-    got = orbit_average(terms, bump)
+    table = ww_scan(z, obs_indicator(0, 100), 0, [polykit.Poly.linear(0.0)],
+                    [M], bump)
     w = scaled_weight(bump, M)[:101]
-    assert got == pytest.approx(np.sum(w), abs=1e-12)
+    assert table.values[(0, M)] == pytest.approx(np.sum(w), abs=1e-12)
 
 
 def test_rough_average_indicator():
     z = ZShift()
-    terms = orbit_terms(z, obs_indicator(0, 100), 0, 1000,
-                        polykit.Poly.linear(0.0))
-    assert rough_average(terms) == pytest.approx(0.1, abs=1e-12)
+    table = ww_scan(z, obs_indicator(0, 100), 0, [polykit.Poly.linear(0.0)],
+                    [1000], SmoothBump(0.25))
+    assert table.rough[0] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_rough_average_rejects_empty():
-    with pytest.raises(DomainError):
-        orbit_terms(ZShift(), obs_const(), 0, 0, polykit.Poly.linear(0.0))
+    # ww_scan's own refusal, not scaled_weight's "scale N" one
+    with pytest.raises(DomainError, match="times must be at least 1"):
+        ww_scan(ZShift(), obs_const(), 0, [polykit.Poly.linear(0.0)], [0],
+                SmoothBump(0.25))
 
 
 def test_rotation_resonant_average_is_constant_term():
@@ -98,17 +103,18 @@ def test_rotation_resonant_average_is_constant_term():
     # theta = -alpha: the modulated track is identically e(omega)
     rot = CircleRotation(alpha=0.125)
     p = polykit.Poly.linear(1 - 0.125)
-    got = rough_average(orbit_terms(rot, obs_char(1), 0.25, 800, p))
-    assert got == pytest.approx(e(0.25), abs=1e-12)
+    table = ww_scan(rot, obs_char(1), 0.25, [p], [800], SmoothBump(0.25))
+    assert table.rough[0] == pytest.approx(e(0.25), abs=1e-12)
 
 
 def test_skew_resonance_hits_unit_modulus():
     # f = e(y) along the skew orbit from (0, 0): y_n = n^2 alpha, so the
     # quadratic phase -alpha n^2 cancels it exactly
     sk = SkewProduct(alpha=0.25)
-    p = polykit.Poly((0.0, 0.0, 1 - 0.25), "general")
-    got = rough_average(orbit_terms(sk, obs_skew_char(1), (0, 0), 500, p))
-    assert got == pytest.approx(1.0, abs=1e-12)
+    p = polykit.Poly.vanish2((1 - 0.25,))
+    table = ww_scan(sk, obs_skew_char(1), (0, 0), [p], [500],
+                    SmoothBump(0.25))
+    assert table.rough[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_orbit_average_matches_manual_sum(rng):
@@ -116,7 +122,7 @@ def test_orbit_average_matches_manual_sum(rng):
     bump = SmoothBump(0.25)
     M = 64
     p = polykit.Poly.linear(0.25)
-    got = orbit_average(orbit_terms(rot, obs_char(1), 0.0, M, p), bump)
+    got = ww_scan(rot, obs_char(1), 0.0, [p], [M], bump).values[(0, M)]
     w = scaled_weight(bump, M)
     track = obs_char(1)(rot.orbit_array(0.0, 0, M + 1))
     ph = e(polykit.phase_range(p, 0, M + 1))

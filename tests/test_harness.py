@@ -124,13 +124,17 @@ def test_cli_exit_one_on_non_utf8_config_file(tmp_path, capsys):
 
 
 # what argparse cannot parse is a config error: exit 1 and one line, not
-# its usage text and exit 2 (which means a checked property failed)
+# its usage text and exit 2 (which means a checked property failed); so is
+# a seed outside 0..2^64-1, the one unsigned 64-bit word of a stream key
 @pytest.mark.parametrize("argv,cause", [
     (["weyl", "--jobs", "abc"], "--jobs"),
     (["weyl", "--seed", "abc"], "--seed"),
     ([], "KIND"),
     (["weyl", "--bogus"], "--bogus"),
     (["no-such-kind"], "no-such-kind"),
+    (["variation", "--seed", "-1"], "seed must lie in 0..2^64-1"),
+    (["variation", "--seed", "18446744073709551616"],
+     "seed must lie in 0..2^64-1"),
 ])
 def test_cli_parse_errors_exit_one_with_one_line(argv, cause, tmp_path,
                                                   capsys):

@@ -34,7 +34,7 @@ _ANGLE = ("harness runs the default angles; tests build orbits at dyadic "
 # code names or passes it
 ALLOWED = {
     "default_config": "perfbench/run.py builds its configs with it",
-    "obs_const": "tests of orbit_average and ww_scan use the constant "
+    "obs_const": "tests of ww_scan's orbit averages use the constant "
                  "observable",
     "jump_count": "the public jump count; jump_variation_check runs its "
                   "core _jumps (the variation DP on links 1 or -inf) on the "

@@ -135,6 +135,17 @@ def test_ww_scan_shapes_and_oscillation():
     assert table.rough == {0: 1.0}
 
 
+def test_ww_scan_refuses_time_below_one_before_the_orbit():
+    class NoOrbit:
+        def orbit_array(self, omega, n0, N):
+            raise AssertionError("orbit built before the time check")
+
+    for times in ([0], [64, 0], [-3]):
+        with pytest.raises(DomainError, match="times must be at least 1"):
+            ww_scan(NoOrbit(), obs_const(), 0, [polykit.Poly.linear(0.0)],
+                    times, SmoothBump(0.25))
+
+
 def test_rotation_rejects_nothing_on_scaled_input():
     rot = CircleRotation(scaled=12345)
     assert rot.alpha_scaled == 12345

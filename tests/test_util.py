@@ -12,6 +12,15 @@ def test_stream_is_deterministic_and_split_by_draw():
     assert not np.allclose(a, c)
 
 
+def test_stream_keys_differ_above_two_to_the_63():
+    # a key list of Python ints at or above 2^63 would go through float64,
+    # where 2^63 and 2^63 + 1 are one number
+    seeds = (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)
+    keys = {tuple(int(k) for k in stream(s, 0).bit_generator.state[
+        "state"]["key"]) for s in seeds}
+    assert keys == {(s, 0) for s in seeds}
+
+
 def test_unit_phase_quarter_turn():
     assert e(0.25) == pytest.approx(1j, abs=1e-15)
     assert e(0.0) == 1.0
