@@ -20,22 +20,22 @@ The inner sum over B is the arc symbol, and arc_symbol is its only
 implementation: it adds each term on the nonzeros of its chi_s window
 alone.  No symbol depends on the signal, so every operator is a builder,
 run once per level, and an apply per draw: arc_symbols with
-maximal_arc_ratio, and for each variation operator (vr-s, vr-sd,
-carleson's theta sup and vrd_operator) a stack builder with vr_sup.
+maximal_arc_ratio, and for each variation operator (vr-s, vr-sd, carleson's
+theta sup and vrd_operator) a stack builder with vr_sup.
 kernel_transforms, the one transform of kernels on Z (from n = 0) into rows
-on Z/M, serves _kernel_hat, harness.theta_symbols and vrd_operator.  The arc
-builders store SupportStacks on the windows of each Q (_window_support):
-arc_symbols one per Q, build_arc_multiplier one per lambda on those of the
-one arc whose ball holds it, if any.  The variation reads only row
-differences, so its stacks are anchored (rows 1.. minus row 0); vr_sup
-also reads a ShiftedStack, a dense stack at a cyclic column offset (the
-theta grid reads one set of truncation transforms at many, vrd_operator
-each stack at 0), so no stack is copied or rolled.  _filtered is the one
-apply: each stack's rows times the signal's transform, in rows 1.. of one
-buffer whose row 0 stays zero, inverted in place.  The vr-sd stacks are
-build_arc_multiplier's on lambda_grid_for; its points 3k+1 are the arc
-centres A/Q, where every offset vanishes, and the vr-s table is the sup
-over their stacks alone.
+on Z/M, serves _kernel_hat, harness.theta_symbols and vrd_operator.  The
+arc builders snap and window each B/Q once, in one table per Q (_windows),
+and store SupportStacks on its support: arc_symbols one per Q,
+build_arc_multiplier one per lambda on that of the one arc whose ball holds
+it, if any.  The variation reads only row differences, so its stacks are
+anchored (rows 1.. minus row 0); vr_sup also reads a ShiftedStack, a dense
+stack at a cyclic column offset (the theta grid reads one set of truncation
+transforms at many, vrd_operator each stack at 0), so no stack is copied or
+rolled.  _filtered is the one apply: each stack's rows times the signal's
+transform, in rows 1.. of one buffer whose row 0 stays zero, inverted in
+place.  The vr-sd stacks are build_arc_multiplier's on lambda_grid_for; its
+points 3k+1 are the arc centres A/Q, where every offset vanishes, and the
+vr-s table is the sup over their stacks alone.
 The sequence-space ratio follows the same pattern off the grid:
 seqspace_level builds the Weyl rows and the characters e(Bx/Q) once per
 level, and seqspace_ratio applies them to each coefficient draw.
@@ -106,7 +106,9 @@ def kernel_gate(mu, J) -> bool:
 
 
 def snap_to_grid(M: int, B: int, Q: int, radius: float) -> int:
-    """Nearest grid index to B/Q; refuses an offset above radius / 16."""
+    """Nearest index to B/Q on Z/M; refuses M < 1, offsets above radius/16."""
+    if M < 1:
+        raise DomainError("grid modulus %d is below 1" % M)
     b0 = int(round(M * B / Q)) % M
     offset = abs(B / Q - b0 / M)
     offset = min(offset, 1.0 - offset)
@@ -125,7 +127,9 @@ def kernel_transforms(kernels, M, anchored=False) -> np.ndarray:
     n = 0, 1, ...), as the rows of a read-only (K, M) array: each is
     zero-padded to M and transformed in place; anchored=True anchors them
     (see vr_sup).  Refuses a kernel longer than M, which Z/M would fold
-    onto itself."""
+    onto itself, and an empty list."""
+    if not len(kernels):
+        raise DomainError("need at least one kernel")
     out = np.zeros((len(kernels), M), dtype=complex)
     for row, vals in zip(out, kernels):
         if len(vals) > M:
@@ -155,34 +159,32 @@ def _kernel_hat(bump, lam, J, s, mu, M):
     return kernel_transforms([vals], M)[0]
 
 
-def _window_support(M, Q, chi) -> np.ndarray:
-    """The sorted union on Z/M of the chi window nonzeros of every B/Q,
-    B = 1..Q: every arc symbol of denominator Q vanishes off it."""
-    mask = np.zeros(M, dtype=bool)
-    for B in range(1, Q + 1):
-        mask[chi.window(M, snap_to_grid(M, B, Q, chi.radius))[0]] = True
-    return np.flatnonzero(mask)
+def _windows(M, Q, chi):
+    """Each B/Q, B = 1..Q, snapped and windowed once: the sorted union of the
+    window nonzeros, and per B their positions in it, offsets and values."""
+    snaps = [snap_to_grid(M, B, Q, chi.radius) for B in range(1, Q + 1)]
+    windows = [chi.window(M, b0) for b0 in snaps]
+    mask = np.zeros(M, dtype=bool)      # not np.unique, which imports numpy.ma
+    mask[np.concatenate([idx for idx, _vals in windows])] = True
+    support = np.flatnonzero(mask)
+    return support, [(np.searchsorted(support, idx), idx - b0, vals)
+                     for b0, (idx, vals) in zip(snaps, windows)]
 
 
-def arc_symbol(A, Q, M, chi, support, khat=None) -> np.ndarray:
+def arc_symbol(A, Q, windows, khat=None) -> np.ndarray:
     """sum over B = 1..Q of S(A/Q, B/Q) * K_hat(. - b_B) * chi(. - b_B) on
-    support, a sorted array of indices into Z/M that holds every nonzero of
-    the arc's windows (np.arange(M): all of Z/M).
+    the support of windows = _windows(M, Q, chi), b_B the grid index of B/Q.
 
-    b_B is the grid index of B/Q (snap_to_grid against the chi radius).
     Each term is added on its window's nonzeros only; off them it is zero,
     so the values equal those of the full-grid sum bit for bit.
     khat=None stands for K_hat = 1: the plain window symbol of the arc.
     """
+    support, terms = windows
     srow = arithmetic.weyl_row(Q, A)
-    place = np.zeros(M, dtype=np.intp)     # grid index -> result position
-    place[support] = np.arange(len(support))
     acc = np.zeros(len(support), dtype=complex)
-    for B in range(1, Q + 1):
-        b0 = snap_to_grid(M, B, Q, chi.radius)
-        idx, window = chi.window(M, b0)
-        w = srow[B - 1] if khat is None else srow[B - 1] * khat[idx - b0]
-        acc[place[idx]] += w * window
+    for S, (pos, offsets, vals) in zip(srow, terms):
+        w = S if khat is None else S * khat[offsets]
+        acc[pos] += w * vals
     return acc
 
 
@@ -214,13 +216,12 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
     lambda_vec's ball (empty if none: distinct level-s arcs lie 4^-s apart
     or more, so no ball meets another), and its symbol is summed there
     alone, so scattered into zeros a stack is the anchored dense array bit
-    for bit.  The level's window, its checks and the arc of each lambda_vec
-    are found once; one kernel transform is made per distinct (J, offsets).
+    for bit.  The level's window, its checks, each lambda_vec's arc, each
+    Q's window table and one kernel transform per (J, offsets) are made once.
     The kernel scale floor and gate use DEFAULT_A0; chi_a0 governs only the
     chi_s window width, so narrow-window probes keep the kernel floor
-    intact.  Any M is accepted here (the vr-sd sweep refuses M below
-    MIN_MODULUS as a config range); snapping and kernel-support errors
-    still apply.
+    intact.  Any M >= 1 is accepted here (the vr-sd sweep refuses M below
+    MIN_MODULUS as a config range), within the snap and kernel limits.
     """
     chi = _level_chi(s, chi_a0)
     M = int(M)
@@ -240,27 +241,19 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
             if all(abs(o) <= ball for o in offs):
                 hits[-1] = (A, Q, offs)
                 break
-    covered = {Q: _window_support(M, Q, chi)
-               for Q in {hit[1] for hit in hits if hit}}
+    tables = {Q: _windows(M, Q, chi) for Q in {hit[1] for hit in hits if hit}}
+    khats = {offs: [_kernel_hat(bump, lam, J, chi.s, offs, M) for J in J_list]
+             for offs in {hit[2] for hit in hits if hit}}
     stacks = []
     for hit in hits:
-        support = covered[hit[1]] if hit else np.zeros(0, dtype=np.intp)
-        stacks.append(SupportStack(M, support, np.zeros(
-            (len(J_list) - 1, len(support)), dtype=complex)))
-    heads = [np.zeros(len(st.support), dtype=complex) for st in stacks]
-    for j, J in enumerate(J_list):
-        khats = {}      # one scale's kernel transforms alive at a time
-        for stack, head, hit in zip(stacks, heads, hits):
-            row = stack.values[j - 1] if j else head    # row 0: build only
-            if hit:
-                A, Q, offs = hit
-                if offs not in khats:
-                    khats[offs] = _kernel_hat(bump, lam, J, chi.s, offs, M)
-                if khats[offs] is not None:
-                    row += arc_symbol(A, Q, M, chi, stack.support,
-                                      khats[offs])
-            if j:
-                row -= head
+        support = tables[hit[1]][0] if hit else np.zeros(0, dtype=np.intp)
+        rows = np.zeros((len(J_list), len(support)), dtype=complex)
+        if hit:
+            A, Q, offs = hit
+            for row, khat in zip(rows, khats[offs]):
+                if khat is not None:
+                    row += arc_symbol(A, Q, tables[Q], khat)
+        stacks.append(SupportStack(M, support, rows[1:] - rows[0]))
     return stacks
 
 
@@ -279,8 +272,7 @@ def lambda_grid_for(s: int, d: int):
 
 
 def _check_grid(M, f):
-    """The one check of a signal f on Z/M: a nonempty 1-d array of M
-    values."""
+    """The one check of a signal f on Z/M: a nonempty 1-d array of M values."""
     if M < 1 or np.shape(f) != (M,):
         raise DomainError("signal of shape %s is not on the symbol grid %d"
                           % (np.shape(f), M))
@@ -295,9 +287,9 @@ def arc_symbols(s: int, M: int, chi_a0=DEFAULT_A0):
     stacks = []
     for Q, arcs in itertools.groupby(arithmetic.arc_pairs(chi.s, 2),
                                      key=lambda arc: arc[1]):
-        support = _window_support(M, Q, chi)
-        stacks.append(SupportStack(M, support, np.array(
-            [arc_symbol(A, Q, M, chi, support) for A, _Q in arcs])))
+        windows = _windows(M, Q, chi)
+        stacks.append(SupportStack(M, windows[0], np.array(
+            [arc_symbol(A, Q, windows) for A, _Q in arcs])))
     return stacks
 
 

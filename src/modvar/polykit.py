@@ -13,9 +13,9 @@ to control because nothing is ever cancelled inexactly.  The range kernel
 _mod1_range evaluates any integer polynomial mod 2^E over a run of n; the
 fixed-point orbits in systems use it too, with E = PREC_BITS.
 
-Polynomial classes: "linear" (degree <= 1), "vanish2" (lam_0 = lam_1 = 0,
-the drift-free class with coefficient vector mu = (lam_2, ..., lam_d)), and
-unrestricted "general".
+A Poly is any finite coefficient vector.  linear (degree <= 1) and vanish2
+(lam_0 = lam_1 = 0, the drift-free class with coefficient vector
+mu = (lam_2, ..., lam_d)) build the two classes the theorem covers.
 """
 
 from __future__ import annotations
@@ -27,43 +27,32 @@ import numpy as np
 
 from .util import DomainError
 
-_CLASS_TAGS = ("linear", "vanish2", "general")
-
 
 @dataclass(frozen=True)
 class Poly:
     """Polynomial phase: coeffs[j] multiplies n^j, in revolutions."""
 
     coeffs: tuple
-    class_tag: str = "general"
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-        if self.class_tag not in _CLASS_TAGS:
-            raise DomainError("unknown polynomial class %r" % (self.class_tag,))
-        if self.class_tag == "linear" and any(c != 0.0 for c in coeffs[2:]):
-            raise DomainError("linear polynomial has a coefficient beyond degree 1")
-        if self.class_tag == "vanish2" and any(c != 0.0 for c in coeffs[:2]):
-            raise DomainError(
-                "vanish2 polynomial must have zero constant and linear terms"
-            )
         for c in coeffs:
             if not math.isfinite(c):
                 raise DomainError("coefficients must be finite")
 
     @staticmethod
     def linear(theta):
-        return Poly((0.0, theta), "linear")
+        return Poly((0.0, theta))
 
     @staticmethod
     def vanish2(mu):
         """Build from mu = (lam_2, ..., lam_d)."""
-        return Poly((0.0, 0.0) + tuple(mu), "vanish2")
+        return Poly((0.0, 0.0) + tuple(mu))
 
     @staticmethod
     def zero():
-        return Poly((0.0,), "general")
+        return Poly((0.0,))
 
 
 def _dyadic_parts(p: Poly):

@@ -135,13 +135,13 @@ def ww_scan(sys, f, omega, P_grid, N_grid, bump: SmoothBump) -> ScanTable:
     grid's second half), and the rough average (1/N) sum_{n=1..N} e(P(n))
     f(T^n omega) at the last time N.  A term is (weight * e(P(n))) * f.
 
-    Every P must be tagged linear or vanish2 (the two classes the pointwise
-    convergence statement covers), and every time must be at least 1.  One
-    orbit serves every P, and one phase range every time of a P.
+    Every P must be linear or vanish to degree 2 (the two classes the
+    pointwise convergence statement covers), and every time at least 1.
+    One orbit serves every P, and one phase range every time of a P.
     """
     polys = tuple(P_grid)
     for p in polys:
-        if p.class_tag not in ("linear", "vanish2"):
+        if any(p.coeffs[:2]) and any(p.coeffs[2:]):
             raise DomainError("scan polynomials must be linear or vanish2")
     times = tuple(N_grid)
     if not times:

@@ -20,7 +20,6 @@ from modvar.harness import SCHEMAS, ConfigError, default_config, parse_config
 from modvar.util import DomainError, GridTooCoarseError
 
 import oracles
-from test_variation import VARIATION_PIN
 
 
 def test_parse_config_round_trip():
@@ -280,6 +279,13 @@ _PINNED_RUNS = [
                             "25a0df5a34c8b9f157149a3ea36ae5e6",
       "sweep_seqspace.json": "5471e68a0a6744dc67b6e1201d278839"
                              "cee67c3d6fc44335928ae33cf422a129"}, "X86_V3"),
+    # the bytes that the one-sequence-per-call code of commit 0269fae
+    # wrote, with numpy's AVX-512 pow and with its dispatch off (libm pow)
+    # alike, and down to X86_V2 dispatch
+    (["variation", "--set", "n_oracle=50", "--set", "n_jump=500",
+      "--seed", "5"],
+     {"variation.json": "2b03c9be42ec8d9e46335c791f69b909"
+                        "38638c96772c17b13e62d0fc8292cbc5"}, "X86_V2"),
 ]
 
 
@@ -860,15 +866,14 @@ _DISPATCH_LEVELS = {
 
 
 def test_gaps_and_pins_hold_at_every_dispatch_level(tmp_path):
-    # the gap kernel takes correctly rounded steps only, so its bytes, the
-    # pins of floor X86_V2 and the variation pin do not depend on the
-    # dispatch; with AVX-512 off numpy dispatches at X86_V3, where the pins
-    # of that floor hold too (natively test_chaining_and_converge_bytes_pinned
-    # checks them all)
+    # the gap kernel takes correctly rounded steps only, so its bytes and
+    # the pins of floor X86_V2 (the variation pin among them) do not depend
+    # on the dispatch; with AVX-512 off numpy dispatches at X86_V3, where
+    # the pins of that floor hold too (natively
+    # test_chaining_and_converge_bytes_pinned checks them all)
     gaps = {}
     for level, (disabled, floors) in _DISPATCH_LEVELS.items():
         pinned = [run[:2] for run in _PINNED_RUNS if run[2] in floors]
-        pinned.append(VARIATION_PIN)
         env = _child_env()
         env.pop("NPY_ENABLE_CPU_FEATURES", None)
         env.pop("NPY_DISABLE_CPU_FEATURES", None)

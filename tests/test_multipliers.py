@@ -17,7 +17,6 @@ from modvar.multipliers import (
     ShiftedStack,
     SupportStack,
     arc_indicator_radius,
-    arc_symbol,
     arc_symbols,
     build_arc_multiplier,
     kernel_gate,
@@ -50,6 +49,19 @@ def _dense(stack):
 def _anchored(rows):
     """Rows 1.. of a (J, M) stack minus its row 0."""
     return rows[1:] - rows[0]
+
+
+def _full_grid_symbol(A, Q, M, chi, khat=None):
+    """The arc symbol summed on all of Z/M: each term B/Q snapped, windowed
+    and added at its grid indices (khat=None: K_hat = 1)."""
+    srow = arithmetic.weyl_row(Q, A)
+    acc = np.zeros(M, dtype=complex)
+    for B in range(1, Q + 1):
+        b0 = snap_to_grid(M, B, Q, chi.radius)
+        idx, window = chi.window(M, b0)
+        w = srow[B - 1] if khat is None else srow[B - 1] * khat[idx - b0]
+        acc[idx] += w * window
+    return acc
 
 
 def test_maximal_arc_ratio_zero_signal():
@@ -130,10 +142,10 @@ def test_maximal_arc_ratio_rejects_bad_level():
 
 
 def _dense_arc_ratio(s, M, chi_a0, f):
-    # the dense (arcs, M) symbols from full-grid arc_symbol calls, one per
-    # arc, and the arc-maximal ratio taken over all of them in one product
+    # the dense (arcs, M) symbols summed on the full grid, one per arc, and
+    # the arc-maximal ratio taken over all of them in one product
     chi = ChiCutoff(s, a0=chi_a0)
-    dense_rows = np.array([arc_symbol(A, Q, M, chi, np.arange(M))
+    dense_rows = np.array([_full_grid_symbol(A, Q, M, chi)
                            for A, Q in arithmetic.arc_pairs(s, 2)])
     g = np.fft.ifft(dense_rows * np.fft.fft(f), axis=1)
     return l2(np.abs(g).max(axis=0)) / l2(f)
@@ -244,6 +256,45 @@ def test_snap_accepts_fine_grid():
 def test_snap_rejects_coarse_grid():
     with pytest.raises(GridTooCoarseError):
         snap_to_grid(64, 1, 13, 0.001)
+
+
+@pytest.mark.parametrize("M", [0, -64])
+def test_grid_modulus_below_one_is_refused(M):
+    # snap_to_grid refuses it for every builder, before any table is made
+    j0 = psi_floor_index(1)
+    with pytest.raises(DomainError, match="grid modulus"):
+        snap_to_grid(M, 1, 1, 0.1)
+    with pytest.raises(DomainError, match="grid modulus"):
+        arc_symbols(1, M)
+    with pytest.raises(DomainError, match="grid modulus"):
+        build_arc_multiplier(1, [j0, j0 + 1], [(0.0,)], M, BUMP)
+
+
+def test_no_kernels_are_refused():
+    with pytest.raises(DomainError, match="at least one kernel"):
+        kernel_transforms([], 8, anchored=True)
+    with pytest.raises(DomainError, match="at least one kernel"):
+        harness.theta_symbols(BUMP, 16)
+
+
+def test_each_frequency_is_snapped_once_per_build(monkeypatch):
+    # level 4 has the denominators Q = 8..15: one window table per Q, shared
+    # by every arc, scale and lambda point, snaps sum Q = 92 frequencies
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return snap_to_grid(*args)
+
+    monkeypatch.setattr(multipliers, "snap_to_grid", counted)
+    probe = harness._level_chi_a0("vr-sd", harness.SCHEMAS["sweep"]["rho0"][1],
+                                  4)
+    arc_symbols(4, 6720, chi_a0=harness.PROBE_CHI_A0)
+    assert len(calls) == 92
+    calls.clear()
+    build_arc_multiplier(4, harness.SCHEMAS["sweep"]["J_list"][1],
+                         lambda_grid_for(4, 2), 6720, BUMP, chi_a0=probe)
+    assert len(calls) == 92
 
 
 def test_kernel_gate_open_at_zero_offset():
@@ -432,8 +483,7 @@ def test_grid_points_3k_plus_1_are_the_arc_centres(s):
 
 def _dense_layout(s, J_list, grid, M, chi_a0):
     # the stacks as dense anchored (J - 1, M) arrays, each row of the
-    # (J, M) stack summed from full-grid arc_symbol calls over the arcs in
-    # the lambda ball
+    # (J, M) stack summed on the full grid over the arcs in the lambda ball
     chi = ChiCutoff(s, a0=chi_a0)
     khats = {}
     out = []
@@ -448,8 +498,8 @@ def _dense_layout(s, J_list, grid, M, chi_a0):
                     khats[J, offs] = multipliers._kernel_hat(
                         BUMP, 1.5, J, s, offs, M)
                 if khats[J, offs] is not None:
-                    stack[j] += arc_symbol(A, Q, M, chi, np.arange(M),
-                                           khats[J, offs])
+                    stack[j] += _full_grid_symbol(A, Q, M, chi,
+                                                  khats[J, offs])
         out.append(_anchored(stack))
     return out
 

@@ -118,7 +118,18 @@ def test_observable_builders():
 def test_ww_scan_rejects_general_polynomials():
     z = ZShift()
     with pytest.raises(DomainError):
-        ww_scan(z, obs_const(), 0, [polykit.Poly.zero()], [10, 20], SmoothBump(0.25))
+        ww_scan(z, obs_const(), 0, [polykit.Poly((0.0, 0.1, 0.3))], [10, 20],
+                SmoothBump(0.25))
+
+
+def test_ww_scan_reads_the_class_from_the_coefficients():
+    # a polynomial built without linear or vanish2 is scanned if its
+    # coefficients put it in either class: the zero polynomial is linear
+    z = ZShift()
+    polys = [polykit.Poly((0.0, 0.0, 0.75)), polykit.Poly((0.5, 0.25)),
+             polykit.Poly.zero()]
+    table = ww_scan(z, obs_const(), 0, polys, [10, 20], SmoothBump(0.25))
+    assert set(table.rough) == {0, 1, 2}
 
 
 def test_ww_scan_shapes_and_oscillation():

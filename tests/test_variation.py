@@ -1,6 +1,5 @@
 """r-variation, jump counting, and the chaining cover invariants."""
 
-import hashlib
 import math
 import re
 import tracemalloc
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modvar import cli, variation
+from modvar import variation
 from modvar.util import DomainError
 from modvar.variation import (
     _as_value_matrix,
@@ -261,22 +260,6 @@ def test_list_api_refuses_bad_members():
     with pytest.raises(DomainError, match="must exceed 1"):
         jump_variation_check([np.zeros(3), np.zeros(3)], 1.0, [2.5, 1.0])
     assert vr_exact([], 2.5) == vr_brute([], 2.5) == []
-
-
-# the bytes that the one-sequence-per-call code of commit 0269fae wrote,
-# with numpy's AVX-512 pow and with its dispatch off (libm pow) alike, and
-# down to X86_V2 dispatch (test_harness checks that level in a child)
-VARIATION_PIN = (["variation", "--set", "n_oracle=50", "--set", "n_jump=500",
-                  "--seed", "5"],
-                 {"variation.json": "2b03c9be42ec8d9e46335c791f69b909"
-                                    "38638c96772c17b13e62d0fc8292cbc5"})
-
-
-def test_variation_json_bytes_pinned(tmp_path):
-    argv, digests = VARIATION_PIN
-    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "variation.json").read_bytes())
-    assert digest.hexdigest() == digests["variation.json"]
 
 
 def test_jump_count_alternating():
