@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import DomainError, e, write_csv
+from .util import DomainError, e
 
 DECAY_QMAX = {2: 200, 3: 64}
 ROW_BLOCK = 4096               # most Weyl-row entries per decay-fit batch
@@ -104,11 +104,6 @@ class DecayFit:
     exponent: float          # c in max|S| ~ Q^-c
     residuals: tuple
     constant: float          # max over Q of max|S| * Q^exponent
-
-    def to_csv(self, path):
-        write_csv(path, ("Q", "max_abs_S", "argmax"), [
-            (q, m, "A=%s;B=%d" % (":".join(map(str, am[:-1])), am[-1]))
-            for q, m, am in zip(self.Q, self.max_abs, self.argmax)])
 
 
 def weyl_decay_fit(d: int, Qmax: int) -> DecayFit:

@@ -302,13 +302,3 @@ class ChiCutoff:
         mid = (t > R) & (t < 2.0 * R)
         out[mid] = _S4[0]((2.0 * R - t[mid]) / R)
         return out
-
-
-def export_profile_csv(bump: SmoothBump, path):
-    """Write (t, value) samples of the bump over its support to CSV."""
-    from .util import write_csv
-
-    lo, hi = bump.support
-    t = np.arange(lo, hi + 0.5 * bump.h, bump.h)
-    rows = [(float(ti), vi) for ti, vi in zip(t, np.asarray(bump(t)))]
-    write_csv(path, ("t", "value"), rows)

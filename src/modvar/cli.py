@@ -3,8 +3,8 @@
 Exit codes: 0 clean run, 1 a one-line refusal, 2 a checked property failed.
 The refusal names its cause: "config error" (a command line argparse cannot
 parse, bad key, bad value, bad parameter range, a config file that is not
-UTF-8), "domain error" (a numerical precondition fails inside the work) or
-"I/O error" (a file cannot be read or written).
+UTF-8), "domain error" (a numerical precondition fails inside the work),
+"I/O error" (a file read or write fails) or "resource error" (out of memory).
 MODVAR_JOBS overrides --jobs; either above the host's CPU count is refused.
 """
 
@@ -72,6 +72,10 @@ def main(argv=None):
         return 1
     except OSError as ex:
         print("I/O error: %s" % ex, file=sys.stderr)
+        return 1
+    except MemoryError as ex:
+        print("resource error: %s" % (str(ex) or "out of memory"),
+              file=sys.stderr)
         return 1
 
 

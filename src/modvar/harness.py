@@ -21,9 +21,9 @@ import numpy as np
 from . import arithmetic, averaging, polykit, systems, variation
 from . import multipliers
 from .bumpkit import SmoothBump, scaled_weight, make_psi_kernel, make_Psi
-from .bumpkit import ChiCutoff, export_profile_csv, psi_floor_index
+from .bumpkit import ChiCutoff, psi_floor_index
 from .signalkit import Signal, l2, modulate, modulate_cyclic
-from .util import DomainError, GridTooCoarseError, e, stream
+from .util import DomainError, GridTooCoarseError, e, stream, write_csv
 
 # chi_s width constant for the decay probes: the default window at s <= 4 is
 # nearly the whole circle (radius ~ 0.49), which cannot separate levels at
@@ -78,6 +78,7 @@ def _parse_list(text, parse):
 
 # the lowest kernel scale j0 of the top level bounds J_list at every level
 _J_FLOOR = psi_floor_index(multipliers.S_CAP)
+_R_MAX = 64         # the variation DPs sum r-th powers in doubles
 
 # schema: kind -> {key: (parser, default or _REQUIRED, low, high)}.  A tuple
 # default makes a list key, each entry parsed by parser.  low and high bound
@@ -100,7 +101,7 @@ SCHEMAS = {
     "variation": {
         "n_oracle": (_parse_int, 1000, 1, None),
         "max_len": (_parse_int, 12, 2, variation.MAX_BRUTE_LENGTH),
-        "r_list": (_parse_float, (2.2, 2.5, 3.0, 4.0, 8.0), 1, None),
+        "r_list": (_parse_float, (2.2, 2.5, 3.0, 4.0, 8.0), 1, _R_MAX),
         "n_jump": (_parse_int, 10000, 1, None),
         "jump_len": (_parse_int, 24, 4, variation.MAX_DP_LENGTH),
     },
@@ -122,10 +123,10 @@ SCHEMAS = {
         # a variation needs two truncations 8..L/4 of each length L
         "grid_len": (_parse_int, 64, 64, None),
         "theta_count": (_parse_int, 32, 2, None),
-        "r": (_parse_float, 3.0, 1, None),
+        "r": (_parse_float, 3.0, 1, _R_MAX),
         # the r-growth envelope r/(r-2) needs r > 2
-        "r_low": (_parse_float, 2.2, 2, None),
-        "r_high": (_parse_float, 4.0, 2, None),
+        "r_low": (_parse_float, 2.2, 2, _R_MAX),
+        "r_high": (_parse_float, 4.0, 2, _R_MAX),
         "sizes": (_parse_int, (1024, 4096, 16384), 64, None),
         "batch": (_parse_int, 30, 30, None),
     },
@@ -133,7 +134,7 @@ SCHEMAS = {
         "M": (_parse_int, 240, 1, None),
         "s_list": (_parse_int, (1, 2), 1, multipliers.S_CAP),
         "J_list": (_parse_int, (2, 3, 5), _J_FLOOR, None),
-        "r": (_parse_float, 3.0, 1, None),
+        "r": (_parse_float, 3.0, 1, _R_MAX),
         "n_draw": (_parse_int, 2, 1, None),
         "lam": (_parse_float, 1.5, 1, 2),
     },
@@ -141,7 +142,7 @@ SCHEMAS = {
         # operator, s_min, s_max, rho0 and seq_base are checked in _check_cross
         "operator": (str.strip, _REQUIRED, None, None),
         "batch": (_parse_int, 30, 30, None),
-        "r": (_parse_float, 3.0, 1, None),
+        "r": (_parse_float, 3.0, 1, _R_MAX),
         "M": (_parse_int, multipliers.SUGGESTED_MODULUS, 1, None),
         "s_min": (_parse_int, 1, None, None),
         "s_max": (_parse_int, 4, None, None),
@@ -303,6 +304,10 @@ def default_config(kind):
 # ---------------------------------------------------------------------------
 # shared helpers
 
+# the columns of the carleson and sweep norm-ratio tables
+RATIO_HEADER = ("s", "r", "M", "batch_size", "mean_ratio", "max_ratio",
+                "std_err")
+
 
 def _map_jobs(fn, items, jobs):
     items = list(items)
@@ -362,7 +367,7 @@ def _truncation_list(L):
 # experiments
 
 
-def _run_bump_check(cfg, out, seed, jobs):
+def _run_bump_check(cfg, seed, jobs):
     summary = {"eps0": {}, "kernels": {}}
     ok = True
     samples = cfg.get("samples")
@@ -406,12 +411,15 @@ def _run_bump_check(cfg, out, seed, jobs):
             "max_telescope": worst_tel, "max_mean_defect": worst_mean,
             "ok": lam_ok,
         }
-    export_profile_csv(bump, os.path.join(out, "bump_profile.csv"))
     summary["ok"] = ok
-    return {"bump_check": summary}
+    lo, hi = bump.support
+    t = np.arange(lo, hi + 0.5 * bump.h, bump.h)
+    profile = [(float(ti), vi) for ti, vi in zip(t, np.asarray(bump(t)))]
+    return {"bump_check.json": summary,
+            "bump_profile.csv": (("t", "value"), profile)}
 
 
-def _run_weyl(cfg, out, seed, jobs):
+def _run_weyl(cfg, seed, jobs):
     gauss_qmax, bound_qmax = cfg.get("gauss_qmax"), cfg.get("bound_qmax")
     gauss_worst = bound_worst = 0.0
     for Q in range(1, max(gauss_qmax, bound_qmax) + 1):
@@ -429,20 +437,21 @@ def _run_weyl(cfg, out, seed, jobs):
     bound_ok = bound_worst <= 1e-12
 
     fit = arithmetic.weyl_decay_fit(cfg.get("fit_d"), cfg.get("fit_qmax"))
-    fit.to_csv(os.path.join(out, "weyl_decay.csv"))
     resid_above = float(np.max(np.asarray(fit.residuals)))
     fit_ok = fit.exponent >= 0.2 and resid_above <= math.log(4.0)
-    return {"weyl": {
+    decay = [(q, m, "A=%s;B=%d" % (":".join(map(str, am[:-1])), am[-1]))
+             for q, m, am in zip(fit.Q, fit.max_abs, fit.argmax)]
+    return {"weyl.json": {
         "gauss": {"worst_abs_error": gauss_worst, "ok": gauss_ok},
         "bound": {"worst_excess": bound_worst, "ok": bound_ok},
         "fit": {"d": fit.d, "exponent": fit.exponent,
                 "constant": fit.constant, "max_residual_above": resid_above,
                 "ok": fit_ok},
         "ok": gauss_ok and bound_ok and fit_ok,
-    }}
+    }, "weyl_decay.csv": (("Q", "max_abs_S", "argmax"), decay)}
 
 
-def _run_variation(cfg, out, seed, jobs):
+def _run_variation(cfg, seed, jobs):
     tol = 1e-9
     seqs = []
     for i in range(cfg.get("n_oracle")):
@@ -465,7 +474,7 @@ def _run_variation(cfg, out, seed, jobs):
     min_slack = min(slack for _held, slack in checks)
     violations = sum(not held for held, _slack in checks)
     jump_ok = violations == 0
-    return {"variation": {
+    return {"variation.json": {
         "oracle": {"n": cfg.get("n_oracle"), "worst_error": worst,
                    "tol": tol, "ok": oracle_ok},
         "jump": {"n": cfg.get("n_jump"), "min_slack": min_slack,
@@ -474,7 +483,7 @@ def _run_variation(cfg, out, seed, jobs):
     }}
 
 
-def _run_chaining(cfg, out, seed, jobs):
+def _run_chaining(cfg, seed, jobs):
     seqs = []
     for i in range(cfg.get("n_inst")):
         g = stream(seed, i)
@@ -495,7 +504,7 @@ def _run_chaining(cfg, out, seed, jobs):
         # one batch: a broken invariant leaves no instance verified
         failures = len(seqs)
     ok = failures == 0 and worst_ratio <= 3.0 + 1e-9 and worst_tel <= 1e-12
-    return {"chaining": {
+    return {"chaining.json": {
         "n": cfg.get("n_inst"), "failures": failures,
         "worst_increment_ratio": worst_ratio,
         "worst_telescope": worst_tel, "ok": ok,
@@ -512,7 +521,7 @@ def _converge_poly_grid():
                for i, a in enumerate(leads)])
 
 
-def _run_converge(cfg, out, seed, jobs):
+def _run_converge(cfg, seed, jobs):
     """Smoothed and rough (plain) averages along three systems at n_top.
 
     The smoothed averages converge to bump.mass times the limit of the
@@ -526,12 +535,17 @@ def _run_converge(cfg, out, seed, jobs):
 
     # scenario a: integer shift, window observable, polynomial grid
     times = [2 ** k for k in range(7, 17)] + [n_top]
+    polys = _converge_poly_grid()
     table = systems.ww_scan(systems.ZShift(), systems.obs_indicator(0, 100),
-                            0, _converge_poly_grid(), times, bump)
-    table.to_csv(os.path.join(out, "converge_scan.csv"))
+                            0, polys, times, bump)
+    scan = []
+    for i, p in enumerate(polys):
+        ptxt = ":".join("%r" % c for c in p.coeffs)
+        for N in times:
+            v = table.values[(i, N)]
+            scan.append((ptxt, N, v.real, v.imag, abs(v)))
     osc_max = max(table.oscillation.values())
-    top_max = max(abs(table.values[(i, n_top)])
-                  for i in range(len(table.polys)))
+    top_max = max(abs(table.values[(i, n_top)]) for i in range(len(polys)))
     rough_max = max(abs(v) for v in table.rough.values())
     a_ok = osc_max <= 0.02 and all(m <= 0.02 for m in (top_max, rough_max))
 
@@ -558,7 +572,7 @@ def _run_converge(cfg, out, seed, jobs):
     c_rough = abs(st.rough[0] - char)
     c_ok = c_res <= res_tol and c_rough <= pad
 
-    return {"converge": {
+    return {"converge.json": {
         "scan": {"max_oscillation": osc_max, "max_top_abs": top_max,
                  "rough_top_abs": rough_max, "times": times, "ok": a_ok},
         "rotation": {"resonant_error": b_res, "generic_abs": abs(v_gen),
@@ -568,10 +582,10 @@ def _run_converge(cfg, out, seed, jobs):
         "skew": {"resonant_error": c_res, "rough_resonant_error": c_rough,
                  "tol": res_tol, "ok": c_ok},
         "ok": a_ok and b_ok and c_ok,
-    }}
+    }, "converge_scan.csv": (("P", "N", "re", "im", "abs"), scan)}
 
 
-def _run_carleson(cfg, out, seed, jobs):
+def _run_carleson(cfg, seed, jobs):
     bump = SmoothBump(cfg.get("eps0"))
 
     # part 1: modulation covariance on finite signals
@@ -625,15 +639,13 @@ def _run_carleson(cfg, out, seed, jobs):
 
     runs = [(L, r) for L in sizes] + [(sizes[0], lo), (sizes[0], hi)]
     stats = [stats_at(L, r_val) for L, r_val in runs]
-    multipliers.ratio_table_csv(os.path.join(out, "carleson.csv"), [
-        (0, r_val, L, batch) + st for (L, r_val), st in zip(runs, stats)])
     per_size, m_lo, m_hi = stats[:-2], stats[-2][0], stats[-1][0]
     cap = 10.0 * (lo / (lo - 2.0)) / (hi / (hi - 2.0))
     slack = 1.5
     size_ok = per_size[-1][0] <= slack * per_size[0][0]
     env_ok = m_lo / m_hi <= cap
 
-    return {"carleson": {
+    return {"carleson.json": {
         "covariance": {"worst": worst_cov, "tol": cov_tol, "ok": cov_ok},
         "grid_invariance": {"deviation": grid_dev, "ok": grid_ok},
         "sizes": {str(L): {"mean": m, "max": x, "stderr": s}
@@ -643,10 +655,11 @@ def _run_carleson(cfg, out, seed, jobs):
         "r_envelope": {"mean_low": m_lo, "mean_high": m_hi,
                        "growth": m_lo / m_hi, "cap": cap, "ok": env_ok},
         "ok": cov_ok and grid_ok and size_ok and env_ok,
-    }}
+    }, "carleson.csv": (RATIO_HEADER, [
+        (0, r_val, L, batch) + st for (L, r_val), st in zip(runs, stats)])}
 
 
-def _run_multiplier(cfg, out, seed, jobs):
+def _run_multiplier(cfg, seed, jobs):
     from . import dense
 
     M = cfg.get("M")
@@ -688,8 +701,8 @@ def _run_multiplier(cfg, out, seed, jobs):
                      range(got.support_start, got.support_start + len(got)))
     errs["vrd"] = float(np.max(np.abs(got.values - want)))
 
-    return {"multiplier": {"errors": errs, "tol": tol, "M": M,
-                           "ok": all(v <= tol for v in errs.values())}}
+    return {"multiplier.json": {"errors": errs, "tol": tol, "M": M,
+                                "ok": all(v <= tol for v in errs.values())}}
 
 
 # ---------------------------------------------------------------------------
@@ -702,12 +715,12 @@ def _nonincreasing_within_se(points):
                    for (m0, _x0, s0), (m1, _x1, s1) in zip(points, points[1:]))
 
 
-def _run_sweep(cfg, out, seed, jobs):
+def _run_sweep(cfg, seed, jobs):
     """Batched l2 norm-ratio sweep for one named operator.
 
-    Writes sweep_<table>.csv (the layout of ratio_table_csv) and returns
-    one payload {operator, points, checks, ok} per table, the operator's own
-    first.  The vr-sd run also writes the vr-s table: the same operator at
+    Returns sweep_<table>.json (a payload {operator, points, checks, ok})
+    and sweep_<table>.csv (RATIO_HEADER rows) per table, the operator's own
+    first.  The vr-sd run also returns the vr-s table: the same operator at
     the arc centres lambda = A/Q alone, its stats reported and nothing
     asserted.  Draws are paired across parameter points (same signals per
     draw index) so the decay comparisons are low-variance.  seed fixes the
@@ -758,20 +771,20 @@ def _run_sweep(cfg, out, seed, jobs):
         levels.append((s, r if kind == "vr-sd" else 0.0, size, batch))
         stats.append([_stats(col) for col in zip(*vals)])
 
-    payloads = {}
+    files = {}
     for name, points in zip(tables, zip(*stats)):
         stem = "sweep_" + name.replace("-", "_")
-        multipliers.ratio_table_csv(os.path.join(out, stem + ".csv"),
-                                    [lv + p for lv, p in zip(levels, points)])
         # only the operator's own table claims decay in s: the vr-s levels
         # are telescoping pieces with no per-level claim
         checks = ({"nonincreasing_in_s": _nonincreasing_within_se(points)}
                   if name == kind else {})
-        payloads[stem] = {"operator": name, "checks": checks,
-                          "ok": all(checks.values()),
-                          "points": [{"mean": m, "max": x, "stderr": se}
-                                     for m, x, se in points]}
-    return payloads
+        files[stem + ".json"] = {"operator": name, "checks": checks,
+                                 "ok": all(checks.values()),
+                                 "points": [{"mean": m, "max": x, "stderr": se}
+                                            for m, x, se in points]}
+        files[stem + ".csv"] = (RATIO_HEADER,
+                                [lv + p for lv, p in zip(levels, points)])
+    return files
 
 
 _RUNNERS = {
@@ -791,9 +804,10 @@ def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
 
     Configuration problems raise ConfigError (the CLI maps them to code 1),
     among them a seed outside 0..2^64-1 and jobs (or MODVAR_JOBS) outside
-    1..os.cpu_count().  Result files land in out_dir: a runner writes its
-    CSV tables and returns {file stem: payload}, summary first, and this is
-    the one writer of each <stem>.json; the summary's ok is the verdict.
+    1..os.cpu_count().  A runner returns {file name: content}, the summary
+    JSON first: a payload dict for a .json file, (header, rows) for a .csv
+    file.  This is the one writer of result files, and writes them into
+    out_dir only after the runner returns; the summary's ok is the verdict.
     """
     if config.kind not in _RUNNERS:
         raise ConfigError("unknown experiment kind %r" % (config.kind,))
@@ -811,12 +825,16 @@ def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
         raise ConfigError("jobs %d exceeds the %d CPUs of this host"
                           % (jobs, cpus))
     os.makedirs(out_dir, exist_ok=True)
-    payloads = _RUNNERS[config.kind](config, out_dir, int(seed), jobs)
-    for stem, payload in payloads.items():
-        with open(os.path.join(out_dir, stem + ".json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+    files = _RUNNERS[config.kind](config, int(seed), jobs)
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".csv"):
+            write_csv(path, *content)
+            continue
+        with open(path, "w") as fh:
+            json.dump(content, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    summary = next(iter(payloads.values()))
+    summary = next(iter(files.values()))
     ok = summary["ok"]
     flat = {k: v for k, v in summary.items() if not isinstance(v, dict)}
     print("[%s] %s %s" % (config.kind, "ok" if ok else "FAIL",

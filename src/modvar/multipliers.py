@@ -57,7 +57,7 @@ from . import arithmetic, polykit, variation
 from .bumpkit import DEFAULT_A0, ChiCutoff, SmoothBump, make_Psi, \
     psi_floor_index
 from .signalkit import Signal, l2
-from .util import DomainError, GridTooCoarseError, e, torus_signed, write_csv
+from .util import DomainError, GridTooCoarseError, e, torus_signed
 
 S_CAP = 4
 MIN_MODULUS = 1 << 12
@@ -225,6 +225,8 @@ def build_arc_multiplier(s: int, J_list, lambda_grid, M: int,
     """
     chi = _level_chi(s, chi_a0)
     M = int(M)
+    if M < 1:
+        raise DomainError("grid modulus %d is below 1" % M)
     J_list = _scales(J_list)
     j0 = psi_floor_index(chi.s)
     if J_list[0] < j0:
@@ -432,9 +434,3 @@ def vrd_operator(f: Signal, bump: SmoothBump, lam, P_grid, k_list, r) -> Signal:
         [vals * e(polykit.phase_range(p, 0, len(vals))) for vals in kernels],
         M, anchored=True), 0) for p in polys)
     return Signal(f.support_start, vr_sup(stacks, padded, r))
-
-
-def ratio_table_csv(path, rows):
-    """Shared CSV layout for operator norm-ratio sweeps."""
-    write_csv(path, ("s", "r", "M", "batch_size", "mean_ratio",
-                     "max_ratio", "std_err"), rows)

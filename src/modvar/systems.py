@@ -28,7 +28,7 @@ import numpy as np
 
 from . import polykit
 from .bumpkit import SmoothBump, scaled_weight
-from .util import DomainError, e, write_csv
+from .util import DomainError, e
 
 PREC_BITS = 120
 SCALE = 1 << PREC_BITS
@@ -110,23 +110,12 @@ class SkewProduct(_Angled):
 
 @dataclass(frozen=True)
 class ScanTable:
-    """ww_scan output: per-(P, N) averages, per-P tail oscillation, and the
-    per-P rough average at the last time."""
+    """ww_scan output by P_grid index and time N: per-(P, N) averages,
+    per-P tail oscillation, and the per-P rough average at the last time."""
 
-    polys: tuple
-    times: tuple
     values: dict                # (p_index, N) -> complex
     oscillation: dict           # p_index -> max adjacent |difference| in tail
     rough: dict                 # p_index -> complex
-
-    def to_csv(self, path):
-        rows = []
-        for i, p in enumerate(self.polys):
-            ptxt = ":".join("%r" % c for c in p.coeffs)
-            for N in self.times:
-                v = self.values[(i, N)]
-                rows.append((ptxt, N, v.real, v.imag, abs(v)))
-        write_csv(path, ("P", "N", "re", "im", "abs"), rows)
 
 
 def ww_scan(sys, f, omega, P_grid, N_grid, bump: SmoothBump) -> ScanTable:
@@ -162,8 +151,7 @@ def ww_scan(sys, f, omega, P_grid, N_grid, bump: SmoothBump) -> ScanTable:
     oscillation = {i: max([abs(values[(i, Nb)] - values[(i, Na)])
                            for Na, Nb in zip(tail, tail[1:])], default=0.0)
                    for i in range(len(polys))}
-    return ScanTable(polys=polys, times=times, values=values,
-                     oscillation=oscillation, rough=rough)
+    return ScanTable(values=values, oscillation=oscillation, rough=rough)
 
 
 # observable builders

@@ -1,5 +1,6 @@
 """Config parsing, exit codes, and reproducibility of the experiment runner."""
 
+import ast
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modvar import arithmetic, cli, harness, multipliers, variation
+from modvar import arithmetic, cli, harness, multipliers, systems, variation
 from modvar.bumpkit import SmoothBump, scaled_weight
 from modvar.harness import SCHEMAS, ConfigError, default_config, parse_config
 from modvar.util import DomainError, GridTooCoarseError
@@ -381,9 +382,9 @@ def test_jobs_above_cpu_count_refused_before_any_work(tmp_path, monkeypatch,
 
     ran = []
 
-    def runner(cfg, out, seed, jobs):
+    def runner(cfg, seed, jobs):
         ran.append(jobs)
-        return {"carleson": {"ok": True}}
+        return {"carleson.json": {"ok": True}}
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
     monkeypatch.setitem(harness._RUNNERS, "carleson", runner)
@@ -479,7 +480,7 @@ def test_cli_empty_level_range_exits_one_and_writes_nothing(tmp_path,
 
 
 def test_cli_names_domain_and_io_errors(tmp_path, monkeypatch, capsys):
-    def coarse(cfg, out, seed, jobs):
+    def coarse(cfg, seed, jobs):
         raise GridTooCoarseError("frequency 1/7 snaps off the grid")
 
     monkeypatch.setitem(harness._RUNNERS, "weyl", coarse)
@@ -490,6 +491,73 @@ def test_cli_names_domain_and_io_errors(tmp_path, monkeypatch, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("I/O error:")
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 8.00 GiB", "Unable to allocate 8.00 GiB"),
+    ("", "out of memory")])
+def test_cli_names_memory_errors(message, line, tmp_path, monkeypatch,
+                                 capsys):
+    def greedy(cfg, seed, jobs):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(harness._RUNNERS, "weyl", greedy)
+    assert cli.main(["weyl", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "resource error: %s\n" % line
+
+
+def test_failed_run_leaves_no_result_files(tmp_path, monkeypatch, capsys):
+    # the first scan succeeds and the second raises: no table of the first
+    # reaches --out
+    scans, ww_scan = [], systems.ww_scan
+
+    def once(*args, **kwargs):
+        if scans:
+            raise DomainError("no second scan")
+        scans.append(1)
+        return ww_scan(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "ww_scan", once)
+    assert cli.main(["converge", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "domain error: no second scan\n"
+    assert scans == [1] and os.listdir(tmp_path) == []
+
+
+def _calls_by_function(tree):
+    """(enclosing function name or None, dotted callee name) per call."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            parts, f = [], node.func
+            while isinstance(f, ast.Attribute):
+                parts.append(f.attr)
+                f = f.value
+            if isinstance(f, ast.Name):
+                found.append((fn, ".".join([f.id] + parts[::-1])))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_run_is_the_one_writer_of_result_files():
+    package = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                           "modvar")
+    writers = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            writers += [(name, fn, callee)
+                        for fn, callee in _calls_by_function(tree)
+                        if callee.split(".")[-1] == "write_csv"
+                        or callee == "json.dump"]
+    assert sorted(writers) == [("harness.py", "run", "json.dump"),
+                               ("harness.py", "run", "write_csv")]
 
 
 def _outputs_at_jobs(argv, tmp_path, monkeypatch):
@@ -580,6 +648,8 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     ("sweep", "operator=vr-sd r=1", "modvar.harness.SmoothBump"),
     ("multiplier", "r=0.5", "modvar.harness.SmoothBump"),
     ("variation", "r_list=2.5,1", "modvar.harness.stream"),
+    # every r-th power underflows, and size_stability would divide by zero
+    ("carleson", "r=1e308", "modvar.harness.stream"),
     # every theta of the carleson grid must be a frequency of each length
     ("carleson", "sizes=1024,4096,16384,1000", "modvar.harness.SmoothBump"),
     ("carleson", "grid_len=60", "modvar.harness.SmoothBump"),
@@ -743,7 +813,7 @@ def _just_outside(parser, default, lo, hi):
 
 def test_every_bounded_key_refused_before_any_work(tmp_path, monkeypatch,
                                                    capsys):
-    def runner(cfg, out, seed, jobs):
+    def runner(cfg, seed, jobs):
         raise AssertionError("a runner was called")
 
     for kind in harness._RUNNERS:

@@ -260,14 +260,17 @@ def test_snap_rejects_coarse_grid():
 
 @pytest.mark.parametrize("M", [0, -64])
 def test_grid_modulus_below_one_is_refused(M):
-    # snap_to_grid refuses it for every builder, before any table is made
+    # snap_to_grid refuses it for every builder, before any table is made,
+    # and build_arc_multiplier also when no lambda point hits an arc (0.5
+    # lies in no level-1 arc ball), so nothing is snapped
     j0 = psi_floor_index(1)
     with pytest.raises(DomainError, match="grid modulus"):
         snap_to_grid(M, 1, 1, 0.1)
     with pytest.raises(DomainError, match="grid modulus"):
         arc_symbols(1, M)
-    with pytest.raises(DomainError, match="grid modulus"):
-        build_arc_multiplier(1, [j0, j0 + 1], [(0.0,)], M, BUMP)
+    for lam_point in ((0.0,), (0.5,)):
+        with pytest.raises(DomainError, match="grid modulus"):
+            build_arc_multiplier(1, [j0, j0 + 1], [lam_point], M, BUMP)
 
 
 def test_no_kernels_are_refused():
