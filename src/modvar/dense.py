@@ -3,7 +3,7 @@
 Each function recomputes a production object of multipliers by direct
 summation: Weyl sums one (Q, A, B) at a time through weyl_sum, chi windows
 point by point, kernel transforms and applies as O(M^2) sums, variation by
-one vr_exact call over all points of a stack, and vrd_operator as a nested
+one vr_brute call over all points of a stack, and vrd_operator as a nested
 loop over positions, phases, scales and kernel taps, each phase through the
 scalar evaluator eval_phase.  arc_multiplier is the one oracle of the
 multiplier stacks, which it builds as dense (M,) rows: at an arc centre A/Q
@@ -105,12 +105,12 @@ def apply(symbol, fvals):
 
 
 def variation_sup(symbol_stacks, fvals, r):
-    """Pointwise max over the stacks of vr_exact across each stack's rows,
+    """Pointwise max over the stacks of vr_brute across each stack's rows,
     every row applied to fvals by direct summation."""
     want = np.zeros(len(fvals))
     for symbols in symbol_stacks:
         rows = np.asarray([apply(sym, fvals) for sym in symbols])
-        np.maximum(want, variation.vr_exact(list(rows.T), r), out=want)
+        np.maximum(want, variation.vr_brute(list(rows.T), r), out=want)
     return want
 
 
@@ -131,6 +131,6 @@ def vrd(f, bump, lam, P_grid, k_list, r, xs):
                         tot += (w * e(eval_phase(p, m))
                                 * f.values[j - f.support_start])
                 vals.append(tot)
-            best = max(best, variation.vr_exact([np.array(vals)], r)[0])
+            best = max(best, variation.vr_brute([np.array(vals)], r)[0])
         want[xi] = best
     return want

@@ -10,9 +10,11 @@ Exit-code convention (mirrored by the CLI): 0 clean, 1 configuration error,
 2 at least one checked property failed.
 """
 
+import contextlib
 import json
 import math
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,19 +32,22 @@ from .util import DomainError, GridTooCoarseError, e, stream, write_csv
 # desk scale.  Shrinking only the window (never the kernel floor) puts the
 # radius near 2^(-0.8 s) where the level structure is visible.
 PROBE_CHI_A0 = 0.125
+VR_SD_RADIUS = 0.125    # the vr-sd sweep's level-1 window radius
+GRID_LEN = 64           # the length of carleson's grid-invariance signal
 
 
-def _level_chi_a0(operator, rho0, s):
+def _chi_a0_for_radius(radius, s):
+    """The chi_a0 of the level-s window of this radius, 0 < radius < 0.5."""
+    return s / (10.0 * math.log2(math.log2(1.0 / radius)))
+
+
+def _level_chi_a0(operator, s):
     """The chi_a0 of a sweep's level-s window: PROBE_CHI_A0, or for vr-sd
-    the one of radius rho0*4^(1-s) (level-s arcs lie >= Q^-2 ~ 4^-s apart,
-    so their windows stay disjoint and the sup probes per-arc decay); 0.0
-    if that radius leaves (0, 0.5) or is subnormal (an infinite reciprocal),
-    which parse_config refuses."""
+    the one of radius VR_SD_RADIUS*4^(1-s), as level-s arcs lie >= Q^-2 ~
+    4^-s apart: their windows stay disjoint, and the sup probes each arc."""
     if operator != "vr-sd":
         return PROBE_CHI_A0
-    radius = rho0 * 0.25 ** (s - 1)
-    return (s / (10.0 * math.log2(math.log2(1.0 / radius)))
-            if 0.0 < radius < 0.5 else 0.0)
+    return _chi_a0_for_radius(VR_SD_RADIUS * 0.25 ** (s - 1), s)
 
 
 class ConfigError(Exception):
@@ -78,7 +83,6 @@ def _parse_list(text, parse):
 
 # the lowest kernel scale j0 of the top level bounds J_list at every level
 _J_FLOOR = psi_floor_index(multipliers.S_CAP)
-_R_MAX = 64         # the variation DPs sum r-th powers in doubles
 
 # schema: kind -> {key: (parser, default or _REQUIRED, low, high)}.  A tuple
 # default makes a list key, each entry parsed by parser.  low and high bound
@@ -101,32 +105,29 @@ SCHEMAS = {
     "variation": {
         "n_oracle": (_parse_int, 1000, 1, None),
         "max_len": (_parse_int, 12, 2, variation.MAX_BRUTE_LENGTH),
-        "r_list": (_parse_float, (2.2, 2.5, 3.0, 4.0, 8.0), 1, _R_MAX),
+        "r_list": (_parse_float, (2.2, 2.5, 3.0, 4.0, 8.0), 1,
+                   variation.MAX_R),
         "n_jump": (_parse_int, 10000, 1, None),
         "jump_len": (_parse_int, 24, 4, variation.MAX_DP_LENGTH),
     },
     "chaining": {
         "n_inst": (_parse_int, 1000, 1, None),
         "max_times": (_parse_int, 16, 2, variation.MAX_DP_LENGTH),
-        "max_dim": (_parse_int, 16, 1, None),
     },
     "converge": {
         "eps0": (_parse_float, 0.1, 0, 0.5),
         # the scan's time grid 2^7..2^16 must lie below n_top
         "n_top": (_parse_int, 100000, 2 ** 16 + 1, None),
-        "y0": (_parse_float, 0.3, None, None),
     },
     "carleson": {
         "eps0": (_parse_float, 0.25, 0, 0.5),
         "n_cov": (_parse_int, 100, 1, None),
-        "cov_len": (_parse_int, 48, 8, None),
-        # a variation needs two truncations 8..L/4 of each length L
-        "grid_len": (_parse_int, 64, 64, None),
         "theta_count": (_parse_int, 32, 2, None),
-        "r": (_parse_float, 3.0, 1, _R_MAX),
+        "r": (_parse_float, 3.0, 1, variation.MAX_R),
         # the r-growth envelope r/(r-2) needs r > 2
-        "r_low": (_parse_float, 2.2, 2, _R_MAX),
-        "r_high": (_parse_float, 4.0, 2, _R_MAX),
+        "r_low": (_parse_float, 2.2, 2, variation.MAX_R),
+        "r_high": (_parse_float, 4.0, 2, variation.MAX_R),
+        # a variation needs two truncations 8..L/4 of each length L
         "sizes": (_parse_int, (1024, 4096, 16384), 64, None),
         "batch": (_parse_int, 30, 30, None),
     },
@@ -134,32 +135,28 @@ SCHEMAS = {
         "M": (_parse_int, 240, 1, None),
         "s_list": (_parse_int, (1, 2), 1, multipliers.S_CAP),
         "J_list": (_parse_int, (2, 3, 5), _J_FLOOR, None),
-        "r": (_parse_float, 3.0, 1, _R_MAX),
+        "r": (_parse_float, 3.0, 1, variation.MAX_R),
         "n_draw": (_parse_int, 2, 1, None),
         "lam": (_parse_float, 1.5, 1, 2),
     },
     "sweep": {
-        # operator, s_min, s_max, rho0 and seq_base are checked in _check_cross
         "operator": (str.strip, _REQUIRED, None, None),
         "batch": (_parse_int, 30, 30, None),
-        "r": (_parse_float, 3.0, 1, _R_MAX),
+        "r": (_parse_float, 3.0, 1, variation.MAX_R),
         "M": (_parse_int, multipliers.SUGGESTED_MODULUS, 1, None),
-        "s_min": (_parse_int, 1, None, None),
-        "s_max": (_parse_int, 4, None, None),
+        "s_max": (_parse_int, 4, 1, multipliers.S_CAP),
         "J_list": (_parse_int, (2, 3, 5), _J_FLOOR, None),
         "lam": (_parse_float, 1.5, 1, 2),
         "eps0": (_parse_float, 0.25, 0, 0.5),
-        "rho0": (_parse_float, 0.125, None, None),
-        "seq_base": (_parse_int, 64, None, None),
     },
 }
 
 SWEEP_OPERATORS = ("maximal-arc", "seqspace", "vr-sd")
 # the sweep keys each operator ignores, refused when set explicitly
-_VR_SD_ONLY = {"r", "J_list", "lam", "eps0", "rho0"}
-_SWEEP_UNREAD = {"maximal-arc": _VR_SD_ONLY | {"seq_base"},
+_VR_SD_ONLY = {"r", "J_list", "lam", "eps0"}
+_SWEEP_UNREAD = {"maximal-arc": _VR_SD_ONLY,
                 "seqspace": _VR_SD_ONLY | {"M"},
-                "vr-sd": {"seq_base"}}
+                "vr-sd": set()}
 
 
 @dataclass(frozen=True)
@@ -245,15 +242,19 @@ def _check_cross(kind, p, given):
     if one_scale and (kind == "multiplier" or p.get("operator") == "vr-sd"):
         raise ConfigError("J_list needs at least two scales, got %s"
                           % ",".join(map(str, p["J_list"])))
+    # the dense oracle takes the variation across the scales by brute force
+    if kind == "multiplier" and len(p["J_list"]) > variation.MAX_BRUTE_LENGTH:
+        raise ConfigError("J_list holds at most %d scales, got %d"
+                          % (variation.MAX_BRUTE_LENGTH, len(p["J_list"])))
     caps = arithmetic.DECAY_QMAX
     if kind == "weyl" and p["fit_qmax"] > caps[p["fit_d"]]:
         raise ConfigError("need fit_qmax <= %d for fit_d = %d, got %d"
                           % (caps[p["fit_d"]], p["fit_d"], p["fit_qmax"]))
     # every theta of the carleson grid must be a frequency of each length
     if kind == "carleson" and any(L % p["theta_count"] for L in
-                                  (p["grid_len"],) + p["sizes"]):
-        raise ConfigError("theta_count %d must divide grid_len and every "
-                          "entry of sizes" % p["theta_count"])
+                                  (GRID_LEN,) + p["sizes"]):
+        raise ConfigError("theta_count %d must divide %d and every entry of "
+                          "sizes" % (p["theta_count"], GRID_LEN))
     if kind != "sweep":
         return
     if p["operator"] not in SWEEP_OPERATORS:
@@ -263,37 +264,21 @@ def _check_cross(kind, p, given):
     if unread:
         raise ConfigError("operator %s does not read %s"
                           % (p["operator"], ", ".join(unread)))
-    s_min, s_max = p["s_min"], p["s_max"]
-    if not 1 <= s_min <= s_max <= multipliers.S_CAP:
-        raise ConfigError("need 1 <= s_min <= s_max <= %d, got %d and %d"
-                          % (multipliers.S_CAP, s_min, s_max))
-    vr_sd = p["operator"] == "vr-sd"
-    # the MIN_MODULUS floor guards the lambda sup only
-    if vr_sd and p["M"] < multipliers.MIN_MODULUS:
+    # MIN_MODULUS guards the lambda sup, and above it every vr-sd B/Q snaps
+    if p["operator"] == "vr-sd" and p["M"] < multipliers.MIN_MODULUS:
         raise ConfigError("M must be at least %d for operator vr-sd, got %d"
                           % (multipliers.MIN_MODULUS, p["M"]))
-    for s in range(s_min, s_max + 1):
-        a0 = _level_chi_a0(p["operator"], p["rho0"], s)
-        if not 0.0 < a0 < math.inf:
-            raise ConfigError("need 0 < rho0*4^(1-s) < 0.5 and a positive "
-                              "finite chi_a0 at every level s_min..s_max, "
-                              "got rho0 = %r" % p["rho0"])
-        radius = ChiCutoff(s, a0=a0).radius
-        if p["operator"] == "seqspace":
-            need = multipliers._interval_floor(radius)
-            if p["seq_base"] * 2 ** s < need:
-                raise ConfigError("need seq_base*2^s >= %d at level %d, got "
-                                  "seq_base = %d" % (need, s, p["seq_base"]))
-            continue
-        # each B/Q, Q a denominator of the level's arcs, must snap to the
-        # M-grid within the radius of the window the run builds
-        try:
+    if p["operator"] != "maximal-arc":
+        return
+    # every B/Q of a level's arcs must snap to the M-grid within its window
+    try:
+        for s in range(1, p["s_max"] + 1):
+            radius = ChiCutoff(s, a0=PROBE_CHI_A0).radius
             for Q in range(2 ** (s - 1), 2 ** s):
                 for B in range(1, Q + 1):
                     multipliers.snap_to_grid(p["M"], B, Q, radius)
-        except GridTooCoarseError as ex:
-            raise ConfigError("M = %d is too coarse%s: %s" % (
-                p["M"], " for rho0 = %r" % p["rho0"] if vr_sd else "", ex))
+    except GridTooCoarseError as ex:
+        raise ConfigError("M = %d is too coarse: %s" % (p["M"], ex))
 
 
 def default_config(kind):
@@ -488,7 +473,7 @@ def _run_chaining(cfg, seed, jobs):
     for i in range(cfg.get("n_inst")):
         g = stream(seed, i)
         n = int(g.integers(2, cfg.get("max_times") + 1))
-        dim = int(g.integers(1, cfg.get("max_dim") + 1))
+        dim = int(g.integers(1, 17))         # dims 1..16
         # the cover reads values only; this draw of the sample times stays
         # so that every instance keeps its seeded values and chaining.json
         # its bytes
@@ -564,7 +549,7 @@ def _run_converge(cfg, seed, jobs):
 
     # scenario c: skew product, quadratic resonance at x = 1/2
     skew = systems.SkewProduct()
-    y0 = cfg.get("y0")
+    y0 = 0.3
     char = complex(e(y0))
     st = systems.ww_scan(skew, systems.obs_skew_char(1), (0.5, y0),
                          [polykit.Poly.vanish2((-skew.alpha,))], [n_top], bump)
@@ -593,7 +578,7 @@ def _run_carleson(cfg, seed, jobs):
     M_avg = 32
     for i in range(cfg.get("n_cov")):
         g = stream(seed, i)
-        n = int(g.integers(8, cfg.get("cov_len") + 1))
+        n = int(g.integers(8, 49))          # lengths 8..48
         start = int(g.integers(-20, 21))
         f = Signal(start, _gauss(g, n))
         theta = int(g.integers(0, 256)) / 256.0
@@ -609,7 +594,7 @@ def _run_carleson(cfg, seed, jobs):
     cov_ok = worst_cov <= cov_tol
 
     # part 2: grid-aligned modulation leaves the theta-sup variation fixed
-    L = cfg.get("grid_len")
+    L = GRID_LEN
     r = cfg.get("r")
     g = stream(seed, 7777)
     base = _gauss(g, L)
@@ -734,13 +719,13 @@ def _run_sweep(cfg, seed, jobs):
     bump = SmoothBump(cfg.get("eps0"))
     levels, stats = [], []      # per level: (s, r, size, batch), table stats
 
-    for s in range(cfg.get("s_min"), cfg.get("s_max") + 1):
+    for s in range(1, cfg.get("s_max") + 1):
         # symbols depend on the level only: build once, apply per draw;
         # ratios(v) gives one ratio per table
         size = n = M
-        a0 = _level_chi_a0(kind, cfg.get("rho0"), s)
+        a0 = _level_chi_a0(kind, s)
         if kind == "seqspace":
-            size = cfg.get("seq_base") * 2 ** s
+            size = 64 * 2 ** s          # the interval 0..size-1
             level = multipliers.seqspace_level(s, size, chi_a0=a0)
             n = level[0]
 
@@ -806,8 +791,10 @@ def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
     among them a seed outside 0..2^64-1 and jobs (or MODVAR_JOBS) outside
     1..os.cpu_count().  A runner returns {file name: content}, the summary
     JSON first: a payload dict for a .json file, (header, rows) for a .csv
-    file.  This is the one writer of result files, and writes them into
-    out_dir only after the runner returns; the summary's ok is the verdict.
+    file.  This is the one writer of result files, all or none: it writes
+    them into a staging directory in out_dir, then moves each into place and
+    its earlier file into the stage; a failed write or move puts every
+    earlier file back and removes the run's.  The summary's ok is the verdict.
     """
     if config.kind not in _RUNNERS:
         raise ConfigError("unknown experiment kind %r" % (config.kind,))
@@ -826,14 +813,24 @@ def run(config: ExperimentConfig, out_dir=".", seed=2026, jobs=1) -> int:
                           % (jobs, cpus))
     os.makedirs(out_dir, exist_ok=True)
     files = _RUNNERS[config.kind](config, int(seed), jobs)
-    for name, content in files.items():
-        path = os.path.join(out_dir, name)
-        if name.endswith(".csv"):
-            write_csv(path, *content)
-            continue
-        with open(path, "w") as fh:
-            json.dump(content, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with tempfile.TemporaryDirectory(dir=out_dir) as stage, \
+            contextlib.ExitStack() as undo:
+        for name, content in files.items():
+            path = os.path.join(stage, "new-" + name)
+            if name.endswith(".csv"):
+                write_csv(path, *content)
+                continue
+            with open(path, "w") as fh:
+                json.dump(content, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        for name in files:
+            path, kept = os.path.join(out_dir, name), os.path.join(stage, name)
+            if os.path.isfile(path):
+                os.replace(path, kept)
+                undo.callback(os.replace, kept, path)
+            os.replace(os.path.join(stage, "new-" + name), path)
+            undo.callback(os.remove, path)
+        undo.pop_all()
     summary = next(iter(files.values()))
     ok = summary["ok"]
     flat = {k: v for k, v in summary.items() if not isinstance(v, dict)}

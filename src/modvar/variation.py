@@ -57,6 +57,7 @@ from .util import DomainError
 
 MAX_DP_LENGTH = 4096
 MAX_BRUTE_LENGTH = 18
+MAX_R = 64              # the DPs sum r-th powers in doubles
 COVER_RESOLUTION = 1e-6
 GAP_BLOCK = 1 << 16    # difference entries per block in _gaps and vr_batch
 BATCH_BLOCK = 1 << 20  # table entries per block of sequences
@@ -74,9 +75,9 @@ def _as_value_matrix(seq):
 
 def _check_r(r):
     r = float(r)
-    if not 1.0 < r < math.inf:
+    if not 1.0 < r <= MAX_R:
         raise DomainError("variation exponent r must exceed 1 and be finite, "
-                          "got %r" % (r,))
+                          "at most %d, got %r" % (MAX_R, r))
     return r
 
 

@@ -363,8 +363,25 @@ def test_non_integer_jobs_refusal_names_its_source(tmp_path, monkeypatch):
         harness.run(cfg, out_dir=str(tmp_path), jobs="x")
 
 
+@pytest.mark.parametrize("kind,key,value", [
+    ("converge", "y0", "0.3"), ("carleson", "cov_len", "48"),
+    ("carleson", "grid_len", "64"), ("chaining", "max_dim", "16"),
+    ("sweep", "s_min", "1"), ("sweep", "rho0", "0.125"),
+    ("sweep", "seq_base", "64")])
+def test_keys_made_constants_are_unknown(kind, key, value, tmp_path,
+                                         capsys):
+    # each is set at its constant's value, and still refused
+    argv = [kind, "--set", "%s=%s" % (key, value), "--out", str(tmp_path)]
+    if kind == "sweep":
+        argv += ["--set", "operator=vr-sd"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "config error: unknown key %r for experiment %r\n" % (key, kind))
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("argv", [
-    ["converge", "--set", "y0=nan"],
+    ["converge", "--set", "eps0=nan"],
     ["sweep", "--set", "operator=vr-sd", "--set", "r=inf"],
 ])
 def test_non_finite_floats_refused(argv, tmp_path, capsys):
@@ -436,10 +453,11 @@ def test_sweep_level_range_checked_before_any_draw(operator, monkeypatch,
         raise AssertionError("a draw ran before the level check")
 
     monkeypatch.setattr(harness, "_gauss", draw)
-    for s_min, s_max in ((1, 9), (0, 2), (3, 2)):
-        with pytest.raises(ConfigError, match="s_min <= s_max"):
-            cfg = parse_config("kind = sweep\noperator = %s\ns_min = %d\n"
-                               "s_max = %d\n" % (operator, s_min, s_max))
+    for s_max in (0, multipliers.S_CAP + 1):
+        with pytest.raises(ConfigError, match="1 <= s_max <= %d"
+                                              % multipliers.S_CAP):
+            cfg = parse_config("kind = sweep\noperator = %s\ns_max = %d\n"
+                               % (operator, s_max))
             harness.run(cfg, out_dir=str(tmp_path))
 
 
@@ -467,16 +485,6 @@ def test_sweep_builds_symbols_once_per_level(operator, monkeypatch,
         harness.run(cfg, out_dir=str(tmp_path), seed=1)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
-
-
-def test_cli_empty_level_range_exits_one_and_writes_nothing(tmp_path,
-                                                             capsys):
-    rc = cli.main(["sweep", "--set", "operator=maximal-arc", "--set",
-                   "s_min=3", "--set", "s_max=2", "--out", str(tmp_path)])
-    assert rc == 1
-    assert os.listdir(tmp_path) == []
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("config error:")
 
 
 def test_cli_names_domain_and_io_errors(tmp_path, monkeypatch, capsys):
@@ -521,6 +529,45 @@ def test_failed_run_leaves_no_result_files(tmp_path, monkeypatch, capsys):
     assert cli.main(["converge", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "domain error: no second scan\n"
     assert scans == [1] and os.listdir(tmp_path) == []
+
+
+def test_unplaceable_result_file_leaves_no_file_of_the_run(tmp_path,
+                                                           capsys):
+    # the vr-s table cannot replace a directory: the vr-sd tables placed
+    # before it are taken back, an earlier run's table among them gets its
+    # bytes back, and no staged file is left
+    out = tmp_path / "out"
+    (out / "sweep_vr_s.json").mkdir(parents=True)
+    (out / "sweep_vr_sd.csv").write_bytes(b"earlier run\n")
+    assert cli.main(["sweep", "--set", "operator=vr-sd", "--set", "s_max=1",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("I/O error:")
+    assert sorted(os.listdir(out)) == ["sweep_vr_s.json", "sweep_vr_sd.csv"]
+    assert (out / "sweep_vr_sd.csv").read_bytes() == b"earlier run\n"
+    assert os.listdir(out / "sweep_vr_s.json") == []
+
+
+def test_failed_write_keeps_the_earlier_run_files(tmp_path, monkeypatch,
+                                                  capsys):
+    # the second write fails: the first file of the run is not placed, and
+    # the earlier run's files keep their bytes
+    def runner(cfg, seed, jobs):
+        return {"weyl.json": {"ok": True},
+                "weyl_decay.csv": (("Q",), [(1,)])}
+
+    def full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setitem(harness._RUNNERS, "weyl", runner)
+    monkeypatch.setattr(harness, "write_csv", full)
+    earlier = {"weyl.json": b"earlier run\n", "other.txt": b"kept\n"}
+    for name, data in earlier.items():
+        (tmp_path / name).write_bytes(data)
+    assert cli.main(["weyl", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("I/O error:")
+    assert {n: (tmp_path / n).read_bytes()
+            for n in os.listdir(tmp_path)} == earlier
 
 
 def _calls_by_function(tree):
@@ -617,27 +664,18 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     ("multiplier", "s_list=0,1", "modvar.harness.stream"),
     ("carleson", "batch=29", "modvar.harness.stream"),
     ("carleson", "theta_count=0", "modvar.harness.stream"),
-    ("carleson", "cov_len=7", "modvar.harness.stream"),
     # the r-growth envelope cap r/(r-2) divides by zero at r = 2
     ("carleson", "r_low=2", "modvar.harness.stream"),
     ("carleson", "r_high=2", "modvar.harness.stream"),
     ("sweep", "operator=maximal-arc M=-5", "modvar.harness.SmoothBump"),
     ("sweep", "operator=maximal-arc M=0", "modvar.harness.SmoothBump"),
-    ("sweep", "operator=maximal-arc s_min=3 s_max=2",
-     "modvar.harness.SmoothBump"),
     # the arc-centre table is written by the vr-sd run
     ("sweep", "operator=vr-s", "modvar.harness.SmoothBump"),
     # the lambda sup's MIN_MODULUS floor, refused before any level build
     ("sweep", "operator=vr-sd M=240",
      "modvar.multipliers.build_arc_multiplier"),
-    # the level-1 window radius rho0 must lie in (0, 0.5)
-    ("sweep", "operator=vr-sd rho0=0.6", "modvar.harness.SmoothBump"),
-    # a subnormal level-1 radius passes (0, 0.5) but leaves chi_a0 = 0
-    ("sweep", "operator=vr-sd s_max=1 rho0=1e-310",
-     "modvar.harness.SmoothBump"),
     ("bump-check", "samples=0", "modvar.harness.SmoothBump"),
     ("chaining", "max_times=1", "modvar.harness.stream"),
-    ("chaining", "max_dim=0", "modvar.harness.stream"),
     ("variation", "max_len=1", "modvar.harness.stream"),
     ("variation", "jump_len=3", "modvar.harness.stream"),
     ("variation", "n_oracle=-1", "modvar.harness.stream"),
@@ -652,10 +690,8 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     ("carleson", "r=1e308", "modvar.harness.stream"),
     # every theta of the carleson grid must be a frequency of each length
     ("carleson", "sizes=1024,4096,16384,1000", "modvar.harness.SmoothBump"),
-    ("carleson", "grid_len=60", "modvar.harness.SmoothBump"),
     # a length below 64 has one truncation, so every variation is 0
     ("carleson", "sizes=32", "modvar.harness.stream"),
-    ("carleson", "grid_len=32", "modvar.harness.stream"),
     # a scale list is strictly increasing and starts at the kernel floor
     ("multiplier", "J_list=5,3", "modvar.harness.SmoothBump"),
     ("multiplier", "J_list=1", "modvar.harness.SmoothBump"),
@@ -665,22 +701,35 @@ def test_carleson_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     ("multiplier", "J_list=9", "modvar.harness.SmoothBump"),
     ("sweep", "operator=vr-sd J_list=9", "modvar.harness.SmoothBump"),
     # every arc frequency B/Q must snap to the M-grid within its window
-    ("sweep", "operator=vr-sd rho0=0.01", "modvar.harness.SmoothBump"),
     ("sweep", "operator=maximal-arc M=4001", "modvar.harness.SmoothBump"),
-    # each seqspace interval seq_base*2^s must reach its level's floor
-    ("sweep", "operator=seqspace seq_base=10", "modvar.harness.SmoothBump"),
-    ("sweep", "operator=seqspace seq_base=0", "modvar.harness.SmoothBump"),
     # a sweep key the chosen operator does not read is refused when set,
     # even at its default value
     *[("sweep", "operator=%s %s" % (op, setting),
        "modvar.harness.SmoothBump")
       for op in ("maximal-arc", "seqspace")
-      for setting in ("r=3", "J_list=2,3,5", "lam=1.5", "eps0=0.25",
-                      "rho0=0.125")],
-    ("sweep", "operator=maximal-arc J_list=9 r=50 rho0=7 s_max=1 seq_base=64",
+      for setting in ("r=3", "J_list=2,3,5", "lam=1.5", "eps0=0.25")],
+    ("sweep", "operator=maximal-arc s_max=1 J_list=9 r=50",
      "modvar.harness.SmoothBump"),
     ("sweep", "operator=seqspace M=6720", "modvar.harness.SmoothBump"),
+    # a key that left the schema for a constant is an unknown key
+    ("carleson", "cov_len=7", "modvar.harness.stream"),
+    ("carleson", "grid_len=60", "modvar.harness.SmoothBump"),
+    ("carleson", "grid_len=32", "modvar.harness.stream"),
+    ("chaining", "max_dim=0", "modvar.harness.stream"),
+    ("sweep", "operator=vr-sd rho0=0.6", "modvar.harness.SmoothBump"),
+    ("sweep", "operator=vr-sd s_max=1 rho0=1e-310",
+     "modvar.harness.SmoothBump"),
+    ("sweep", "operator=vr-sd rho0=0.01", "modvar.harness.SmoothBump"),
+    *[("sweep", "operator=%s rho0=0.125" % op, "modvar.harness.SmoothBump")
+      for op in ("maximal-arc", "seqspace")],
+    ("sweep", "operator=seqspace seq_base=10", "modvar.harness.SmoothBump"),
+    ("sweep", "operator=seqspace seq_base=0", "modvar.harness.SmoothBump"),
     ("sweep", "operator=vr-sd seq_base=64", "modvar.harness.SmoothBump"),
+    # the multiplier's dense oracle enumerates chains across at most
+    # variation.MAX_BRUTE_LENGTH scales
+    ("multiplier", "J_list=" + ",".join(map(str, range(
+        harness._J_FLOOR, harness._J_FLOOR + variation.MAX_BRUTE_LENGTH + 1))),
+     "modvar.harness.SmoothBump"),
 ])
 def test_config_ranges_refused_before_any_work(kind, setting, first_work,
                                                tmp_path, monkeypatch, capsys):
@@ -785,15 +834,8 @@ def test_variation_operators_pass_vr_batch_every_row(monkeypatch, tmp_path):
 
 # the keys with no bound in SCHEMAS, each with the reason it has none
 _UNBOUNDED = {
-    ("converge", "y0"): "a point of the circle R/Z: every real is one",
     ("sweep", "operator"): "_check_cross refuses a name outside "
                            "SWEEP_OPERATORS",
-    ("sweep", "s_min"): "_check_cross: 1 <= s_min <= s_max <= S_CAP",
-    ("sweep", "s_max"): "_check_cross: 1 <= s_min <= s_max <= S_CAP",
-    ("sweep", "rho0"): "_check_cross: its range depends on the operator "
-                       "and the level range",
-    ("sweep", "seq_base"): "_check_cross: seq_base*2^s reaches the "
-                           "level-s interval floor at every level",
 }
 
 

@@ -290,8 +290,7 @@ def test_each_frequency_is_snapped_once_per_build(monkeypatch):
         return snap_to_grid(*args)
 
     monkeypatch.setattr(multipliers, "snap_to_grid", counted)
-    probe = harness._level_chi_a0("vr-sd", harness.SCHEMAS["sweep"]["rho0"][1],
-                                  4)
+    probe = harness._level_chi_a0("vr-sd", 4)
     arc_symbols(4, 6720, chi_a0=harness.PROBE_CHI_A0)
     assert len(calls) == 92
     calls.clear()
@@ -474,8 +473,7 @@ def test_grid_points_3k_plus_1_are_the_arc_centres(s):
     assert grid[1::3] == centres
     # the sweep's default scales and probe window, and the default window
     J_list = harness.SCHEMAS["sweep"]["J_list"][1]
-    rho0 = harness.SCHEMAS["sweep"]["rho0"][1]
-    probe = harness._level_chi_a0("vr-sd", rho0, s)
+    probe = harness._level_chi_a0("vr-sd", s)
     for M, window in ((4096, {"chi_a0": probe}), (240, {})):
         got = build_arc_multiplier(s, J_list, grid, M, BUMP, **window)[1::3]
         want = build_arc_multiplier(s, J_list, centres, M, BUMP, **window)
@@ -514,11 +512,10 @@ def _dense_layout(s, J_list, grid, M, chi_a0):
     for M, window in ((4096, "probe"), (240, "default"))] + [(1, 4096, "wide")])
 def test_support_stacks_are_the_dense_stacks_bit_for_bit(s, M, window):
     J_list = harness.SCHEMAS["sweep"]["J_list"][1]
-    rho0 = harness.SCHEMAS["sweep"]["rho0"][1]
-    # wide: the level-1 vr-sd window of radius rho0 = 0.45
-    chi_a0 = {"probe": harness._level_chi_a0("vr-sd", rho0, s),
+    # wide: a level-1 window of radius 0.45, against VR_SD_RADIUS = 0.125
+    chi_a0 = {"probe": harness._level_chi_a0("vr-sd", s),
               "default": DEFAULT_A0,
-              "wide": harness._level_chi_a0("vr-sd", 0.45, 1)}[window]
+              "wide": harness._chi_a0_for_radius(0.45, 1)}[window]
     grid = lambda_grid_for(s, 2)
     got = build_arc_multiplier(s, J_list, grid, M, BUMP, chi_a0=chi_a0)
     want = _dense_layout(s, J_list, grid, M, chi_a0)
@@ -541,7 +538,7 @@ def test_vr_sd_level_4_stacks_hold_a_fifth_of_the_dense_bytes():
     cfg = harness.parse_config("", kind="sweep",
                                overrides={"operator": "vr-sd"}).params
     s, M = 4, cfg["M"]
-    probe = harness._level_chi_a0("vr-sd", cfg["rho0"], s)
+    probe = harness._level_chi_a0("vr-sd", s)
     stacks = build_arc_multiplier(s, cfg["J_list"], lambda_grid_for(s, 2), M,
                                   BUMP, chi_a0=probe)
     held = sum(st.support.nbytes + st.values.nbytes for st in stacks)

@@ -52,14 +52,14 @@ def test_variation_rejects_small_exponent():
         vr_exact([[0.0, 1.0]], 1.0)
 
 
-@pytest.mark.parametrize("r", [math.inf, math.nan])
+@pytest.mark.parametrize("r", [math.inf, math.nan, 64.5])
 def test_vr_exact_refuses_non_finite_exponent(r):
     # r = inf once gave [1.0] here, below the largest increment 2
     with pytest.raises(DomainError, match="must exceed 1 and be finite"):
         vr_exact([np.array([0.0, 2.0])], r)
 
 
-@pytest.mark.parametrize("r", [math.inf, math.nan])
+@pytest.mark.parametrize("r", [math.inf, math.nan, 64.5])
 def test_vr_brute_refuses_non_finite_exponent(r):
     with pytest.raises(DomainError, match="must exceed 1 and be finite"):
         vr_brute([np.array([0.0, 2.0])], r)
